@@ -1,8 +1,8 @@
 """How a Gamma prior reshapes the four-team table.
 
-The EM comparator finds the posterior mode instead of perturbing the
-counts. A nearly flat prior reproduces the perturbed fit's story; as the
-prior tightens it pulls all merits toward each other, and past shape 2
+The Bayesian comparator finds the posterior mode instead of perturbing
+the counts. A nearly flat prior reproduces the perturbed fit's story; as
+the prior tightens it pulls all merits toward each other, and past shape 2
 the two middle teams swap places. The same flip that a large epsilon
 causes in the penalized fit, reached by a different road.
 """

@@ -50,7 +50,13 @@ from .ingestion import (
     parse_records,
     serialize_records,
 )
-from .likelihood import Objective, gradient, log_likelihood, probabilities
+from .likelihood import (
+    Objective,
+    PosteriorObjective,
+    gradient,
+    log_likelihood,
+    probabilities,
+)
 from .perturbation import auto_epsilon, perturb, resolve_epsilon
 from .ranking import (
     MonotoneRatioReport,
@@ -81,6 +87,7 @@ from .solver import (
     fit,
     fit_map_em,
     maximize_concave,
+    minimize,
 )
 from .types import (
     AUTO_EPSILON,
@@ -130,6 +137,7 @@ __all__ = [
     "Normalization",
     "NoTiesError",
     "Objective",
+    "PosteriorObjective",
     "Outcome",
     "ParameterPoint",
     "ParseError",
@@ -164,6 +172,7 @@ __all__ = [
     "max_relative_error",
     "maximize_concave",
     "merit_table",
+    "minimize",
     "monotone_ratio_check",
     "parse_matrix",
     "parse_records",

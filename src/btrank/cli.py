@@ -213,7 +213,16 @@ def _add_out_flag(sub) -> None:
 
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--grad-tol", type=float, default=1e-8)
-    sub.add_argument("--rel-ll-tol", type=float, default=1e-10)
+    sub.add_argument(
+        "--rel-ll-tol",
+        type=float,
+        default=1e-10,
+        help=(
+            "when no step improves the objective at working precision, the "
+            "fit counts as converged if half the Newton decrement (the "
+            "objective still to gain) is at most this times max(1, |objective|)"
+        ),
+    )
     sub.add_argument("--max-iters", type=_positive_int, default=10000)
     sub.add_argument("--restarts", type=int, default=0)
     sub.add_argument("--seed", type=int, default=None, help="defaults to $BTRANK_SEED or 0")

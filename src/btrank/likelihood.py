@@ -1,4 +1,4 @@
-"""Penalized log-likelihoods and gradients for the five models.
+"""Penalized log-likelihoods, gradients and Hessians for the five models.
 
 All models are evaluated in the reparameterized space: merits enter as
 ``beta_i = log u_i - log u_1`` (so ``beta[0] == 0``), the tie parameter as
@@ -32,6 +32,18 @@ with both parameters:
   contribution ``wh (log_gamma + beta_i) + wv beta_j - (wh + wv) D``.
 * home-field with ties: adds ``wt mid`` and extends the denominator to
   ``lse(log_gamma + beta_i, beta_j, mid)``.
+
+Derivatives. Every pair term depends on the merits only through
+``beta_i - beta_j``, so its merit gradient is a multiple of ``e_i - e_j``
+and its merit Hessian a multiple of ``(e_i - e_j)(e_i - e_j)'``. Each model
+therefore reduces to per-pair arrays: a residual (the gradient along
+``e_i - e_j``), a curvature (the merit block of the Hessian is minus the
+graph Laplacian with pair weights ``curv + curv'``), one border array per
+tie or home parameter, and a small block for those parameters. For
+Bradley-Terry the curvature is ``w_ij p_ij (1 - p_ij)``. All models except
+Rao-Kupper share one kernel: the outcome is a softmax of the host, visitor
+and tie scores above, and Bradley-Terry and Davidson are its venue-free
+cases (ordered pairs carry i's wins over j and half the pair's ties).
 """
 
 from __future__ import annotations
@@ -85,171 +97,136 @@ def _require_venues(perturbed: PerturbedCounts, model: Model) -> None:
         )
 
 
-def _rk_terms(beta: Array, phi: float, w: Array, ties: Array):
-    iu, ju = np.triu_indices(len(beta), 1)
-    w_ij = w[iu, ju]
-    w_ji = w[ju, iu]
-    tw = ties[iu, ju]
-    d_ij = np.logaddexp(beta[iu], phi + beta[ju])
-    d_ji = np.logaddexp(beta[ju], phi + beta[iu])
-    return iu, ju, w_ij, w_ji, tw, d_ij, d_ji
-
-
-def loglik_bradley_terry(point: ParameterPoint, perturbed: PerturbedCounts) -> float:
-    """Perturbed Bradley-Terry log-likelihood; ties are not modeled."""
-    _check_point(Model.BRADLEY_TERRY, point, perturbed.num_teams)
-    beta = point.beta
-    w = perturbed.a_free
-    # w has a zero diagonal, so the diagonal terms vanish exactly.
-    d = np.logaddexp.outer(beta, beta)
-    return float((w * (beta[:, None] - d)).sum())
-
-
-def loglik_rao_kupper(point: ParameterPoint, perturbed: PerturbedCounts) -> float:
-    _check_point(Model.RAO_KUPPER, point, perturbed.num_teams)
-    _require_ties(perturbed, Model.RAO_KUPPER)
-    if point.phi <= 0.0:
+def _validate(model: Model, point: ParameterPoint, perturbed: PerturbedCounts) -> None:
+    """Refuse a point or data set the model cannot evaluate, identically for
+    every public entry point."""
+    _check_point(model, point, perturbed.num_teams)
+    if model.needs_venues:
+        _require_venues(perturbed, model)
+    if model.needs_ties:
+        _require_ties(perturbed, model)
+    if model is Model.RAO_KUPPER and point.phi <= 0.0:
         raise ThetaDomainError(f"Rao-Kupper needs theta > 1, got phi={point.phi}")
-    beta, phi = point.beta, point.phi
-    _, _, w_ij, w_ji, tw, d_ij, d_ji = _rk_terms(
-        beta, phi, perturbed.a_free, perturbed.ties
+
+
+def _logistic(x):
+    """``(s(x), s(-x), log s(x), log s(-x))`` for the logistic function s,
+    stable for any x, from one exp and one log."""
+    e = np.exp(-np.abs(x))
+    log1pe = np.log1p(e)
+    big = 1.0 / (1.0 + e)
+    small = e * big
+    positive = x >= 0.0
+    return (
+        np.where(positive, big, small),
+        np.where(positive, small, big),
+        -(np.maximum(-x, 0.0) + log1pe),
+        -(np.maximum(x, 0.0) + log1pe),
     )
-    iu, ju = np.triu_indices(len(beta), 1)
-    tie_c = 2.0 * phi + np.log1p(-np.exp(-2.0 * phi))
-    value = (
-        w_ij * (beta[iu] - d_ij)
-        + w_ji * (beta[ju] - d_ji)
-        + tw * (tie_c + beta[iu] + beta[ju] - d_ij - d_ji)
-    )
-    return float(value.sum())
 
 
-def loglik_davidson(point: ParameterPoint, perturbed: PerturbedCounts) -> float:
-    _check_point(Model.DAVIDSON, point, perturbed.num_teams)
-    _require_ties(perturbed, Model.DAVIDSON)
-    beta, phi = point.beta, point.phi
-    w, ties = perturbed.a_free, perturbed.ties
-    iu, ju = np.triu_indices(len(beta), 1)
-    w_ij, w_ji, tw = w[iu, ju], w[ju, iu], ties[iu, ju]
-    mid = phi + (beta[iu] + beta[ju]) / 2.0
-    d = _lse3(beta[iu], beta[ju], mid)
-    n = w_ij + w_ji + tw
-    value = w_ij * beta[iu] + w_ji * beta[ju] + tw * mid - n * d
-    return float(value.sum())
+def _assemble(value, resid, grads, curv=None, borders=(), block=()):
+    """``(value, gradient, Hessian)`` over ``[beta_1 .. beta_t, extras]`` from
+    the per-pair arrays described in the module docstring; the Hessian is
+    None without a curvature, which must have a zero diagonal."""
+    grad = np.concatenate([resid.sum(axis=1) - resid.sum(axis=0), grads])
+    if curv is None:
+        return value, grad, None
+    t, k = len(resid), len(grads)
+    hess = np.empty((t + k, t + k))
+    merits = hess[:t, :t]
+    np.add(curv, curv.T, out=merits)
+    merits[np.diag_indices(t)] = -merits.sum(axis=1)
+    for a, border in enumerate(borders):
+        hess[:t, t + a] = hess[t + a, :t] = border.sum(axis=1) - border.sum(axis=0)
+    hess[t:, t:] = block
+    return value, grad, hess
 
 
-def loglik_home_field(point: ParameterPoint, perturbed: PerturbedCounts) -> float:
-    _check_point(Model.HOME_FIELD, point, perturbed.num_teams)
-    _require_venues(perturbed, Model.HOME_FIELD)
-    beta, lg = point.beta, point.log_gamma
-    wh = perturbed.a_home
-    wv = perturbed.a_away.T  # wv[i][j]: visitor j's wins at i's venue
-    # All weight matrices have zero diagonals, so no masking is needed.
-    d = np.logaddexp(lg + beta[:, None], beta[None, :])
-    value = wh * (lg + beta[:, None]) + wv * beta[None, :] - (wh + wv) * d
-    return float(value.sum())
-
-
-def loglik_david(point: ParameterPoint, perturbed: PerturbedCounts) -> float:
-    """Home advantage and ties together (host i, visitor j per ordered pair)."""
-    _check_point(Model.DAVID, point, perturbed.num_teams)
-    _require_venues(perturbed, Model.DAVID)
-    _require_ties(perturbed, Model.DAVID)
-    beta, phi, lg = point.beta, point.phi, point.log_gamma
-    wh = perturbed.a_home
-    wv = perturbed.a_away.T
-    wt = perturbed.t_home
-    mid = phi + (beta[:, None] + beta[None, :]) / 2.0
-    d = _lse3(lg + beta[:, None], beta[None, :], mid)
+def _outcome_terms(beta, wh, wv, wt, phi, lg, order):
+    """Kernel of the models whose outcome is a softmax of three scores per
+    ordered pair (host i, visitor j): host win ``lg + beta_i``, visitor win
+    ``beta_j`` and, unless ``phi`` is None, tie ``phi + (beta_i + beta_j)/2``,
+    observed ``wh``, ``wv`` and ``wt`` times. ``lg=None`` pins the home
+    parameter at 0 and leaves it out of the gradient. Returns ``(value,
+    gradient, Hessian)``, with None past ``order``."""
+    host = beta[:, None] + (0.0 if lg is None else lg)
+    visitor = beta[None, :]
+    if phi is None:
+        p_h, p_v, log_h, log_v = _logistic(host - visitor)
+        value = float((wh * log_h + wv * log_v).sum())
+        if order == 0:
+            return value, None, None
+        p_t = 0.0
+    else:
+        tie = phi + (beta[:, None] + visitor) / 2.0
+        d = _lse3(host, visitor, tie)
+        value = float((wh * (host - d) + wv * (visitor - d) + wt * (tie - d)).sum())
+        if order == 0:
+            return value, None, None
+        p_h, p_v, p_t = np.exp(host - d), np.exp(visitor - d), np.exp(tie - d)
+    # expected coefficients of beta_i and beta_j in the outcome's score
+    m_h, m_v = p_h + p_t / 2.0, p_v + p_t / 2.0
     n = wh + wv + wt
-    value = wh * (lg + beta[:, None]) + wv * beta[None, :] + wt * mid - n * d
-    return float(value.sum())
+    resid = wh * m_v - wv * m_h + wt * (m_v - m_h) / 2.0
+    # the tie and host-win outcomes carry phi and lg, with coefficient 1:
+    # (observed count, probability, coefficient of beta_i) of each
+    extras = []
+    if phi is not None:
+        extras.append((wt, p_t, 0.5))
+    if lg is not None:
+        extras.append((wh, p_h, 1.0))
+    grads = [float((w - n * p).sum()) for w, p, _ in extras]
+    if order == 1:
+        return _assemble(value, resid, grads)
+    curv = n * (m_h * m_v - p_t / 4.0)
+    borders = [n * p * (m_h - share) for _, p, share in extras]
+    block = [
+        [float((n * p * (q - float(a == b))).sum()) for b, (_, q, _) in enumerate(extras)]
+        for a, (_, p, _) in enumerate(extras)
+    ]
+    return _assemble(value, resid, grads, curv, borders, block)
+
+
+def _rao_kupper_terms(beta, w, ties, phi, order):
+    """Rao-Kupper as ordered-pair terms in ``x = beta_i - beta_j - phi``:
+    ``w_ij log s(x) + ties_ij log s(-x)`` with s the logistic function, plus
+    ``log(1 - theta^-2)`` per tied game."""
+    s, s_rev, log_s, log_s_rev = _logistic(beta[:, None] - beta[None, :] - phi)
+    tied = ties.sum() / 2.0
+    q, r = np.exp(-2.0 * phi), -np.expm1(-2.0 * phi)  # theta^-2 and 1 - theta^-2
+    value = tied * np.log(r) + float((w * log_s + ties * log_s_rev).sum())
+    if order == 0:
+        return value, None, None
+    resid = w * s_rev - ties * s
+    grads = [tied * 2.0 * q / r - float(resid.sum())]
+    if order == 1:
+        return _assemble(value, resid, grads)
+    curv = (w + ties) * s * s_rev
+    block = [[-tied * 4.0 * q / r**2 - float(curv.sum())]]
+    return _assemble(value, resid, grads, curv, [curv], block)
+
+
+def _terms(model: Model, point: ParameterPoint, perturbed: PerturbedCounts, order: int):
+    """``(value, gradient, Hessian)`` of one model's penalized log-likelihood
+    over ``[beta_1 .. beta_t, phi?, log_gamma?]``, with None past ``order``."""
+    beta, phi, lg = point.beta, point.phi, point.log_gamma
+    if model is Model.RAO_KUPPER:
+        return _rao_kupper_terms(beta, perturbed.a_free, perturbed.ties, phi, order)
+    if model.needs_venues:
+        wh, wv = perturbed.a_home, perturbed.a_away.T
+        wt = perturbed.t_home if model is Model.DAVID else 0.0
+    else:
+        wh, wv = perturbed.a_free, 0.0
+        wt = perturbed.ties / 2.0 if model is Model.DAVIDSON else 0.0
+    return _outcome_terms(beta, wh, wv, wt, phi, lg, order)
 
 
 def log_likelihood(
     model: Model, point: ParameterPoint, perturbed: PerturbedCounts
 ) -> float:
-    return _LOGLIK[model](point, perturbed)
-
-
-def _gradient_bradley_terry(point, perturbed) -> Array:
-    beta = point.beta
-    w = perturbed.a_free
-    n = w + w.T
-    p = expit(np.subtract.outer(beta, beta))  # p[i][j] = P(i beats j)
-    g = w.sum(axis=1) - (n * p).sum(axis=1)
-    return g[1:]
-
-
-def _gradient_rao_kupper(point, perturbed) -> Array:
-    beta, phi = point.beta, point.phi
-    t = len(beta)
-    iu, ju, w_ij, w_ji, tw, _, _ = _rk_terms(
-        beta, phi, perturbed.a_free, perturbed.ties
-    )
-    s_ij = expit(beta[iu] - phi - beta[ju])  # P(i beats j)
-    s_ji = expit(beta[ju] - phi - beta[iu])
-    gb = np.zeros(t)
-    np.add.at(gb, iu, w_ij * (1 - s_ij) - w_ji * (1 - s_ji) + tw * (s_ji - s_ij))
-    np.add.at(gb, ju, w_ji * (1 - s_ji) - w_ij * (1 - s_ij) + tw * (s_ij - s_ji))
-    dtie = 2.0 / (1.0 - np.exp(-2.0 * phi))
-    gphi = (
-        -w_ij * (1 - s_ij)
-        - w_ji * (1 - s_ji)
-        + tw * (dtie - (1 - s_ij) - (1 - s_ji))
-    ).sum()
-    return np.concatenate([gb[1:], [gphi]])
-
-
-def _gradient_davidson(point, perturbed) -> Array:
-    beta, phi = point.beta, point.phi
-    t = len(beta)
-    w, ties = perturbed.a_free, perturbed.ties
-    iu, ju = np.triu_indices(t, 1)
-    w_ij, w_ji, tw = w[iu, ju], w[ju, iu], ties[iu, ju]
-    mid = phi + (beta[iu] + beta[ju]) / 2.0
-    d = _lse3(beta[iu], beta[ju], mid)
-    n = w_ij + w_ji + tw
-    p_i = np.exp(beta[iu] - d)
-    p_j = np.exp(beta[ju] - d)
-    p_t = np.exp(mid - d)
-    gb = np.zeros(t)
-    np.add.at(gb, iu, w_ij + tw / 2.0 - n * (p_i + p_t / 2.0))
-    np.add.at(gb, ju, w_ji + tw / 2.0 - n * (p_j + p_t / 2.0))
-    gphi = (tw - n * p_t).sum()
-    return np.concatenate([gb[1:], [gphi]])
-
-
-def _gradient_home_field(point, perturbed) -> Array:
-    beta, lg = point.beta, point.log_gamma
-    wh = perturbed.a_home
-    wv = perturbed.a_away.T
-    n = wh + wv
-    q = expit(lg + np.subtract.outer(beta, beta))  # P(host i beats visitor j)
-    # Diagonal terms vanish because every weight matrix has a zero diagonal.
-    host_resid = wh - n * q
-    visit_resid = wv - n * (1.0 - q)
-    gb = host_resid.sum(axis=1) + visit_resid.sum(axis=0)
-    glg = host_resid.sum()
-    return np.concatenate([gb[1:], [glg]])
-
-
-def _gradient_david(point, perturbed) -> Array:
-    beta, phi, lg = point.beta, point.phi, point.log_gamma
-    wh = perturbed.a_home
-    wv = perturbed.a_away.T
-    wt = perturbed.t_home
-    n = wh + wv + wt
-    mid = phi + (beta[:, None] + beta[None, :]) / 2.0
-    d = _lse3(lg + beta[:, None], beta[None, :], mid)
-    p_h = np.exp(lg + beta[:, None] - d)
-    p_v = np.exp(beta[None, :] - d)
-    p_t = np.exp(mid - d)
-    gb = (wh + wt / 2.0 - n * (p_h + p_t / 2.0)).sum(axis=1)
-    gb += (wv + wt / 2.0 - n * (p_v + p_t / 2.0)).sum(axis=0)
-    gphi = (wt - n * p_t).sum()
-    glg = (wh - n * p_h).sum()
-    return np.concatenate([gb[1:], [gphi, glg]])
+    _validate(model, point, perturbed)
+    return _terms(model, point, perturbed, 0)[0]
 
 
 def gradient(
@@ -260,27 +237,8 @@ def gradient(
     Domains and data requirements are enforced exactly as for the matching
     log-likelihood.
     """
-    # Reuse the loglik entry points for validation so both paths refuse
-    # identically; the value itself is cheap next to the gradient.
-    _LOGLIK[model](point, perturbed)
-    return _GRAD[model](point, perturbed)
-
-
-_LOGLIK = {
-    Model.BRADLEY_TERRY: loglik_bradley_terry,
-    Model.RAO_KUPPER: loglik_rao_kupper,
-    Model.DAVIDSON: loglik_davidson,
-    Model.HOME_FIELD: loglik_home_field,
-    Model.DAVID: loglik_david,
-}
-
-_GRAD = {
-    Model.BRADLEY_TERRY: _gradient_bradley_terry,
-    Model.RAO_KUPPER: _gradient_rao_kupper,
-    Model.DAVIDSON: _gradient_davidson,
-    Model.HOME_FIELD: _gradient_home_field,
-    Model.DAVID: _gradient_david,
-}
+    _validate(model, point, perturbed)
+    return _terms(model, point, perturbed, 1)[1][1:]
 
 
 def probabilities(
@@ -348,12 +306,13 @@ def probabilities(
     return p_guest, p_host, p_tie
 
 
+
 class Objective:
     """One model's penalized log-likelihood as a function of a free vector.
 
     Bridges ParameterPoint to the flat layout the maximizer works in, and
-    guards the Rao-Kupper tie domain by returning -inf (with no gradient)
-    outside it so line searches back off instead of raising.
+    guards the Rao-Kupper tie domain by returning -inf (with no gradient or
+    Hessian) outside it so line searches back off instead of raising.
     """
 
     def __init__(self, model: Model, perturbed: PerturbedCounts):
@@ -418,14 +377,67 @@ class Objective:
     def in_domain(self, x: Array) -> bool:
         return self.lower_bounds is None or bool(np.all(x >= self.lower_bounds))
 
-    def value(self, x: Array) -> float:
+    def _evaluate(self, x: Array, order: int):
         if not self.in_domain(x):
-            return -np.inf
-        return _LOGLIK[self.model](self.unpack(x), self.perturbed)
+            return -np.inf, None, None
+        value, grad, hess = _terms(self.model, self.unpack(x), self.perturbed, order)
+        # the free layout leaves out beta_1, which is pinned at 0
+        return (
+            value,
+            None if grad is None else grad[1:],
+            None if hess is None else hess[1:, 1:],
+        )
+
+    def value(self, x: Array) -> float:
+        return self._evaluate(x, 0)[0]
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array | None]:
-        if not self.in_domain(x):
-            return -np.inf, None
-        point = self.unpack(x)
-        value = _LOGLIK[self.model](point, self.perturbed)
-        return value, _GRAD[self.model](point, self.perturbed)
+        return self._evaluate(x, 1)[:2]
+
+    def value_gradient_hessian(
+        self, x: Array
+    ) -> tuple[float, Array | None, Array | None]:
+        """Value, gradient and Hessian in the free layout; ``(-inf, None,
+        None)`` outside the Rao-Kupper domain."""
+        return self._evaluate(x, 2)
+
+
+class PosteriorObjective:
+    """Unnormalized log-posterior of the Bradley-Terry log merits under
+    independent Gamma(shape, rate) priors: the log-likelihood of the win
+    counts ``wins`` plus ``(shape - 1) beta_i - rate exp(beta_i)`` per team.
+
+    With a proper prior (rate > 0) all t log merits are free. The flat prior
+    (shape 1, rate 0) adds nothing and leaves the posterior scale-invariant,
+    so beta_1 is pinned at 0 and left out of the free vector.
+    """
+
+    lower_bounds = None
+
+    def __init__(self, wins: Array, shape: float, rate: float):
+        self.wins, self.shape, self.rate = wins, shape, rate
+        self.pinned = rate == 0.0
+
+    def initial_point(self) -> Array:
+        t = len(self.wins)
+        if self.pinned:
+            return np.zeros(t - 1)
+        # uniform merits at the scale of every stationary point,
+        # sum(u) = t (shape - 1) / rate
+        return np.full(t, np.log((self.shape - 1.0) / self.rate))
+
+    def log_merits(self, x: Array) -> Array:
+        """All t log merits of a free vector."""
+        return np.concatenate([[0.0], x]) if self.pinned else x
+
+    def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array]:
+        beta = self.log_merits(x)
+        value, grad, hess = _outcome_terms(beta, self.wins, 0.0, 0.0, None, None, 2)
+        if self.pinned:
+            return value, grad[1:], hess[1:, 1:]
+        with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf
+            u = np.exp(beta)
+        value += float(((self.shape - 1.0) * beta - self.rate * u).sum())
+        grad += (self.shape - 1.0) - self.rate * u
+        hess[np.diag_indices(len(beta))] -= self.rate * u
+        return value, grad, hess

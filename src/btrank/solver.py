@@ -1,14 +1,25 @@
-"""Fit the five models by penalized maximum likelihood, plus a MAP-EM fit.
+"""Fit the five models by penalized maximum likelihood, plus the posterior
+mode of the Bradley-Terry merits under Gamma priors.
 
-The Bradley-Terry fit uses the classic minorization fixed point
-``u_i <- a~_i / sum_j n~_ij / (u_i + u_j)``, which is monotone in the
-penalized log-likelihood and reaches machine-precision stationarity. The
-four extended models use a generic two-phase maximizer on their strictly
-concave reparameterized objectives: gradient ascent with a backtracking
-(Armijo) line search, then, if the gradient target is still unmet once the
-objective stalls, a bounded quasi-Newton polish. Strict concavity makes the
-optimum unique, so the method choice affects only how fast the same point
-is reached.
+All six fits maximize a concave function of the log merits (plus the log tie
+and home parameters), with at most t + 1 free parameters, so one damped
+Newton method serves them all (``maximize_concave``). Each iteration solves
+for the Newton direction by a Cholesky factorization of the negated Hessian,
+falling back to the gradient direction when that fails (a MatrixShift with
+negative entries can make the Hessian indefinite). It then backtracks from
+the full step until the Armijo condition holds, halving steps that leave the
+objective's lower bounds.
+
+A fit stops converged once the gradient sup-norm reaches ``grad_tol``. Half
+the Newton decrement ``g' (-H)^-1 g`` bounds the objective still to gain.
+Once it is at most ``rel_ll_tol * max(1, |objective|)``, the objective is
+flat at working precision and its quadratic model exact to rounding: only
+the full Newton step is tried, and it is kept if it passes the Armijo test
+or lowers the gradient sup-norm (the objective may then drop by rounding);
+otherwise the fit stops converged. Above that bound, a line search that
+finds no improving step stops the fit unconverged, as does using up
+``max_iters`` iterations. Strict concavity makes the optimum unique, so
+restarts can only confirm it.
 
 Every fit re-verifies the existence condition for its model and
 perturbation scheme before iterating, refusing with a witness rather than
@@ -28,11 +39,11 @@ whatever the scheme, since tie counts are never perturbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve
 
 from .connectivity import (
     check_condition_a,
@@ -41,7 +52,7 @@ from .connectivity import (
     strong_connectivity_witness,
 )
 from .errors import ConfigError, ExistenceError, NoTiesError, VenuelessDataError
-from .likelihood import Objective
+from .likelihood import Objective, PosteriorObjective
 from .perturbation import perturb
 from .types import (
     Array,
@@ -57,19 +68,21 @@ from .types import (
 )
 
 _ARMIJO_C = 1e-4
-_STEP_FLOOR = 1e-18
-_POLISH_ROUNDS = 3
+_HALVINGS = 60  # the smallest trial step is 2**-59
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls shared by all fits.
 
-    Convergence is declared when the gradient sup-norm reaches ``grad_tol``
-    or the relative objective change stays at or below ``rel_ll_tol`` on two
-    successive iterations; both quantities are recorded on the FitResult.
-    ``restarts`` adds that many random extra starts (seeded by ``seed``) on
-    top of the deterministic one, keeping the best final objective.
+    A fit is converged when the gradient sup-norm reaches ``grad_tol``, or
+    when half the Newton decrement, a bound on the objective still to gain,
+    is at most ``rel_ll_tol * max(1, |objective|)`` and the full Newton step
+    neither raises the objective nor lowers the gradient. ``max_iters``
+    bounds the Newton iterations. The final gradient sup-norm is recorded
+    on the FitResult. ``restarts`` adds that many random extra starts
+    (seeded by ``seed``) on top of the deterministic one, keeping the best
+    final objective.
     """
 
     grad_tol: float = 1e-8
@@ -111,7 +124,7 @@ class MapPriorSpec:
 
 
 @dataclass(frozen=True)
-class _AscentResult:
+class _Solution:
     x: Array
     value: float
     trace: tuple[float, ...]
@@ -120,89 +133,54 @@ class _AscentResult:
     converged: bool
 
 
-def _ascend(objective, start: Array, config: SolverConfig) -> _AscentResult:
-    """Armijo gradient ascent, alternated with quasi-Newton polish rounds.
-
-    Convergence is declared on the gradient target, or when the ascent
-    stalls (two successive relative objective changes at or below
-    rel_ll_tol, or no acceptable step) and a polish round confirms that no
-    meaningful objective improvement remains. A polish that does make
-    progress sends control back to the ascent instead.
-    """
+def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
+    """Damped Newton ascent with the stop rules of the module docstring."""
     lower = getattr(objective, "lower_bounds", None)
-    x = np.asarray(start, dtype=float).copy()
-    f, g = objective.value_and_gradient(x)
+    x = np.array(start, dtype=float)
+    f, g, h = objective.value_gradient_hessian(x)
     if not np.isfinite(f) or g is None:
         raise ConfigError("start point lies outside the objective's domain")
-    value_only = getattr(objective, "value", None)
-    if value_only is None:
-        value_only = lambda z: objective.value_and_gradient(z)[0]  # noqa: E731
 
     trace = [float(f)]
     iterations = 0
     grad_norm = float(np.max(np.abs(g)))
     converged = grad_norm <= config.grad_tol
-
-    for _ in range(3):
-        if converged or iterations >= config.max_iters:
-            break
-
-        stall = 0
-        phase_flat = False
-        while iterations < config.max_iters and grad_norm > config.grad_tol:
-            step = 1.0
-            g_sq = float(g @ g)
-            accepted = False
-            while step >= _STEP_FLOOR:
-                candidate = x + step * g
-                if lower is not None and np.any(candidate < lower):
-                    step *= 0.5
-                    continue
-                f_new = value_only(candidate)
-                if np.isfinite(f_new) and f_new >= f + _ARMIJO_C * step * g_sq:
-                    accepted = True
+    while not converged and iterations < config.max_iters:
+        iterations += 1
+        try:
+            direction = cho_solve(cho_factor(-h, overwrite_a=True), g)
+            newton = True
+        except LinAlgError:
+            direction, newton = g, False
+        slope = float(g @ direction)  # the Newton decrement on a Newton step
+        at_rounding = newton and slope / 2.0 <= config.rel_ll_tol * max(1.0, abs(f))
+        step, trial = 1.0, None
+        for _ in range(1 if at_rounding else _HALVINGS):
+            candidate = x + step * direction
+            if lower is None or np.all(candidate >= lower):
+                trial = objective.value_gradient_hessian(candidate)
+                if trial[0] > f + _ARMIJO_C * step * slope:
                     break
-                step *= 0.5
-            iterations += 1
-            if not accepted:
-                phase_flat = True
+            step *= 0.5
+        else:
+            # No step improves the objective at working precision. Where it
+            # is flat to rounding the quadratic model is exact, so the full
+            # Newton step is still kept if it lowers the gradient.
+            if not (
+                at_rounding
+                and trial is not None
+                and trial[1] is not None
+                and np.max(np.abs(trial[1])) < grad_norm
+            ):
+                converged = at_rounding
                 break
-            rel_change = abs(f_new - f) / max(1.0, abs(f_new))
-            x = candidate
-            f, g = objective.value_and_gradient(x)
-            grad_norm = float(np.max(np.abs(g)))
-            trace.append(float(f))
-            if rel_change <= config.rel_ll_tol:
-                stall += 1
-                if stall >= 2:
-                    phase_flat = True
-                    break
-            else:
-                stall = 0
+        x = candidate
+        f, g, h = trial
+        trace.append(float(f))
+        grad_norm = float(np.max(np.abs(g)))
+        converged = grad_norm <= config.grad_tol
 
-        if grad_norm <= config.grad_tol:
-            converged = True
-            break
-        if iterations >= config.max_iters:
-            break
-
-        f_before = f
-        x, f, g, grad_norm, polish_iters = _polish(
-            objective, x, f, g, config, config.max_iters - iterations
-        )
-        iterations += polish_iters
-        if f > trace[-1]:
-            trace.append(float(f))
-        if grad_norm <= config.grad_tol:
-            converged = True
-            break
-        if phase_flat and abs(f - f_before) <= config.rel_ll_tol * max(1.0, abs(f)):
-            # The ascent stalled and the polish found nothing further: the
-            # objective is flat at working precision.
-            converged = True
-            break
-
-    return _AscentResult(
+    return _Solution(
         x=x,
         value=float(f),
         trace=tuple(trace),
@@ -212,62 +190,44 @@ def _ascend(objective, start: Array, config: SolverConfig) -> _AscentResult:
     )
 
 
-def _polish(objective, x, f, g, config: SolverConfig, budget: int):
-    """Quasi-Newton rounds from the ascent's end point; keeps the best
-    point seen and never returns a lower objective value."""
-    lower = getattr(objective, "lower_bounds", None)
-    bounds = None
-    if lower is not None:
-        bounds = [(lo if np.isfinite(lo) else None, None) for lo in lower]
-
-    def negated(z):
-        value, grad = objective.value_and_gradient(z)
-        if grad is None or not np.isfinite(value):
-            return np.inf, np.zeros_like(z)
-        return -value, -grad
-
-    grad_norm = float(np.max(np.abs(g)))
-    used = 0
-    for _ in range(_POLISH_ROUNDS):
-        if grad_norm <= config.grad_tol or used >= budget:
-            break
-        result = minimize(
-            negated,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxiter": budget - used,
-                "ftol": 1e-17,
-                "gtol": config.grad_tol * 0.1,
-                "maxcor": 30,
-            },
-        )
-        used += max(result.nit, 1)
-        f_new, g_new = objective.value_and_gradient(result.x)
-        if g_new is None or not np.isfinite(f_new) or f_new < f:
-            break
-        improved_grad = float(np.max(np.abs(g_new))) < grad_norm
-        x, f, g = result.x, f_new, g_new
-        grad_norm = float(np.max(np.abs(g)))
-        if not improved_grad:
-            break
-    return x, f, g, grad_norm, used
-
-
 def maximize_concave(objective, start, config: SolverConfig | None = None):
-    """Maximize a concave objective from ``start``.
+    """Maximize a concave objective from ``start`` by damped Newton.
 
-    ``objective`` needs a ``value_and_gradient(x) -> (float, ndarray)``
-    method; an optional ``value(x)`` is used for cheaper line-search
-    evaluations, and an optional ``lower_bounds`` vector constrains the
-    domain. Returns ``(point, trace)`` where ``trace`` lists the objective
-    value at the start and after each accepted iteration (non-decreasing).
+    ``objective`` needs a ``value_gradient_hessian(x) -> (float, ndarray,
+    ndarray)`` method, which every line-search trial calls and which returns
+    ``(-inf, None, None)`` outside the domain; an optional ``lower_bounds``
+    vector constrains the domain. The stop rules are those of SolverConfig. Returns ``(point,
+    trace)`` where ``trace`` lists the objective value at the start and
+    after each accepted iteration; it is non-decreasing, up to rounding on
+    steps taken where the objective is flat to rounding.
     """
     config = config or SolverConfig()
-    result = _ascend(objective, np.asarray(start, dtype=float), config)
+    result = _newton(objective, np.asarray(start, dtype=float), config)
     return result.x, result.trace
+
+
+class _Negated:
+    def __init__(self, objective):
+        self._objective = objective
+        self.lower_bounds = getattr(objective, "lower_bounds", None)
+
+    def value_gradient_hessian(self, x):
+        f, g, h = self._objective.value_gradient_hessian(x)
+        if g is None:
+            return -f, None, None
+        return -f, -g, -h
+
+
+def minimize(objective, start, config: SolverConfig | None = None):
+    """Minimize a convex objective, such as a negative log-likelihood.
+
+    The counterpart of ``maximize_concave``: the same damped Newton method
+    and stop rules, run on the negated objective, whose
+    ``value_gradient_hessian`` returns ``(inf, None, None)`` outside the
+    domain. Returns ``(point, trace)`` with a non-increasing trace.
+    """
+    x, trace = maximize_concave(_Negated(objective), start, config)
+    return x, tuple(-value for value in trace)
 
 
 def _verify_existence(
@@ -321,69 +281,11 @@ def _verify_existence(
         )
 
 
-def _bt_loglik(beta: Array, w: Array) -> float:
-    d = np.logaddexp.outer(beta, beta)
-    return float((w * (beta[:, None] - d)).sum())
-
-
-def _mm_bradley_terry(w: Array, u0: Array, config: SolverConfig) -> _AscentResult:
-    """Minorization fixed point for the Bradley-Terry objective."""
-    n = w + w.T
-    row = w.sum(axis=1)
-    u = u0 / u0[0]
-    beta = np.log(u)
-    trace = [_bt_loglik(beta, w)]
-    iterations = 0
-    stall = 0
-    converged = False
-    grad_norm = np.inf
-    while iterations < config.max_iters:
-        denom = (n / np.add.outer(u, u)).sum(axis=1)
-        u = row / denom
-        u = u / u[0]
-        beta = np.log(u)
-        iterations += 1
-        p = expit(np.subtract.outer(beta, beta))
-        g = row - (n * p).sum(axis=1)
-        grad_norm = float(np.max(np.abs(g[1:])))
-        value = _bt_loglik(beta, w)
-        rel_change = abs(value - trace[-1]) / max(1.0, abs(value))
-        trace.append(value)
-        if grad_norm <= config.grad_tol:
-            converged = True
-            break
-        if rel_change <= config.rel_ll_tol:
-            stall += 1
-            if stall >= 2:
-                converged = True
-                break
-        else:
-            stall = 0
-    x = beta[1:]
-    return _AscentResult(
-        x=x,
-        value=trace[-1],
-        trace=tuple(trace),
-        iterations=iterations,
-        gradient_sup_norm=grad_norm,
-        converged=converged,
-    )
-
-
 def _normalized_merits(beta: Array, normalization: Normalization) -> Array:
     u = np.exp(beta - beta.max())  # guard against overflow for extreme merits
     if normalization is Normalization.SIMPLEX:
         return u / u.sum()
     return u / u[0]
-
-
-def _run_starts(starts, runner) -> _AscentResult:
-    best: _AscentResult | None = None
-    for start in starts:
-        result = runner(start)
-        if best is None or result.value > best.value:
-            best = result
-    return best
 
 
 def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = None) -> FitResult:
@@ -405,20 +307,10 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     starts = [objective.initial_point()]
     for _ in range(config.restarts):
         starts.append(objective.random_point(rng))
-
-    if model_spec.model is Model.BRADLEY_TERRY:
-        w = perturbed.a_free
-
-        def runner(start):
-            u0 = np.exp(np.concatenate([[0.0], start]))
-            return _mm_bradley_terry(w, u0, config)
-
-    else:
-
-        def runner(start):
-            return _ascend(objective, start, config)
-
-    best = _run_starts(starts, runner)
+    best = max(
+        (_newton(objective, start, config) for start in starts),
+        key=lambda result: result.value,
+    )
     point = objective.unpack(best.x)
     return FitResult(
         model=model_spec.model,
@@ -438,60 +330,11 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     )
 
 
-def _log_posterior(u: Array, a: Array, n: Array, d: float, b: float) -> float:
-    """Unnormalized log-posterior of the merits under the Gamma prior."""
-    log_u = np.log(u)
-    denom = np.log(np.add.outer(u, u))
-    ll = float((a * (log_u[:, None] - denom)).sum())
-    return ll + float(((d - 1.0) * log_u - b * u).sum())
-
-
-def _posterior_gradient(u: Array, a_i: Array, n: Array, d: float, b: float) -> Array:
-    """Gradient with respect to log-merits (scale-aware stationarity check)."""
-    pairs = (n * (u[:, None] / np.add.outer(u, u))).sum(axis=1)
-    return (d - 1.0) - b * u + a_i - pairs
-
-
-def _em_iterate(dataset: Dataset, d: float, b: float, config: SolverConfig):
-    """Raw EM fixed-point iteration; returns the unnormalized mode.
-
-    For the flat prior (d=1, b=0) the posterior is scale-invariant, so the
-    iterate is renormalized to the simplex each step purely for stability.
-    """
-    totals = dataset.totals
-    a = totals.a
-    n = a + a.T  # decisive games only; ties carry no information here
-    a_i = a.sum(axis=1)
-    t = dataset.num_teams
-    flat_prior = d == 1.0 and b == 0.0
-
-    u = np.full(t, 1.0 / t)
-    trace = [_log_posterior(u, a, n, d, b)]
-    iterations = 0
-    stall = 0
-    converged = False
-    grad_norm = np.inf
-    while iterations < config.max_iters:
-        denom = b + (n / np.add.outer(u, u)).sum(axis=1)
-        u = (d - 1.0 + a_i) / denom
-        if flat_prior:
-            u = u / u.sum()
-        iterations += 1
-        grad_norm = float(np.max(np.abs(_posterior_gradient(u, a_i, n, d, b))))
-        value = _log_posterior(u, a, n, d, b)
-        rel_change = abs(value - trace[-1]) / max(1.0, abs(value))
-        trace.append(value)
-        if grad_norm <= config.grad_tol:
-            converged = True
-            break
-        if rel_change <= config.rel_ll_tol:
-            stall += 1
-            if stall >= 2:
-                converged = True
-                break
-        else:
-            stall = 0
-    return u, tuple(trace), iterations, grad_norm, converged
+def _map_mode(dataset: Dataset, d: float, b: float, config: SolverConfig) -> _Solution:
+    """The unnormalized posterior mode; its ``x`` holds all t log merits."""
+    posterior = PosteriorObjective(dataset.totals.a, d, b)
+    mode = _newton(posterior, posterior.initial_point(), config)
+    return replace(mode, x=posterior.log_merits(mode.x))
 
 
 def fit_map_em(
@@ -500,7 +343,7 @@ def fit_map_em(
     config: SolverConfig | None = None,
     normalization: Normalization = Normalization.SIMPLEX,
 ) -> FitResult:
-    """Posterior mode of the Bradley-Terry merits under Gamma priors, by EM.
+    """Posterior mode of the Bradley-Terry merits under Gamma priors.
 
     The mode exists in the interior only for shape > 1 with rate > 0, or
     for the flat prior (shape 1, rate 0) when the win digraph is strongly
@@ -536,8 +379,8 @@ def fit_map_em(
                 witness=witness,
             )
 
-    u, trace, iterations, grad_norm, converged = _em_iterate(dataset, d, b, config)
-    beta = np.log(u) - np.log(u[0])
+    mode = _map_mode(dataset, d, b, config)
+    beta = mode.x - mode.x[0]
     return FitResult(
         model=Model.BRADLEY_TERRY,
         teams=dataset.teams,
@@ -545,11 +388,11 @@ def fit_map_em(
         beta=beta,
         theta_hat=None,
         gamma_hat=None,
-        log_likelihood=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        gradient_sup_norm=grad_norm,
-        trace=trace,
+        log_likelihood=mode.value,
+        iterations=mode.iterations,
+        converged=mode.converged,
+        gradient_sup_norm=mode.gradient_sup_norm,
+        trace=mode.trace,
         scores=dataset.scores,
         normalization=normalization,
         epsilon=None,

@@ -127,6 +127,13 @@ def test_five_team_merits_and_strict_ranking(five_teams):
         assert btrank.extract_ranking(result).order == (1, 0, 2, 3, 4)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_small_epsilon_fits_converge_to_the_gradient_target(ten_teams, eps):
+    result = btrank.fit(bt_spec(btrank.Improved(eps)), ten_teams)
+    assert result.converged
+    assert result.gradient_sup_norm <= 1e-8
+
+
 def test_blanket_lift_moves_merits_and_flips_ranking(four_teams):
     light = btrank.fit(bt_spec(btrank.ConnerGrant(0.1)), four_teams, LONG)
     heavy = btrank.fit(bt_spec(btrank.ConnerGrant(0.5)), four_teams, LONG)
@@ -245,6 +252,48 @@ def test_gradients_match_finite_differences(model):
             assert math.isfinite(value)
             numeric = fd_gradient(objective.value, x)
             scale = max(1.0, float(np.abs(analytic).max()))
+            assert np.abs(analytic - numeric).max() / scale <= 1e-5
+            checked += 1
+    assert checked == 100
+
+
+def _map_objective(rng):
+    """A posterior objective on random fittable data, with a proper Gamma
+    prior or, one time in three, the flat prior (which needs win cycles)."""
+    if rng.random() < 1.0 / 3.0:
+        data = random_strongly_connected_dataset(rng, t=5)
+        return btrank.PosteriorObjective(data.totals.a, 1.0, 0.0)
+    data = random_connected_dataset(rng, t=6)
+    shape = float(rng.uniform(1.1, 3.0))
+    return btrank.PosteriorObjective(data.totals.a, shape, shape * 6 - 1.0)
+
+
+@pytest.mark.parametrize("model", list(Model) + ["map"])
+def test_hessians_match_finite_differences(model):
+    rng = np.random.default_rng(300 + (list(Model) + ["map"]).index(model))
+    checked = 0
+    for _ in range(5):
+        if model == "map":
+            objective = _map_objective(rng)
+        else:
+            data = _fittable_dataset(model, rng)
+            objective = btrank.Objective(model, btrank.perturb(data, btrank.Improved(0.3)))
+        dimension = len(objective.initial_point())
+        for _ in range(20):
+            if model == "map":
+                x = objective.initial_point() + rng.uniform(-1.0, 1.0, dimension)
+            else:
+                x = objective.random_point(rng)
+            value, _, analytic = objective.value_gradient_hessian(x)
+            assert math.isfinite(value)
+            numeric = np.stack(
+                [
+                    fd_gradient(lambda z: objective.value_gradient_hessian(z)[1][k], x)
+                    for k in range(dimension)
+                ]
+            )
+            scale = max(1.0, float(np.abs(analytic).max()))
+            assert np.abs(analytic - analytic.T).max() / scale <= 1e-12
             assert np.abs(analytic - numeric).max() / scale <= 1e-5
             checked += 1
     assert checked == 100

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import btrank
 from btrank.errors import (
     ConfigError,
     ExistenceError,
@@ -13,10 +18,11 @@ from btrank.perturbation import perturb
 from btrank.solver import (
     MapPriorSpec,
     SolverConfig,
-    _em_iterate,
+    _map_mode,
     fit,
     fit_map_em,
     maximize_concave,
+    minimize,
 )
 from btrank.types import (
     ConnerGrant,
@@ -88,13 +94,9 @@ class _Quadratic:
         self.center = np.asarray(center, dtype=float)
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def value(self, x):
+    def value_gradient_hessian(self, x):
         r = x - self.center
-        return -float(r @ self.matrix @ r)
-
-    def value_and_gradient(self, x):
-        r = x - self.center
-        return -float(r @ self.matrix @ r), -2.0 * self.matrix @ r
+        return -float(r @ self.matrix @ r), -2.0 * self.matrix @ r, -2.0 * self.matrix
 
 
 def test_maximizer_solves_a_quadratic():
@@ -103,6 +105,33 @@ def test_maximizer_solves_a_quadratic():
     x, trace = maximize_concave(_Quadratic(center, matrix), np.zeros(3))
     assert np.abs(x - center).max() < 1e-6
     assert np.all(np.diff(trace) >= -1e-12)
+
+
+class _Bowl:
+    """Convex test function (x - c)' A (x - c), defined only for x >= 0."""
+
+    lower_bounds = np.zeros(3)
+
+    def __init__(self, center, matrix):
+        self.center = np.asarray(center, dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    def value_gradient_hessian(self, x):
+        if np.any(x < 0):
+            return np.inf, None, None
+        r = x - self.center
+        return float(r @ self.matrix @ r), 2.0 * self.matrix @ r, 2.0 * self.matrix
+
+
+def test_minimizer_solves_a_convex_quadratic():
+    center = np.array([1.5, 2.0, 0.25])
+    matrix = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]])
+    bowl, start = _Bowl(center, matrix), np.full(3, 4.0)
+    x, trace = minimize(bowl, start)
+    assert np.abs(x - center).max() < 1e-6
+    assert trace[0] == pytest.approx(bowl.value_gradient_hessian(start)[0])
+    assert trace[-1] < 1e-12
+    assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_three_team_fit_matches_a_grid_search():
@@ -178,12 +207,11 @@ def test_home_slice_with_unit_gamma_reduces_to_venue_free_fit():
         def __init__(self, inner):
             self.inner = inner
 
-        def value(self, x):
-            return self.inner.value(np.append(x, 0.0))
-
-        def value_and_gradient(self, x):
-            value, grad = self.inner.value_and_gradient(np.append(x, 0.0))
-            return value, None if grad is None else grad[:-1]
+        def value_gradient_hessian(self, x):
+            value, grad, hess = self.inner.value_gradient_hessian(np.append(x, 0.0))
+            if grad is None:
+                return value, None, None
+            return value, grad[:-1], hess[:-1, :-1]
 
     pinned = PinnedGamma(Objective(Model.HOME_FIELD, perturbed))
     x_pinned, _ = maximize_concave(pinned, np.zeros(t - 1), TIGHT)
@@ -195,12 +223,12 @@ def test_home_slice_with_unit_gamma_reduces_to_venue_free_fit():
 
 def test_em_trace_is_monotone_and_obeys_the_scale_identity(four_teams):
     d, b = 2.0, 7.0
-    u, trace, _, grad_norm, converged = _em_iterate(four_teams, d, b, TIGHT)
-    assert converged
-    assert np.all(np.diff(trace) >= -1e-10)
-    assert grad_norm <= 1e-6
+    mode = _map_mode(four_teams, d, b, TIGHT)
+    assert mode.converged
+    assert np.all(np.diff(mode.trace) >= -1e-10)
+    assert mode.gradient_sup_norm <= 1e-6
     # at any stationary point the merits must total t(d - 1) / b
-    assert u.sum() == pytest.approx(4 * (d - 1) / b, abs=1e-6)
+    assert np.exp(mode.x).sum() == pytest.approx(4 * (d - 1) / b, abs=1e-6)
 
 
 def test_flat_prior_mode_is_the_maximum_likelihood_estimate():
@@ -245,8 +273,8 @@ def test_symmetric_pair_splits_the_posterior_evenly():
     assert result.converged
     assert result.merits_u == pytest.approx([0.5, 0.5], abs=1e-9)
     # default rate is shape * t - 1 = 3, so raw merits sum to t(d-1)/b = 2/3
-    u, _, _, _, _ = _em_iterate(data, 2.0, 3.0, TIGHT)
-    assert u.sum() == pytest.approx(2.0 / 3.0, abs=1e-7)
+    mode = _map_mode(data, 2.0, 3.0, TIGHT)
+    assert np.exp(mode.x).sum() == pytest.approx(2.0 / 3.0, abs=1e-7)
 
 
 def test_map_result_shape(four_teams):
@@ -352,3 +380,13 @@ def test_reported_loglik_matches_the_reported_point(tied_dataset):
     assert log_likelihood(Model.DAVIDSON, point, perturbed) == pytest.approx(
         result.log_likelihood
     )
+
+
+def test_importing_the_package_and_cli_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, btrank, btrank.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
