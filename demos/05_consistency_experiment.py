@@ -16,7 +16,6 @@ parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--replicas", type=int, default=50)
 parser.add_argument("--games-per-pair", type=int, default=4)
 parser.add_argument("--seed", type=int, default=0)
-parser.add_argument("--jobs", type=int, default=1)
 args = parser.parse_args()
 
 config = btrank.ConsistencyConfig(
@@ -25,7 +24,7 @@ config = btrank.ConsistencyConfig(
     n_per_pair=args.games_per_pair,
     seed=args.seed,
 )
-report = btrank.run_consistency(config, jobs=args.jobs)
+report = btrank.run_consistency(config)
 
 print(f"{args.replicas} replicas per league size, "
       f"{args.games_per_pair} games per pair, seed {args.seed}")

@@ -224,8 +224,6 @@ def _add_solver_flags(sub) -> None:
         ),
     )
     sub.add_argument("--max-iters", type=_positive_int, default=10000)
-    sub.add_argument("--restarts", type=int, default=0)
-    sub.add_argument("--seed", type=int, default=None, help="defaults to $BTRANK_SEED or 0")
 
 
 def _add_model_flags(sub) -> None:
@@ -242,13 +240,8 @@ def _add_model_flags(sub) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
     return SolverConfig(
-        grad_tol=args.grad_tol,
-        rel_ll_tol=args.rel_ll_tol,
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=seed,
+        grad_tol=args.grad_tol, rel_ll_tol=args.rel_ll_tol, max_iters=args.max_iters
     )
 
 
@@ -409,9 +402,7 @@ def cmd_sweep(args) -> int:
         ),
         normalization=Normalization(args.normalization),
     )
-    sweep = sweep_epsilon(
-        spec, dataset, args.epsilons, _solver_config(args), jobs=args.jobs
-    )
+    sweep = sweep_epsilon(spec, dataset, args.epsilons, _solver_config(args))
     payload = {
         "model": args.model,
         "perturbation": args.perturbation,
@@ -548,7 +539,7 @@ def cmd_simulate(args) -> int:
         n_per_pair=args.n_per_pair,
         seed=seed,
     )
-    report = run_consistency(config, jobs=args.jobs)
+    report = run_consistency(config)
     payload = report.to_dict()
     rows = [["t", "epsilon", "median max error", "p90 max error"]]
     for k, t in enumerate(report.t_grid):
@@ -595,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--perturbation", default="improved", help="improved (default) or conner-grant"
     )
     sweep.add_argument("--ratios", action="store_true", help="include the merit-ratio trend report")
-    sweep.add_argument("--jobs", type=_positive_int, default=1)
     _add_solver_flags(sweep)
     sweep.set_defaults(handler=cmd_sweep)
 
@@ -638,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--t-grid", type=_int_list, required=True)
     simulate.add_argument("--replicas", type=_positive_int, default=50)
     simulate.add_argument("--n-per-pair", type=_positive_int, default=4)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--jobs", type=_positive_int, default=1)
+    simulate.add_argument("--seed", type=int, default=None, help="defaults to $BTRANK_SEED or 0")
     simulate.set_defaults(handler=cmd_simulate)
 
     return parser

@@ -49,7 +49,6 @@ cases (ordered pairs carry i's wins over j and half the pair's ties).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigError,
@@ -262,15 +261,15 @@ def probabilities(
     bi, bj = beta[i], beta[j]
 
     if model is Model.BRADLEY_TERRY:
-        p_i = float(expit(bi - bj))
+        p_i = float(_logistic(bi - bj)[0])
         return p_i, 1.0 - p_i, 0.0
 
     if model is Model.RAO_KUPPER:
         if point.phi <= 0.0:
             raise ThetaDomainError(f"Rao-Kupper needs theta > 1, got phi={point.phi}")
         phi = point.phi
-        p_i = float(expit(bi - phi - bj))
-        p_j = float(expit(bj - phi - bi))
+        p_i = float(_logistic(bi - phi - bj)[0])
+        p_j = float(_logistic(bj - phi - bi)[0])
         tie_c = 2.0 * phi + np.log1p(-np.exp(-2.0 * phi))
         d_ij = np.logaddexp(bi, phi + bj)
         d_ji = np.logaddexp(bj, phi + bi)
@@ -291,7 +290,7 @@ def probabilities(
     bh, bg = beta[host], beta[guest]
 
     if model is Model.HOME_FIELD:
-        p_host = float(expit(point.log_gamma + bh - bg))
+        p_host = float(_logistic(point.log_gamma + bh - bg)[0])
         p_i = p_host if host == i else 1.0 - p_host
         return p_i, 1.0 - p_i, 0.0
 

@@ -11,7 +11,6 @@ seeding rule.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -129,15 +128,13 @@ def sweep_epsilon(
     dataset: Dataset,
     epsilons: Sequence[float],
     config: SolverConfig | None = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Refit one model across a grid of perturbation sizes.
 
     The model spec's perturbation scheme is reused with each epsilon in
     turn, so it must be a scheme parameterized by epsilon (a matrix shift is
     refused). Fit errors are re-raised annotated with the offending epsilon.
-    ``jobs`` > 1 runs the fits in a thread pool; entries keep grid order
-    either way.
+    Entries follow grid order.
     """
     if isinstance(model_spec.perturbation, MatrixShift):
         raise ConfigError("a matrix shift has no epsilon to sweep")
@@ -159,11 +156,7 @@ def sweep_epsilon(
             epsilon=float(epsilon), fit=result, ranking=extract_ranking(result)
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = tuple(pool.map(one, epsilons))
-    else:
-        entries = tuple(one(e) for e in epsilons)
+    entries = tuple(one(e) for e in epsilons)
 
     orders = [entry.ranking.order for entry in entries]
     stable = all(order == orders[0] for order in orders)

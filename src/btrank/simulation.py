@@ -12,7 +12,6 @@ are each rescaled to geometric mean one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,8 @@ class ConsistencyConfig:
     Planted merits are uniform on [merit_low, merit_high], keeping the
     merit spread bounded as t grows. Replica (seed, t, replica) index
     triples seed independent generator substreams, so reports are
-    reproducible bit for bit and independent of execution order.
+    reproducible bit for bit and a replica's error does not depend on the
+    rest of the grid.
     """
 
     t_grid: tuple[int, ...]
@@ -127,31 +127,18 @@ def _one_replica(config: ConsistencyConfig, t: int, replica: int, solver: Solver
 def run_consistency(
     config: ConsistencyConfig,
     solver: SolverConfig | None = None,
-    jobs: int = 1,
 ) -> ConsistencyReport:
     """Run the experiment and summarize errors per team count.
 
     A full round-robin with sampled wins always satisfies the existence
     condition for the perturbed fit, so fit errors are not expected; any
-    that occur propagate. ``jobs`` > 1 fans replicas out to a thread pool
-    without changing the report (substreams are indexed, not sequential).
+    that occur propagate.
     """
     solver = solver or SolverConfig()
-    tasks = [(t, r) for t in config.t_grid for r in range(config.replicas)]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flat = list(
-                pool.map(lambda tr: _one_replica(config, tr[0], tr[1], solver), tasks)
-            )
-    else:
-        flat = [_one_replica(config, t, r, solver) for t, r in tasks]
-
-    errors = []
-    k = 0
-    for t in config.t_grid:
-        errors.append(tuple(flat[k : k + config.replicas]))
-        k += config.replicas
+    errors = [
+        tuple(_one_replica(config, t, r, solver) for r in range(config.replicas))
+        for t in config.t_grid
+    ]
     medians = tuple(float(np.median(row)) for row in errors)
     p90 = tuple(float(np.percentile(row, 90)) for row in errors)
     return ConsistencyReport(

@@ -19,11 +19,13 @@ or lowers the gradient sup-norm (the objective may then drop by rounding);
 otherwise the fit stops converged. Above that bound, a line search that
 finds no improving step stops the fit unconverged, as does using up
 ``max_iters`` iterations. Strict concavity makes the optimum unique, so
-restarts can only confirm it.
+each fit runs once, from the objective's deterministic start.
 
 Every fit re-verifies the existence condition for its model and
 perturbation scheme before iterating, refusing with a witness rather than
-diverging:
+diverging. Building the Objective first refuses venue models on venueless
+data and tie models on data without ties (tie counts are never perturbed,
+so this holds whatever the scheme); the connectivity condition is then:
 
 * Improved perturbation keeps existence equivalent to the raw-data
   conditions: the comparison graph must be connected (venue-free models),
@@ -32,13 +34,11 @@ diverging:
 * MatrixShift existence is checked on the shifted counts themselves (strong
   connectivity of the shifted win digraph, or of the shifted hosting
   digraph for venue models).
-
-Models with a tie parameter additionally require at least one observed tie,
-whatever the scheme, since tie counts are never perturbed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,7 +51,7 @@ from .connectivity import (
     check_condition_c,
     strong_connectivity_witness,
 )
-from .errors import ConfigError, ExistenceError, NoTiesError, VenuelessDataError
+from .errors import ConfigError, ExistenceError
 from .likelihood import Objective, PosteriorObjective
 from .perturbation import perturb
 from .types import (
@@ -80,24 +80,18 @@ class SolverConfig:
     is at most ``rel_ll_tol * max(1, |objective|)`` and the full Newton step
     neither raises the objective nor lowers the gradient. ``max_iters``
     bounds the Newton iterations. The final gradient sup-norm is recorded
-    on the FitResult. ``restarts`` adds that many random extra starts
-    (seeded by ``seed``) on top of the deterministic one, keeping the best
-    final objective.
+    on the FitResult.
     """
 
     grad_tol: float = 1e-8
     rel_ll_tol: float = 1e-10
     max_iters: int = 10000
-    restarts: int = 0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.rel_ll_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not (0 < self.grad_tol < math.inf and 0 < self.rel_ll_tol < math.inf):
+            raise ConfigError("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.restarts < 0:
-            raise ConfigError("restarts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -113,10 +107,10 @@ class MapPriorSpec:
     rate: float | None = None
 
     def __post_init__(self):
-        if self.shape < 1.0:
-            raise ConfigError(f"prior shape must be >= 1, got {self.shape}")
-        if self.rate is not None and self.rate < 0.0:
-            raise ConfigError(f"prior rate must be >= 0, got {self.rate}")
+        if not 1.0 <= self.shape < math.inf:
+            raise ConfigError(f"prior shape must be finite and >= 1, got {self.shape}")
+        if self.rate is not None and not 0.0 <= self.rate < math.inf:
+            raise ConfigError(f"prior rate must be finite and >= 0, got {self.rate}")
 
     @property
     def ml_equivalent(self) -> bool:
@@ -234,15 +228,6 @@ def _verify_existence(
     spec: ModelSpec, dataset: Dataset, perturbed: PerturbedCounts
 ) -> None:
     model = spec.model
-    if model.needs_venues and dataset.venueless:
-        raise VenuelessDataError(
-            f"{model.value} needs home/away structure and this dataset has none"
-        )
-    if model.needs_ties and dataset.totals.ties.sum() == 0:
-        raise NoTiesError(
-            f"{model.value} needs at least one tie and the data contain none"
-        )
-
     scheme = spec.perturbation
     if isinstance(scheme, ConnerGrant):
         return  # every pair is perturbed, so connectivity always holds
@@ -292,26 +277,17 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     """Fit one model to a dataset by penalized maximum likelihood.
 
     Existence is re-verified here whatever the caller already checked;
-    violations raise ExistenceError (with a witness), NoTiesError, or
-    VenuelessDataError. A fit that exhausts its iteration budget is still
-    returned, with ``converged=False``; use ``FitResult.ensure_converged``
-    to turn that into an error. With restarts, the reported iterations and
-    trace belong to the winning start.
+    violations raise VenuelessDataError, NoTiesError or ExistenceError
+    (with a witness), checked in that order. A fit that exhausts its
+    iteration budget is still returned, with ``converged=False``; use
+    ``FitResult.ensure_converged`` to turn that into an error.
     """
     config = config or SolverConfig()
     perturbed = perturb(dataset, model_spec.perturbation)
+    objective = Objective(model_spec.model, perturbed)  # venue and tie refusals
     _verify_existence(model_spec, dataset, perturbed)
-    objective = Objective(model_spec.model, perturbed)
-
-    rng = np.random.default_rng(config.seed)
-    starts = [objective.initial_point()]
-    for _ in range(config.restarts):
-        starts.append(objective.random_point(rng))
-    best = max(
-        (_newton(objective, start, config) for start in starts),
-        key=lambda result: result.value,
-    )
-    point = objective.unpack(best.x)
+    solution = _newton(objective, objective.initial_point(), config)
+    point = objective.unpack(solution.x)
     return FitResult(
         model=model_spec.model,
         teams=dataset.teams,
@@ -319,11 +295,11 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
         beta=point.beta,
         theta_hat=point.theta,
         gamma_hat=point.gamma,
-        log_likelihood=best.value,
-        iterations=best.iterations,
-        converged=best.converged,
-        gradient_sup_norm=best.gradient_sup_norm,
-        trace=best.trace,
+        log_likelihood=solution.value,
+        iterations=solution.iterations,
+        converged=solution.converged,
+        gradient_sup_norm=solution.gradient_sup_norm,
+        trace=solution.trace,
         scores=dataset.scores,
         normalization=model_spec.normalization,
         epsilon=perturbed.epsilon,

@@ -103,6 +103,9 @@ def test_fit_exit_codes_for_each_failure_family(capsys, islands_file, tmp_path):
     assert code == 4
     code, _, err = run(capsys, "fit", "--data", islands_file, "--epsilon", "bogus")
     assert code == 4
+    code, _, err = run(capsys, "fit", "--data", islands_file, "--grad-tol", "inf")
+    assert code == 4
+    assert "finite" in err
 
 
 def test_fit_exit_3_when_iterations_run_out(capsys, tmp_path):

@@ -139,15 +139,17 @@ def test_sweep_rejects_matrix_shift_and_empty_grids(four_teams):
         sweep_epsilon(bt_spec(), four_teams, [])
 
 
-def test_parallel_sweep_matches_serial(ten_teams):
-    grid = [0.5, 1.0, 2.0]
-    serial = sweep_epsilon(bt_spec(), ten_teams, grid, jobs=1)
-    threaded = sweep_epsilon(bt_spec(), ten_teams, grid, jobs=2)
-    assert serial.epsilons == threaded.epsilons
-    for a, b in zip(serial, threaded):
-        assert a.ranking.order == b.ranking.order
-        assert a.fit.log_likelihood == b.fit.log_likelihood
-        assert np.array_equal(a.fit.beta, b.fit.beta)
+def test_unsorted_sweep_keeps_grid_order_and_matches_standalone_fits(ten_teams):
+    grid = [1.0, 0.05, 2.0, 0.5]
+    sweep = sweep_epsilon(bt_spec(), ten_teams, grid)
+    assert sweep.epsilons == tuple(grid)
+    for epsilon, entry in zip(grid, sweep):
+        alone = fit(bt_spec(Improved(epsilon)), ten_teams)
+        assert entry.epsilon == epsilon
+        assert entry.ranking.order == extract_ranking(alone).order
+        assert entry.fit.log_likelihood == alone.log_likelihood
+        assert np.array_equal(entry.fit.beta, alone.beta)
+        assert entry.fit.trace == alone.trace
 
 
 def test_adjacent_merit_ratios_shrink_with_epsilon(four_teams):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,13 @@ def test_reports_are_reproducible_bit_for_bit():
     assert first.epsilons == second.epsilons
 
 
-def test_threaded_run_matches_serial():
-    serial = run_consistency(SMALL, jobs=1)
-    threaded = run_consistency(SMALL, jobs=2)
-    assert serial.errors == threaded.errors
+def test_each_row_equals_its_team_count_run_alone():
+    report = run_consistency(SMALL)
+    for k, t in enumerate(SMALL.t_grid):
+        alone = run_consistency(dataclasses.replace(SMALL, t_grid=(t,)))
+        assert alone.errors == (report.errors[k],)
+        assert alone.medians == (report.medians[k],)
+        assert alone.p90 == (report.p90[k],)
 
 
 def test_report_shape_and_serialization():
