@@ -44,6 +44,7 @@ from .errors import (
 )
 from .ingestion import (
     GameRecord,
+    GameTable,
     Outcome,
     aggregate,
     parse_matrix,
@@ -125,6 +126,7 @@ __all__ = [
     "ExistenceError",
     "FitResult",
     "GameRecord",
+    "GameTable",
     "Improved",
     "MapPriorSpec",
     "MatrixShift",

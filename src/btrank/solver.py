@@ -237,6 +237,7 @@ def _verify_existence(
         else:
             witness = check_condition_b(dataset)
     elif isinstance(scheme, MatrixShift):
+        _refuse_negative_counts(model, perturbed, dataset.teams)
         if model.needs_venues:
             witness = strong_connectivity_witness(
                 perturbed.n_host,
@@ -264,6 +265,25 @@ def _verify_existence(
             + witness.describe(dataset.teams),
             witness=witness,
         )
+
+
+def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> None:
+    """Refuse a shift that leaves a win count the model reads below zero.
+
+    A negative count rewards driving that pair's win probability to 0, so
+    the objective is no longer concave and need not be bounded above.
+    """
+    names = ("a_home", "a_away") if model.needs_venues else ("a_free",)
+    for name in names:
+        counts = getattr(perturbed, name)
+        negative = np.argwhere(counts < 0)
+        if len(negative):
+            i, j = negative[0]
+            raise ExistenceError(
+                f"refused: after the shift, {name} gives team {teams[i]!r} a "
+                f"negative win count {counts[i, j]:g} over team {teams[j]!r}, so "
+                f"the {model.value} estimate is not guaranteed to exist"
+            )
 
 
 def _normalized_merits(beta: Array, normalization: Normalization) -> Array:

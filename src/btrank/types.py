@@ -266,7 +266,10 @@ class ConnerGrant:
 class MatrixShift:
     """Add an arbitrary prior matrix ``a0`` to the win counts.
 
-    Entries must exceed -1 and the diagonal must be zero.
+    Entries must exceed -1 and the diagonal must be zero. A fit refuses
+    (ExistenceError) a shift that leaves any win count the model reads
+    negative: the venue-free ``a + a0`` for the venue-free models, and
+    ``a_home + a0 / 2`` or ``a_away + a0 / 2`` for the venue models.
     """
 
     a0: Array

@@ -91,6 +91,12 @@ def test_fit_exit_codes_for_each_failure_family(capsys, islands_file, tmp_path):
     assert code == 2
     assert "unknown outcome" in err
 
+    # 2: a cell the csv module itself refuses
+    bad.write_text("home,away,outcome\nA," + "B" * 200_000 + ",tie\n")
+    code, _, err = run(capsys, "fit", "--data", str(bad))
+    assert code == 2
+    assert "line 2: field larger than field limit" in err
+
     # 2: unreadable path
     code, _, err = run(capsys, "fit", "--data", str(tmp_path / "missing.json"))
     assert code == 2
@@ -380,6 +386,19 @@ def test_matrix_shift_perturbation_from_a_file(capsys, four_teams_file, tmp_path
     )
     assert code == 4
     assert "no --epsilon" in err
+
+
+def test_matrix_shift_with_negative_shifted_counts_exits_1(capsys, four_teams_file, tmp_path):
+    a0 = [[0, -0.37, 0.56, 0.68], [0.7, 0, 0.69, -0.16], [0.04, 0.13, 0, -0.33], [0.11, -0.5, 0.62, 0]]
+    shift = tmp_path / "a0.json"
+    shift.write_text(json.dumps({"a0": a0}))
+    code, _, err = run(
+        capsys,
+        "fit", "--data", four_teams_file, "--perturbation", f"matrix:{shift}",
+    )
+    assert code == 1
+    assert "team '2' a negative win count -0.16 over team '4'" in err
+    assert "is not guaranteed to exist" in err
 
 
 def test_simulate_summarizes_per_team_count(capsys, tmp_path):

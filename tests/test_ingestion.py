@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import btrank
 from btrank.errors import (
@@ -11,7 +14,15 @@ from btrank.errors import (
     SelfPlayError,
     ShapeError,
 )
-from btrank.ingestion import GameRecord, Outcome, aggregate, parse_matrix, parse_records, serialize_records
+from btrank.ingestion import (
+    GameRecord,
+    GameTable,
+    Outcome,
+    aggregate,
+    parse_matrix,
+    parse_records,
+    serialize_records,
+)
 
 CSV = """home,away,outcome,repeat
 Lions,Bears,home_win,2
@@ -57,6 +68,70 @@ def test_csv_errors_carry_line_numbers():
         parse_records("home,away,outcome,repeat\nA,B,tie,zero\n", "csv")
 
 
+def test_csv_errors_report_the_physical_line():
+    # Blank lines are skipped as rows but still count as lines of the file.
+    with pytest.raises(ParseError, match="line 5: unknown outcome 'sideways'"):
+        parse_records("home,away,outcome\n\nA,B,home_win\n\nA,B,sideways\n", "csv")
+    with pytest.raises(SelfPlayError, match="line 4: team 'A' cannot play itself"):
+        parse_records("home,away,outcome\n\n\nA,A,home_win\n", "csv")
+    # The csv module's own errors are ParseErrors naming the line too.
+    with pytest.raises(ParseError, match="line 2: new-line character seen in unquoted field"):
+        parse_records("home,away,outcome\nA,B,ti\re\n", "csv")
+    with pytest.raises(ParseError, match="line 1: new-line character seen in unquoted field"):
+        parse_records("ho\rme,away,outcome\nA,B,tie\n", "csv")
+    oversized = "home,away,outcome\n\nA,B,tie\n" + "A," + "B" * (csv.field_size_limit() + 1) + ",tie\n"
+    with pytest.raises(ParseError, match=r"line 4: field larger than field limit"):
+        parse_records(oversized, "csv")
+
+
+# Cases that csv.DictReader settled before the parser was made columnar;
+# each must still parse to these records or raise this error.
+CSV_PARITY = [
+    (  # a short row reads its missing cells as absent
+        "home,away,outcome,repeat\nA,B,tie\n",
+        [GameRecord("A", "B", Outcome.TIE, 1)],
+    ),
+    (
+        "home,away,outcome,repeat\nA,B\n",
+        (ParseError, "line 2: outcome must be a string, got None"),
+    ),
+    (  # extra cells are refused before any other check of the row
+        "home,away,outcome\nA,A,tie,3\n",
+        (ParseError, "line 2: more cells than header columns"),
+    ),
+    (  # the last column of a repeated (trimmed, lowercased) name wins
+        "home,away,outcome,home\nA,B,tie,C\n",
+        [GameRecord("C", "B", Outcome.TIE, 1)],
+    ),
+    (
+        "home, Home ,away,outcome,home\nA,X,B,tie,C\n",
+        [GameRecord("X", "B", Outcome.TIE, 1)],
+    ),
+    (  # a blank or all-space repeat cell means one game
+        "home,away,outcome,repeat\nA,B,tie,\nB,A,home_win, \n",
+        [GameRecord("A", "B", Outcome.TIE, 1), GameRecord("B", "A", Outcome.HOME_WIN, 1)],
+    ),
+    (
+        "home,away,outcome\n A , B ,  Tie \n",
+        [GameRecord("A", "B", Outcome.TIE, 1)],
+    ),
+    ("\nhome,away,outcome\nA,B,tie\n", (ParseError, "line 1: CSV header must include 'home'")),
+    ("", (ParseError, "line 1: missing CSV header")),
+    ("home,away,outcome\n   \n", (ParseError, "line 2: home and away team ids are required")),
+]
+
+
+@pytest.mark.parametrize("text, expected", CSV_PARITY)
+def test_csv_dialect_cases_parse_as_before(text, expected):
+    if isinstance(expected, list):
+        assert parse_records(text, "csv") == expected
+    else:
+        error, message = expected
+        with pytest.raises(error) as info:
+            parse_records(text, "csv")
+        assert str(info.value) == message
+
+
 def test_json_records_parse_and_errors():
     payload = [
         {"home": "A", "away": "B", "outcome": "away_win"},
@@ -84,6 +159,123 @@ def test_serialize_round_trips():
 def test_aggregate_refuses_empty():
     with pytest.raises(EmptyInputError):
         aggregate([])
+    with pytest.raises(EmptyInputError):
+        aggregate(GameTable.from_records([]))
+
+
+def test_game_table_is_a_read_only_record_sequence():
+    records = parse_records(CSV, "csv")
+    assert isinstance(records, GameTable)
+    assert records.teams == ("Lions", "Bears", "Hawks")
+    assert records.home.tolist() == [0, 1, 0, 2]
+    assert records.away.tolist() == [1, 0, 2, 1]
+    assert records.outcome.tolist() == [0, 1, 2, 0]
+    assert records.repeat.tolist() == [2, 1, 1, 1]
+    with pytest.raises(ValueError):
+        records.home[0] = 1
+    assert records[-1] == GameRecord("Hawks", "Bears", Outcome.HOME_WIN, 1)
+    assert records[1:3] == [records[1], records[2]]
+    with pytest.raises(IndexError):
+        records[4]
+    listed = list(records)
+    assert len(listed) == 4 and records == listed and records == tuple(listed)
+    assert GameTable.from_records(listed) == records
+    assert records != listed[:3]
+
+
+def test_game_table_refuses_columns_that_do_not_fit():
+    with pytest.raises(ShapeError):
+        GameTable(("A", "B"), [0], [1, 0], [0], [1])
+    with pytest.raises(ShapeError):
+        GameTable(("A", "B"), [0], [2], [0], [1])  # no third team
+    with pytest.raises(ShapeError):
+        GameTable(("A", "B"), [0], [1], [3], [1])  # no fourth outcome
+    with pytest.raises(ShapeError):
+        GameTable(("A", "B"), [0], [1], [0], [0])
+    with pytest.raises(ParseError, match="line 2: repeat must be <= 9223372036854775807"):
+        parse_records(f"home,away,outcome,repeat\nA,B,tie,{2**63}\n", "csv")
+
+
+def reference_aggregate(records) -> btrank.Dataset:
+    """The per-record loop that aggregate replaced: the reference it must match."""
+    index = {}
+    for r in records:
+        for team in (r.home, r.away):
+            index.setdefault(team, len(index))
+    t = len(index)
+    a_home, a_away, t_home = np.zeros((t, t)), np.zeros((t, t)), np.zeros((t, t))
+    for r in records:
+        h, v = index[r.home], index[r.away]
+        if r.outcome is Outcome.HOME_WIN:
+            a_home[h, v] += r.repeat
+        elif r.outcome is Outcome.AWAY_WIN:
+            a_away[v, h] += r.repeat
+        else:
+            t_home[h, v] += r.repeat
+    return btrank.Dataset(tuple(index), btrank.CountMatrices(a_home, a_away, t_home))
+
+
+def assert_same_dataset(got, want):
+    assert got.teams == want.teams
+    for name in ("a_home", "a_away", "t_home"):
+        assert np.array_equal(getattr(got.counts, name), getattr(want.counts, name))
+
+
+TEAM_IDS = ("A", "b", "Team 3", "x,y", 'say "hi"', "Ü")
+records_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(TEAM_IDS),
+        st.sampled_from(TEAM_IDS),
+        st.sampled_from(Outcome),
+        st.integers(1, 5),
+    )
+    .filter(lambda game: game[0] != game[1])
+    .map(lambda game: GameRecord(*game)),
+    min_size=1,
+    max_size=40,
+)
+SPELLINGS = (str.upper, str.title, lambda s: f"  {s} ", lambda s: s)
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+@PROPERTY
+@given(records=records_strategy, fmt=st.sampled_from(["csv", "json"]))
+def test_round_trip_aggregates_like_the_per_record_loop(records, fmt):
+    table = parse_records(serialize_records(records, fmt), fmt)
+    assert table == records
+    assert_same_dataset(aggregate(table), reference_aggregate(records))
+    assert_same_dataset(aggregate(records), aggregate(table))
+
+
+@PROPERTY
+@given(
+    records=records_strategy,
+    spellings=st.lists(st.sampled_from(SPELLINGS), min_size=40, max_size=40),
+    blank=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+def test_loose_spellings_and_blank_repeats_aggregate_like_the_loop(records, spellings, blank):
+    # Outcome tokens in any case with padding; a repeat of 1 written as an
+    # empty cell (CSV) or an empty string or null (JSON).
+    rows = [
+        (r.home, r.away, spell(r.outcome.value), "" if r.repeat == 1 and b else r.repeat)
+        for r, spell, b in zip(records, spellings, blank)
+    ]
+    lines = ["home,away,outcome,repeat"]
+    for home, away, token, repeat in rows:
+        cells = (home, away, token, str(repeat))
+        lines.append(",".join('"' + c.replace('"', '""') + '"' for c in cells))
+    csv_text = "\n".join(lines) + "\n"
+    json_text = json.dumps(
+        [
+            {"home": h, "away": a, "outcome": o, "repeat": None if r == "" and i % 2 else r}
+            for i, (h, a, o, r) in enumerate(rows)
+        ]
+    )
+    want = reference_aggregate(records)
+    for text, fmt in ((csv_text, "csv"), (json_text, "json")):
+        table = parse_records(text, fmt)
+        assert table == records
+        assert_same_dataset(aggregate(table), want)
 
 
 def test_matrix_json_venue_free(four_teams):

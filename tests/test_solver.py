@@ -324,6 +324,31 @@ def test_matrix_shift_existence_is_checked_on_shifted_counts(four_teams, one_way
     assert hf.converged
 
 
+def test_matrix_shift_refuses_negative_shifted_counts(four_teams, one_way_hosting):
+    # Shifted counts 2->4 (-0.16) and 4->2 (-0.5) are negative, yet the positive
+    # weights are strongly connected; unrefused, the fit ran off to beta ~ -1e15.
+    a0 = np.array(
+        [
+            [0, -0.37, 0.56, 0.68],
+            [0.7, 0, 0.69, -0.16],
+            [0.04, 0.13, 0, -0.33],
+            [0.11, -0.5, 0.62, 0],
+        ]
+    )
+    with pytest.raises(ExistenceError, match="team '2' a negative win count -0.16 over team '4'") as info:
+        fit(spec(Model.BRADLEY_TERRY, MatrixShift(a0)), four_teams)
+    assert str(info.value).startswith("refused: after the shift, a_free gives")
+    assert str(info.value).endswith("so the bt estimate is not guaranteed to exist")
+
+    # T2's road win at T1 keeps the venue-free count at 1 - 0.5, but the home
+    # split the venue models read is 0 - 0.25.
+    a0 = 0.1 * (1 - np.eye(3))
+    a0[1, 0] = -0.5
+    assert fit(spec(Model.BRADLEY_TERRY, MatrixShift(a0)), one_way_hosting).converged
+    with pytest.raises(ExistenceError, match="a_home gives team 'T2' a negative win count -0.25"):
+        fit(spec(Model.HOME_FIELD, MatrixShift(a0)), one_way_hosting)
+
+
 def test_budget_exhaustion_is_reported_not_raised(ten_teams):
     result = fit(
         spec(Model.BRADLEY_TERRY, Improved(0.01)),
