@@ -161,7 +161,12 @@ def _default_seed() -> int:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _load_dataset(args) -> Dataset:
@@ -245,17 +250,22 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+_EPSILON_SCHEMES = {"improved": Improved, "conner-grant": ConnerGrant}
+
+
+def _epsilon_scheme(raw: str):
+    """The scheme class a ``--perturbation`` value names, other than a matrix."""
+    try:
+        return _EPSILON_SCHEMES[raw]
+    except KeyError:
+        raise ConfigError(
+            f"unknown perturbation {raw!r}; expected improved, conner-grant, "
+            "or matrix:<file>"
+        ) from None
+
+
 def _perturbation(args):
     raw = args.perturbation
-    if raw == "improved" or raw == "conner-grant":
-        epsilon = args.epsilon if args.epsilon is not None else AUTO_EPSILON
-        if isinstance(epsilon, str) and epsilon != AUTO_EPSILON:
-            try:
-                epsilon = float(epsilon)
-            except ValueError:
-                raise ConfigError(f"--epsilon must be a number or 'auto', got {epsilon!r}")
-        cls = Improved if raw == "improved" else ConnerGrant
-        return cls(epsilon)
     if raw.startswith("matrix:"):
         if args.epsilon is not None:
             raise ConfigError("a matrix shift takes no --epsilon")
@@ -266,9 +276,14 @@ def _perturbation(args):
         if not isinstance(payload, list):
             raise ParseError(f"{path}: expected an a0 matrix (list of rows)")
         return MatrixShift(np.asarray(payload, dtype=float))
-    raise ConfigError(
-        f"unknown perturbation {raw!r}; expected improved, conner-grant, or matrix:<file>"
-    )
+    scheme = _epsilon_scheme(raw)
+    epsilon = args.epsilon if args.epsilon is not None else AUTO_EPSILON
+    if isinstance(epsilon, str) and epsilon != AUTO_EPSILON:
+        try:
+            epsilon = float(epsilon)
+        except ValueError:
+            raise ConfigError(f"--epsilon must be a number or 'auto', got {epsilon!r}")
+    return scheme(epsilon)
 
 
 def _model_spec(args) -> ModelSpec:
@@ -390,16 +405,12 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     if args.perturbation.startswith("matrix:"):
         raise ConfigError("a matrix shift has no epsilon to sweep")
+    scheme = _epsilon_scheme(args.perturbation)
     if not args.epsilons:
         raise ConfigError("--epsilons must list at least one value")
-    base_epsilon = args.epsilons[0]
     spec = ModelSpec(
         model=Model(args.model),
-        perturbation=(
-            Improved(base_epsilon)
-            if args.perturbation == "improved"
-            else ConnerGrant(base_epsilon)
-        ),
+        perturbation=scheme(args.epsilons[0]),
         normalization=Normalization(args.normalization),
     )
     sweep = sweep_epsilon(spec, dataset, args.epsilons, _solver_config(args))

@@ -15,8 +15,9 @@ hosting a second-set team and some first-set team visiting one. Condition C
 holds exactly when the hosting digraph is strongly connected (for every
 proper vertex subset, strong connectivity means an edge leaves it and an edge
 enters it, which are precisely the two hosting directions), so all three
-checks reduce to component computations instead of a scan over all 2^t - 2
-splits. The checks return None on success and a PartitionWitness on failure.
+checks reduce to one strong-connectivity computation (on the symmetric
+digraph of the pair totals for B) instead of a scan over all 2^t - 2 splits.
+The checks return None on success and a PartitionWitness on failure.
 """
 
 from __future__ import annotations
@@ -83,21 +84,17 @@ def check_condition_a(dataset: Dataset) -> PartitionWitness | None:
 
 
 def check_condition_b(dataset: Dataset) -> PartitionWitness | None:
-    """Connectivity of the undirected comparison graph.
+    """Connectivity of the comparison graph.
 
-    On failure the witness has q1 = the connected component containing the
-    lowest team index, q2 = everyone else; the two sets share no games.
+    The pair totals are symmetric, so the comparison graph is connected
+    exactly when the digraph with edges ``n_ij > 0`` is strongly connected,
+    and every component is a source component. On failure the witness has
+    q1 = the component containing the lowest team index, q2 = everyone
+    else; the two sets share no games.
     """
-    adjacency = dataset.totals.n > 0
-    n_comp, labels = connected_components(adjacency, directed=False)
-    if n_comp == 1:
-        return None
-    q1 = np.flatnonzero(labels == labels[0])
-    q2 = np.flatnonzero(labels != labels[0])
-    return PartitionWitness(
+    return strong_connectivity_witness(
+        dataset.totals.n,
         condition="B",
-        q1=tuple(q1),
-        q2=tuple(q2),
         detail="no games at all between the two sets",
     )
 

@@ -53,46 +53,36 @@ def resolve_epsilon(spec: PerturbationSpec, t: int) -> float | None:
 
 
 def perturb(dataset: Dataset, spec: PerturbationSpec) -> PerturbedCounts:
-    """Produce the perturbed win counts for a dataset under a scheme."""
+    """Produce the perturbed win counts for a dataset under a scheme.
+
+    Each scheme picks the shift added to the venue-free, home and away win
+    counts; the ties pass through untouched.
+    """
     totals = dataset.totals
     counts = dataset.counts
     t = dataset.num_teams
-    off_diagonal = ~np.eye(t, dtype=bool)
-
+    if not isinstance(spec, (Improved, ConnerGrant, MatrixShift)):
+        raise TypeError(f"unknown perturbation spec {spec!r}")
+    eps = resolve_epsilon(spec, t)
     if isinstance(spec, MatrixShift):
         if spec.a0.shape[0] != t:
             raise ShapeError(
                 f"a0 is {spec.a0.shape[0]}x{spec.a0.shape[1]} "
                 f"but the dataset has {t} teams"
             )
-        half = spec.a0 / 2.0
-        return PerturbedCounts(
-            a_home=counts.a_home + half,
-            a_away=counts.a_away + half,
-            a_free=totals.a + spec.a0,
-            t_home=counts.t_home,
-            venueless=dataset.venueless,
-            epsilon=None,
-        )
-
-    eps = resolve_epsilon(spec, t)
-    if isinstance(spec, Improved):
-        n_host = totals.n_host
-        return PerturbedCounts(
-            a_home=counts.a_home + eps * (n_host > 0),
-            a_away=counts.a_away + eps * (n_host.T > 0),
-            a_free=totals.a + eps * (totals.n > 0),
-            t_home=counts.t_home,
-            venueless=dataset.venueless,
-            epsilon=eps,
-        )
-    if isinstance(spec, ConnerGrant):
-        return PerturbedCounts(
-            a_home=counts.a_home + eps * off_diagonal,
-            a_away=counts.a_away + eps * off_diagonal,
-            a_free=totals.a + eps * off_diagonal,
-            t_home=counts.t_home,
-            venueless=dataset.venueless,
-            epsilon=eps,
-        )
-    raise TypeError(f"unknown perturbation spec {spec!r}")
+        free = spec.a0
+        home = away = spec.a0 / 2.0
+    elif isinstance(spec, Improved):
+        free = eps * (totals.n > 0)
+        home = eps * (totals.n_host > 0)
+        away = eps * (totals.n_host.T > 0)
+    else:  # ConnerGrant
+        free = home = away = eps * ~np.eye(t, dtype=bool)
+    return PerturbedCounts(
+        a_home=counts.a_home + home,
+        a_away=counts.a_away + away,
+        a_free=totals.a + free,
+        t_home=counts.t_home,
+        venueless=dataset.venueless,
+        epsilon=eps,
+    )

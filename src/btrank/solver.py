@@ -21,19 +21,18 @@ finds no improving step stops the fit unconverged, as does using up
 ``max_iters`` iterations. Strict concavity makes the optimum unique, so
 each fit runs once, from the objective's deterministic start.
 
-Every fit re-verifies the existence condition for its model and
-perturbation scheme before iterating, refusing with a witness rather than
-diverging. Building the Objective first refuses venue models on venueless
-data and tie models on data without ties (tie counts are never perturbed,
-so this holds whatever the scheme); the connectivity condition is then:
-
-* Improved perturbation keeps existence equivalent to the raw-data
-  conditions: the comparison graph must be connected (venue-free models),
-  or the hosting digraph strongly connected (venue models).
-* ConnerGrant perturbs every pair, so connectivity always holds.
-* MatrixShift existence is checked on the shifted counts themselves (strong
-  connectivity of the shifted win digraph, or of the shifted hosting
-  digraph for venue models).
+Every fit re-verifies existence before iterating, refusing with a witness
+rather than diverging. Building the Objective first refuses venue models on
+venueless data and tie models on data without ties (tie counts are never
+perturbed, so this holds whatever the scheme). Then one rule serves every
+scheme, Ford's condition on the perturbed data (Assumption 1 of Hunter
+2004): no perturbed win count the model reads may be negative, and the
+perturbed win digraph (the perturbed hosting digraph for venue models) must
+be strongly connected. Improved adds epsilon exactly where the pair met, so
+its perturbed ``a_free`` is positive iff ``n > 0`` and its perturbed
+``n_host`` is ``n_host + 2 eps (n_host > 0)``: the rule is then Condition B
+(venue-free models) or C (venue models) of the raw data. ConnerGrant lifts
+every pair, so the rule always holds.
 """
 
 from __future__ import annotations
@@ -45,22 +44,15 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
 
-from .connectivity import (
-    check_condition_a,
-    check_condition_b,
-    check_condition_c,
-    strong_connectivity_witness,
-)
+from .connectivity import check_condition_a, strong_connectivity_witness
 from .errors import ConfigError, ExistenceError
 from .likelihood import Objective, PosteriorObjective
 from .perturbation import perturb
 from .types import (
     Array,
-    ConnerGrant,
     Dataset,
     FitResult,
     Improved,
-    MatrixShift,
     Model,
     ModelSpec,
     Normalization,
@@ -224,45 +216,40 @@ def minimize(objective, start, config: SolverConfig | None = None):
     return x, tuple(-value for value in trace)
 
 
-def _verify_existence(
-    spec: ModelSpec, dataset: Dataset, perturbed: PerturbedCounts
-) -> None:
-    model = spec.model
-    scheme = spec.perturbation
-    if isinstance(scheme, ConnerGrant):
-        return  # every pair is perturbed, so connectivity always holds
-    if isinstance(scheme, Improved):
-        if model.needs_venues:
-            witness = check_condition_c(dataset)
-        else:
-            witness = check_condition_b(dataset)
-    elif isinstance(scheme, MatrixShift):
-        _refuse_negative_counts(model, perturbed, dataset.teams)
-        if model.needs_venues:
-            witness = strong_connectivity_witness(
-                perturbed.n_host,
-                condition="C",
-                detail=(
-                    "after the shift, no team in the second set hosts any team "
-                    "in the first set"
-                ),
-            )
-        else:
-            witness = strong_connectivity_witness(
-                perturbed.a_free,
-                condition="A",
-                detail=(
-                    "after the shift, no team in the second set has positive "
-                    "win weight over the first set"
-                ),
-            )
-    else:
-        raise TypeError(f"unknown perturbation spec {scheme!r}")
+# Witness (condition, detail) by (Improved scheme, venue model): under
+# Improved the perturbed digraphs have the raw data's edges (Conditions B, C).
+_WITNESS_WORDING = {
+    (True, False): ("B", "no games at all between the two sets"),
+    (True, True): (
+        "C",
+        "no team in the second set has ever hosted a team in the first set",
+    ),
+    (False, False): (
+        "A",
+        "after the shift, no team in the second set has positive win weight "
+        "over the first set",
+    ),
+    (False, True): (
+        "C",
+        "after the shift, no team in the second set hosts any team in the "
+        "first set",
+    ),
+}
 
+
+def _verify_existence(spec: ModelSpec, teams, perturbed: PerturbedCounts) -> None:
+    """Refuse unless the perturbed counts the model reads meet Ford's condition."""
+    model = spec.model
+    _refuse_negative_counts(model, perturbed, teams)
+    weights = perturbed.n_host if model.needs_venues else perturbed.a_free
+    condition, detail = _WITNESS_WORDING[
+        isinstance(spec.perturbation, Improved), model.needs_venues
+    ]
+    witness = strong_connectivity_witness(weights, condition, detail)
     if witness is not None:
         raise ExistenceError(
             f"the {model.value} estimate does not exist for these data: "
-            + witness.describe(dataset.teams),
+            + witness.describe(teams),
             witness=witness,
         )
 
@@ -276,9 +263,9 @@ def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> 
     names = ("a_home", "a_away") if model.needs_venues else ("a_free",)
     for name in names:
         counts = getattr(perturbed, name)
-        negative = np.argwhere(counts < 0)
-        if len(negative):
-            i, j = negative[0]
+        negative = counts < 0
+        if negative.any():
+            i, j = np.unravel_index(negative.argmax(), counts.shape)  # first in row order
             raise ExistenceError(
                 f"refused: after the shift, {name} gives team {teams[i]!r} a "
                 f"negative win count {counts[i, j]:g} over team {teams[j]!r}, so "
@@ -305,7 +292,7 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     config = config or SolverConfig()
     perturbed = perturb(dataset, model_spec.perturbation)
     objective = Objective(model_spec.model, perturbed)  # venue and tie refusals
-    _verify_existence(model_spec, dataset, perturbed)
+    _verify_existence(model_spec, dataset.teams, perturbed)
     solution = _newton(objective, objective.initial_point(), config)
     point = objective.unpack(solution.x)
     return FitResult(

@@ -101,6 +101,20 @@ def test_fit_exit_codes_for_each_failure_family(capsys, islands_file, tmp_path):
     code, _, err = run(capsys, "fit", "--data", str(tmp_path / "missing.json"))
     assert code == 2
 
+    # 2: a file that is not UTF-8, as data or as a shift matrix
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("home,away,outcome\nJos\u00e9,B,home_win\n".encode("latin-1"))
+    code, _, err = run(capsys, "fit", "--data", str(latin1))
+    assert code == 2
+    assert f"{latin1}: not UTF-8 text" in err
+    shift = tmp_path / "a0.json"
+    shift.write_bytes('{"a0": [[0, 1], [1, 0]], "note": "\u00e9"}'.encode("latin-1"))
+    code, _, err = run(
+        capsys, "fit", "--data", islands_file, "--perturbation", f"matrix:{shift}"
+    )
+    assert code == 2
+    assert f"{shift}: not UTF-8 text" in err
+
     # 4: flag errors, both argparse-level and value-level; the data file
     # must be valid here or the parse error would win (data loads first)
     code, _, err = run(capsys, "fit", "--data", islands_file, "--no-such-flag")
@@ -283,6 +297,17 @@ def test_sweep_flag_guards(capsys, four_teams_file, tmp_path):
         capsys, "sweep", "--data", four_teams_file, "--epsilons", ","
     )
     assert code == 4
+    # only improved and conner-grant name an epsilon scheme; case matters
+    for name in ("bogus", "Improved"):
+        code, out, err = run(
+            capsys,
+            "sweep", "--data", four_teams_file,
+            "--perturbation", name,
+            "--epsilons", "0.1,0.5",
+        )
+        assert code == 4
+        assert f"unknown perturbation {name!r}" in err
+        assert out == ""
 
 
 def test_map_matches_the_posterior_mode_and_refuses_bad_priors(capsys, four_teams_file):

@@ -4,8 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import btrank
+from btrank.connectivity import check_condition_a, check_condition_b, check_condition_c
 from btrank.errors import (
     ConfigError,
     ExistenceError,
@@ -347,6 +350,59 @@ def test_matrix_shift_refuses_negative_shifted_counts(four_teams, one_way_hostin
     assert fit(spec(Model.BRADLEY_TERRY, MatrixShift(a0)), one_way_hosting).converged
     with pytest.raises(ExistenceError, match="a_home gives team 'T2' a negative win count -0.25"):
         fit(spec(Model.HOME_FIELD, MatrixShift(a0)), one_way_hosting)
+
+
+@st.composite
+def sparse_datasets(draw):
+    """Small venue or venueless datasets, often disconnected, some with ties."""
+    t = draw(st.integers(2, 8))
+    pool = draw(st.sampled_from([[0, 0, 0, 1, 2], [0] * 7 + [1]]))
+    cells = st.lists(st.sampled_from(pool), min_size=t * t, max_size=t * t)
+
+    def matrix():
+        m = np.array(draw(cells), dtype=float).reshape(t, t)
+        np.fill_diagonal(m, 0)
+        return m
+
+    ties = matrix() * draw(st.booleans())
+    if draw(st.booleans()):
+        return venue_dataset(names(t), matrix(), matrix(), ties)
+    upper = np.triu(ties, 1)
+    return venue_free_dataset(names(t), matrix(), upper + upper.T)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    data=sparse_datasets(),
+    eps=st.sampled_from(["auto", 0.5, 1e-6]),
+)
+def test_existence_is_strong_connectivity_of_the_perturbed_counts(data, eps):
+    # Improved refuses exactly on Condition B (C for venue models) of the raw
+    # data, ConnerGrant never refuses, and MatrixShift(0) for BT exactly on
+    # Condition A, each with the witness its condition check gives.
+    has_ties = data.totals.ties.sum() > 0
+    short = SolverConfig(max_iters=20)  # only the refusal is under test
+    for model in Model:
+        if (model.needs_venues and data.venueless) or (model.needs_ties and not has_ties):
+            continue
+        check = check_condition_c if model.needs_venues else check_condition_b
+        expected = check(data)
+        if expected is None:
+            fit(spec(model, Improved(eps)), data, short)
+        else:
+            with pytest.raises(ExistenceError) as info:
+                fit(spec(model, Improved(eps)), data, short)
+            assert info.value.witness == expected
+        fit(spec(model, ConnerGrant(eps)), data, short)
+
+    expected = check_condition_a(data)
+    zero_shift = spec(Model.BRADLEY_TERRY, MatrixShift(np.zeros((data.num_teams,) * 2)))
+    if expected is None:
+        fit(zero_shift, data, short)
+    else:
+        with pytest.raises(ExistenceError) as info:
+            fit(zero_shift, data, short)
+        assert (info.value.witness.q1, info.value.witness.q2) == (expected.q1, expected.q2)
 
 
 def test_budget_exhaustion_is_reported_not_raised(ten_teams):
