@@ -23,7 +23,6 @@ from .connectivity import (
     check_condition_a,
     check_condition_b,
     check_condition_c,
-    condition_c_by_enumeration,
     witness_is_valid,
 )
 from .errors import (
@@ -56,7 +55,6 @@ from .likelihood import (
     PosteriorObjective,
     gradient,
     log_likelihood,
-    probabilities,
 )
 from .perturbation import auto_epsilon, perturb, resolve_epsilon
 from .ranking import (
@@ -162,7 +160,6 @@ __all__ = [
     "check_condition_a",
     "check_condition_b",
     "check_condition_c",
-    "condition_c_by_enumeration",
     "datasets",
     "expected_counts_dataset",
     "extract_ranking",
@@ -180,7 +177,6 @@ __all__ = [
     "parse_records",
     "pct_table",
     "perturb",
-    "probabilities",
     "resolve_epsilon",
     "run_consistency",
     "score_ranking",

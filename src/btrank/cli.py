@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .connectivity import check_condition_a, check_condition_b, check_condition_c
 from .errors import (
-    BtrankError,
     ConfigError,
     DimensionError,
     EmptyInputError,

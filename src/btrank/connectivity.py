@@ -28,6 +28,11 @@ from scipy.sparse.csgraph import connected_components
 from .errors import VenuelessDataError
 from .types import Array, Dataset, PartitionWitness
 
+# (condition, witness detail) of the raw-data checks; fit refusals under the
+# Improved scheme reuse them
+CONDITION_B = ("B", "no games at all between the two sets")
+CONDITION_C = ("C", "no team in the second set has ever hosted a team in the first set")
+
 
 def _source_component(adjacency: np.ndarray) -> np.ndarray:
     """Vertices of a source SCC (no incoming edges from other components).
@@ -92,11 +97,7 @@ def check_condition_b(dataset: Dataset) -> PartitionWitness | None:
     q1 = the component containing the lowest team index, q2 = everyone
     else; the two sets share no games.
     """
-    return strong_connectivity_witness(
-        dataset.totals.n,
-        condition="B",
-        detail="no games at all between the two sets",
-    )
+    return strong_connectivity_witness(dataset.totals.n, *CONDITION_B)
 
 
 def check_condition_c(dataset: Dataset) -> PartitionWitness | None:
@@ -109,30 +110,7 @@ def check_condition_c(dataset: Dataset) -> PartitionWitness | None:
         raise VenuelessDataError(
             "condition C needs home/away structure and this dataset has none"
         )
-    return strong_connectivity_witness(
-        dataset.totals.n_host,
-        condition="C",
-        detail="no team in the second set has ever hosted a team in the first set",
-    )
-
-
-def condition_c_by_enumeration(dataset: Dataset) -> bool:
-    """Decide Condition C by scanning every split; exponential, for
-    cross-checking the component-based reduction on small t."""
-    if dataset.venueless:
-        raise VenuelessDataError(
-            "condition C needs home/away structure and this dataset has none"
-        )
-    n_host = dataset.totals.n_host
-    t = dataset.num_teams
-    for mask in range(1, 2**t - 1):
-        q1 = [i for i in range(t) if mask >> i & 1]
-        q2 = [i for i in range(t) if not mask >> i & 1]
-        hosts = n_host[np.ix_(q1, q2)].sum() > 0
-        visits = n_host[np.ix_(q2, q1)].sum() > 0
-        if not (hosts and visits):
-            return False
-    return True
+    return strong_connectivity_witness(dataset.totals.n_host, *CONDITION_C)
 
 
 def witness_is_valid(dataset: Dataset, witness: PartitionWitness) -> bool:

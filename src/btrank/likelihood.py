@@ -44,6 +44,11 @@ Bradley-Terry the curvature is ``w_ij p_ij (1 - p_ij)``. All models except
 Rao-Kupper share one kernel: the outcome is a softmax of the host, visitor
 and tie scores above, and Bradley-Terry and Davidson are its venue-free
 cases (ordered pairs carry i's wins over j and half the pair's ties).
+
+Every evaluator is a slice of one kernel call per model, ``_terms``, which
+returns the value, gradient and Hessian together: ``log_likelihood`` and
+``gradient`` take its first and second parts, and ``Objective.value`` and
+``Objective.value_and_gradient`` slice ``Objective.value_gradient_hessian``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionError,
     NoTiesError,
     ThetaDomainError,
@@ -82,17 +86,16 @@ def _check_point(model: Model, point: ParameterPoint, t: int) -> None:
         raise DimensionError(f"{model.value} takes no home parameter")
 
 
-def _require_ties(perturbed: PerturbedCounts, model: Model) -> None:
-    if perturbed.ties.sum() == 0:
-        raise NoTiesError(
-            f"{model.value} models tie probabilities and the data contain no tie"
-        )
-
-
-def _require_venues(perturbed: PerturbedCounts, model: Model) -> None:
-    if perturbed.venueless:
+def _refuse_data(model: Model, perturbed: PerturbedCounts) -> None:
+    """Refuse data the model cannot read: venue models need home/away
+    structure, tie models need a tie."""
+    if model.needs_venues and perturbed.venueless:
         raise VenuelessDataError(
             f"{model.value} needs home/away structure and this dataset has none"
+        )
+    if model.needs_ties and perturbed.ties.sum() == 0:
+        raise NoTiesError(
+            f"{model.value} models tie probabilities and the data contain no tie"
         )
 
 
@@ -100,10 +103,7 @@ def _validate(model: Model, point: ParameterPoint, perturbed: PerturbedCounts) -
     """Refuse a point or data set the model cannot evaluate, identically for
     every public entry point."""
     _check_point(model, point, perturbed.num_teams)
-    if model.needs_venues:
-        _require_venues(perturbed, model)
-    if model.needs_ties:
-        _require_ties(perturbed, model)
+    _refuse_data(model, perturbed)
     if model is Model.RAO_KUPPER and point.phi <= 0.0:
         raise ThetaDomainError(f"Rao-Kupper needs theta > 1, got phi={point.phi}")
 
@@ -124,13 +124,11 @@ def _logistic(x):
     )
 
 
-def _assemble(value, resid, grads, curv=None, borders=(), block=()):
+def _assemble(value, resid, grads, curv, borders=(), block=()):
     """``(value, gradient, Hessian)`` over ``[beta_1 .. beta_t, extras]`` from
-    the per-pair arrays described in the module docstring; the Hessian is
-    None without a curvature, which must have a zero diagonal."""
+    the per-pair arrays described in the module docstring; the curvature
+    must have a zero diagonal."""
     grad = np.concatenate([resid.sum(axis=1) - resid.sum(axis=0), grads])
-    if curv is None:
-        return value, grad, None
     t, k = len(resid), len(grads)
     hess = np.empty((t + k, t + k))
     merits = hess[:t, :t]
@@ -142,27 +140,23 @@ def _assemble(value, resid, grads, curv=None, borders=(), block=()):
     return value, grad, hess
 
 
-def _outcome_terms(beta, wh, wv, wt, phi, lg, order):
+def _outcome_terms(beta, wh, wv, wt, phi, lg):
     """Kernel of the models whose outcome is a softmax of three scores per
     ordered pair (host i, visitor j): host win ``lg + beta_i``, visitor win
     ``beta_j`` and, unless ``phi`` is None, tie ``phi + (beta_i + beta_j)/2``,
     observed ``wh``, ``wv`` and ``wt`` times. ``lg=None`` pins the home
     parameter at 0 and leaves it out of the gradient. Returns ``(value,
-    gradient, Hessian)``, with None past ``order``."""
+    gradient, Hessian)``."""
     host = beta[:, None] + (0.0 if lg is None else lg)
     visitor = beta[None, :]
     if phi is None:
         p_h, p_v, log_h, log_v = _logistic(host - visitor)
         value = float((wh * log_h + wv * log_v).sum())
-        if order == 0:
-            return value, None, None
         p_t = 0.0
     else:
         tie = phi + (beta[:, None] + visitor) / 2.0
         d = _lse3(host, visitor, tie)
         value = float((wh * (host - d) + wv * (visitor - d) + wt * (tie - d)).sum())
-        if order == 0:
-            return value, None, None
         p_h, p_v, p_t = np.exp(host - d), np.exp(visitor - d), np.exp(tie - d)
     # expected coefficients of beta_i and beta_j in the outcome's score
     m_h, m_v = p_h + p_t / 2.0, p_v + p_t / 2.0
@@ -176,8 +170,6 @@ def _outcome_terms(beta, wh, wv, wt, phi, lg, order):
     if lg is not None:
         extras.append((wh, p_h, 1.0))
     grads = [float((w - n * p).sum()) for w, p, _ in extras]
-    if order == 1:
-        return _assemble(value, resid, grads)
     curv = n * (m_h * m_v - p_t / 4.0)
     borders = [n * p * (m_h - share) for _, p, share in extras]
     block = [
@@ -187,7 +179,7 @@ def _outcome_terms(beta, wh, wv, wt, phi, lg, order):
     return _assemble(value, resid, grads, curv, borders, block)
 
 
-def _rao_kupper_terms(beta, w, ties, phi, order):
+def _rao_kupper_terms(beta, w, ties, phi):
     """Rao-Kupper as ordered-pair terms in ``x = beta_i - beta_j - phi``:
     ``w_ij log s(x) + ties_ij log s(-x)`` with s the logistic function, plus
     ``log(1 - theta^-2)`` per tied game."""
@@ -195,37 +187,33 @@ def _rao_kupper_terms(beta, w, ties, phi, order):
     tied = ties.sum() / 2.0
     q, r = np.exp(-2.0 * phi), -np.expm1(-2.0 * phi)  # theta^-2 and 1 - theta^-2
     value = tied * np.log(r) + float((w * log_s + ties * log_s_rev).sum())
-    if order == 0:
-        return value, None, None
     resid = w * s_rev - ties * s
     grads = [tied * 2.0 * q / r - float(resid.sum())]
-    if order == 1:
-        return _assemble(value, resid, grads)
     curv = (w + ties) * s * s_rev
     block = [[-tied * 4.0 * q / r**2 - float(curv.sum())]]
     return _assemble(value, resid, grads, curv, [curv], block)
 
 
-def _terms(model: Model, point: ParameterPoint, perturbed: PerturbedCounts, order: int):
+def _terms(model: Model, point: ParameterPoint, perturbed: PerturbedCounts):
     """``(value, gradient, Hessian)`` of one model's penalized log-likelihood
-    over ``[beta_1 .. beta_t, phi?, log_gamma?]``, with None past ``order``."""
+    over ``[beta_1 .. beta_t, phi?, log_gamma?]``."""
     beta, phi, lg = point.beta, point.phi, point.log_gamma
     if model is Model.RAO_KUPPER:
-        return _rao_kupper_terms(beta, perturbed.a_free, perturbed.ties, phi, order)
+        return _rao_kupper_terms(beta, perturbed.a_free, perturbed.ties, phi)
     if model.needs_venues:
         wh, wv = perturbed.a_home, perturbed.a_away.T
         wt = perturbed.t_home if model is Model.DAVID else 0.0
     else:
         wh, wv = perturbed.a_free, 0.0
         wt = perturbed.ties / 2.0 if model is Model.DAVIDSON else 0.0
-    return _outcome_terms(beta, wh, wv, wt, phi, lg, order)
+    return _outcome_terms(beta, wh, wv, wt, phi, lg)
 
 
 def log_likelihood(
     model: Model, point: ParameterPoint, perturbed: PerturbedCounts
 ) -> float:
     _validate(model, point, perturbed)
-    return _terms(model, point, perturbed, 0)[0]
+    return _terms(model, point, perturbed)[0]
 
 
 def gradient(
@@ -237,73 +225,7 @@ def gradient(
     log-likelihood.
     """
     _validate(model, point, perturbed)
-    return _terms(model, point, perturbed, 1)[1][1:]
-
-
-def probabilities(
-    model: Model,
-    point: ParameterPoint,
-    i: int,
-    j: int,
-    venue: int | None = None,
-) -> tuple[float, float, float]:
-    """Outcome probabilities (i wins, j wins, tie) for one pairing.
-
-    The venue-free models ignore ``venue``. The venue models require
-    ``venue`` to name the hosting team (either ``i`` or ``j``). Models
-    without a tie probability return an exact 0.0 tie component.
-    """
-    t = len(point.beta)
-    _check_point(model, point, t)
-    if not (0 <= i < t and 0 <= j < t) or i == j:
-        raise DimensionError(f"need two distinct team indices in [0, {t}), got {i}, {j}")
-    beta = point.beta
-    bi, bj = beta[i], beta[j]
-
-    if model is Model.BRADLEY_TERRY:
-        p_i = float(_logistic(bi - bj)[0])
-        return p_i, 1.0 - p_i, 0.0
-
-    if model is Model.RAO_KUPPER:
-        if point.phi <= 0.0:
-            raise ThetaDomainError(f"Rao-Kupper needs theta > 1, got phi={point.phi}")
-        phi = point.phi
-        p_i = float(_logistic(bi - phi - bj)[0])
-        p_j = float(_logistic(bj - phi - bi)[0])
-        tie_c = 2.0 * phi + np.log1p(-np.exp(-2.0 * phi))
-        d_ij = np.logaddexp(bi, phi + bj)
-        d_ji = np.logaddexp(bj, phi + bi)
-        p_tie = float(np.exp(tie_c + bi + bj - d_ij - d_ji))
-        return p_i, p_j, p_tie
-
-    if model is Model.DAVIDSON:
-        mid = point.phi + (bi + bj) / 2.0
-        d = _lse3(bi, bj, mid)
-        return float(np.exp(bi - d)), float(np.exp(bj - d)), float(np.exp(mid - d))
-
-    if venue not in (i, j):
-        raise ConfigError(
-            f"{model.value} probabilities need venue set to the hosting team "
-            f"({i} or {j})"
-        )
-    host, guest = (i, j) if venue == i else (j, i)
-    bh, bg = beta[host], beta[guest]
-
-    if model is Model.HOME_FIELD:
-        p_host = float(_logistic(point.log_gamma + bh - bg)[0])
-        p_i = p_host if host == i else 1.0 - p_host
-        return p_i, 1.0 - p_i, 0.0
-
-    # Model.DAVID
-    mid = point.phi + (bh + bg) / 2.0
-    d = _lse3(point.log_gamma + bh, bg, mid)
-    p_host = float(np.exp(point.log_gamma + bh - d))
-    p_guest = float(np.exp(bg - d))
-    p_tie = float(np.exp(mid - d))
-    if host == i:
-        return p_host, p_guest, p_tie
-    return p_guest, p_host, p_tie
-
+    return _terms(model, point, perturbed)[1][1:]
 
 
 class Objective:
@@ -318,10 +240,7 @@ class Objective:
         self.model = model
         self.perturbed = perturbed
         t = perturbed.num_teams
-        if model.needs_venues:
-            _require_venues(perturbed, model)
-        if model.needs_ties:
-            _require_ties(perturbed, model)
+        _refuse_data(model, perturbed)
         self.num_teams = t
         self.dimension = (
             (t - 1) + int(model.has_tie_parameter) + int(model.has_home_parameter)
@@ -376,29 +295,22 @@ class Objective:
     def in_domain(self, x: Array) -> bool:
         return self.lower_bounds is None or bool(np.all(x >= self.lower_bounds))
 
-    def _evaluate(self, x: Array, order: int):
-        if not self.in_domain(x):
-            return -np.inf, None, None
-        value, grad, hess = _terms(self.model, self.unpack(x), self.perturbed, order)
-        # the free layout leaves out beta_1, which is pinned at 0
-        return (
-            value,
-            None if grad is None else grad[1:],
-            None if hess is None else hess[1:, 1:],
-        )
-
-    def value(self, x: Array) -> float:
-        return self._evaluate(x, 0)[0]
-
-    def value_and_gradient(self, x: Array) -> tuple[float, Array | None]:
-        return self._evaluate(x, 1)[:2]
-
     def value_gradient_hessian(
         self, x: Array
     ) -> tuple[float, Array | None, Array | None]:
         """Value, gradient and Hessian in the free layout; ``(-inf, None,
         None)`` outside the Rao-Kupper domain."""
-        return self._evaluate(x, 2)
+        if not self.in_domain(x):
+            return -np.inf, None, None
+        value, grad, hess = _terms(self.model, self.unpack(x), self.perturbed)
+        # the free layout leaves out beta_1, which is pinned at 0
+        return value, grad[1:], hess[1:, 1:]
+
+    def value(self, x: Array) -> float:
+        return self.value_gradient_hessian(x)[0]
+
+    def value_and_gradient(self, x: Array) -> tuple[float, Array | None]:
+        return self.value_gradient_hessian(x)[:2]
 
 
 class PosteriorObjective:
@@ -431,7 +343,7 @@ class PosteriorObjective:
 
     def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array]:
         beta = self.log_merits(x)
-        value, grad, hess = _outcome_terms(beta, self.wins, 0.0, 0.0, None, None, 2)
+        value, grad, hess = _outcome_terms(beta, self.wins, 0.0, 0.0, None, None)
         if self.pinned:
             return value, grad[1:], hess[1:, 1:]
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf

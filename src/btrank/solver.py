@@ -44,7 +44,12 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
 
-from .connectivity import check_condition_a, strong_connectivity_witness
+from .connectivity import (
+    CONDITION_B,
+    CONDITION_C,
+    check_condition_a,
+    strong_connectivity_witness,
+)
 from .errors import ConfigError, ExistenceError
 from .likelihood import Objective, PosteriorObjective
 from .perturbation import perturb
@@ -70,8 +75,8 @@ class SolverConfig:
     A fit is converged when the gradient sup-norm reaches ``grad_tol``, or
     when half the Newton decrement, a bound on the objective still to gain,
     is at most ``rel_ll_tol * max(1, |objective|)`` and the full Newton step
-    neither raises the objective nor lowers the gradient. ``max_iters``
-    bounds the Newton iterations. The final gradient sup-norm is recorded
+    neither raises the objective nor lowers the gradient. ``max_iters``,
+    an integer >= 1, bounds the Newton iterations. The final gradient sup-norm is recorded
     on the FitResult.
     """
 
@@ -82,8 +87,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.grad_tol < math.inf and 0 < self.rel_ll_tol < math.inf):
             raise ConfigError("tolerances must be positive and finite")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ConfigError(f"max_iters must be a finite integer >= 1, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -219,11 +225,8 @@ def minimize(objective, start, config: SolverConfig | None = None):
 # Witness (condition, detail) by (Improved scheme, venue model): under
 # Improved the perturbed digraphs have the raw data's edges (Conditions B, C).
 _WITNESS_WORDING = {
-    (True, False): ("B", "no games at all between the two sets"),
-    (True, True): (
-        "C",
-        "no team in the second set has ever hosted a team in the first set",
-    ),
+    (True, False): CONDITION_B,
+    (True, True): CONDITION_C,
     (False, False): (
         "A",
         "after the shift, no team in the second set has positive win weight "

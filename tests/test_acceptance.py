@@ -30,6 +30,7 @@ from conftest import (
     random_strongly_connected_dataset,
     random_venue_dataset,
 )
+from oracles import condition_c_by_enumeration
 
 TIGHT = btrank.SolverConfig(rel_ll_tol=1e-14, max_iters=100_000)
 LONG = btrank.SolverConfig(max_iters=200_000)
@@ -332,7 +333,7 @@ def test_hosting_connectivity_shortcut_matches_enumeration():
             names(t), a_home.astype(float), a_away.astype(float), t_home.astype(float)
         )
         fast = btrank.check_condition_c(data) is None
-        assert fast == btrank.condition_c_by_enumeration(data)
+        assert fast == condition_c_by_enumeration(data)
         verdicts.add(fast)
         checked += 1
     assert verdicts == {True, False}

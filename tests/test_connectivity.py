@@ -5,7 +5,6 @@ from btrank.connectivity import (
     check_condition_a,
     check_condition_b,
     check_condition_c,
-    condition_c_by_enumeration,
     strong_connectivity_witness,
     witness_is_valid,
 )
@@ -13,6 +12,7 @@ from btrank.errors import VenuelessDataError
 from btrank.types import PartitionWitness, venue_dataset, venue_free_dataset
 
 from conftest import names, random_strongly_connected_dataset, random_venue_dataset
+from oracles import condition_c_by_enumeration
 
 
 def test_condition_a_failure_yields_the_trapped_pair(four_teams):

@@ -16,7 +16,6 @@ from btrank.likelihood import (
     _lse3,
     gradient,
     log_likelihood,
-    probabilities,
 )
 from btrank.perturbation import perturb
 from btrank.types import (
@@ -29,6 +28,7 @@ from btrank.types import (
 )
 
 from conftest import names, random_connected_dataset, random_venue_dataset
+from oracles import probabilities
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -60,6 +60,27 @@ def test_analytic_gradient_matches_finite_differences(model):
         numeric = fd_gradient(objective.value, x)
         scale = max(1.0, float(np.abs(analytic).max()))
         assert np.abs(analytic - numeric).max() / scale < 1e-6
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_every_evaluator_slices_the_one_kernel_call(model):
+    rng = np.random.default_rng(20 + list(Model).index(model))
+    perturbed = _perturbed_for(model, rng)
+    objective = Objective(model, perturbed)
+    for _ in range(3):
+        x = objective.random_point(rng)
+        value, grad, _ = objective.value_gradient_hessian(x)
+        point = objective.unpack(x)
+        assert log_likelihood(model, point, perturbed) == value
+        assert np.array_equal(gradient(model, point, perturbed), grad)
+        assert objective.value(x) == value
+        f, g = objective.value_and_gradient(x)
+        assert f == value and np.array_equal(g, grad)
+    if model is Model.RAO_KUPPER:
+        x[-1] = RK_PHI_MIN / 2.0
+        assert objective.value_gradient_hessian(x) == (-np.inf, None, None)
+        assert objective.value(x) == -np.inf
+        assert objective.value_and_gradient(x) == (-np.inf, None)
 
 
 def test_bradley_terry_ignores_ties():

@@ -12,7 +12,7 @@ from btrank.ranking import (
     select_seeds,
     sweep_epsilon,
 )
-from btrank.solver import SolverConfig, fit
+from btrank.solver import fit
 from btrank.types import (
     ConnerGrant,
     Improved,

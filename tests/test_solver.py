@@ -424,6 +424,11 @@ def test_solver_config_validation():
         SolverConfig(rel_ll_tol=-1e-9)
     with pytest.raises(ConfigError):
         SolverConfig(max_iters=0)
+    # 2.5 used to run 3 iterations; only an integer >= 1 is a budget
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ConfigError, match="integer"):
+            SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -436,6 +441,8 @@ def test_non_finite_settings_are_refused_at_construction(bad):
         MapPriorSpec(shape=bad)
     with pytest.raises(ConfigError, match="finite"):
         MapPriorSpec(shape=2.0, rate=bad)
+    with pytest.raises(ConfigError, match="finite"):
+        SolverConfig(max_iters=bad)
 
 
 def test_fit_reports_the_parameters_each_model_carries(
