@@ -68,9 +68,7 @@ for name in teams:
     print(f"{name:<8} {f'{w}-{losses}':>7} {pct[name]:>6.3f} {merit[name]:>8.3f}")
 
 for label, values in (("win percentage", pct), ("fitted merit", merit)):
-    table = btrank.select_seeds(
-        values, divisions, conferences, seeds_per_conference=3, division_winners=2
-    )
+    table = btrank.select_seeds(values, divisions, conferences, seeds_per_conference=3)
     print(f"\nSeeds by {label}:")
     for conf in ("North", "South"):
         entries = table.conference(conf)

@@ -482,10 +482,7 @@ def cmd_map(args) -> int:
     ).ensure_converged()
     ranking = extract_ranking(result)
     payload = _fit_payload(result, ranking)
-    payload["prior"] = {
-        "shape": args.shape,
-        "rate": args.rate if args.rate is not None else args.shape * dataset.num_teams - 1,
-    }
+    payload["prior"] = {"shape": args.shape, "rate": prior.resolved_rate(dataset.num_teams)}
     del payload["epsilon"]
     _emit(args, payload, _fit_table(result, ranking))
     return EXIT_OK
@@ -523,11 +520,7 @@ def cmd_seeds(args) -> int:
         values = merit_table(fit(spec, dataset, _solver_config(args)).ensure_converged())
 
     table_result = select_seeds(
-        values,
-        divisions,
-        conferences,
-        seeds_per_conference=args.seeds_per_conference,
-        division_winners=args.division_winners,
+        values, divisions, conferences, seeds_per_conference=args.seeds_per_conference
     )
     payload = {"key": args.key, "conferences": table_result.to_dict()}
     rows = [["conference", "seed", "team", "division", "value", "division winner"]]
@@ -622,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seeds.add_argument("--key", choices=["merit", "pct"], default="merit")
     seeds.add_argument("--seeds-per-conference", type=_positive_int, default=6)
-    seeds.add_argument("--division-winners", type=_positive_int, default=4)
     _add_model_flags(seeds)
     seeds.add_argument("--epsilon", default=None, help="positive number or 'auto' (default)")
     seeds.add_argument(

@@ -245,12 +245,6 @@ class Objective:
         self.dimension = (
             (t - 1) + int(model.has_tie_parameter) + int(model.has_home_parameter)
         )
-        if model is Model.RAO_KUPPER:
-            lower = np.full(self.dimension, -np.inf)
-            lower[t - 1] = RK_PHI_MIN
-            self.lower_bounds: Array | None = lower
-        else:
-            self.lower_bounds = None
 
     def unpack(self, x: Array) -> ParameterPoint:
         t = self.num_teams
@@ -293,7 +287,8 @@ class Objective:
         return x
 
     def in_domain(self, x: Array) -> bool:
-        return self.lower_bounds is None or bool(np.all(x >= self.lower_bounds))
+        """False only where the Rao-Kupper phi falls below ``RK_PHI_MIN``."""
+        return self.model is not Model.RAO_KUPPER or bool(x[self.num_teams - 1] >= RK_PHI_MIN)
 
     def value_gradient_hessian(
         self, x: Array
@@ -322,8 +317,6 @@ class PosteriorObjective:
     (shape 1, rate 0) adds nothing and leaves the posterior scale-invariant,
     so beta_1 is pinned at 0 and left out of the free vector.
     """
-
-    lower_bounds = None
 
     def __init__(self, wins: Array, shape: float, rate: float):
         self.wins, self.shape, self.rate = wins, shape, rate

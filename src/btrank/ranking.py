@@ -58,16 +58,13 @@ def extract_ranking(result: FitResult, rank_tol: float = RANK_TOL) -> Ranking:
     ranking, of whatever the solver last had.
     """
     order, groups = _grouped_order(result.beta, rank_tol)
-    return Ranking(
-        teams=result.teams, order=order, groups=tuple(groups), scores=result.scores
-    )
+    return Ranking(teams=result.teams, order=order, groups=tuple(groups))
 
 
 def score_ranking(dataset: Dataset) -> Ranking:
     """Rank by raw win scores a_i, equal scores grouped as ties."""
-    scores = dataset.scores
-    order, groups = _grouped_order(scores, 0.0)
-    return Ranking(teams=dataset.teams, order=order, groups=tuple(groups), scores=scores)
+    order, groups = _grouped_order(dataset.scores, 0.0)
+    return Ranking(teams=dataset.teams, order=order, groups=tuple(groups))
 
 
 def kendall_distance(first: Ranking, second: Ranking) -> int:
@@ -301,7 +298,6 @@ def select_seeds(
     divisions: Mapping[str, Sequence[str]],
     conferences: Mapping[str, Sequence[str]],
     seeds_per_conference: int = 6,
-    division_winners: int = 4,
 ) -> SeedTable:
     """Seed each conference: division winners first, then wild cards.
 
@@ -309,16 +305,19 @@ def select_seeds(
     conference name to its division names, and ``values`` supplies the
     comparison key (a fit, a ranking, or any team -> number mapping, larger
     meaning better). Within each conference the best team of each division
-    takes the top ``division_winners`` seeds ordered by value, and the best
-    remaining teams fill the seeds up to ``seeds_per_conference``. Exact
-    value ties break by team name.
+    takes one of the top seeds, ordered by value, so a conference needs
+    between 1 and ``seeds_per_conference`` divisions; the best remaining
+    teams fill the seeds up to ``seeds_per_conference``. Exact value ties
+    break by team name.
     """
     table = _as_value_map(values)
-    if division_winners < 1 or seeds_per_conference < division_winners:
-        raise ConfigError(
-            "need seeds_per_conference >= division_winners >= 1, got "
-            f"{seeds_per_conference} and {division_winners}"
-        )
+    for conf, div_names in conferences.items():
+        if not 1 <= len(div_names) <= seeds_per_conference:
+            raise ConfigError(
+                f"conference {conf!r} has {len(div_names)} divisions; each "
+                "conference needs between 1 and seeds_per_conference="
+                f"{seeds_per_conference}, one seed per division winner"
+            )
 
     seen_teams: set[str] = set()
     for div, teams in divisions.items():
@@ -348,11 +347,6 @@ def select_seeds(
 
     result = []
     for conf, div_names in conferences.items():
-        if len(div_names) != division_winners:
-            raise ConfigError(
-                f"conference {conf!r} has {len(div_names)} divisions but "
-                f"{division_winners} division-winner seeds were requested"
-            )
         winners = []
         others = []
         for div in div_names:
@@ -367,27 +361,16 @@ def select_seeds(
             )
         winners.sort(key=lambda pair: sort_key(pair[0]))
         others.sort(key=lambda pair: sort_key(pair[0]))
-        entries = []
-        for seed, (team, div) in enumerate(winners, start=1):
-            entries.append(
-                SeedEntry(
-                    seed=seed,
-                    team=team,
-                    division=div,
-                    value=float(table[team]),
-                    division_winner=True,
-                )
+        seeded = winners + others[: seeds_per_conference - len(winners)]
+        entries = tuple(
+            SeedEntry(
+                seed=seed,
+                team=team,
+                division=div,
+                value=float(table[team]),
+                division_winner=seed <= len(winners),
             )
-        wild_cards = others[: seeds_per_conference - division_winners]
-        for seed, (team, div) in enumerate(wild_cards, start=division_winners + 1):
-            entries.append(
-                SeedEntry(
-                    seed=seed,
-                    team=team,
-                    division=div,
-                    value=float(table[team]),
-                    division_winner=False,
-                )
-            )
-        result.append((conf, tuple(entries)))
+            for seed, (team, div) in enumerate(seeded, start=1)
+        )
+        result.append((conf, entries))
     return SeedTable(conferences=tuple(result))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .perturbation import auto_epsilon
-from .solver import SolverConfig, fit
-from .types import Array, Dataset, Improved, Model, ModelSpec, venue_free_dataset
+from .solver import fit
+from .types import Array, Dataset, Improved, Model, ModelSpec, is_integer, venue_free_dataset
 
 
 @dataclass(frozen=True)
@@ -27,32 +27,30 @@ class ConsistencyConfig:
     """Controls for one consistency run.
 
     ``n_per_pair`` games are played between every pair (full round-robin).
-    Planted merits are uniform on [merit_low, merit_high], keeping the
-    merit spread bounded as t grows. Replica (seed, t, replica) index
-    triples seed independent generator substreams, so reports are
-    reproducible bit for bit and a replica's error does not depend on the
-    rest of the grid.
+    Planted merits are uniform on [1, 2], keeping the merit spread bounded
+    as t grows. Replica (seed, t, replica) index triples seed independent
+    generator substreams, so reports are reproducible bit for bit and a
+    replica's error does not depend on the rest of the grid. Every setting
+    is an integer (bools refused): each t is at least 3, ``replicas`` and
+    ``n_per_pair`` at least 1, and ``seed`` at least 0.
     """
 
     t_grid: tuple[int, ...]
     replicas: int = 50
     n_per_pair: int = 4
     seed: int = 0
-    merit_low: float = 1.0
-    merit_high: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", tuple(int(t) for t in self.t_grid))
-        if len(self.t_grid) == 0:
+        t_grid = tuple(self.t_grid)
+        if len(t_grid) == 0:
             raise ConfigError("t_grid must not be empty")
-        if any(t < 3 for t in self.t_grid):
-            raise ConfigError("every t in t_grid must be at least 3")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be at least 1")
-        if self.n_per_pair < 1:
-            raise ConfigError("n_per_pair must be at least 1")
-        if not (0.0 < self.merit_low <= self.merit_high):
-            raise ConfigError("need 0 < merit_low <= merit_high")
+        if not all(is_integer(t) and t >= 3 for t in t_grid):
+            raise ConfigError(f"every t in t_grid must be an integer >= 3, got {t_grid!r}")
+        object.__setattr__(self, "t_grid", tuple(int(t) for t in t_grid))
+        for name, least in (("replicas", 1), ("n_per_pair", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,28 +113,24 @@ def max_relative_error(fitted: Array, planted: Array) -> float:
     return float(np.max(np.abs(fitted / planted - 1.0)))
 
 
-def _one_replica(config: ConsistencyConfig, t: int, replica: int, solver: SolverConfig) -> float:
+def _one_replica(config: ConsistencyConfig, t: int, replica: int) -> float:
     rng = np.random.default_rng([config.seed, t, replica])
-    u = rng.uniform(config.merit_low, config.merit_high, t)
+    u = rng.uniform(1.0, 2.0, t)
     dataset = _sample_dataset(u, config.n_per_pair, rng)
     spec = ModelSpec(Model.BRADLEY_TERRY, Improved(auto_epsilon(t)))
-    result = fit(spec, dataset, solver)
+    result = fit(spec, dataset)
     return max_relative_error(result.merits_u, u)
 
 
-def run_consistency(
-    config: ConsistencyConfig,
-    solver: SolverConfig | None = None,
-) -> ConsistencyReport:
+def run_consistency(config: ConsistencyConfig) -> ConsistencyReport:
     """Run the experiment and summarize errors per team count.
 
     A full round-robin with sampled wins always satisfies the existence
     condition for the perturbed fit, so fit errors are not expected; any
     that occur propagate.
     """
-    solver = solver or SolverConfig()
     errors = [
-        tuple(_one_replica(config, t, r, solver) for r in range(config.replicas))
+        tuple(_one_replica(config, t, r) for r in range(config.replicas))
         for t in config.t_grid
     ]
     medians = tuple(float(np.median(row)) for row in errors)

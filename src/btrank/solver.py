@@ -7,8 +7,10 @@ Newton method serves them all (``maximize_concave``). Each iteration solves
 for the Newton direction by a Cholesky factorization of the negated Hessian,
 falling back to the gradient direction when that fails (a MatrixShift with
 negative entries can make the Hessian indefinite). It then backtracks from
-the full step until the Armijo condition holds, halving steps that leave the
-objective's lower bounds.
+the full step until the Armijo condition holds. An objective marks its
+domain by returning ``(-inf, None, None)`` outside it (the Rao-Kupper tie
+parameter), which fails the Armijo test, so steps leaving the domain are
+halved like any other.
 
 A fit stops converged once the gradient sup-norm reaches ``grad_tol``. Half
 the Newton decrement ``g' (-H)^-1 g`` bounds the objective still to gain.
@@ -61,7 +63,9 @@ from .types import (
     Model,
     ModelSpec,
     Normalization,
+    ParameterPoint,
     PerturbedCounts,
+    is_integer,
 )
 
 _ARMIJO_C = 1e-4
@@ -88,7 +92,7 @@ class SolverConfig:
         if not (0 < self.grad_tol < math.inf and 0 < self.rel_ll_tol < math.inf):
             raise ConfigError("tolerances must be positive and finite")
         iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+        if not is_integer(iters) or iters < 1:
             raise ConfigError(f"max_iters must be a finite integer >= 1, got {iters!r}")
 
 
@@ -96,9 +100,9 @@ class SolverConfig:
 class MapPriorSpec:
     """Independent Gamma(shape, rate) prior on every merit.
 
-    ``rate=None`` resolves to ``shape * t - 1`` for a t-team dataset.
-    ``shape == 1`` with ``rate == 0`` is the flat prior, making the MAP
-    coincide with the unpenalized maximum likelihood estimate.
+    ``rate=None`` resolves to ``shape * t - 1`` for a t-team dataset (see
+    ``resolved_rate``). ``shape == 1`` with ``rate == 0`` is the flat prior,
+    making the MAP coincide with the unpenalized maximum likelihood estimate.
     """
 
     shape: float
@@ -114,6 +118,12 @@ class MapPriorSpec:
     def ml_equivalent(self) -> bool:
         return self.shape == 1.0 and self.rate == 0.0
 
+    def resolved_rate(self, t: int) -> float:
+        """The rate for a t-team dataset: ``rate``, or ``shape * t - 1``."""
+        if self.rate is not None:
+            return float(self.rate)
+        return float(self.shape) * t - 1.0
+
 
 @dataclass(frozen=True)
 class _Solution:
@@ -127,7 +137,6 @@ class _Solution:
 
 def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
     """Damped Newton ascent with the stop rules of the module docstring."""
-    lower = getattr(objective, "lower_bounds", None)
     x = np.array(start, dtype=float)
     f, g, h = objective.value_gradient_hessian(x)
     if not np.isfinite(f) or g is None:
@@ -146,13 +155,12 @@ def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
             direction, newton = g, False
         slope = float(g @ direction)  # the Newton decrement on a Newton step
         at_rounding = newton and slope / 2.0 <= config.rel_ll_tol * max(1.0, abs(f))
-        step, trial = 1.0, None
+        step = 1.0
         for _ in range(1 if at_rounding else _HALVINGS):
             candidate = x + step * direction
-            if lower is None or np.all(candidate >= lower):
-                trial = objective.value_gradient_hessian(candidate)
-                if trial[0] > f + _ARMIJO_C * step * slope:
-                    break
+            trial = objective.value_gradient_hessian(candidate)
+            if trial[0] > f + _ARMIJO_C * step * slope:
+                break
             step *= 0.5
         else:
             # No step improves the objective at working precision. Where it
@@ -160,7 +168,6 @@ def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
             # Newton step is still kept if it lowers the gradient.
             if not (
                 at_rounding
-                and trial is not None
                 and trial[1] is not None
                 and np.max(np.abs(trial[1])) < grad_norm
             ):
@@ -187,11 +194,11 @@ def maximize_concave(objective, start, config: SolverConfig | None = None):
 
     ``objective`` needs a ``value_gradient_hessian(x) -> (float, ndarray,
     ndarray)`` method, which every line-search trial calls and which returns
-    ``(-inf, None, None)`` outside the domain; an optional ``lower_bounds``
-    vector constrains the domain. The stop rules are those of SolverConfig. Returns ``(point,
-    trace)`` where ``trace`` lists the objective value at the start and
-    after each accepted iteration; it is non-decreasing, up to rounding on
-    steps taken where the objective is flat to rounding.
+    ``(-inf, None, None)`` outside the domain. The stop rules are those of
+    SolverConfig. Returns ``(point, trace)`` where ``trace`` lists the
+    objective value at the start and after each accepted iteration; it is
+    non-decreasing, up to rounding on steps taken where the objective is
+    flat to rounding.
     """
     config = config or SolverConfig()
     result = _newton(objective, np.asarray(start, dtype=float), config)
@@ -201,7 +208,6 @@ def maximize_concave(objective, start, config: SolverConfig | None = None):
 class _Negated:
     def __init__(self, objective):
         self._objective = objective
-        self.lower_bounds = getattr(objective, "lower_bounds", None)
 
     def value_gradient_hessian(self, x):
         f, g, h = self._objective.value_gradient_hessian(x)
@@ -276,11 +282,32 @@ def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> 
             )
 
 
-def _normalized_merits(beta: Array, normalization: Normalization) -> Array:
-    u = np.exp(beta - beta.max())  # guard against overflow for extreme merits
-    if normalization is Normalization.SIMPLEX:
-        return u / u.sum()
-    return u / u[0]
+def _fit_result(
+    model: Model,
+    dataset: Dataset,
+    solution: _Solution,
+    point: ParameterPoint,
+    normalization: Normalization,
+    epsilon: float | None,
+) -> FitResult:
+    """The FitResult of every fit, merits normalized as asked."""
+    u = np.exp(point.beta - point.beta.max())  # guard against overflow for extreme merits
+    return FitResult(
+        model=model,
+        teams=dataset.teams,
+        merits_u=u / (u.sum() if normalization is Normalization.SIMPLEX else u[0]),
+        beta=point.beta,
+        theta_hat=point.theta,
+        gamma_hat=point.gamma,
+        log_likelihood=solution.value,
+        iterations=solution.iterations,
+        converged=solution.converged,
+        gradient_sup_norm=solution.gradient_sup_norm,
+        trace=solution.trace,
+        scores=dataset.scores,
+        normalization=normalization,
+        epsilon=epsilon,
+    )
 
 
 def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = None) -> FitResult:
@@ -298,21 +325,8 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     _verify_existence(model_spec, dataset.teams, perturbed)
     solution = _newton(objective, objective.initial_point(), config)
     point = objective.unpack(solution.x)
-    return FitResult(
-        model=model_spec.model,
-        teams=dataset.teams,
-        merits_u=_normalized_merits(point.beta, model_spec.normalization),
-        beta=point.beta,
-        theta_hat=point.theta,
-        gamma_hat=point.gamma,
-        log_likelihood=solution.value,
-        iterations=solution.iterations,
-        converged=solution.converged,
-        gradient_sup_norm=solution.gradient_sup_norm,
-        trace=solution.trace,
-        scores=dataset.scores,
-        normalization=model_spec.normalization,
-        epsilon=perturbed.epsilon,
+    return _fit_result(
+        model_spec.model, dataset, solution, point, model_spec.normalization, perturbed.epsilon
     )
 
 
@@ -342,9 +356,8 @@ def fit_map_em(
     only.
     """
     config = config or SolverConfig()
-    t = dataset.num_teams
     d = float(prior.shape)
-    b = float(prior.rate) if prior.rate is not None else d * t - 1.0
+    b = prior.resolved_rate(dataset.num_teams)
 
     if d == 1.0 and b != 0.0:
         raise ConfigError(
@@ -366,20 +379,5 @@ def fit_map_em(
             )
 
     mode = _map_mode(dataset, d, b, config)
-    beta = mode.x - mode.x[0]
-    return FitResult(
-        model=Model.BRADLEY_TERRY,
-        teams=dataset.teams,
-        merits_u=_normalized_merits(beta, normalization),
-        beta=beta,
-        theta_hat=None,
-        gamma_hat=None,
-        log_likelihood=mode.value,
-        iterations=mode.iterations,
-        converged=mode.converged,
-        gradient_sup_norm=mode.gradient_sup_norm,
-        trace=mode.trace,
-        scores=dataset.scores,
-        normalization=normalization,
-        epsilon=None,
-    )
+    point = ParameterPoint(beta=mode.x - mode.x[0])
+    return _fit_result(Model.BRADLEY_TERRY, dataset, mode, point, normalization, None)

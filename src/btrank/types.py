@@ -48,6 +48,11 @@ def _freeze(values, name: str, t: int | None = None) -> Array:
     return arr
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _freeze_vector(values) -> Array:
     arr = np.array(values, dtype=np.float64, copy=True)
     arr.setflags(write=False)
@@ -375,8 +380,7 @@ class FitResult:
     ``log_likelihood`` is the final value of the maximized objective (the
     perturbed log-likelihood, or the log-posterior for the MAP fit).
     ``trace`` holds that objective per accepted iteration. ``scores`` carries
-    the raw win scores ``a_i`` of the fitted dataset so a Ranking can be
-    built from the result alone.
+    the raw win scores ``a_i`` of the fitted dataset.
     """
 
     model: Model
@@ -422,13 +426,12 @@ class Ranking:
 
     ``order`` is a permutation of team indices; ``groups`` partitions
     ``order`` into consecutive runs whose log-merits differ by less than the
-    grouping tolerance. ``scores`` carries ``a_i`` for diagnostics.
+    grouping tolerance.
     """
 
     teams: tuple[str, ...]
     order: tuple[int, ...]
     groups: tuple[tuple[int, ...], ...]
-    scores: Array
 
     def __post_init__(self):
         object.__setattr__(self, "teams", tuple(self.teams))
@@ -436,7 +439,6 @@ class Ranking:
         object.__setattr__(
             self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups)
         )
-        object.__setattr__(self, "scores", _freeze_vector(self.scores))
         if sorted(self.order) != list(range(len(self.teams))):
             raise ShapeError("order must be a permutation of the team indices")
         flat = [i for g in self.groups for i in g]

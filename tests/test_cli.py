@@ -347,7 +347,6 @@ def test_seeds_by_percentage_and_by_merit(capsys, four_teams_file, tmp_path):
             "--divisions", str(divisions),
             "--key", key,
             "--seeds-per-conference", "3",
-            "--division-winners", "2",
             "--epsilon", "0.5",
             "--out", "json",
         )
@@ -380,7 +379,6 @@ def test_seeds_structure_errors(capsys, four_teams_file, tmp_path):
         "seeds", "--data", four_teams_file,
         "--divisions", str(divisions),
         "--seeds-per-conference", "1",
-        "--division-winners", "1",
     )
     assert code == 4
     assert "more than one conference" in err
@@ -471,3 +469,10 @@ def test_simulate_seed_env_fallback_and_flag_precedence(capsys, monkeypatch):
     )
     assert code == 4
     assert "BTRANK_SEED" in err
+
+    # a negative seed, from the flag or the environment, is a config error
+    code, _, err = run(capsys, "simulate", "--t-grid", "4", "--seed", "-1")
+    assert (code, err) == (4, "btrank: seed must be an integer >= 0, got -1\n")
+    monkeypatch.setenv("BTRANK_SEED", "-2")
+    code, _, err = run(capsys, "simulate", "--t-grid", "4", "--replicas", "1")
+    assert (code, err) == (4, "btrank: seed must be an integer >= 0, got -2\n")

@@ -206,7 +206,6 @@ def test_select_seeds_division_winners_then_wild_cards():
         divisions={"East": ["E1", "E2"], "West": ["W1", "W2"]},
         conferences={"League": ["East", "West"]},
         seeds_per_conference=3,
-        division_winners=2,
     )
     entries = table.conference("League")
     assert [e.team for e in entries] == ["E1", "W1", "E2"]
@@ -226,7 +225,6 @@ def test_select_seeds_breaks_exact_ties_by_name():
         divisions={"D1": ["B", "A"], "D2": ["C", "D"]},
         conferences={"L": ["D1", "D2"]},
         seeds_per_conference=3,
-        division_winners=2,
     )
     entries = table.conference("L")
     assert [e.team for e in entries] == ["A", "C", "B"]
@@ -236,8 +234,8 @@ def test_select_seeds_accepts_fits_and_rankings(four_teams):
     result = fit(bt_spec(), four_teams)
     divisions = {"D1": ["1", "2"], "D2": ["3", "4"]}
     conferences = {"C": ["D1", "D2"]}
-    from_fit = select_seeds(result, divisions, conferences, 3, 2)
-    from_ranking = select_seeds(extract_ranking(result), divisions, conferences, 3, 2)
+    from_fit = select_seeds(result, divisions, conferences, 3)
+    from_ranking = select_seeds(extract_ranking(result), divisions, conferences, 3)
     assert [e.team for e in from_fit.conference("C")] == ["1", "4", "2"]
     assert [e.team for e in from_ranking.conference("C")] == ["1", "4", "2"]
 
@@ -247,25 +245,47 @@ def test_select_seeds_validation():
     good_div = {"D1": ["A"], "D2": ["B"]}
     good_conf = {"L": ["D1", "D2"]}
     with pytest.raises(ConfigError, match="seeds_per_conference"):
-        select_seeds(values, good_div, good_conf, 1, 2)
+        select_seeds(values, good_div, good_conf, 1)
     with pytest.raises(ConfigError, match="no teams"):
-        select_seeds(values, {"D1": ["A"], "D2": []}, good_conf, 2, 2)
+        select_seeds(values, {"D1": ["A"], "D2": []}, good_conf, 2)
     with pytest.raises(ConfigError, match="more than one division"):
-        select_seeds(values, {"D1": ["A"], "D2": ["A"]}, good_conf, 2, 2)
+        select_seeds(values, {"D1": ["A"], "D2": ["A"]}, good_conf, 2)
     with pytest.raises(ConfigError, match="no comparison value"):
-        select_seeds({"A": 2.0}, good_div, good_conf, 2, 2)
+        select_seeds({"A": 2.0}, good_div, good_conf, 2)
     with pytest.raises(ConfigError, match="unknown division"):
-        select_seeds(values, good_div, {"L": ["D1", "D9"]}, 2, 2)
+        select_seeds(values, good_div, {"L": ["D1", "D9"]}, 2)
     with pytest.raises(ConfigError, match="more than one conference"):
         select_seeds(
-            values, good_div, {"L": ["D1", "D2"], "M": ["D2", "D1"]}, 2, 2
+            values, good_div, {"L": ["D1", "D2"], "M": ["D2", "D1"]}, 2
         )
     with pytest.raises(ConfigError, match="not in any conference"):
-        select_seeds(values, good_div, {"L": ["D1"]}, 1, 1)
-    with pytest.raises(ConfigError, match="division-winner seeds"):
-        select_seeds(values, good_div, good_conf, 1, 1)
+        select_seeds(values, good_div, {"L": ["D1"]}, 1)
     with pytest.raises(ConfigError, match="too few"):
-        select_seeds(values, good_div, good_conf, 3, 2)
+        select_seeds(values, good_div, good_conf, 3)
+
+
+def test_select_seeds_takes_one_winner_per_division():
+    # conferences with 3 and 2 divisions seed 3 and 2 division winners
+    values = {name: float(k) for k, name in enumerate("ABCDEFGHIJ")}
+    divisions = {
+        "D1": ["A", "B"],
+        "D2": ["C", "D"],
+        "D3": ["E", "F"],
+        "D4": ["G", "H"],
+        "D5": ["I", "J"],
+    }
+    conferences = {"X": ["D1", "D2", "D3"], "Y": ["D4", "D5"]}
+    table = select_seeds(values, divisions, conferences, 4)
+    x, y = table.conference("X"), table.conference("Y")
+    assert [e.team for e in x] == ["F", "D", "B", "E"]
+    assert [e.division_winner for e in x] == [True, True, True, False]
+    assert [e.team for e in y] == ["J", "H", "I", "G"]
+    assert [e.division_winner for e in y] == [True, True, False, False]
+    assert [e.seed for e in y] == [1, 2, 3, 4]
+    with pytest.raises(ConfigError, match="seeds_per_conference=2"):
+        select_seeds(values, divisions, conferences, 2)
+    with pytest.raises(ConfigError, match="0 divisions"):
+        select_seeds(values, divisions, {**conferences, "Z": []}, 4)
 
 
 def test_select_seeds_handles_multiple_conferences():
@@ -277,6 +297,6 @@ def test_select_seeds_handles_multiple_conferences():
         "D4": ["G", "H"],
     }
     conferences = {"X": ["D1", "D2"], "Y": ["D3", "D4"]}
-    table = select_seeds(values, divisions, conferences, 3, 2)
+    table = select_seeds(values, divisions, conferences, 3)
     assert [e.team for e in table.conference("X")] == ["D", "B", "C"]
     assert [e.team for e in table.conference("Y")] == ["H", "F", "G"]

@@ -88,10 +88,33 @@ def test_config_validation():
         ConsistencyConfig(t_grid=(4,), replicas=0)
     with pytest.raises(ConfigError):
         ConsistencyConfig(t_grid=(4,), n_per_pair=0)
-    with pytest.raises(ConfigError):
-        ConsistencyConfig(t_grid=(4,), merit_low=0.0)
-    with pytest.raises(ConfigError):
-        ConsistencyConfig(t_grid=(4,), merit_low=2.0, merit_high=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -3),
+        ("seed", 1.5),
+        ("seed", True),
+        ("replicas", 2.5),
+        ("replicas", True),
+        ("n_per_pair", 2.5),
+        ("n_per_pair", np.int64(0)),
+        ("t_grid", (4.7,)),
+        ("t_grid", (4, False)),
+    ],
+)
+def test_non_integer_and_negative_settings_are_refused(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ConsistencyConfig(**{"t_grid": (4,), field: value})
+
+
+def test_numpy_integer_settings_are_accepted():
+    config = ConsistencyConfig(t_grid=(np.int64(4),), replicas=np.int32(2), seed=np.int64(3))
+    assert config.t_grid == (4,) and type(config.t_grid[0]) is int
+    assert run_consistency(config).errors == run_consistency(
+        ConsistencyConfig(t_grid=(4,), replicas=2, seed=3)
+    ).errors
 
 
 def test_replica_streams_do_not_depend_on_the_grid():

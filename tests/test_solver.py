@@ -16,7 +16,8 @@ from btrank.errors import (
     NoTiesError,
     VenuelessDataError,
 )
-from btrank.likelihood import Objective, log_likelihood
+from btrank import solver
+from btrank.likelihood import RK_PHI_MIN, Objective, log_likelihood
 from btrank.perturbation import perturb
 from btrank.solver import (
     MapPriorSpec,
@@ -113,8 +114,6 @@ def test_maximizer_solves_a_quadratic():
 class _Bowl:
     """Convex test function (x - c)' A (x - c), defined only for x >= 0."""
 
-    lower_bounds = np.zeros(3)
-
     def __init__(self, center, matrix):
         self.center = np.asarray(center, dtype=float)
         self.matrix = np.asarray(matrix, dtype=float)
@@ -135,6 +134,31 @@ def test_minimizer_solves_a_convex_quadratic():
     assert trace[0] == pytest.approx(bowl.value_gradient_hessian(start)[0])
     assert trace[-1] < 1e-12
     assert np.all(np.diff(trace) <= 1e-12)
+
+
+def test_rao_kupper_steps_below_the_phi_bound_are_halved(monkeypatch):
+    # Evenly matched teams with a single tie put the Rao-Kupper phi optimum
+    # near 0, so full Newton steps overshoot below RK_PHI_MIN. The objective
+    # returns -inf there, which fails the Armijo test and halves the step.
+    refused = []
+
+    class Counting(Objective):
+        def value_gradient_hessian(self, x):
+            out = super().value_gradient_hessian(x)
+            if out[0] == -np.inf:
+                refused.append(x[-1])
+            return out
+
+    monkeypatch.setattr(solver, "Objective", Counting)
+    a = np.full((3, 3), 10.0) - 10.0 * np.eye(3)
+    ties = np.zeros((3, 3))
+    ties[0, 1] = ties[1, 0] = 1.0
+    data = venue_free_dataset(("A", "B", "C"), a, ties)
+    result = fit(ModelSpec(Model.RAO_KUPPER, Improved(0.1)), data)
+    assert refused and all(phi < RK_PHI_MIN for phi in refused)
+    assert result.converged
+    assert np.log(result.theta_hat) >= RK_PHI_MIN
+    assert result.gradient_sup_norm <= SolverConfig().grad_tol
 
 
 def test_three_team_fit_matches_a_grid_search():
@@ -248,6 +272,11 @@ def test_flat_prior_requires_win_cycles(four_teams):
         fit_map_em(four_teams, MapPriorSpec(shape=1.0, rate=0.0))
     assert info.value.witness.condition == "A"
     assert info.value.witness.q1 == (0, 1)
+
+
+def test_default_prior_rate_resolves_against_the_team_count():
+    assert MapPriorSpec(shape=2.0).resolved_rate(4) == 7.0
+    assert MapPriorSpec(shape=2.0, rate=0.5).resolved_rate(4) == 0.5
 
 
 def test_prior_domain_refusals(four_teams):

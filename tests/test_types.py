@@ -114,19 +114,17 @@ def test_model_capabilities():
 
 
 def test_ranking_validation_and_describe():
-    scores = np.array([3.0, 1.0, 1.0, 2.0])
     ranking = btrank.Ranking(
         teams=("1", "2", "3", "4"),
         order=(0, 3, 1, 2),
         groups=((0,), (3,), (1, 2)),
-        scores=scores,
     )
     assert ranking.team_order() == ("1", "4", "2", "3")
     assert ranking.describe() == "1 > 4 > {2 = 3}"
     with pytest.raises(ShapeError):
-        btrank.Ranking(teams=("1", "2"), order=(0, 0), groups=((0, 0),), scores=scores[:2])
+        btrank.Ranking(teams=("1", "2"), order=(0, 0), groups=((0, 0),))
     with pytest.raises(ShapeError):
-        btrank.Ranking(teams=("1", "2"), order=(0, 1), groups=((1, 0),), scores=scores[:2])
+        btrank.Ranking(teams=("1", "2"), order=(0, 1), groups=((1, 0),))
 
 
 def test_partition_witness_validation():
