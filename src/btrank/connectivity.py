@@ -15,15 +15,20 @@ hosting a second-set team and some first-set team visiting one. Condition C
 holds exactly when the hosting digraph is strongly connected (for every
 proper vertex subset, strong connectivity means an edge leaves it and an edge
 enters it, which are precisely the two hosting directions), so all three
-checks reduce to one strong-connectivity computation (on the symmetric
-digraph of the pair totals for B) instead of a scan over all 2^t - 2 splits.
-The checks return None on success and a PartitionWitness on failure.
+checks reduce to one strong-connectivity test (on the symmetric digraph of
+the pair totals for B) instead of a scan over all 2^t - 2 splits.
+
+A digraph is strongly connected exactly when every team is reachable from
+team 0 along its edges and along its reversed edges, so the test is two
+breadth-first searches in numpy over the dense adjacency. Only when it fails
+are the strongly connected components labelled (by SciPy, imported there and
+nowhere else), to name a witness. The checks return None on success and a
+PartitionWitness on failure.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import VenuelessDataError
 from .types import Array, Dataset, PartitionWitness
@@ -34,29 +39,34 @@ CONDITION_B = ("B", "no games at all between the two sets")
 CONDITION_C = ("C", "no team in the second set has ever hosted a team in the first set")
 
 
+def _reaches_all(adjacency: np.ndarray) -> bool:
+    """True if every vertex is reachable from vertex 0 along the edges."""
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
+
+
 def _source_component(adjacency: np.ndarray) -> np.ndarray:
     """Vertices of a source SCC (no incoming edges from other components).
 
     Among all source components, the one containing the smallest vertex
     index is returned, which makes witnesses deterministic.
     """
+    from scipy.sparse.csgraph import connected_components  # only to name a witness
+
     n_comp, labels = connected_components(
         adjacency, directed=True, connection="strong"
     )
-    if n_comp == 1:
-        return np.arange(adjacency.shape[0])
     rows, cols = np.nonzero(adjacency)
     has_incoming = np.zeros(n_comp, dtype=bool)
     cross = labels[rows] != labels[cols]
     has_incoming[labels[cols[cross]]] = True
-    best = None
-    for comp in range(n_comp):
-        if has_incoming[comp]:
-            continue
-        members = np.flatnonzero(labels == comp)
-        if best is None or members[0] < best[0]:
-            best = members
-    return best
+    first_source = np.argmax(~has_incoming[labels])  # smallest vertex in a source SCC
+    return np.flatnonzero(labels == labels[first_source])
 
 
 def strong_connectivity_witness(
@@ -66,10 +76,10 @@ def strong_connectivity_witness(
     else a witness split (q1 = a source component, so q2 sends no edges into
     q1)."""
     adjacency = np.asarray(weights) > 0
+    if _reaches_all(adjacency) and _reaches_all(adjacency.T):
+        return None
     t = adjacency.shape[0]
     q1 = _source_component(adjacency)
-    if len(q1) == t:
-        return None
     in_q1 = np.zeros(t, dtype=bool)
     in_q1[q1] = True
     q2 = np.flatnonzero(~in_q1)

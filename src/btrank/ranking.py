@@ -26,6 +26,7 @@ from .types import (
     MatrixShift,
     ModelSpec,
     Ranking,
+    is_integer,
 )
 
 
@@ -308,8 +309,13 @@ def select_seeds(
     takes one of the top seeds, ordered by value, so a conference needs
     between 1 and ``seeds_per_conference`` divisions; the best remaining
     teams fill the seeds up to ``seeds_per_conference``. Exact value ties
-    break by team name.
+    break by team name. ``seeds_per_conference`` is an integer >= 1 (bools
+    refused).
     """
+    if not is_integer(seeds_per_conference) or seeds_per_conference < 1:
+        raise ConfigError(
+            f"seeds_per_conference must be an integer >= 1, got {seeds_per_conference!r}"
+        )
     table = _as_value_map(values)
     for conf, div_names in conferences.items():
         if not 1 <= len(div_names) <= seeds_per_conference:

@@ -4,13 +4,16 @@ mode of the Bradley-Terry merits under Gamma priors.
 All six fits maximize a concave function of the log merits (plus the log tie
 and home parameters), with at most t + 1 free parameters, so one damped
 Newton method serves them all (``maximize_concave``). Each iteration solves
-for the Newton direction by a Cholesky factorization of the negated Hessian,
-falling back to the gradient direction when that fails (a MatrixShift with
-negative entries can make the Hessian indefinite). It then backtracks from
-the full step until the Armijo condition holds. An objective marks its
-domain by returning ``(-inf, None, None)`` outside it (the Rao-Kupper tie
-parameter), which fails the Armijo test, so steps leaving the domain are
-halved like any other.
+``-H d = g`` for the Newton direction by an LU factorization (numpy's, so no
+fit imports SciPy) and keeps it only if it ascends: the slope ``g' d`` must
+be finite and positive, which it is whenever ``-H`` is positive definite.
+A singular ``-H``, or one that is not positive definite along ``d`` (only a
+caller-supplied objective or numerical breakdown can do that, as negative
+shifted counts are refused), gets the gradient direction instead. It then
+backtracks from the full step until the Armijo condition holds. An
+objective marks its domain by returning ``(-inf, None, None)`` outside it
+(the Rao-Kupper tie parameter), which fails the Armijo test, so steps
+leaving the domain are halved like any other.
 
 A fit stops converged once the gradient sup-norm reaches ``grad_tol``. Half
 the Newton decrement ``g' (-H)^-1 g`` bounds the objective still to gain.
@@ -44,7 +47,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
 
 from .connectivity import (
     CONDITION_B,
@@ -149,11 +151,13 @@ def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
     while not converged and iterations < config.max_iters:
         iterations += 1
         try:
-            direction = cho_solve(cho_factor(-h, overwrite_a=True), g)
-            newton = True
+            direction = np.linalg.solve(-h, g)
+            slope = float(g @ direction)  # the Newton decrement on a Newton step
         except LinAlgError:
-            direction, newton = g, False
-        slope = float(g @ direction)  # the Newton decrement on a Newton step
+            slope = math.nan
+        newton = 0.0 < slope < math.inf
+        if not newton:
+            direction, slope = g, float(g @ g)
         at_rounding = newton and slope / 2.0 <= config.rel_ll_tol * max(1.0, abs(f))
         step = 1.0
         for _ in range(1 if at_rounding else _HALVINGS):

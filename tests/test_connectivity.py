@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btrank.connectivity import (
+    CONDITION_C,
     check_condition_a,
     check_condition_b,
     check_condition_c,
@@ -138,6 +141,41 @@ def test_strong_connectivity_witness_on_raw_weights():
     assert witness is not None
     assert witness.q1 == (0,)
     assert strong_connectivity_witness(np.ones((3, 3)), "A", "x") is None
+
+
+def _first_source_component(adjacency):
+    """The source SCC holding the smallest vertex, read off a boolean
+    transitive closure (Warshall)."""
+    t = adjacency.shape[0]
+    reach = adjacency | np.eye(t, dtype=bool)
+    for k in range(t):
+        reach |= np.outer(reach[:, k], reach[k])
+    for v in range(t):
+        component = reach[v] & reach[:, v]
+        if not (reach[:, v] & ~component).any():  # nothing outside reaches v
+            return tuple(np.flatnonzero(component))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    t=st.integers(2, 40),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_reachability_verdict_and_witness_match_the_oracles(t, density, seed):
+    adjacency = np.random.default_rng(seed).random((t, t)) < density
+    np.fill_diagonal(adjacency, False)
+    w = adjacency.astype(float)
+    data = venue_dataset(names(t), w, np.zeros((t, t)))  # n_host == w
+    witness = strong_connectivity_witness(w, *CONDITION_C)
+    if t <= 7:
+        assert (witness is None) == condition_c_by_enumeration(data)
+    source = _first_source_component(adjacency)
+    if witness is None:
+        assert source == tuple(range(t))
+    else:
+        assert witness.q1 == source
+        assert witness_is_valid(data, witness)
 
 
 def test_witness_validation_rejects_wrong_claims(four_teams):

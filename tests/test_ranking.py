@@ -264,6 +264,21 @@ def test_select_seeds_validation():
         select_seeds(values, good_div, good_conf, 3)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, 0, -1, "2", None])
+def test_select_seeds_refuses_a_non_integer_seed_count(bad):
+    values = {"A": 2.0, "B": 1.0, "C": 0.5}
+    with pytest.raises(ConfigError, match=f"integer >= 1, got {bad!r}"):
+        select_seeds(values, {"D1": ["A", "B"], "D2": ["C"]}, {"L": ["D1", "D2"]}, bad)
+
+
+def test_select_seeds_accepts_a_numpy_integer_seed_count():
+    values = {"A": 2.0, "B": 1.0, "C": 0.5}
+    table = select_seeds(
+        values, {"D1": ["A", "B"], "D2": ["C"]}, {"L": ["D1", "D2"]}, np.int64(3)
+    )
+    assert [e.team for e in table.conference("L")] == ["A", "C", "B"]
+
+
 def test_select_seeds_takes_one_winner_per_division():
     # conferences with 3 and 2 divisions seed 3 and 2 division winners
     values = {name: float(k) for k, name in enumerate("ABCDEFGHIJ")}

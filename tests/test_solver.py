@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -109,6 +110,37 @@ def test_maximizer_solves_a_quadratic():
     x, trace = maximize_concave(_Quadratic(center, matrix), np.zeros(3))
     assert np.abs(x - center).max() < 1e-6
     assert np.all(np.diff(trace) >= -1e-12)
+
+
+class _WrongCurvature:
+    """Concave f(x) = -|x - c|^2 reporting a fixed, wrong Hessian ``h``."""
+
+    def __init__(self, center, h):
+        self.center = np.asarray(center, dtype=float)
+        self.h = np.asarray(h, dtype=float)
+
+    def value_gradient_hessian(self, x):
+        r = x - self.center
+        return -float(r @ r), -2.0 * r, self.h
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        # -H d = g gives d = (g1, g0), whose slope 2 g0 g1 = -8 descends at 0
+        pytest.param([[0.0, -1.0], [-1.0, 0.0]], id="indefinite"),
+        # the LU solve raises LinAlgError
+        pytest.param([[0.0, 0.0], [0.0, 0.0]], id="singular"),
+    ],
+)
+def test_a_newton_direction_that_does_not_ascend_falls_back_to_the_gradient(h):
+    objective = _WrongCurvature([1.0, -1.0], h)
+    start = np.zeros(2)
+    g = objective.value_gradient_hessian(start)[1]  # (2, -2)
+    x, trace = maximize_concave(objective, start, SolverConfig(max_iters=1))
+    # the full gradient step overshoots to (2, -2); the halved one lands on c
+    np.testing.assert_array_equal(x, 0.5 * g)
+    assert trace == (-2.0, 0.0)
 
 
 class _Bowl:
@@ -500,15 +532,25 @@ def test_reported_loglik_matches_the_reported_point(tied_dataset):
     )
 
 
-def test_importing_the_package_and_cli_leaves_scipy_optimize_unloaded():
+def test_importing_and_fitting_load_no_scipy():
+    # SciPy is imported only to name a witness once an existence check fails
     src = os.path.dirname(os.path.dirname(os.path.abspath(btrank.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    unwanted = ["scipy.optimize", "scipy.special", "concurrent.futures.thread"]
-    code = (
-        "import sys, btrank, btrank.cli; "
-        f"print([name for name in {unwanted!r} if name in sys.modules])"
-    )
+    code = """
+import json, sys
+import btrank, btrank.cli
+spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved(0.5))
+btrank.fit(spec, btrank.datasets.load_ten_teams())
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+loaded += [name for name in ["concurrent.futures.thread"] if name in sys.modules]
+islands = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]
+try:
+    btrank.fit(spec, btrank.venue_free_dataset(("T1", "T2", "T3", "T4"), islands))
+except btrank.ExistenceError as error:
+    witness = error.witness
+print(json.dumps([loaded, witness.condition, [int(k) for k in witness.q1]]))
+"""
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert json.loads(out.stdout) == [[], "B", [0, 1]]
