@@ -42,13 +42,11 @@ from .errors import (
     VenuelessDataError,
 )
 from .ingestion import (
-    GameRecord,
     GameTable,
     Outcome,
     aggregate,
     parse_matrix,
     parse_records,
-    serialize_records,
 )
 from .likelihood import (
     Objective,
@@ -123,7 +121,6 @@ __all__ = [
     "EmptyInputError",
     "ExistenceError",
     "FitResult",
-    "GameRecord",
     "GameTable",
     "Improved",
     "MapPriorSpec",
@@ -181,7 +178,6 @@ __all__ = [
     "run_consistency",
     "score_ranking",
     "select_seeds",
-    "serialize_records",
     "sweep_epsilon",
     "venue_dataset",
     "venue_free_dataset",

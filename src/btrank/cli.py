@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -149,16 +148,6 @@ def _float_list(value: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("BTRANK_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"BTRANK_SEED must be an integer, got {raw!r}")
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -216,18 +205,7 @@ def _add_out_flag(sub) -> None:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--grad-tol", type=float, default=1e-8)
-    sub.add_argument(
-        "--rel-ll-tol",
-        type=float,
-        default=1e-10,
-        help=(
-            "when no step improves the objective at working precision, the "
-            "fit counts as converged if half the Newton decrement (the "
-            "objective still to gain) is at most this times max(1, |objective|)"
-        ),
-    )
-    sub.add_argument("--max-iters", type=_positive_int, default=10000)
+    sub.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iters)
 
 
 def _add_model_flags(sub) -> None:
@@ -244,9 +222,7 @@ def _add_model_flags(sub) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        grad_tol=args.grad_tol, rel_ll_tol=args.rel_ll_tol, max_iters=args.max_iters
-    )
+    return SolverConfig(max_iters=args.max_iters)
 
 
 _EPSILON_SCHEMES = {"improved": Improved, "conner-grant": ConnerGrant}
@@ -274,7 +250,11 @@ def _perturbation(args):
             payload = payload["a0"]
         if not isinstance(payload, list):
             raise ParseError(f"{path}: expected an a0 matrix (list of rows)")
-        return MatrixShift(np.asarray(payload, dtype=float))
+        try:
+            a0 = np.array(payload, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: a0 is not a numeric matrix ({exc})") from None
+        return MatrixShift(a0)
     scheme = _epsilon_scheme(raw)
     epsilon = args.epsilon if args.epsilon is not None else AUTO_EPSILON
     if isinstance(epsilon, str) and epsilon != AUTO_EPSILON:
@@ -535,12 +515,11 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     config = ConsistencyConfig(
         t_grid=args.t_grid,
         replicas=args.replicas,
         n_per_pair=args.n_per_pair,
-        seed=seed,
+        seed=args.seed,
     )
     report = run_consistency(config)
     payload = report.to_dict()
@@ -630,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--t-grid", type=_int_list, required=True)
     simulate.add_argument("--replicas", type=_positive_int, default=50)
     simulate.add_argument("--n-per-pair", type=_positive_int, default=4)
-    simulate.add_argument("--seed", type=int, default=None, help="defaults to $BTRANK_SEED or 0")
+    simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(handler=cmd_simulate)
 
     return parser

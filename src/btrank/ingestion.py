@@ -15,7 +15,6 @@ import csv
 import enum
 import io
 import json
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,24 +35,6 @@ class Outcome(enum.Enum):
     TIE = "tie"
 
 
-@dataclass(frozen=True)
-class GameRecord:
-    """One observed game (or ``repeat`` identical games)."""
-
-    home: str
-    away: str
-    outcome: Outcome
-    repeat: int = 1
-
-    def __post_init__(self):
-        if not self.home or not self.away:
-            raise ParseError("home and away team ids are required")
-        if self.home == self.away:
-            raise SelfPlayError(f"team {self.home!r} cannot play itself")
-        if not isinstance(self.repeat, int) or self.repeat < 1:
-            raise ParseError(f"repeat must be a positive integer, got {self.repeat!r}")
-
-
 def _decode(data: bytes | str) -> str:
     if isinstance(data, bytes):
         try:
@@ -64,19 +45,18 @@ def _decode(data: bytes | str) -> str:
 
 
 _CODES = {member.value: code for code, member in enumerate(Outcome)}
-_OUTCOMES = tuple(Outcome)
 _MAX_REPEAT = 2**63 - 1  # repeats are stored as int64
 
 
 @dataclass(frozen=True, eq=False)
-class GameTable(Sequence[GameRecord]):
+class GameTable:
     """Game records held column-wise, as produced by :func:`parse_records`.
 
     ``teams`` lists the team ids in first-appearance order (home before away
     within a record). ``home`` and ``away`` are team indices into ``teams``,
     ``outcome`` holds codes in :class:`Outcome` member order and ``repeat``
-    the positive game counts; all four are read-only arrays of one length.
-    Indexing or iterating builds :class:`GameRecord` objects on demand.
+    the positive game counts; all four are read-only arrays of one length,
+    the number of records.
     """
 
     teams: tuple[str, ...]
@@ -98,32 +78,8 @@ class GameTable(Sequence[GameRecord]):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_records(cls, records: Iterable[GameRecord]) -> GameTable:
-        """The table of a plain iterable of records, in the same order."""
-        rows = (
-            (r.home, r.away, r.outcome.value, int(r.repeat), position)
-            for position, r in enumerate(records, start=1)
-        )
-        return _build_table(rows, "record")
-
     def __len__(self) -> int:
         return len(self.home)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        return GameRecord(
-            home=self.teams[self.home[index]],
-            away=self.teams[self.away[index]],
-            outcome=_OUTCOMES[self.outcome[index]],
-            repeat=int(self.repeat[index]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, (GameTable, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _outcome_code(token, label: str, position: int) -> int:
@@ -251,34 +207,13 @@ def _parse_json_records(text: str) -> GameTable:
     return _build_table(rows(), "element")
 
 
-def serialize_records(records: Sequence[GameRecord], format: str = "csv") -> str:
-    """Render records back to text; inverse of :func:`parse_records`."""
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["home", "away", "outcome", "repeat"])
-        for r in records:
-            writer.writerow([r.home, r.away, r.outcome.value, r.repeat])
-        return out.getvalue()
-    if format == "json":
-        payload = [
-            {"home": r.home, "away": r.away, "outcome": r.outcome.value, "repeat": r.repeat}
-            for r in records
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    raise ParseError(f"unknown record format {format!r} (expected csv or json)")
+def aggregate(table: GameTable) -> Dataset:
+    """Accumulate a table of records into a venue-aware Dataset.
 
-
-def aggregate(records: Sequence[GameRecord]) -> Dataset:
-    """Accumulate records into a venue-aware Dataset.
-
-    Teams are indexed by first appearance (home before away within a
-    record). A home win by host h over visitor v increments ``a_home[h][v]``;
-    an away win by v at h increments ``a_away[v][h]``; a tie at h increments
-    ``t_home[h][v]``. A plain sequence of :class:`GameRecord` is converted
-    with :meth:`GameTable.from_records` first.
+    Teams keep the table's order. A home win by host h over visitor v
+    increments ``a_home[h][v]``; an away win by v at h increments
+    ``a_away[v][h]``; a tie at h increments ``t_home[h][v]``.
     """
-    table = records if isinstance(records, GameTable) else GameTable.from_records(records)
     if not len(table):
         raise EmptyInputError("no game records to aggregate")
     t = len(table.teams)

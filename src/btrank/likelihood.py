@@ -263,27 +263,12 @@ class Objective:
             log_gamma = float(x[k])
         return ParameterPoint(beta=beta, phi=phi, log_gamma=log_gamma)
 
-    def pack(self, point: ParameterPoint) -> Array:
-        _check_point(self.model, point, self.num_teams)
-        parts = [np.asarray(point.beta[1:], dtype=float)]
-        if self.model.has_tie_parameter:
-            parts.append(np.array([point.phi]))
-        if self.model.has_home_parameter:
-            parts.append(np.array([point.log_gamma]))
-        return np.concatenate(parts)
-
     def initial_point(self) -> Array:
         """The deterministic start: flat merits, theta = 2 for Rao-Kupper
         (interior to its domain), theta = 1 and gamma = 1 elsewhere."""
         x = np.zeros(self.dimension)
         if self.model is Model.RAO_KUPPER:
             x[self.num_teams - 1] = np.log(2.0)
-        return x
-
-    def random_point(self, rng: np.random.Generator) -> Array:
-        x = rng.uniform(-1.0, 1.0, self.dimension)
-        if self.model is Model.RAO_KUPPER:
-            x[self.num_teams - 1] = rng.uniform(0.05, 1.5)
         return x
 
     def in_domain(self, x: Array) -> bool:
@@ -310,38 +295,24 @@ class Objective:
 
 class PosteriorObjective:
     """Unnormalized log-posterior of the Bradley-Terry log merits under
-    independent Gamma(shape, rate) priors: the log-likelihood of the win
-    counts ``wins`` plus ``(shape - 1) beta_i - rate exp(beta_i)`` per team.
-
-    With a proper prior (rate > 0) all t log merits are free. The flat prior
-    (shape 1, rate 0) adds nothing and leaves the posterior scale-invariant,
-    so beta_1 is pinned at 0 and left out of the free vector.
+    independent Gamma(shape, rate) priors with shape > 1 and rate > 0: the
+    log-likelihood of the win counts ``wins`` plus ``(shape - 1) beta_i -
+    rate exp(beta_i)`` per team, over all t log merits.
     """
 
     def __init__(self, wins: Array, shape: float, rate: float):
         self.wins, self.shape, self.rate = wins, shape, rate
-        self.pinned = rate == 0.0
 
     def initial_point(self) -> Array:
-        t = len(self.wins)
-        if self.pinned:
-            return np.zeros(t - 1)
-        # uniform merits at the scale of every stationary point,
-        # sum(u) = t (shape - 1) / rate
-        return np.full(t, np.log((self.shape - 1.0) / self.rate))
-
-    def log_merits(self, x: Array) -> Array:
-        """All t log merits of a free vector."""
-        return np.concatenate([[0.0], x]) if self.pinned else x
+        """Uniform merits at the scale of every stationary point,
+        ``sum(u) = t (shape - 1) / rate``."""
+        return np.full(len(self.wins), np.log((self.shape - 1.0) / self.rate))
 
     def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array]:
-        beta = self.log_merits(x)
-        value, grad, hess = _outcome_terms(beta, self.wins, 0.0, 0.0, None, None)
-        if self.pinned:
-            return value, grad[1:], hess[1:, 1:]
+        value, grad, hess = _outcome_terms(x, self.wins, 0.0, 0.0, None, None)
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf
-            u = np.exp(beta)
-        value += float(((self.shape - 1.0) * beta - self.rate * u).sum())
+            u = np.exp(x)
+        value += float(((self.shape - 1.0) * x - self.rate * u).sum())
         grad += (self.shape - 1.0) - self.rate * u
-        hess[np.diag_indices(len(beta))] -= self.rate * u
+        hess[np.diag_indices(len(x))] -= self.rate * u
         return value, grad, hess

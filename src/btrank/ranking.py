@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -278,24 +278,8 @@ class SeedTable:
         }
 
 
-SeedValues = Union[Mapping[str, float], FitResult, Ranking]
-
-
-def _as_value_map(values: SeedValues) -> Mapping[str, float]:
-    if isinstance(values, FitResult):
-        return merit_table(values)
-    if isinstance(values, Ranking):
-        # Group index works as an ordinal key; negate so better means larger.
-        out: dict[str, float] = {}
-        for g, group in enumerate(values.groups):
-            for idx in group:
-                out[values.teams[idx]] = float(-g)
-        return out
-    return dict(values)
-
-
 def select_seeds(
-    values: SeedValues,
+    values: Mapping[str, float],
     divisions: Mapping[str, Sequence[str]],
     conferences: Mapping[str, Sequence[str]],
     seeds_per_conference: int = 6,
@@ -304,19 +288,19 @@ def select_seeds(
 
     ``divisions`` maps a division name to its teams, ``conferences`` maps a
     conference name to its division names, and ``values`` supplies the
-    comparison key (a fit, a ranking, or any team -> number mapping, larger
-    meaning better). Within each conference the best team of each division
-    takes one of the top seeds, ordered by value, so a conference needs
-    between 1 and ``seeds_per_conference`` divisions; the best remaining
-    teams fill the seeds up to ``seeds_per_conference``. Exact value ties
-    break by team name. ``seeds_per_conference`` is an integer >= 1 (bools
-    refused).
+    comparison key, a team -> number mapping with larger meaning better
+    (``merit_table`` of a fit, or ``pct_table``). Within each conference
+    the best team of each division takes one of the top seeds, ordered by
+    value, so a conference needs between 1 and ``seeds_per_conference``
+    divisions; the best remaining teams fill the seeds up to
+    ``seeds_per_conference``. Exact value ties break by team name.
+    ``seeds_per_conference`` is an integer >= 1 (bools refused).
     """
     if not is_integer(seeds_per_conference) or seeds_per_conference < 1:
         raise ConfigError(
             f"seeds_per_conference must be an integer >= 1, got {seeds_per_conference!r}"
         )
-    table = _as_value_map(values)
+    table = dict(values)
     for conf, div_names in conferences.items():
         if not 1 <= len(div_names) <= seeds_per_conference:
             raise ConfigError(

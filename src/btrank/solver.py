@@ -32,28 +32,27 @@ venueless data and tie models on data without ties (tie counts are never
 perturbed, so this holds whatever the scheme). Then one rule serves every
 scheme, Ford's condition on the perturbed data (Assumption 1 of Hunter
 2004): no perturbed win count the model reads may be negative, and the
-perturbed win digraph (the perturbed hosting digraph for venue models) must
-be strongly connected. Improved adds epsilon exactly where the pair met, so
-its perturbed ``a_free`` is positive iff ``n > 0`` and its perturbed
-``n_host`` is ``n_host + 2 eps (n_host > 0)``: the rule is then Condition B
-(venue-free models) or C (venue models) of the raw data. ConnerGrant lifts
-every pair, so the rule always holds.
+perturbed win digraph must be strongly connected. For the venue models that
+digraph has an edge i -> j where i hosted j in a game the model reads: a
+decisive one (``a_home + a_away.T``) for home-field, any one (``n_host``)
+for the model with ties. A venue model also needs some perturbed home-win
+weight and some visitor-win weight, or the home advantage runs off to 0 or
+infinity. Improved adds epsilon exactly where the pair met, to both
+outcomes of every hosted pairing, so its perturbed ``a_free`` is positive
+iff ``n > 0`` and both venue digraphs have an edge iff ``n_host > 0``: the
+rule is then Condition B (venue-free models) or C (venue models) of the raw
+data. ConnerGrant lifts every pair, so the rule always holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .connectivity import (
-    CONDITION_B,
-    CONDITION_C,
-    check_condition_a,
-    strong_connectivity_witness,
-)
+from .connectivity import CONDITION_B, CONDITION_C, strong_connectivity_witness
 from .errors import ConfigError, ExistenceError
 from .likelihood import Objective, PosteriorObjective
 from .perturbation import perturb
@@ -62,6 +61,7 @@ from .types import (
     Dataset,
     FitResult,
     Improved,
+    MatrixShift,
     Model,
     ModelSpec,
     Normalization,
@@ -245,7 +245,7 @@ _WITNESS_WORDING = {
     (False, True): (
         "C",
         "after the shift, no team in the second set hosts any team in the "
-        "first set",
+        "first set in a game the model reads",
     ),
 }
 
@@ -254,7 +254,12 @@ def _verify_existence(spec: ModelSpec, teams, perturbed: PerturbedCounts) -> Non
     """Refuse unless the perturbed counts the model reads meet Ford's condition."""
     model = spec.model
     _refuse_negative_counts(model, perturbed, teams)
-    weights = perturbed.n_host if model.needs_venues else perturbed.a_free
+    if not model.needs_venues:
+        weights = perturbed.a_free
+    elif model.needs_ties:
+        weights = perturbed.n_host
+    else:  # home-field never reads the ties
+        weights = perturbed.a_home + perturbed.a_away.T
     condition, detail = _WITNESS_WORDING[
         isinstance(spec.perturbation, Improved), model.needs_venues
     ]
@@ -265,6 +270,14 @@ def _verify_existence(spec: ModelSpec, teams, perturbed: PerturbedCounts) -> Non
             + witness.describe(teams),
             witness=witness,
         )
+    if model.needs_venues:
+        for name in ("a_home", "a_away"):
+            if not getattr(perturbed, name).sum() > 0:
+                raise ExistenceError(
+                    f"the {model.value} estimate does not exist for these data: after "
+                    f"the shift, {name} holds no positive win weight, so the home "
+                    "advantage has no finite estimate"
+                )
 
 
 def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> None:
@@ -335,10 +348,9 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
 
 
 def _map_mode(dataset: Dataset, d: float, b: float, config: SolverConfig) -> _Solution:
-    """The unnormalized posterior mode; its ``x`` holds all t log merits."""
+    """The unnormalized posterior mode of a proper prior, over all t log merits."""
     posterior = PosteriorObjective(dataset.totals.a, d, b)
-    mode = _newton(posterior, posterior.initial_point(), config)
-    return replace(mode, x=posterior.log_merits(mode.x))
+    return _newton(posterior, posterior.initial_point(), config)
 
 
 def fit_map_em(
@@ -350,38 +362,34 @@ def fit_map_em(
     """Posterior mode of the Bradley-Terry merits under Gamma priors.
 
     The mode exists in the interior only for shape > 1 with rate > 0, or
-    for the flat prior (shape 1, rate 0) when the win digraph is strongly
-    connected; anything else is refused. Merits are reported on the simplex
-    by default. ``log_likelihood`` on the result is the unnormalized
-    log-posterior, and ``gradient_sup_norm`` is measured with respect to
-    log-merits so it is scale-free.
+    for the flat prior (shape 1, rate 0); any other prior is refused. The
+    flat prior adds nothing to the likelihood, so its mode is the
+    Bradley-Terry fit under a zero ``MatrixShift``, refused as that fit is
+    when the win digraph is not strongly connected. Merits are reported on
+    the simplex by default. ``log_likelihood`` on the result is the
+    unnormalized log-posterior, and ``gradient_sup_norm`` is measured with
+    respect to log-merits so it is scale-free.
 
     Ties in the data are ignored: the underlying outcome model is win/loss
     only.
     """
+    if prior.ml_equivalent:
+        t = dataset.num_teams
+        flat = ModelSpec(Model.BRADLEY_TERRY, MatrixShift(np.zeros((t, t))), normalization)
+        return fit(flat, dataset, config)
     config = config or SolverConfig()
     d = float(prior.shape)
     b = prior.resolved_rate(dataset.num_teams)
-
-    if d == 1.0 and b != 0.0:
+    if d == 1.0:
         raise ConfigError(
             "with shape 1 the posterior is scale-invariant in the likelihood "
             "but decays with the rate, so no interior mode exists; use rate 0"
         )
-    if d > 1.0 and b == 0.0:
+    if b == 0.0:
         raise ConfigError(
             "with shape > 1 and rate 0 the log-posterior grows without bound "
             "along uniform rescaling, so no mode exists"
         )
-    if d == 1.0:
-        witness = check_condition_a(dataset)
-        if witness is not None:
-            raise ExistenceError(
-                "the flat-prior mode is the maximum likelihood estimate, which "
-                "does not exist here: " + witness.describe(dataset.teams),
-                witness=witness,
-            )
-
     mode = _map_mode(dataset, d, b, config)
     point = ParameterPoint(beta=mode.x - mode.x[0])
     return _fit_result(Model.BRADLEY_TERRY, dataset, mode, point, normalization, None)

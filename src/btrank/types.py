@@ -156,9 +156,6 @@ class Dataset:
         s.setflags(write=False)
         return s
 
-    def index_of(self, team: str) -> int:
-        return self.teams.index(team)
-
 
 def venue_dataset(teams, a_home, a_away, t_home=None) -> Dataset:
     """Build a venue-aware Dataset from matrices (``t_home`` defaults to zero)."""
@@ -274,7 +271,10 @@ class MatrixShift:
     Entries must exceed -1 and the diagonal must be zero. A fit refuses
     (ExistenceError) a shift that leaves any win count the model reads
     negative: the venue-free ``a + a0`` for the venue-free models, and
-    ``a_home + a0 / 2`` or ``a_away + a0 / 2`` for the venue models.
+    ``a_home + a0 / 2`` or ``a_away + a0 / 2`` for the venue models. It also
+    refuses a venue-model shift that leaves no positive home-win or no
+    positive visitor-win weight, where the home advantage has no finite
+    estimate.
     """
 
     a0: Array

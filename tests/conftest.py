@@ -71,6 +71,15 @@ def random_balanced_dataset(rng, t=6, n=2) -> btrank.Dataset:
     return btrank.venue_free_dataset(names(t), a)
 
 
+def random_point(objective: btrank.Objective, rng) -> np.ndarray:
+    """A free vector with entries uniform in [-1, 1], its Rao-Kupper phi in
+    [0.05, 1.5] (inside the tie domain)."""
+    x = rng.uniform(-1.0, 1.0, objective.dimension)
+    if objective.model is btrank.Model.RAO_KUPPER:
+        x[objective.num_teams - 1] = rng.uniform(0.05, 1.5)
+    return x
+
+
 @pytest.fixture
 def four_teams() -> btrank.Dataset:
     return btrank.datasets.load_four_teams()

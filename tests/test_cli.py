@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from btrank.cli import main
+from btrank.cli import build_parser, main
 
 FOUR_TEAMS = {
     "teams": ["1", "2", "3", "4"],
@@ -115,6 +116,16 @@ def test_fit_exit_codes_for_each_failure_family(capsys, islands_file, tmp_path):
     assert code == 2
     assert f"{shift}: not UTF-8 text" in err
 
+    # 2: a shift matrix that is ragged or not numeric
+    for a0 in ([[0, 1], [1]], [["x", 0], [0, 0]]):
+        shift.write_text(json.dumps({"a0": a0}))
+        code, out, err = run(
+            capsys, "fit", "--data", islands_file, "--perturbation", f"matrix:{shift}"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"btrank: {shift}: a0 is not a numeric matrix (")
+        assert err.count("\n") == 1
+
     # 4: flag errors, both argparse-level and value-level; the data file
     # must be valid here or the parse error would win (data loads first)
     code, _, err = run(capsys, "fit", "--data", islands_file, "--no-such-flag")
@@ -123,9 +134,9 @@ def test_fit_exit_codes_for_each_failure_family(capsys, islands_file, tmp_path):
     assert code == 4
     code, _, err = run(capsys, "fit", "--data", islands_file, "--epsilon", "bogus")
     assert code == 4
-    code, _, err = run(capsys, "fit", "--data", islands_file, "--grad-tol", "inf")
+    code, _, err = run(capsys, "fit", "--data", islands_file, "--max-iters", "0")
     assert code == 4
-    assert "finite" in err
+    assert "must be at least 1" in err
 
 
 def test_fit_exit_3_when_iterations_run_out(capsys, tmp_path):
@@ -445,7 +456,7 @@ def test_simulate_summarizes_per_team_count(capsys, tmp_path):
     assert json.loads(report.read_text())["t_grid"] == [4]
 
 
-def test_simulate_seed_env_fallback_and_flag_precedence(capsys, monkeypatch):
+def test_simulate_seed_defaults_to_zero_and_ignores_the_environment(capsys, monkeypatch):
     def sim(*extra):
         code, out, _ = run(
             capsys,
@@ -454,25 +465,49 @@ def test_simulate_seed_env_fallback_and_flag_precedence(capsys, monkeypatch):
         assert code == 0
         return out
 
-    monkeypatch.delenv("BTRANK_SEED", raising=False)
-    explicit = sim("--seed", "3")
+    zero = sim("--seed", "0")
+    assert sim() == zero
+    assert sim("--seed", "3") != zero
     monkeypatch.setenv("BTRANK_SEED", "3")
-    from_env = sim()
-    assert from_env == explicit
-    # an explicit flag wins over the environment
-    monkeypatch.setenv("BTRANK_SEED", "999")
-    assert sim("--seed", "3") == explicit
+    assert sim() == zero
 
-    monkeypatch.setenv("BTRANK_SEED", "not-a-number")
-    code, _, err = run(
-        capsys, "simulate", "--t-grid", "4", "--replicas", "1"
-    )
-    assert code == 4
-    assert "BTRANK_SEED" in err
-
-    # a negative seed, from the flag or the environment, is a config error
     code, _, err = run(capsys, "simulate", "--t-grid", "4", "--seed", "-1")
     assert (code, err) == (4, "btrank: seed must be an integer >= 0, got -1\n")
-    monkeypatch.setenv("BTRANK_SEED", "-2")
-    code, _, err = run(capsys, "simulate", "--t-grid", "4", "--replicas", "1")
-    assert (code, err) == (4, "btrank: seed must be an integer >= 0, got -2\n")
+
+
+# Every subcommand flag; a new option shows up as an edit to this table.
+OPTIONS = {
+    "check": {"--data", "--format", "--out", "--require"},
+    "fit": {
+        "--data", "--format", "--out", "--model", "--normalization", "--epsilon",
+        "--perturbation", "--max-iters",
+    },
+    "sweep": {
+        "--data", "--format", "--out", "--model", "--normalization", "--epsilons",
+        "--perturbation", "--ratios", "--max-iters",
+    },
+    "map": {"--data", "--format", "--out", "--shape", "--rate", "--normalization", "--max-iters"},
+    "seeds": {
+        "--data", "--format", "--out", "--divisions", "--key", "--seeds-per-conference",
+        "--model", "--normalization", "--epsilon", "--perturbation", "--max-iters",
+    },
+    "simulate": {"--out", "--t-grid", "--replicas", "--n-per-pair", "--seed"},
+}
+
+
+def test_cli_option_inventory():
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    found = {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for name, parser in subcommands.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(len(options) for options in found.values()) == 44

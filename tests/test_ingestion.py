@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -15,13 +16,11 @@ from btrank.errors import (
     ShapeError,
 )
 from btrank.ingestion import (
-    GameRecord,
     GameTable,
     Outcome,
     aggregate,
     parse_matrix,
     parse_records,
-    serialize_records,
 )
 
 CSV = """home,away,outcome,repeat
@@ -32,10 +31,35 @@ Hawks,Bears,home_win,1
 """
 
 
+def rows(table: GameTable) -> list[tuple[str, str, Outcome, int]]:
+    """The table's records as (home, away, outcome, repeat) tuples."""
+    outcomes = tuple(Outcome)
+    return [
+        (table.teams[h], table.teams[a], outcomes[o], int(r))
+        for h, a, o, r in zip(table.home, table.away, table.outcome, table.repeat)
+    ]
+
+
+def render(records, fmt: str) -> str:
+    """Write (home, away, outcome, repeat) tuples as a CSV or JSON record file."""
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["home", "away", "outcome", "repeat"])
+        for home, away, outcome, repeat in records:
+            writer.writerow([home, away, outcome.value, repeat])
+        return out.getvalue()
+    payload = [
+        {"home": home, "away": away, "outcome": outcome.value, "repeat": repeat}
+        for home, away, outcome, repeat in records
+    ]
+    return json.dumps(payload)
+
+
 def test_csv_parse_and_aggregate():
     records = parse_records(CSV, "csv")
     assert len(records) == 4
-    assert records[0] == GameRecord("Lions", "Bears", Outcome.HOME_WIN, 2)
+    assert rows(records)[0] == ("Lions", "Bears", Outcome.HOME_WIN, 2)
 
     data = aggregate(records)
     assert data.teams == ("Lions", "Bears", "Hawks")
@@ -49,12 +73,12 @@ def test_csv_parse_and_aggregate():
 
 def test_csv_repeat_defaults_to_one():
     records = parse_records("home,away,outcome\nA,B,tie\n", "csv")
-    assert records[0].repeat == 1
+    assert records.repeat.tolist() == [1]
 
 
 def test_csv_outcome_tokens_are_case_insensitive():
     records = parse_records("home,away,outcome\nA,B,Home_Win\n", "csv")
-    assert records[0].outcome is Outcome.HOME_WIN
+    assert rows(records)[0][2] is Outcome.HOME_WIN
 
 
 def test_csv_errors_carry_line_numbers():
@@ -89,7 +113,7 @@ def test_csv_errors_report_the_physical_line():
 CSV_PARITY = [
     (  # a short row reads its missing cells as absent
         "home,away,outcome,repeat\nA,B,tie\n",
-        [GameRecord("A", "B", Outcome.TIE, 1)],
+        [("A", "B", Outcome.TIE, 1)],
     ),
     (
         "home,away,outcome,repeat\nA,B\n",
@@ -101,19 +125,19 @@ CSV_PARITY = [
     ),
     (  # the last column of a repeated (trimmed, lowercased) name wins
         "home,away,outcome,home\nA,B,tie,C\n",
-        [GameRecord("C", "B", Outcome.TIE, 1)],
+        [("C", "B", Outcome.TIE, 1)],
     ),
     (
         "home, Home ,away,outcome,home\nA,X,B,tie,C\n",
-        [GameRecord("X", "B", Outcome.TIE, 1)],
+        [("X", "B", Outcome.TIE, 1)],
     ),
     (  # a blank or all-space repeat cell means one game
         "home,away,outcome,repeat\nA,B,tie,\nB,A,home_win, \n",
-        [GameRecord("A", "B", Outcome.TIE, 1), GameRecord("B", "A", Outcome.HOME_WIN, 1)],
+        [("A", "B", Outcome.TIE, 1), ("B", "A", Outcome.HOME_WIN, 1)],
     ),
     (
         "home,away,outcome\n A , B ,  Tie \n",
-        [GameRecord("A", "B", Outcome.TIE, 1)],
+        [("A", "B", Outcome.TIE, 1)],
     ),
     ("\nhome,away,outcome\nA,B,tie\n", (ParseError, "line 1: CSV header must include 'home'")),
     ("", (ParseError, "line 1: missing CSV header")),
@@ -124,7 +148,7 @@ CSV_PARITY = [
 @pytest.mark.parametrize("text, expected", CSV_PARITY)
 def test_csv_dialect_cases_parse_as_before(text, expected):
     if isinstance(expected, list):
-        assert parse_records(text, "csv") == expected
+        assert rows(parse_records(text, "csv")) == expected
     else:
         error, message = expected
         with pytest.raises(error) as info:
@@ -138,7 +162,7 @@ def test_json_records_parse_and_errors():
         {"home": "B", "away": "C", "outcome": "tie", "repeat": 3},
     ]
     records = parse_records(json.dumps(payload), "json")
-    assert records[1].repeat == 3
+    assert records.repeat.tolist() == [1, 3]
     with pytest.raises(ParseError, match="element 2"):
         parse_records(json.dumps([payload[0], {"home": "A", "away": "B"}]), "json")
     with pytest.raises(ParseError):
@@ -150,17 +174,11 @@ def test_unknown_record_format_is_refused():
         parse_records(CSV, "tsv")
 
 
-def test_serialize_round_trips():
-    records = parse_records(CSV, "csv")
-    assert parse_records(serialize_records(records, "csv"), "csv") == records
-    assert parse_records(serialize_records(records, "json"), "json") == records
-
-
 def test_aggregate_refuses_empty():
     with pytest.raises(EmptyInputError):
         aggregate([])
     with pytest.raises(EmptyInputError):
-        aggregate(GameTable.from_records([]))
+        aggregate(GameTable((), [], [], [], []))
 
 
 def test_game_table_is_a_read_only_record_sequence():
@@ -171,16 +189,11 @@ def test_game_table_is_a_read_only_record_sequence():
     assert records.away.tolist() == [1, 0, 2, 1]
     assert records.outcome.tolist() == [0, 1, 2, 0]
     assert records.repeat.tolist() == [2, 1, 1, 1]
-    with pytest.raises(ValueError):
-        records.home[0] = 1
-    assert records[-1] == GameRecord("Hawks", "Bears", Outcome.HOME_WIN, 1)
-    assert records[1:3] == [records[1], records[2]]
-    with pytest.raises(IndexError):
-        records[4]
-    listed = list(records)
-    assert len(listed) == 4 and records == listed and records == tuple(listed)
-    assert GameTable.from_records(listed) == records
-    assert records != listed[:3]
+    assert len(records) == 4
+    for column in (records.home, records.away, records.outcome, records.repeat):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert rows(records)[-1] == ("Hawks", "Bears", Outcome.HOME_WIN, 1)
 
 
 def test_game_table_refuses_columns_that_do_not_fit():
@@ -199,19 +212,19 @@ def test_game_table_refuses_columns_that_do_not_fit():
 def reference_aggregate(records) -> btrank.Dataset:
     """The per-record loop that aggregate replaced: the reference it must match."""
     index = {}
-    for r in records:
-        for team in (r.home, r.away):
+    for home, away, _, _ in records:
+        for team in (home, away):
             index.setdefault(team, len(index))
     t = len(index)
     a_home, a_away, t_home = np.zeros((t, t)), np.zeros((t, t)), np.zeros((t, t))
-    for r in records:
-        h, v = index[r.home], index[r.away]
-        if r.outcome is Outcome.HOME_WIN:
-            a_home[h, v] += r.repeat
-        elif r.outcome is Outcome.AWAY_WIN:
-            a_away[v, h] += r.repeat
+    for home, away, outcome, repeat in records:
+        h, v = index[home], index[away]
+        if outcome is Outcome.HOME_WIN:
+            a_home[h, v] += repeat
+        elif outcome is Outcome.AWAY_WIN:
+            a_away[v, h] += repeat
         else:
-            t_home[h, v] += r.repeat
+            t_home[h, v] += repeat
     return btrank.Dataset(tuple(index), btrank.CountMatrices(a_home, a_away, t_home))
 
 
@@ -229,8 +242,7 @@ records_strategy = st.lists(
         st.sampled_from(Outcome),
         st.integers(1, 5),
     )
-    .filter(lambda game: game[0] != game[1])
-    .map(lambda game: GameRecord(*game)),
+    .filter(lambda game: game[0] != game[1]),
     min_size=1,
     max_size=40,
 )
@@ -241,10 +253,9 @@ PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=
 @PROPERTY
 @given(records=records_strategy, fmt=st.sampled_from(["csv", "json"]))
 def test_round_trip_aggregates_like_the_per_record_loop(records, fmt):
-    table = parse_records(serialize_records(records, fmt), fmt)
-    assert table == records
+    table = parse_records(render(records, fmt), fmt)
+    assert rows(table) == records
     assert_same_dataset(aggregate(table), reference_aggregate(records))
-    assert_same_dataset(aggregate(records), aggregate(table))
 
 
 @PROPERTY
@@ -256,25 +267,25 @@ def test_round_trip_aggregates_like_the_per_record_loop(records, fmt):
 def test_loose_spellings_and_blank_repeats_aggregate_like_the_loop(records, spellings, blank):
     # Outcome tokens in any case with padding; a repeat of 1 written as an
     # empty cell (CSV) or an empty string or null (JSON).
-    rows = [
-        (r.home, r.away, spell(r.outcome.value), "" if r.repeat == 1 and b else r.repeat)
-        for r, spell, b in zip(records, spellings, blank)
+    written = [
+        (home, away, spell(outcome.value), "" if repeat == 1 and b else repeat)
+        for (home, away, outcome, repeat), spell, b in zip(records, spellings, blank)
     ]
     lines = ["home,away,outcome,repeat"]
-    for home, away, token, repeat in rows:
+    for home, away, token, repeat in written:
         cells = (home, away, token, str(repeat))
         lines.append(",".join('"' + c.replace('"', '""') + '"' for c in cells))
     csv_text = "\n".join(lines) + "\n"
     json_text = json.dumps(
         [
             {"home": h, "away": a, "outcome": o, "repeat": None if r == "" and i % 2 else r}
-            for i, (h, a, o, r) in enumerate(rows)
+            for i, (h, a, o, r) in enumerate(written)
         ]
     )
     want = reference_aggregate(records)
     for text, fmt in ((csv_text, "csv"), (json_text, "json")):
         table = parse_records(text, fmt)
-        assert table == records
+        assert rows(table) == records
         assert_same_dataset(aggregate(table), want)
 
 
@@ -330,9 +341,12 @@ def test_matrix_json_errors():
 
 
 def test_game_record_validation():
-    with pytest.raises(SelfPlayError):
-        GameRecord("A", "A", Outcome.TIE)
-    with pytest.raises(ParseError):
-        GameRecord("A", "B", Outcome.TIE, repeat=0)
-    with pytest.raises(ParseError):
-        GameRecord("", "B", Outcome.TIE)
+    def parse(**record):
+        return parse_records(json.dumps([{"outcome": "tie", **record}]), "json")
+
+    with pytest.raises(SelfPlayError, match="element 1"):
+        parse(home="A", away="A")
+    with pytest.raises(ParseError, match="element 1: repeat must be >= 1"):
+        parse(home="A", away="B", repeat=0)
+    with pytest.raises(ParseError, match="element 1: home and away team ids are required"):
+        parse(home="", away="B")

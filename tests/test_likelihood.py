@@ -27,7 +27,7 @@ from btrank.types import (
     venue_free_dataset,
 )
 
-from conftest import names, random_connected_dataset, random_venue_dataset
+from conftest import names, random_connected_dataset, random_point, random_venue_dataset
 from oracles import probabilities
 
 
@@ -54,7 +54,7 @@ def test_analytic_gradient_matches_finite_differences(model):
     rng = np.random.default_rng(list(Model).index(model))
     objective = Objective(model, _perturbed_for(model, rng))
     for _ in range(4):
-        x = objective.random_point(rng)
+        x = random_point(objective, rng)
         value, analytic = objective.value_and_gradient(x)
         assert math.isfinite(value)
         numeric = fd_gradient(objective.value, x)
@@ -68,7 +68,7 @@ def test_every_evaluator_slices_the_one_kernel_call(model):
     perturbed = _perturbed_for(model, rng)
     objective = Objective(model, perturbed)
     for _ in range(3):
-        x = objective.random_point(rng)
+        x = random_point(objective, rng)
         value, grad, _ = objective.value_gradient_hessian(x)
         point = objective.unpack(x)
         assert log_likelihood(model, point, perturbed) == value
@@ -236,10 +236,13 @@ def test_objective_domain_guard_returns_minus_infinity(tied_dataset):
 def test_pack_unpack_round_trip(model):
     rng = np.random.default_rng(10 + list(Model).index(model))
     objective = Objective(model, _perturbed_for(model, rng))
-    x = objective.random_point(rng)
+    x = random_point(objective, rng)
     point = objective.unpack(x)
     assert point.beta[0] == 0.0
-    assert np.allclose(objective.pack(point), x)
+    # the free layout: beta_2 .. beta_t, then phi, then log_gamma, if present
+    extras = [v for v in (point.phi, point.log_gamma) if v is not None]
+    assert len(extras) == model.has_tie_parameter + model.has_home_parameter
+    assert np.array_equal(np.concatenate([point.beta[1:], extras]), x)
     with pytest.raises(DimensionError):
         objective.unpack(np.zeros(objective.dimension + 1))
 

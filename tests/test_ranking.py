@@ -230,16 +230,6 @@ def test_select_seeds_breaks_exact_ties_by_name():
     assert [e.team for e in entries] == ["A", "C", "B"]
 
 
-def test_select_seeds_accepts_fits_and_rankings(four_teams):
-    result = fit(bt_spec(), four_teams)
-    divisions = {"D1": ["1", "2"], "D2": ["3", "4"]}
-    conferences = {"C": ["D1", "D2"]}
-    from_fit = select_seeds(result, divisions, conferences, 3)
-    from_ranking = select_seeds(extract_ranking(result), divisions, conferences, 3)
-    assert [e.team for e in from_fit.conference("C")] == ["1", "4", "2"]
-    assert [e.team for e in from_ranking.conference("C")] == ["1", "4", "2"]
-
-
 def test_select_seeds_validation():
     values = {"A": 2.0, "B": 1.0}
     good_div = {"D1": ["A"], "D2": ["B"]}

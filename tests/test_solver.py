@@ -284,7 +284,9 @@ def test_em_trace_is_monotone_and_obeys_the_scale_identity(four_teams):
 def test_flat_prior_mode_is_the_maximum_likelihood_estimate():
     rng = np.random.default_rng(23)
     data = random_strongly_connected_dataset(rng, t=5)
-    posterior = fit_map_em(data, MapPriorSpec(shape=1.0, rate=0.0), TIGHT)
+    flat = MapPriorSpec(shape=1.0, rate=0.0)
+    assert flat.ml_equivalent
+    posterior = fit_map_em(data, flat, TIGHT)
     likelihood = fit(
         spec(
             Model.BRADLEY_TERRY,
@@ -295,8 +297,9 @@ def test_flat_prior_mode_is_the_maximum_likelihood_estimate():
         TIGHT,
     )
     assert posterior.converged
-    assert np.abs(posterior.merits_u - likelihood.merits_u).max() < 1e-5
-    assert MapPriorSpec(shape=1.0, rate=0.0).ml_equivalent
+    assert posterior.normalization is Normalization.SIMPLEX
+    for name in ("beta", "merits_u", "trace", "iterations", "gradient_sup_norm", "log_likelihood"):
+        assert np.array_equal(getattr(posterior, name), getattr(likelihood, name))
 
 
 def test_flat_prior_requires_win_cycles(four_teams):
@@ -411,6 +414,63 @@ def test_matrix_shift_refuses_negative_shifted_counts(four_teams, one_way_hostin
     assert fit(spec(Model.BRADLEY_TERRY, MatrixShift(a0)), one_way_hosting).converged
     with pytest.raises(ExistenceError, match="a_home gives team 'T2' a negative win count -0.25"):
         fit(spec(Model.HOME_FIELD, MatrixShift(a0)), one_way_hosting)
+
+
+@pytest.mark.parametrize(
+    "model, t_home",
+    [
+        (Model.HOME_FIELD, [[0, 0], [0, 0]]),  # each won its one home game
+        (Model.DAVID, [[0, 1], [0, 0]]),  # the same, plus a tie at T1
+    ],
+)
+def test_venue_matrix_shift_refuses_an_unbounded_home_advantage(model, t_home):
+    # No visitor ever wins, so the fit ran off to gamma 2e8 (home-field) or
+    # 4e16 (David) and still reported converged=True.
+    data = venue_dataset(names(2), [[0, 1], [1, 0]], np.zeros((2, 2)), t_home)
+    with pytest.raises(ExistenceError, match="a_away holds no positive win weight") as info:
+        fit(spec(model, MatrixShift(np.zeros((2, 2)))), data)
+    assert info.value.witness is None
+
+
+def test_home_field_existence_ignores_hosted_ties():
+    # At T1's venue each team won once; at T2's venue they tied. Home-field
+    # never reads the tie, so T2 hosts no game it reads: every point with
+    # log_gamma == beta_2 is optimal, and the fit used to stop there after 0
+    # iterations with converged=True.
+    data = venue_dataset(names(2), [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1, 0]])
+    with pytest.raises(ExistenceError) as info:
+        fit(spec(Model.HOME_FIELD, MatrixShift(np.zeros((2, 2)))), data)
+    witness = info.value.witness
+    assert (witness.condition, witness.q1, witness.q2) == ("C", (0,), (1,))
+    # the tie model reads it, and the hosting digraph is strongly connected
+    assert fit(spec(Model.DAVID, MatrixShift(np.zeros((2, 2)))), data).converged
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the gradient stop rule leaves O(eps) curvature unresolved"
+)
+@pytest.mark.parametrize(
+    "wins, eps",
+    [
+        # X beats Z twice, Y beats Z once, X and Y never meet: X - Y offset
+        # 0.0171 in the default fit, 0.6931 in the refit
+        ([(0, 2), (0, 2), (1, 2)], 1e-10),
+        # two 3-cycles, 0 -> 1 -> 2 -> 0 and 3 -> 4 -> 5 -> 3, with 0 beating
+        # 3 once: beta differs by up to 1.64
+        ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)], 1e-9),
+    ],
+    ids=["two-beat-a-third", "two-cycles-in-a-chain"],
+)
+def test_a_converged_fit_is_within_1e_6_in_beta_of_a_tight_refit(wins, eps):
+    t = 1 + max(max(pair) for pair in wins)
+    a = np.zeros((t, t))
+    for i, j in wins:
+        a[i, j] += 1
+    data = venue_free_dataset(names(t), a)
+    default = fit(spec(Model.BRADLEY_TERRY, Improved(eps)), data)
+    tight = fit(spec(Model.BRADLEY_TERRY, Improved(eps)), data, SolverConfig(grad_tol=1e-14))
+    assert default.converged and tight.converged
+    assert np.abs(default.beta - tight.beta).max() <= 1e-6
 
 
 @st.composite

@@ -57,7 +57,7 @@ def test_dataset_validation():
     data = btrank.venue_free_dataset(("A", "B"), a)
     assert data.venueless
     assert data.num_teams == 2
-    assert data.index_of("B") == 1
+    assert data.teams == ("A", "B")
     assert data.scores.tolist() == [1.0, 1.0]
 
 
