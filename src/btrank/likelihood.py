@@ -10,40 +10,43 @@ Free parameter vectors are laid out ``[beta_2 .. beta_t]`` plus ``phi`` for
 models with a tie parameter, plus ``log_gamma`` for models with a home
 parameter, in that order.
 
-Pair terms for the venue-free models (per unordered pair i < j, with
-perturbed wins ``w`` and raw ties ``tw``):
+Every kernel runs over ``PerturbedCounts.edges``, the unordered pairs
+i < j where any count a model reads is nonzero (Improved keeps it as sparse
+as the schedule; under ConnerGrant every pair is an edge), and forms no
+t x t array but the Hessian. With perturbed wins ``w`` and raw ties ``tw``,
+one term per edge covers both orders for:
 
-* Bradley-Terry: ``w_ij (beta_i - lse(beta_i, beta_j))`` summed over ordered
-  pairs; ties do not enter.
-* Rao-Kupper (theta > 1): wins ``w_ij (beta_i - lse(beta_i, phi + beta_j))``
-  and ties ``tw (log(theta^2 - 1) + beta_i + beta_j - D_ij - D_ji)`` where
-  ``D_ij = lse(beta_i, phi + beta_j)`` and ``log(theta^2 - 1)`` is computed
-  as ``2 phi + log1p(-exp(-2 phi))``.
+* Bradley-Terry: ``w_ij log s(beta_i - beta_j) + w_ji log s(beta_j - beta_i)``
+  with s the logistic function; ties do not enter. The MAP posterior
+  (``PosteriorObjective``) takes these terms over the pairs with a raw win.
 * Davidson (theta > 0): with ``mid = phi + (beta_i + beta_j) / 2`` and
   ``D = lse(beta_i, beta_j, mid)``, the pair contributes
   ``w_ij beta_i + w_ji beta_j + tw mid - (w_ij + w_ji + tw) D``.
 
-The venue models sum over ordered hosting pairs (host i, visitor j) with
-venue-split perturbed wins ``wh[i][j]`` (host win) and ``wv[i][j]``
-(visitor win at i's venue), plus hosted ties ``wt[i][j]`` for the model
-with both parameters:
+The other models take both orientations of each edge, (host i, visitor j)
+and (host j, visitor i):
 
-* home-field: host denominator ``D = lse(log_gamma + beta_i, beta_j)``,
-  contribution ``wh (log_gamma + beta_i) + wv beta_j - (wh + wv) D``.
-* home-field with ties: adds ``wt mid`` and extends the denominator to
-  ``lse(log_gamma + beta_i, beta_j, mid)``.
+* Rao-Kupper (theta > 1): wins ``w_ij (beta_i - lse(beta_i, phi + beta_j))``
+  and ties ``tw (log(theta^2 - 1) + beta_i + beta_j - D_ij - D_ji)`` where
+  ``D_ij = lse(beta_i, phi + beta_j)`` and ``log(theta^2 - 1)`` is computed
+  as ``2 phi + log1p(-exp(-2 phi))``.
+* home-field, with venue-split perturbed wins ``wh[i][j]`` (host win) and
+  ``wv[i][j]`` (visitor win at i's venue): host denominator ``D =
+  lse(log_gamma + beta_i, beta_j)``, contribution ``wh (log_gamma + beta_i)
+  + wv beta_j - (wh + wv) D``.
+* home-field with ties: adds hosted ties ``wt[i][j] mid`` and extends the
+  denominator to ``lse(log_gamma + beta_i, beta_j, mid)``.
 
-Derivatives. Every pair term depends on the merits only through
-``beta_i - beta_j``, so its merit gradient is a multiple of ``e_i - e_j``
-and its merit Hessian a multiple of ``(e_i - e_j)(e_i - e_j)'``. Each model
-therefore reduces to per-pair arrays: a residual (the gradient along
-``e_i - e_j``), a curvature (the merit block of the Hessian is minus the
-graph Laplacian with pair weights ``curv + curv'``), one border array per
-tie or home parameter, and a small block for those parameters. For
-Bradley-Terry the curvature is ``w_ij p_ij (1 - p_ij)``. All models except
-Rao-Kupper share one kernel: the outcome is a softmax of the host, visitor
-and tie scores above, and Bradley-Terry and Davidson are its venue-free
-cases (ordered pairs carry i's wins over j and half the pair's ties).
+Derivatives. Every term depends on the merits only through ``beta_i -
+beta_j``, so each model reduces to arrays of shape (orientations, edges): a
+residual (the gradient along ``e_host - e_visitor``), a curvature (the merit
+block of the Hessian is minus the graph Laplacian with edge weights the
+summed curvature), one border array per tie or home parameter, and a small
+block for those parameters. ``_assemble`` scatters them with
+``np.bincount`` and writes each edge's weight to its two off-diagonal
+entries. For Bradley-Terry the curvature is ``n_ij p_ij (1 - p_ij)``. All
+models except Rao-Kupper share one kernel, a softmax of the host, visitor
+and tie scores above; Bradley-Terry and Davidson are its venue-free cases.
 
 Every evaluator is a slice of one kernel call per model, ``_terms``, which
 returns the value, gradient and Hessian together: ``log_likelihood`` and
@@ -61,7 +64,7 @@ from .errors import (
     ThetaDomainError,
     VenuelessDataError,
 )
-from .types import Array, Model, ParameterPoint, PerturbedCounts
+from .types import Array, Model, ParameterPoint, PerturbedCounts, pair_edges
 
 #: Smallest phi admitted for the Rao-Kupper model (theta must exceed 1).
 RK_PHI_MIN = 1e-10
@@ -124,46 +127,48 @@ def _logistic(x):
     )
 
 
-def _assemble(value, resid, grads, curv, borders=(), block=()):
+def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=()):
     """``(value, gradient, Hessian)`` over ``[beta_1 .. beta_t, extras]`` from
-    the per-pair arrays described in the module docstring; the curvature
-    must have a zero diagonal."""
-    grad = np.concatenate([resid.sum(axis=1) - resid.sum(axis=0), grads])
-    t, k = len(resid), len(grads)
-    hess = np.empty((t + k, t + k))
-    merits = hess[:t, :t]
-    np.add(curv, curv.T, out=merits)
-    merits[np.diag_indices(t)] = -merits.sum(axis=1)
+    the per-edge arrays of the module docstring: row 0 holds the edges (i, j),
+    i < j, and a row 1 their reverses, whose residuals and borders flip sign."""
+    i, j = host[0], visitor[0]
+    hess = np.zeros((t + len(grads),) * 2)
+    c = np.add.reduce(curv)
+    hess[i, j] = hess[j, i] = c
+    hess[np.diag_indices(t)] = -(np.bincount(i, c, t) + np.bincount(j, c, t))
+    r = np.subtract.reduce(resid)
+    grad = np.concatenate([np.bincount(i, r, t) - np.bincount(j, r, t), grads])
     for a, border in enumerate(borders):
-        hess[:t, t + a] = hess[t + a, :t] = border.sum(axis=1) - border.sum(axis=0)
+        b = np.subtract.reduce(border)
+        hess[:t, t + a] = hess[t + a, :t] = np.bincount(i, b, t) - np.bincount(j, b, t)
     hess[t:, t:] = block
     return value, grad, hess
 
 
-def _outcome_terms(beta, wh, wv, wt, phi, lg):
+def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
     """Kernel of the models whose outcome is a softmax of three scores per
-    ordered pair (host i, visitor j): host win ``lg + beta_i``, visitor win
-    ``beta_j`` and, unless ``phi`` is None, tie ``phi + (beta_i + beta_j)/2``,
-    observed ``wh``, ``wv`` and ``wt`` times. ``lg=None`` pins the home
-    parameter at 0 and leaves it out of the gradient. Returns ``(value,
-    gradient, Hessian)``."""
-    host = beta[:, None] + (0.0 if lg is None else lg)
-    visitor = beta[None, :]
+    oriented edge (``host``, ``visitor``): host win ``lg + beta_host``,
+    visitor win ``beta_visitor`` and, unless ``phi`` is None, tie ``phi +
+    (beta_host + beta_visitor)/2``, observed ``wh``, ``wv`` and ``wt`` times.
+    ``lg=None`` pins the home parameter at 0 and leaves it out of the
+    gradient. Returns ``(value, gradient, Hessian)``."""
+    b_h, b_v = beta[host], beta[visitor]
+    h = b_h + (0.0 if lg is None else lg)
     if phi is None:
-        p_h, p_v, log_h, log_v = _logistic(host - visitor)
+        p_h, p_v, log_h, log_v = _logistic(h - b_v)
         value = float((wh * log_h + wv * log_v).sum())
         p_t = 0.0
     else:
-        tie = phi + (beta[:, None] + visitor) / 2.0
-        d = _lse3(host, visitor, tie)
-        value = float((wh * (host - d) + wv * (visitor - d) + wt * (tie - d)).sum())
-        p_h, p_v, p_t = np.exp(host - d), np.exp(visitor - d), np.exp(tie - d)
-    # expected coefficients of beta_i and beta_j in the outcome's score
+        tie = phi + (b_h + b_v) / 2.0
+        d = _lse3(h, b_v, tie)
+        value = float((wh * (h - d) + wv * (b_v - d) + wt * (tie - d)).sum())
+        p_h, p_v, p_t = np.exp(h - d), np.exp(b_v - d), np.exp(tie - d)
+    # expected coefficients of beta_host and beta_visitor in the outcome's score
     m_h, m_v = p_h + p_t / 2.0, p_v + p_t / 2.0
     n = wh + wv + wt
     resid = wh * m_v - wv * m_h + wt * (m_v - m_h) / 2.0
     # the tie and host-win outcomes carry phi and lg, with coefficient 1:
-    # (observed count, probability, coefficient of beta_i) of each
+    # (observed count, probability, coefficient of beta_host) of each
     extras = []
     if phi is not None:
         extras.append((wt, p_t, 0.5))
@@ -176,14 +181,14 @@ def _outcome_terms(beta, wh, wv, wt, phi, lg):
         [float((n * p * (q - float(a == b))).sum()) for b, (_, q, _) in enumerate(extras)]
         for a, (_, p, _) in enumerate(extras)
     ]
-    return _assemble(value, resid, grads, curv, borders, block)
+    return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block)
 
 
-def _rao_kupper_terms(beta, w, ties, phi):
-    """Rao-Kupper as ordered-pair terms in ``x = beta_i - beta_j - phi``:
-    ``w_ij log s(x) + ties_ij log s(-x)`` with s the logistic function, plus
+def _rao_kupper_terms(beta, host, visitor, w, ties, phi):
+    """Rao-Kupper as oriented-edge terms in ``x = beta_host - beta_visitor -
+    phi``: ``w log s(x) + ties log s(-x)`` with s the logistic function, plus
     ``log(1 - theta^-2)`` per tied game."""
-    s, s_rev, log_s, log_s_rev = _logistic(beta[:, None] - beta[None, :] - phi)
+    s, s_rev, log_s, log_s_rev = _logistic(beta[host] - beta[visitor] - phi)
     tied = ties.sum() / 2.0
     q, r = np.exp(-2.0 * phi), -np.expm1(-2.0 * phi)  # theta^-2 and 1 - theta^-2
     value = tied * np.log(r) + float((w * log_s + ties * log_s_rev).sum())
@@ -191,29 +196,38 @@ def _rao_kupper_terms(beta, w, ties, phi):
     grads = [tied * 2.0 * q / r - float(resid.sum())]
     curv = (w + ties) * s * s_rev
     block = [[-tied * 4.0 * q / r**2 - float(curv.sum())]]
-    return _assemble(value, resid, grads, curv, [curv], block)
+    return _assemble(len(beta), host, visitor, value, resid, grads, curv, [curv], block)
 
 
-def _terms(model: Model, point: ParameterPoint, perturbed: PerturbedCounts):
+def _edge_data(model: Model, perturbed: PerturbedCounts):
+    """``(host, visitor, counts)``: the oriented edges one model evaluates,
+    and the perturbed counts its kernel reads on them."""
+    i, j = perturbed.edges
+    both = model.needs_venues or model is Model.RAO_KUPPER
+    h, v = (np.stack([i, j]), np.stack([j, i])) if both else (i[None], j[None])
+    if model is Model.RAO_KUPPER:
+        return h, v, (perturbed.a_free[h, v], perturbed.ties[h, v])
+    if model.needs_venues:
+        wt = perturbed.t_home[h, v] if model is Model.DAVID else 0.0
+        return h, v, (perturbed.a_home[h, v], perturbed.a_away[v, h], wt)
+    wt = perturbed.ties[h, v] if model is Model.DAVIDSON else 0.0
+    return h, v, (perturbed.a_free[h, v], perturbed.a_free[v, h], wt)
+
+
+def _terms(model: Model, point: ParameterPoint, edge_data):
     """``(value, gradient, Hessian)`` of one model's penalized log-likelihood
     over ``[beta_1 .. beta_t, phi?, log_gamma?]``."""
-    beta, phi, lg = point.beta, point.phi, point.log_gamma
+    h, v, counts = edge_data
     if model is Model.RAO_KUPPER:
-        return _rao_kupper_terms(beta, perturbed.a_free, perturbed.ties, phi)
-    if model.needs_venues:
-        wh, wv = perturbed.a_home, perturbed.a_away.T
-        wt = perturbed.t_home if model is Model.DAVID else 0.0
-    else:
-        wh, wv = perturbed.a_free, 0.0
-        wt = perturbed.ties / 2.0 if model is Model.DAVIDSON else 0.0
-    return _outcome_terms(beta, wh, wv, wt, phi, lg)
+        return _rao_kupper_terms(point.beta, h, v, *counts, point.phi)
+    return _outcome_terms(point.beta, h, v, *counts, point.phi, point.log_gamma)
 
 
 def log_likelihood(
     model: Model, point: ParameterPoint, perturbed: PerturbedCounts
 ) -> float:
     _validate(model, point, perturbed)
-    return _terms(model, point, perturbed)[0]
+    return _terms(model, point, _edge_data(model, perturbed))[0]
 
 
 def gradient(
@@ -225,7 +239,7 @@ def gradient(
     log-likelihood.
     """
     _validate(model, point, perturbed)
-    return _terms(model, point, perturbed)[1][1:]
+    return _terms(model, point, _edge_data(model, perturbed))[1][1:]
 
 
 class Objective:
@@ -237,14 +251,10 @@ class Objective:
     """
 
     def __init__(self, model: Model, perturbed: PerturbedCounts):
-        self.model = model
-        self.perturbed = perturbed
-        t = perturbed.num_teams
         _refuse_data(model, perturbed)
-        self.num_teams = t
-        self.dimension = (
-            (t - 1) + int(model.has_tie_parameter) + int(model.has_home_parameter)
-        )
+        self.model, self.perturbed, self.num_teams = model, perturbed, perturbed.num_teams
+        self._edge_data = _edge_data(model, perturbed)
+        self.dimension = self.num_teams - 1 + model.has_tie_parameter + model.has_home_parameter
 
     def unpack(self, x: Array) -> ParameterPoint:
         t = self.num_teams
@@ -282,7 +292,7 @@ class Objective:
         None)`` outside the Rao-Kupper domain."""
         if not self.in_domain(x):
             return -np.inf, None, None
-        value, grad, hess = _terms(self.model, self.unpack(x), self.perturbed)
+        value, grad, hess = _terms(self.model, self.unpack(x), self._edge_data)
         # the free layout leaves out beta_1, which is pinned at 0
         return value, grad[1:], hess[1:, 1:]
 
@@ -302,6 +312,8 @@ class PosteriorObjective:
 
     def __init__(self, wins: Array, shape: float, rate: float):
         self.wins, self.shape, self.rate = wins, shape, rate
+        i, j = pair_edges(wins != 0)
+        self._sides, self._wins = (i[None], j[None]), (wins[i, j][None], wins[j, i][None])
 
     def initial_point(self) -> Array:
         """Uniform merits at the scale of every stationary point,
@@ -309,7 +321,7 @@ class PosteriorObjective:
         return np.full(len(self.wins), np.log((self.shape - 1.0) / self.rate))
 
     def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array]:
-        value, grad, hess = _outcome_terms(x, self.wins, 0.0, 0.0, None, None)
+        value, grad, hess = _outcome_terms(x, *self._sides, *self._wins, 0.0, None, None)
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf
             u = np.exp(x)
         value += float(((self.shape - 1.0) * x - self.rate * u).sum())

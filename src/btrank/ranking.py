@@ -72,15 +72,9 @@ def kendall_distance(first: Ranking, second: Ranking) -> int:
     """Number of team pairs the two rankings order oppositely."""
     if first.teams != second.teams:
         raise ConfigError("rankings cover different teams")
-    pos_a = {team_idx: k for k, team_idx in enumerate(first.order)}
-    pos_b = {team_idx: k for k, team_idx in enumerate(second.order)}
-    t = len(first.teams)
-    count = 0
-    for i in range(t):
-        for j in range(i + 1, t):
-            if (pos_a[i] - pos_a[j]) * (pos_b[i] - pos_b[j]) < 0:
-                count += 1
-    return count
+    pos_a, pos_b = np.argsort(first.order), np.argsort(second.order)
+    # discordant where the position differences differ in sign; each pair counts twice
+    return int(np.count_nonzero((pos_a[:, None] < pos_a) != (pos_b[:, None] < pos_b))) // 2
 
 
 @dataclass(frozen=True)
@@ -159,14 +153,11 @@ def sweep_epsilon(
     orders = [entry.ranking.order for entry in entries]
     stable = all(order == orders[0] for order in orders)
     m = len(entries)
-    distances = tuple(
-        tuple(
-            kendall_distance(entries[p].ranking, entries[q].ranking)
-            for q in range(m)
-        )
-        for p in range(m)
-    )
-    return SweepResult(entries=entries, stable=stable, kendall_distances=distances)
+    distances = np.zeros((m, m), dtype=int)
+    for p, q in zip(*np.triu_indices(m, 1)):
+        distances[p, q] = distances[q, p] = kendall_distance(entries[p].ranking, entries[q].ranking)
+    kendall = tuple(map(tuple, distances.tolist()))
+    return SweepResult(entries=entries, stable=stable, kendall_distances=kendall)
 
 
 @dataclass(frozen=True)

@@ -308,11 +308,15 @@ def _fit_result(
     epsilon: float | None,
 ) -> FitResult:
     """The FitResult of every fit, merits normalized as asked."""
-    u = np.exp(point.beta - point.beta.max())  # guard against overflow for extreme merits
+    simplex = normalization is Normalization.SIMPLEX
+    # the simplex shift guards against overflow; under REFERENCE (beta[0] == 0)
+    # a merit beyond float64 range reads inf
+    with np.errstate(over="ignore"):
+        u = np.exp(point.beta - point.beta.max() if simplex else point.beta)
     return FitResult(
         model=model,
         teams=dataset.teams,
-        merits_u=u / (u.sum() if normalization is Normalization.SIMPLEX else u[0]),
+        merits_u=u / u.sum() if simplex else u,
         beta=point.beta,
         theta_hat=point.theta,
         gamma_hat=point.gamma,

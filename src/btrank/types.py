@@ -59,6 +59,12 @@ def _freeze_vector(values) -> Array:
     return arr
 
 
+def pair_edges(mask) -> tuple[np.ndarray, np.ndarray]:
+    """The unordered pairs ``(i, j)``, i < j, where the boolean t x t
+    ``mask`` holds in either direction, in row-major order."""
+    return np.divmod(np.flatnonzero(np.triu(mask | mask.T, 1)), len(mask))
+
+
 @dataclass(frozen=True)
 class CountMatrices:
     """Per-ordered-pair game counts, split by venue."""
@@ -325,6 +331,13 @@ class PerturbedCounts:
         out = self.t_home + self.t_home.T
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs i < j, as in pair_edges, where any count a model reads is nonzero."""
+        return pair_edges(
+            (self.a_free != 0) | (self.a_home != 0) | (self.a_away != 0) | (self.t_home != 0)
+        )
 
     @cached_property
     def n_host(self) -> Array:

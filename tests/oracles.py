@@ -5,6 +5,7 @@ the likelihood kernels, so that a one-game likelihood can be compared with
 the log of the outcome's probability. ``condition_c_by_enumeration`` decides
 Condition C by scanning every split of the teams, exponentially, to
 cross-check the strong-connectivity reduction on small t.
+``kendall_distance_by_pairs`` counts discordant pairs one pair at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from btrank.errors import (
     VenuelessDataError,
 )
 from btrank.likelihood import _check_point, _logistic, _lse3
-from btrank.types import Dataset, Model, ParameterPoint
+from btrank.types import Dataset, Model, ParameterPoint, Ranking
 
 
 def probabilities(
@@ -103,3 +104,17 @@ def condition_c_by_enumeration(dataset: Dataset) -> bool:
         if not (hosts and visits):
             return False
     return True
+
+
+def kendall_distance_by_pairs(first: Ranking, second: Ranking) -> int:
+    """Number of team pairs the two rankings order oppositely, by a double
+    loop over the pairs."""
+    pos_a = {team_idx: k for k, team_idx in enumerate(first.order)}
+    pos_b = {team_idx: k for k, team_idx in enumerate(second.order)}
+    t = len(first.teams)
+    count = 0
+    for i in range(t):
+        for j in range(i + 1, t):
+            if (pos_a[i] - pos_a[j]) * (pos_b[i] - pos_b[j]) < 0:
+                count += 1
+    return count

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btrank.errors import (
     ConfigError,
@@ -19,6 +22,7 @@ from btrank.likelihood import (
 )
 from btrank.perturbation import perturb
 from btrank.types import (
+    ConnerGrant,
     Improved,
     MatrixShift,
     Model,
@@ -260,3 +264,129 @@ def test_lse3_agrees_with_direct_sum():
     assert _lse3(math.log(a), math.log(b), math.log(c)) == pytest.approx(
         math.log(a + b + c)
     )
+
+
+def _oracle_log_likelihood(model, point, perturbed):
+    """The perturbed counts weighting the log of each outcome's closed-form
+    probability, summed over every ordered pair (the hosting pair for the
+    venue models, the winner-loser pair for the others)."""
+    t = perturbed.num_teams
+    total = 0.0
+    for i in range(t):
+        for j in range(t):
+            if i == j:
+                continue
+            if model.needs_venues:
+                p_host, p_visitor, p_tie = probabilities(model, point, i, j, venue=i)
+                total += perturbed.a_home[i, j] * math.log(p_host)
+                total += perturbed.a_away[j, i] * math.log(p_visitor)
+                if model is Model.DAVID:
+                    total += perturbed.t_home[i, j] * math.log(p_tie)
+            else:
+                p_i, _, p_tie = probabilities(model, point, i, j)
+                total += perturbed.a_free[i, j] * math.log(p_i)
+                if model is not Model.BRADLEY_TERRY and i < j:
+                    total += perturbed.ties[i, j] * math.log(p_tie)
+    return total
+
+
+def _check_every_model_against_the_oracle(data, scheme, rng):
+    perturbed = perturb(data, scheme)
+    has_ties = perturbed.ties.sum() > 0
+    checked = 0
+    for model in Model:
+        if (model.needs_venues and data.venueless) or (model.needs_ties and not has_ties):
+            continue
+        beta = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, data.num_teams - 1)])
+        phi = None
+        if model is Model.RAO_KUPPER:
+            phi = rng.uniform(0.05, 1.5)
+        elif model.has_tie_parameter:
+            phi = rng.uniform(-1.0, 1.0)
+        log_gamma = rng.uniform(-1.0, 1.0) if model.has_home_parameter else None
+        point = ParameterPoint(beta=beta, phi=phi, log_gamma=log_gamma)
+        expected = _oracle_log_likelihood(model, point, perturbed)
+        assert log_likelihood(model, point, perturbed) == pytest.approx(expected, rel=1e-10, abs=1e-10)
+        checked += 1
+    return checked
+
+
+def _scheme(kind, t, rng):
+    """Improved, ConnerGrant (unmet pairs become edges) or MatrixShift with a
+    shift, negative in places, on every pair, met or not."""
+    if kind == "improved":
+        return Improved(rng.choice([0.3, 1e-6]))
+    if kind == "conner-grant":
+        return ConnerGrant(rng.choice([0.3, 1e-6]))
+    a0 = rng.uniform(-0.5, 1.0, (t, t))
+    np.fill_diagonal(a0, 0.0)
+    return MatrixShift(a0)
+
+
+@st.composite
+def sparse_counts(draw):
+    """A 2 to 7 team dataset, mostly with unmet pairs, venue or venue-free,
+    with or without ties."""
+    t = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    met = np.triu(rng.random((t, t)) < draw(st.sampled_from([0.3, 0.6, 1.0])), 1)
+    met = met | met.T
+
+    def counts():
+        return rng.integers(0, 3, (t, t)) * met
+
+    ties = counts() * draw(st.booleans())
+    if draw(st.booleans()):
+        return venue_dataset(names(t), counts(), counts(), ties), rng
+    upper = np.triu(ties, 1)
+    return venue_free_dataset(names(t), counts(), upper + upper.T), rng
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(drawn=sparse_counts(), kind=st.sampled_from(["improved", "conner-grant", "shift"]))
+def test_edge_kernels_match_the_closed_form_oracle(drawn, kind):
+    data, rng = drawn
+    _check_every_model_against_the_oracle(data, _scheme(kind, data.num_teams, rng), rng)
+
+
+@pytest.mark.parametrize("kind", ["improved", "conner-grant", "shift"])
+def test_edge_kernels_match_the_oracle_on_two_teams_and_a_round_robin(kind):
+    rng = np.random.default_rng(3)
+    two = (np.array([[0, 2], [1, 0]]), np.array([[0, 1], [0, 0]]), np.array([[0, 1], [1, 0]]))
+    t = 6
+    wins = rng.integers(1, 4, (t, t))
+    np.fill_diagonal(wins, 0)
+    ties = np.triu(rng.integers(1, 3, (t, t)), 1)
+    for a, a_away, tie in (two, (wins, wins.T, ties + ties.T)):
+        n = len(a)
+        venue = venue_dataset(names(n), a, a_away, np.triu(tie))
+        free = venue_free_dataset(names(n), a, tie)
+        assert _check_every_model_against_the_oracle(venue, _scheme(kind, n, rng), rng) == 5
+        assert _check_every_model_against_the_oracle(free, _scheme(kind, n, rng), rng) == 3
+
+
+def test_one_evaluation_allocates_less_than_three_dense_arrays():
+    # A sparse league of 1000 teams, a ring plus random chords, about 6
+    # opponents per team: the kernels work per met pair, so one evaluation
+    # allocates the dense Hessian and little else.
+    rng = np.random.default_rng(0)
+    t = 1000
+    ring = np.arange(t)
+    chords = rng.integers(0, t, (2, 2 * t))
+    i = np.concatenate([ring, chords[0]])
+    j = np.concatenate([(ring + 1) % t, chords[1]])
+    keep = i != j
+    i, j = i[keep], j[keep]
+    won = rng.random(len(i)) < 0.5
+    a = np.zeros((t, t))
+    np.add.at(a, (np.where(won, i, j), np.where(won, j, i)), 1.0)
+    objective = Objective(Model.BRADLEY_TERRY, perturb(venue_free_dataset(names(t), a), Improved("auto")))
+    x = rng.uniform(-1.0, 1.0, objective.dimension)
+    tracemalloc.start()
+    try:
+        value, grad, hess = objective.value_gradient_hessian(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value) and hess.shape == (t - 1, t - 1)
+    assert peak < 3 * t * t * 8

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btrank.errors import ConfigError, ExistenceError, NoTiesError
 from btrank.ranking import (
@@ -20,10 +22,12 @@ from btrank.types import (
     Model,
     ModelSpec,
     Normalization,
+    Ranking,
     venue_free_dataset,
 )
 
 from conftest import names
+from oracles import kendall_distance_by_pairs
 
 
 def bt_spec(perturbation=Improved(0.5), normalization=Normalization.REFERENCE):
@@ -90,6 +94,29 @@ def test_kendall_distance_counts_swapped_pairs():
     other = score_ranking(venue_free_dataset(("X", "Y", "Z"), np.zeros((3, 3))))
     with pytest.raises(ConfigError):
         kendall_distance(forward, other)
+
+
+@st.composite
+def ranking_pairs(draw):
+    """Two rankings of the same 1 to 40 teams, in independent random orders."""
+    t = draw(st.integers(1, 40))
+    teams = names(t)
+
+    def ranking():
+        order = draw(st.permutations(range(t)))
+        return Ranking(teams=teams, order=order, groups=tuple((k,) for k in order))
+
+    return ranking(), ranking()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(pair=ranking_pairs())
+def test_kendall_distance_matches_the_pairwise_loop(pair):
+    first, second = pair
+    distance = kendall_distance(first, second)
+    assert type(distance) is int
+    assert distance == kendall_distance_by_pairs(first, second)
+    assert kendall_distance(second, first) == distance
 
 
 def test_sweep_is_stable_on_clean_data(ten_teams):

@@ -526,6 +526,25 @@ def test_existence_is_strong_connectivity_of_the_perturbed_counts(data, eps):
         assert (info.value.witness.q1, info.value.witness.q2) == (expected.q1, expected.q2)
 
 
+def test_reference_merits_past_float64_range_read_inf_not_nan(four_teams):
+    # a beta spread of 1750 used to underflow u[0] in u / u[0], giving nan
+    beta = np.array([0.0, 900.0, -850.0, 5.0])
+    solution = solver._Solution(
+        x=beta[1:], value=0.0, trace=(0.0,), iterations=5, gradient_sup_norm=1.0, converged=False
+    )
+    point = ParameterPoint(beta=beta)
+    reference = solver._fit_result(
+        Model.BRADLEY_TERRY, four_teams, solution, point, Normalization.REFERENCE, 0.5
+    )
+    assert not np.isnan(reference.merits_u).any()
+    assert reference.merits_u[[0, 1, 2]].tolist() == [1.0, np.inf, 0.0]
+    assert reference.merits_u[3] == pytest.approx(np.exp(5.0))
+    simplex = solver._fit_result(
+        Model.BRADLEY_TERRY, four_teams, solution, point, Normalization.SIMPLEX, 0.5
+    )
+    assert simplex.merits_u.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
 def test_budget_exhaustion_is_reported_not_raised(ten_teams):
     result = fit(
         spec(Model.BRADLEY_TERRY, Improved(0.01)),
