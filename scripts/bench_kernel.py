@@ -1,21 +1,32 @@
-"""Time the Bradley-Terry likelihood kernel on sparse leagues; write BENCH_kernel.json.
+"""Time the Bradley-Terry kernel and Newton step on sparse leagues; write BENCH_kernel.json.
 
 Usage, from the root of a btrank checkout:
 
     python scripts/bench_kernel.py [--src DIR] [--label NAME] [--out PATH]
 
-Each case is a home-and-away league drawn from a fixed seed: a ring plus
-random chords, so every team meets about 6 others, and Bradley-Terry
+Each league case is a home-and-away league drawn from a fixed seed: a ring
+plus random chords, so every team meets about 6 others, and Bradley-Terry
 outcomes from evenly spaced merits. It is fitted with Bradley-Terry under
 ``Improved("auto")`` in its own single-threaded interpreter, which imports
 btrank from ``--src`` (default: this checkout's ``src``), so that the peak
 RSS is the case's own. Per case the column records the median time of one
 ``Objective.value_gradient_hessian`` at the start point, the median time of
-one LU solve of the Newton system it returns (``np.linalg.solve``, as the
-solver takes it), the median wall time of one ``btrank.fit`` and the peak
-RSS of the interpreter. The column is stored under ``--label`` in the JSON
-file, next to any columns already there, so that two checkouts can be
-compared on the same cases.
+the solver's own Newton step on the system it returns
+(``solver._newton_direction`` where the solver has it, else the
+``np.linalg.solve`` the solver took), the median wall time of one
+``btrank.fit`` and the peak RSS of the interpreter.
+
+The ``two-leagues`` case joins two 1000-team leagues by a single win, so the
+raw data fail strong connection, and fits them at each epsilon of
+``PROBE_EPS``. Per epsilon it records the fit's time, iterations and
+convergence, the largest number of conjugate-gradient iterations a step of
+the fit took (0 where every step was solved by LU), and at the fitted point
+the relative residual ``|(-H) d - g| / |g|`` of the solver's step, an
+iterative one solved to a relative residual of 1e-12, and of a dense LU
+step.
+
+The column is stored under ``--label`` in the JSON file, next to any columns
+already there, so that two checkouts can be compared on the same cases.
 """
 
 from __future__ import annotations
@@ -33,8 +44,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-#: (teams, seed, kernel evaluations, fits) per case
-CASES = {"sparse-t400": (400, 400, 50, 5), "sparse-t2000": (2000, 2000, 10, 3)}
+#: (teams, seed, kernel evaluations, fits) per league case
+CASES = {
+    "sparse-t400": (400, 400, 50, 5),
+    "sparse-t2000": (2000, 2000, 10, 3),
+    "sparse-t4000": (4000, 4000, 5, 2),
+}
+PROBE_TEAMS = 1000  # per league of the two-leagues case
+PROBE_EPS = (1e-1, 1e-5, 1e-9, 1e-12)
 OPPONENTS = 6
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -57,10 +74,25 @@ def league(t: int, seed: int):
     return a_home, a_away
 
 
+def _step(solver, g, h, labels, rtol=None):
+    """The solver's own Newton step on ``-H d = g``, an iterative one solved
+    to the relative residual ``rtol`` (default: that of a fit's first step)."""
+    if hasattr(solver, "_newton_direction"):
+        return solver._newton_direction(g, h, labels, rtol or solver._CG_RTOL)[0]
+    return np.linalg.solve(-h, g)
+
+
+def _labels(solver, model, dataset, edges):
+    if hasattr(solver, "_raw_components"):
+        return solver._raw_components(model, dataset, edges)
+    return None
+
+
 def run_case(name: str) -> dict:
     import resource
 
     import btrank
+    from btrank import solver
     from btrank.likelihood import Objective
     from btrank.perturbation import perturb
 
@@ -68,16 +100,18 @@ def run_case(name: str) -> dict:
     a_home, a_away = league(t, seed)
     dataset = btrank.venue_dataset([f"T{k}" for k in range(t)], a_home, a_away)
     spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
-    objective = Objective(spec.model, perturb(dataset, spec.perturbation))
+    perturbed = perturb(dataset, spec.perturbation)
+    objective = Objective(spec.model, perturbed)
+    labels = _labels(solver, spec.model, dataset, perturbed.edges)
     x = objective.initial_point()
-    kernel, solve = [], []
+    kernel, step = [], []
     for _ in range(evaluations):
         clock = time.perf_counter()
         _, g, h = objective.value_gradient_hessian(x)
         kernel.append(time.perf_counter() - clock)
         clock = time.perf_counter()
-        np.linalg.solve(-h, g)
-        solve.append(time.perf_counter() - clock)
+        _step(solver, g, h, labels)
+        step.append(time.perf_counter() - clock)
     wall = []
     for _ in range(fits):
         clock = time.perf_counter()
@@ -87,7 +121,7 @@ def run_case(name: str) -> dict:
         "teams": t,
         "met_pairs": int(((a_home + a_away.T) > 0).sum()) // 2,
         "kernel_median_s": statistics.median(kernel),
-        "lu_solve_median_s": statistics.median(solve),
+        "step_median_s": statistics.median(step),
         "fit_median_s": statistics.median(wall),
         "iterations": result.iterations,
         "converged": result.converged,
@@ -95,19 +129,81 @@ def run_case(name: str) -> dict:
     }
 
 
+def two_leagues(t: int):
+    """Venue-split counts of two t-team leagues joined by one win."""
+    a_home, a_away = np.zeros((2, 2 * t, 2 * t))
+    for k, block in enumerate((slice(0, t), slice(t, 2 * t))):
+        a_home[block, block], a_away[block, block] = league(t, k + 1)
+    a_home[0, t] = 1.0
+    return a_home, a_away
+
+
+def run_probe() -> dict:
+    import btrank
+    from btrank import likelihood, solver
+    from btrank.perturbation import perturb
+
+    dataset = btrank.venue_dataset(
+        [f"T{k}" for k in range(2 * PROBE_TEAMS)], *two_leagues(PROBE_TEAMS)
+    )
+    pcg = getattr(solver, "_pcg", None)
+    counts = []
+
+    def counted(*args):
+        step, iterations = pcg(*args)
+        counts.append(iterations)
+        return step, iterations
+
+    if pcg is not None:
+        solver._pcg = counted
+    out = {}
+    for eps in PROBE_EPS:
+        spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved(eps))
+        counts.clear()
+        clock = time.perf_counter()
+        result = btrank.fit(spec, dataset)
+        wall = time.perf_counter() - clock
+        most = max(counts, default=0)
+        perturbed = perturb(dataset, spec.perturbation)
+        objective = likelihood.Objective(spec.model, perturbed)
+        _, g, h = objective.value_gradient_hessian(result.beta[1:])
+        d = _step(solver, g, h, _labels(solver, spec.model, dataset, perturbed.edges), 1e-12)
+        dense = h if isinstance(h, np.ndarray) else _dense(likelihood, objective, result.beta[1:])
+        norm = np.linalg.norm(g)
+        out[f"{eps:g}"] = {
+            "fit_s": wall,
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "max_cg_iterations": most,
+            "step_residual": float(np.linalg.norm(-dense @ d - g) / norm),
+            "lu_residual": float(np.linalg.norm(-dense @ np.linalg.solve(-dense, g) - g) / norm),
+        }
+    return out
+
+
+def _dense(likelihood, objective, x):
+    """The dense Hessian at x, from the kernels' dense form."""
+    rule = likelihood.edge_form
+    likelihood.edge_form = lambda t, pairs: False
+    try:
+        return objective.value_gradient_hessian(x)[2]
+    finally:
+        likelihood.edge_form = rule
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding btrank")
     parser.add_argument("--label", default="change", help="column name in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
-    parser.add_argument("--case", choices=sorted(CASES), help=argparse.SUPPRESS)
+    parser.add_argument("--case", choices=[*CASES, "two-leagues"], help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:  # the child interpreter of one case
-        print(json.dumps(run_case(args.case)))
+        print(json.dumps(run_probe() if args.case == "two-leagues" else run_case(args.case)))
         return 0
     env = dict(os.environ, PYTHONPATH=args.src, **{var: "1" for var in THREAD_VARS})
     column = {}
-    for name in CASES:
+    for name in [*CASES, "two-leagues"]:
         child = subprocess.run(
             [sys.executable, __file__, "--case", name],
             env=env, capture_output=True, text=True, check=True,

@@ -21,9 +21,11 @@ the pair totals for B) instead of a scan over all 2^t - 2 splits.
 A digraph is strongly connected exactly when every team is reachable from
 team 0 along its edges and along its reversed edges, so the test is two
 breadth-first searches in numpy over the dense adjacency. Only when it fails
-are the strongly connected components labelled (by SciPy, imported there and
-nowhere else), to name a witness. The checks return None on success and a
-PartitionWitness on failure.
+are the strongly connected components labelled (``strong_components``,
+Tarjan's algorithm over the edge list), to name a witness. The checks return
+None on success and a PartitionWitness on failure. The solver labels the
+components of the raw data with the same function, for the coarse space of
+its sparse Newton step.
 """
 
 from __future__ import annotations
@@ -50,19 +52,65 @@ def _reaches_all(adjacency: np.ndarray) -> bool:
     return bool(reached.all())
 
 
+def strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Labels 0, 1, ... of the strongly connected components of the digraph
+    on ``n`` vertices with edges ``src[k] -> dst[k]``.
+
+    Tarjan's algorithm with an explicit stack, over successor lists sorted
+    out of the edge arrays by numpy: O(n + edges) whatever the shape of the
+    digraph, where propagating labels along the edges in numpy needs a sweep
+    per step of the longest path.
+    """
+    order = np.argsort(src, kind="stable")
+    heads = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    successors = dst[order].tolist()
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    visited, components, count = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        visited.append(root)
+        path = [(root, heads[root])]
+        while path:
+            v, k = path[-1]
+            end = heads[v + 1]
+            while k < end:
+                w = successors[k]
+                k += 1
+                if index[w] < 0:  # descend into w, resuming v at edge k
+                    path[-1] = (v, k)
+                    index[w] = low[w] = count
+                    count += 1
+                    visited.append(w)
+                    path.append((w, heads[w]))
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every edge of v is done
+                path.pop()
+                if low[v] == index[v]:  # v roots a component
+                    while True:
+                        w = visited.pop()
+                        label[w] = components
+                        if w == v:
+                            break
+                    components += 1
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+    return np.array(label, dtype=np.intp)
+
+
 def _source_component(adjacency: np.ndarray) -> np.ndarray:
     """Vertices of a source SCC (no incoming edges from other components).
 
     Among all source components, the one containing the smallest vertex
     index is returned, which makes witnesses deterministic.
     """
-    from scipy.sparse.csgraph import connected_components  # only to name a witness
-
-    n_comp, labels = connected_components(
-        adjacency, directed=True, connection="strong"
-    )
     rows, cols = np.nonzero(adjacency)
-    has_incoming = np.zeros(n_comp, dtype=bool)
+    labels = strong_components(adjacency.shape[0], rows, cols)
+    has_incoming = np.zeros(labels.max() + 1, dtype=bool)
     cross = labels[rows] != labels[cols]
     has_incoming[labels[cols[cross]]] = True
     first_source = np.argmax(~has_incoming[labels])  # smallest vertex in a source SCC

@@ -13,7 +13,7 @@ parameter, in that order.
 Every kernel runs over ``PerturbedCounts.edges``, the unordered pairs
 i < j where any count a model reads is nonzero (Improved keeps it as sparse
 as the schedule; under ConnerGrant every pair is an edge), and forms no
-t x t array but the Hessian. With perturbed wins ``w`` and raw ties ``tw``,
+t x t array but a dense Hessian. With perturbed wins ``w`` and raw ties ``tw``,
 one term per edge covers both orders for:
 
 * Bradley-Terry: ``w_ij log s(beta_i - beta_j) + w_ji log s(beta_j - beta_i)``
@@ -42,11 +42,16 @@ beta_j``, so each model reduces to arrays of shape (orientations, edges): a
 residual (the gradient along ``e_host - e_visitor``), a curvature (the merit
 block of the Hessian is minus the graph Laplacian with edge weights the
 summed curvature), one border array per tie or home parameter, and a small
-block for those parameters. ``_assemble`` scatters them with
-``np.bincount`` and writes each edge's weight to its two off-diagonal
-entries. For Bradley-Terry the curvature is ``n_ij p_ij (1 - p_ij)``. All
-models except Rao-Kupper share one kernel, a softmax of the host, visitor
-and tie scores above; Bradley-Terry and Davidson are its venue-free cases.
+block for those parameters. ``_assemble`` scatters the gradient and the
+border rows with ``np.bincount``. The Hessian takes one of two forms, by the
+size rule of ``edge_form`` (a function of t and the number of edges): a
+dense array, with each edge's weight written to its two off-diagonal
+entries, or an ``EdgeHessian`` holding the per-edge weights, the diagonal
+beyond the Laplacian, the border rows and the parameter block, whose
+products with a vector cost O(t + edges). For Bradley-Terry the curvature is
+``n_ij p_ij (1 - p_ij)``. All models except Rao-Kupper share one kernel, a
+softmax of the host, visitor and tie scores above; Bradley-Terry and
+Davidson are its venue-free cases.
 
 Every evaluator is a slice of one kernel call per model, ``_terms``, which
 returns the value, gradient and Hessian together: ``log_likelihood`` and
@@ -55,6 +60,9 @@ returns the value, gradient and Hessian together: ``log_likelihood`` and
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -127,31 +135,124 @@ def _logistic(x):
     )
 
 
-def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=()):
+def edge_form(t: int, pairs: int) -> bool:
+    """The size rule: the Hessian of ``t`` merits over ``pairs`` met pairs is
+    kept in edge form (``EdgeHessian``) from 200 teams on, while fewer than
+    ``t**2 / 16`` pairs have met; otherwise it is a dense array. The solver
+    docstring gives the crossovers behind the constants."""
+    return t >= 200 and 16 * pairs < t * t
+
+
+@dataclass(frozen=True)
+class EdgeHessian:
+    """A Hessian over ``[beta_1 .. beta_t, extras]`` kept by its edges.
+
+    The merit block is ``diag(shift) - L``, with L the graph Laplacian of the
+    edges ``(i[e], j[e])`` weighted by ``weight[e]`` (the summed curvature of
+    the edge, its off-diagonal entry); ``border`` holds the rows of the k <= 2
+    tie and home parameters over the merits, and ``block`` their k x k
+    block. ``pinned`` merits at the front are left out of the layout, as the
+    free layout leaves out ``beta_1``. ``matvec`` costs O(t + edges).
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    weight: Array
+    shift: Array
+    border: Array
+    block: Array
+    pinned: int = 0
+
+    def __neg__(self) -> "EdgeHessian":
+        return replace(
+            self, weight=-self.weight, shift=-self.shift, border=-self.border, block=-self.block
+        )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.shift) - self.pinned + len(self.block)
+        return n, n
+
+    @cached_property
+    def _layout_edges(self):
+        """The edge ends over the layout, pinned merits sent to a zero slot
+        past the merits (the pinned merit is 0 and its row is left out)."""
+        t = len(self.shift)
+        return (self.i - self.pinned) % t, (self.j - self.pinned) % t
+
+    def matvec(self, x: Array) -> Array:
+        """``H @ x`` over this layout, the Laplacian applied as edge flows."""
+        t, p = len(self.shift), self.pinned
+        i, j = self._layout_edges
+        beta = np.concatenate([x[: t - p], np.zeros(p)])
+        flow = self.weight * (beta[i] - beta[j])
+        beta = beta[: t - p]
+        laplacian = (np.bincount(i, flow, t) - np.bincount(j, flow, t))[: t - p]
+        merits = self.shift[p:] * beta - laplacian
+        if not len(self.block):
+            return merits
+        extra, border = x[t - p :], self.border[:, p:]
+        return np.concatenate([merits + extra @ border, border @ beta + self.block @ extra])
+
+    def diagonal(self) -> Array:
+        """The diagonal of H over this layout."""
+        t = len(self.shift)
+        degree = np.bincount(self.i, self.weight, t) + np.bincount(self.j, self.weight, t)
+        return np.concatenate([(self.shift - degree)[self.pinned :], np.diagonal(self.block)])
+
+    def galerkin(self, labels: np.ndarray, m: int) -> Array:
+        """``Z' H Z`` for the m indicator columns ``Z[v, labels[v]] = 1``
+        over this layout, in O(t + edges + m^2)."""
+        t, size = len(self.shift), m + 1  # pinned merits go to a dropped label m
+        merit = np.concatenate([np.full(self.pinned, m), labels[: t - self.pinned]])
+        extra = labels[t - self.pinned :]
+        a, b = merit[self.i], merit[self.j]
+        cross = a != b
+        a, b, w = a[cross], b[cross], self.weight[cross]
+        flat = np.concatenate([a * size + b, b * size + a, a * (size + 1), b * (size + 1)])
+        out = np.zeros(size * size)
+        out += np.bincount(flat, np.concatenate([w, w, -w, -w]), size * size)
+        out = out.reshape(size, size)
+        out[np.diag_indices(size)] += np.bincount(merit, self.shift, size)
+        for row, k in zip(self.border, extra):
+            column = np.bincount(merit, row, size)
+            out[k, :] += column
+            out[:, k] += column
+        out[np.ix_(extra, extra)] += self.block
+        return out[:m, :m]
+
+
+def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=(), shift=0.0):
     """``(value, gradient, Hessian)`` over ``[beta_1 .. beta_t, extras]`` from
     the per-edge arrays of the module docstring: row 0 holds the edges (i, j),
-    i < j, and a row 1 their reverses, whose residuals and borders flip sign."""
-    i, j = host[0], visitor[0]
-    hess = np.zeros((t + len(grads),) * 2)
-    c = np.add.reduce(curv)
-    hess[i, j] = hess[j, i] = c
-    hess[np.diag_indices(t)] = -(np.bincount(i, c, t) + np.bincount(j, c, t))
+    i < j, and a row 1 their reverses, whose residuals and borders flip sign.
+    The Hessian is an ``EdgeHessian`` under the size rule of ``edge_form``,
+    else a dense array; ``shift`` is added to its merit diagonal."""
+    i, j, k = host[0], visitor[0], len(grads)
     r = np.subtract.reduce(resid)
     grad = np.concatenate([np.bincount(i, r, t) - np.bincount(j, r, t), grads])
-    for a, border in enumerate(borders):
-        b = np.subtract.reduce(border)
-        hess[:t, t + a] = hess[t + a, :t] = np.bincount(i, b, t) - np.bincount(j, b, t)
+    rows = [np.bincount(i, b, t) - np.bincount(j, b, t) for b in map(np.subtract.reduce, borders)]
+    c = np.add.reduce(curv)
+    if edge_form(t, len(i)):
+        border, block = np.reshape(rows, (k, t)), np.reshape(block, (k, k))
+        return value, grad, EdgeHessian(i, j, c, np.zeros(t) + shift, border, block)
+    hess = np.zeros((t + k, t + k))
+    hess[i, j] = hess[j, i] = c
+    hess[np.diag_indices(t)] = shift - (np.bincount(i, c, t) + np.bincount(j, c, t))
+    for a, row in enumerate(rows):
+        hess[:t, t + a] = hess[t + a, :t] = row
     hess[t:, t:] = block
     return value, grad, hess
 
 
-def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
+def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg, shift=0.0):
     """Kernel of the models whose outcome is a softmax of three scores per
     oriented edge (``host``, ``visitor``): host win ``lg + beta_host``,
     visitor win ``beta_visitor`` and, unless ``phi`` is None, tie ``phi +
     (beta_host + beta_visitor)/2``, observed ``wh``, ``wv`` and ``wt`` times.
     ``lg=None`` pins the home parameter at 0 and leaves it out of the
-    gradient. Returns ``(value, gradient, Hessian)``."""
+    gradient; ``shift`` is added to the merit diagonal of the Hessian.
+    Returns ``(value, gradient, Hessian)``."""
     b_h, b_v = beta[host], beta[visitor]
     h = b_h + (0.0 if lg is None else lg)
     if phi is None:
@@ -181,7 +282,7 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
         [float((n * p * (q - float(a == b))).sum()) for b, (_, q, _) in enumerate(extras)]
         for a, (_, p, _) in enumerate(extras)
     ]
-    return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block)
+    return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block, shift)
 
 
 def _rao_kupper_terms(beta, host, visitor, w, ties, phi):
@@ -214,20 +315,20 @@ def _edge_data(model: Model, perturbed: PerturbedCounts):
     return h, v, (perturbed.a_free[h, v], perturbed.a_free[v, h], wt)
 
 
-def _terms(model: Model, point: ParameterPoint, edge_data):
+def _terms(model: Model, beta, phi, log_gamma, edge_data):
     """``(value, gradient, Hessian)`` of one model's penalized log-likelihood
     over ``[beta_1 .. beta_t, phi?, log_gamma?]``."""
     h, v, counts = edge_data
     if model is Model.RAO_KUPPER:
-        return _rao_kupper_terms(point.beta, h, v, *counts, point.phi)
-    return _outcome_terms(point.beta, h, v, *counts, point.phi, point.log_gamma)
+        return _rao_kupper_terms(beta, h, v, *counts, phi)
+    return _outcome_terms(beta, h, v, *counts, phi, log_gamma)
 
 
 def log_likelihood(
     model: Model, point: ParameterPoint, perturbed: PerturbedCounts
 ) -> float:
     _validate(model, point, perturbed)
-    return _terms(model, point, _edge_data(model, perturbed))[0]
+    return _terms(model, point.beta, point.phi, point.log_gamma, _edge_data(model, perturbed))[0]
 
 
 def gradient(
@@ -239,7 +340,8 @@ def gradient(
     log-likelihood.
     """
     _validate(model, point, perturbed)
-    return _terms(model, point, _edge_data(model, perturbed))[1][1:]
+    edge_data = _edge_data(model, perturbed)
+    return _terms(model, point.beta, point.phi, point.log_gamma, edge_data)[1][1:]
 
 
 class Objective:
@@ -256,7 +358,8 @@ class Objective:
         self._edge_data = _edge_data(model, perturbed)
         self.dimension = self.num_teams - 1 + model.has_tie_parameter + model.has_home_parameter
 
-    def unpack(self, x: Array) -> ParameterPoint:
+    def _split(self, x: Array):
+        """``(beta, phi, log_gamma)`` of a free vector."""
         t = self.num_teams
         if len(x) != self.dimension:
             raise DimensionError(
@@ -271,6 +374,10 @@ class Objective:
             k += 1
         if self.model.has_home_parameter:
             log_gamma = float(x[k])
+        return beta, phi, log_gamma
+
+    def unpack(self, x: Array) -> ParameterPoint:
+        beta, phi, log_gamma = self._split(x)
         return ParameterPoint(beta=beta, phi=phi, log_gamma=log_gamma)
 
     def initial_point(self) -> Array:
@@ -292,8 +399,10 @@ class Objective:
         None)`` outside the Rao-Kupper domain."""
         if not self.in_domain(x):
             return -np.inf, None, None
-        value, grad, hess = _terms(self.model, self.unpack(x), self._edge_data)
+        value, grad, hess = _terms(self.model, *self._split(x), self._edge_data)
         # the free layout leaves out beta_1, which is pinned at 0
+        if isinstance(hess, EdgeHessian):
+            return value, grad[1:], replace(hess, pinned=1)
         return value, grad[1:], hess[1:, 1:]
 
     def value(self, x: Array) -> float:
@@ -312,7 +421,7 @@ class PosteriorObjective:
 
     def __init__(self, wins: Array, shape: float, rate: float):
         self.wins, self.shape, self.rate = wins, shape, rate
-        i, j = pair_edges(wins != 0)
+        self.edges = i, j = pair_edges(wins != 0)
         self._sides, self._wins = (i[None], j[None]), (wins[i, j][None], wins[j, i][None])
 
     def initial_point(self) -> Array:
@@ -320,11 +429,12 @@ class PosteriorObjective:
         ``sum(u) = t (shape - 1) / rate``."""
         return np.full(len(self.wins), np.log((self.shape - 1.0) / self.rate))
 
-    def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array]:
-        value, grad, hess = _outcome_terms(x, *self._sides, *self._wins, 0.0, None, None)
+    def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array | EdgeHessian]:
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf
             u = np.exp(x)
+        value, grad, hess = _outcome_terms(
+            x, *self._sides, *self._wins, 0.0, None, None, shift=-self.rate * u
+        )
         value += float(((self.shape - 1.0) * x - self.rate * u).sum())
         grad += (self.shape - 1.0) - self.rate * u
-        hess[np.diag_indices(len(x))] -= self.rate * u
         return value, grad, hess

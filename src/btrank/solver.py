@@ -4,27 +4,52 @@ mode of the Bradley-Terry merits under Gamma priors.
 All six fits maximize a concave function of the log merits (plus the log tie
 and home parameters), with at most t + 1 free parameters, so one damped
 Newton method serves them all (``maximize_concave``). Each iteration solves
-``-H d = g`` for the Newton direction by an LU factorization (numpy's, so no
-fit imports SciPy) and keeps it only if it ascends: the slope ``g' d`` must
-be finite and positive, which it is whenever ``-H`` is positive definite.
-A singular ``-H``, or one that is not positive definite along ``d`` (only a
-caller-supplied objective or numerical breakdown can do that, as negative
-shifted counts are refused), gets the gradient direction instead. It then
-backtracks from the full step until the Armijo condition holds. An
-objective marks its domain by returning ``(-inf, None, None)`` outside it
-(the Rao-Kupper tie parameter), which fails the Armijo test, so steps
-leaving the domain are halved like any other.
+``-H d = g`` for the Newton direction and keeps it only if it ascends: the
+slope ``g' d`` must be finite and positive, which it is whenever ``-H`` is
+positive definite. A singular ``-H``, or one that is not positive definite
+along ``d`` (only a caller-supplied objective or numerical breakdown can do
+that, as negative shifted counts are refused), gets the gradient direction
+instead. It then backtracks from the full step until the Armijo condition
+holds. An objective marks its domain by returning ``(-inf, None, None)``
+outside it (the Rao-Kupper tie parameter), which fails the Armijo test, so
+steps leaving the domain are halved like any other.
 
-A fit stops converged once the gradient sup-norm reaches ``grad_tol``. Half
-the Newton decrement ``g' (-H)^-1 g`` bounds the objective still to gain.
-Once it is at most ``rel_ll_tol * max(1, |objective|)``, the objective is
-flat at working precision and its quadratic model exact to rounding: only
-the full Newton step is tried, and it is kept if it passes the Armijo test
-or lowers the gradient sup-norm (the objective may then drop by rounding);
-otherwise the fit stops converged. Above that bound, a line search that
-finds no improving step stops the fit unconverged, as does using up
-``max_iters`` iterations. Strict concavity makes the optimum unique, so
-each fit runs once, from the objective's deterministic start.
+The linear solve follows one size rule, ``likelihood.edge_form``: from 200
+teams on, while fewer than ``t**2 / 16`` pairs have met, the Hessian comes
+in edge form (``EdgeHessian``); otherwise it is a dense array, solved by
+numpy's LU. Its constants are measured crossovers: on sparse leagues the LU
+fit is faster up to about 150 teams and the sparse one from about 200, and a
+dense league keeps the LU (a fully met 300-team league runs at par). An
+edge-form step is solved by conjugate gradients on ``-H``, each product
+O(t + edges) by ``np.bincount``, with a two-level preconditioner: Jacobi on
+the fine level, plus the additive coarse correction ``Z (Z' -H Z)^-1 Z' r``
+(Tang et al. 2009 compare such two-level preconditioners). ``Z`` has one
+indicator column per strongly connected component of the raw digraph the
+existence rule reads (the counts before perturbation), labelled once per
+fit, and one per tie or home parameter; the m x m system ``Z' -H Z`` is
+inverted once per step. When the raw data fail strong connection, only
+O(eps) curvature joins those components, so their indicators are the
+near-null directions of ``-H`` that leave plain Jacobi-PCG stalling as eps
+goes to 0; the coarse level solves them exactly. The step is an inexact
+Newton step (Eisenstat and Walker 1996): the first is solved to a residual of
+a tenth of ``|g|`` (2-norms), each later one to the sup-norm of the step
+before it (capped at a tenth), so the solves tighten as the steps shrink.
+
+A fit stops converged once the Newton step at the current point has
+sup-norm at most 1e-9, in log-merit units: near the maximizer that is its
+distance from it, whatever the curvature (where only O(eps) curvature joins
+the components, a small gradient does not make the point close). It also
+stops converged where the gradient is exactly 0. The last step is not
+taken. Half the Newton decrement ``g' (-H)^-1 g`` bounds the objective
+still to gain. Once it is at most ``rel_ll_tol * max(1, |objective|)``, the
+objective is flat at working precision and its quadratic model exact to
+rounding: only the full Newton step is tried, and it is kept if it passes
+the Armijo test or lowers the gradient sup-norm (the objective may then
+drop by rounding); otherwise float64 cannot resolve the step and the fit
+stops unconverged. Above that bound, a line search that finds no improving
+step stops the fit unconverged, as does using up ``max_iters`` iterations.
+Strict concavity makes the optimum unique, so each fit runs once, from the
+objective's deterministic start.
 
 Every fit re-verifies existence before iterating, refusing with a witness
 rather than diverging. Building the Objective first refuses venue models on
@@ -52,9 +77,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .connectivity import CONDITION_B, CONDITION_C, strong_connectivity_witness
+from .connectivity import (
+    CONDITION_B,
+    CONDITION_C,
+    strong_components,
+    strong_connectivity_witness,
+)
 from .errors import ConfigError, ExistenceError
-from .likelihood import Objective, PosteriorObjective
+from .likelihood import EdgeHessian, Objective, PosteriorObjective, edge_form
 from .perturbation import perturb
 from .types import (
     Array,
@@ -72,18 +102,21 @@ from .types import (
 
 _ARMIJO_C = 1e-4
 _HALVINGS = 60  # the smallest trial step is 2**-59
+_STEP_TOL = 1e-9  # a fit is converged once the Newton step is this short
+_CG_RTOL = 0.1  # the loosest relative residual of a sparse Newton step
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls shared by all fits.
 
-    A fit is converged when the gradient sup-norm reaches ``grad_tol``, or
-    when half the Newton decrement, a bound on the objective still to gain,
-    is at most ``rel_ll_tol * max(1, |objective|)`` and the full Newton step
-    neither raises the objective nor lowers the gradient. ``max_iters``,
-    an integer >= 1, bounds the Newton iterations. The final gradient sup-norm is recorded
-    on the FitResult.
+    A fit is converged when its Newton step is at most 1e-9 in sup-norm (see
+    the module docstring). Where half the Newton decrement, a bound on the
+    objective still to gain, is at most ``rel_ll_tol * max(1, |objective|)``,
+    only the full Newton step is tried. ``max_iters``, an integer >= 1,
+    bounds the Newton iterations. ``grad_tol`` is validated but unread: no
+    fit stops on the gradient. The final gradient sup-norm is recorded on
+    the FitResult.
     """
 
     grad_tol: float = 1e-8
@@ -137,8 +170,62 @@ class _Solution:
     converged: bool
 
 
-def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
-    """Damped Newton ascent with the stop rules of the module docstring."""
+def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray | None, rtol: float):
+    """``(d, iterations)``: the solution of ``-H d = g`` for an edge-form
+    Hessian by conjugate gradients, preconditioned with two levels as in the
+    module docstring, run until the residual is at most ``rtol`` times
+    ``|g|`` (2-norms) or for ``len(g)`` iterations. ``labels`` (None: all
+    merits in one) are the coarse components of the merits."""
+    a = -h
+    t, k, pinned = len(a.shift), len(a.block), a.pinned
+    merit = np.zeros(t, dtype=np.intp) if labels is None else labels
+    # renumbered, as a component of pinned merits only would have no column
+    present, layout = np.unique(
+        np.concatenate([merit[pinned:], merit.max() + 1 + np.arange(k)]), return_inverse=True
+    )
+    m = len(present)
+    coarse = np.linalg.inv(a.galerkin(layout, m))
+    jacobi = 1.0 / a.diagonal()
+
+    def deflate(r):  # Z (Z' -H Z)^-1 Z' r
+        return (coarse @ np.bincount(layout, r, m))[layout]
+
+    d = deflate(g)
+    r = g - a.matvec(d)
+    goal = rtol * np.sqrt(g @ g)
+    p = rho = None
+    for iterations in range(len(g) + 1):
+        if not np.sqrt(r @ r) > goal:
+            break
+        z = jacobi * r + deflate(r)
+        rho, previous = r @ z, rho
+        p = z if p is None else z + (rho / previous) * p
+        q = a.matvec(p)
+        alpha = rho / (p @ q)
+        d = d + alpha * p
+        r = r - alpha * q
+    return d, iterations
+
+
+def _newton_direction(g: Array, h, labels, rtol: float) -> tuple[Array, float, bool]:
+    """``(direction, slope, newton)``: the Newton step if it ascends, else
+    the gradient."""
+    try:
+        if isinstance(h, EdgeHessian):
+            direction = _pcg(h, g, labels, rtol)[0]
+        else:
+            direction = np.linalg.solve(-h, g)
+        slope = float(g @ direction)  # the Newton decrement on a Newton step
+    except LinAlgError:
+        slope = math.nan
+    if 0.0 < slope < math.inf:
+        return direction, slope, True
+    return g, float(g @ g), False
+
+
+def _newton(objective, start: Array, config: SolverConfig, labels=None) -> _Solution:
+    """Damped Newton ascent with the stop rules of the module docstring;
+    ``labels`` are the components of the coarse space of the sparse step."""
     x = np.array(start, dtype=float)
     f, g, h = objective.value_gradient_hessian(x)
     if not np.isfinite(f) or g is None:
@@ -146,18 +233,19 @@ def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
 
     trace = [float(f)]
     iterations = 0
-    grad_norm = float(np.max(np.abs(g)))
-    converged = grad_norm <= config.grad_tol
-    while not converged and iterations < config.max_iters:
+    grad_norm = float(np.abs(g).max())
+    converged = False
+    rtol = _CG_RTOL
+    while True:
+        direction, slope, newton = _newton_direction(g, h, labels, rtol)
+        size = float(np.abs(direction).max())
+        if newton and size <= _STEP_TOL or not g.any():
+            converged = True
+            break
+        rtol = min(_CG_RTOL, size)  # the next sparse step is solved this closely
+        if iterations >= config.max_iters:
+            break
         iterations += 1
-        try:
-            direction = np.linalg.solve(-h, g)
-            slope = float(g @ direction)  # the Newton decrement on a Newton step
-        except LinAlgError:
-            slope = math.nan
-        newton = 0.0 < slope < math.inf
-        if not newton:
-            direction, slope = g, float(g @ g)
         at_rounding = newton and slope / 2.0 <= config.rel_ll_tol * max(1.0, abs(f))
         step = 1.0
         for _ in range(1 if at_rounding else _HALVINGS):
@@ -169,19 +257,18 @@ def _newton(objective, start: Array, config: SolverConfig) -> _Solution:
         else:
             # No step improves the objective at working precision. Where it
             # is flat to rounding the quadratic model is exact, so the full
-            # Newton step is still kept if it lowers the gradient.
+            # Newton step is still kept if it lowers the gradient; otherwise
+            # float64 cannot resolve the step and the fit stops unconverged.
             if not (
                 at_rounding
                 and trial[1] is not None
-                and np.max(np.abs(trial[1])) < grad_norm
+                and np.abs(trial[1]).max() < grad_norm
             ):
-                converged = at_rounding
                 break
         x = candidate
         f, g, h = trial
         trace.append(float(f))
-        grad_norm = float(np.max(np.abs(g)))
-        converged = grad_norm <= config.grad_tol
+        grad_norm = float(np.abs(g).max())
 
     return _Solution(
         x=x,
@@ -197,12 +284,14 @@ def maximize_concave(objective, start, config: SolverConfig | None = None):
     """Maximize a concave objective from ``start`` by damped Newton.
 
     ``objective`` needs a ``value_gradient_hessian(x) -> (float, ndarray,
-    ndarray)`` method, which every line-search trial calls and which returns
-    ``(-inf, None, None)`` outside the domain. The stop rules are those of
-    SolverConfig. Returns ``(point, trace)`` where ``trace`` lists the
-    objective value at the start and after each accepted iteration; it is
-    non-decreasing, up to rounding on steps taken where the objective is
-    flat to rounding.
+    Hessian)`` method, which every line-search trial calls and which returns
+    ``(-inf, None, None)`` outside the domain. The Hessian is a square
+    ndarray, solved by LU, or an ``EdgeHessian``, solved by the two-level
+    PCG of the module docstring with all merits in one coarse component. The
+    stop rules are those of the module docstring. Returns ``(point, trace)``
+    where ``trace`` lists the objective value at the start and after each
+    accepted iteration; it is non-decreasing, up to rounding on steps taken
+    where the objective is flat to rounding.
     """
     config = config or SolverConfig()
     result = _newton(objective, np.asarray(start, dtype=float), config)
@@ -299,6 +388,27 @@ def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> 
             )
 
 
+def _raw_components(model: Model, dataset: Dataset, edges) -> np.ndarray | None:
+    """Labels of the strongly connected components of the raw digraph the
+    existence rule reads (the counts before perturbation), over the met
+    pairs ``edges``; None below the size rule, where the step is solved by
+    LU and needs no coarse space."""
+    i, j = edges
+    t = dataset.num_teams
+    if not edge_form(t, len(i)):
+        return None
+    if model.needs_venues and not model.needs_ties:  # home-field: decisive games by host
+        a_home, a_away = dataset.counts.a_home, dataset.counts.a_away
+        forward = a_home[i, j] + a_away[j, i] > 0
+        backward = a_home[j, i] + a_away[i, j] > 0
+    else:
+        weights = dataset.totals.n_host if model.needs_venues else dataset.totals.a
+        forward, backward = weights[i, j] > 0, weights[j, i] > 0
+    src = np.concatenate([i[forward], j[backward]])
+    dst = np.concatenate([j[forward], i[backward]])
+    return strong_components(t, src, dst)
+
+
 def _fit_result(
     model: Model,
     dataset: Dataset,
@@ -344,7 +454,8 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     perturbed = perturb(dataset, model_spec.perturbation)
     objective = Objective(model_spec.model, perturbed)  # venue and tie refusals
     _verify_existence(model_spec, dataset.teams, perturbed)
-    solution = _newton(objective, objective.initial_point(), config)
+    labels = _raw_components(model_spec.model, dataset, perturbed.edges)
+    solution = _newton(objective, objective.initial_point(), config, labels)
     point = objective.unpack(solution.x)
     return _fit_result(
         model_spec.model, dataset, solution, point, model_spec.normalization, perturbed.epsilon
@@ -354,7 +465,8 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
 def _map_mode(dataset: Dataset, d: float, b: float, config: SolverConfig) -> _Solution:
     """The unnormalized posterior mode of a proper prior, over all t log merits."""
     posterior = PosteriorObjective(dataset.totals.a, d, b)
-    return _newton(posterior, posterior.initial_point(), config)
+    labels = _raw_components(Model.BRADLEY_TERRY, dataset, posterior.edges)
+    return _newton(posterior, posterior.initial_point(), config, labels)
 
 
 def fit_map_em(

@@ -8,6 +8,7 @@ from btrank.connectivity import (
     check_condition_a,
     check_condition_b,
     check_condition_c,
+    strong_components,
     strong_connectivity_witness,
     witness_is_valid,
 )
@@ -176,6 +177,33 @@ def test_the_reachability_verdict_and_witness_match_the_oracles(t, density, seed
     else:
         assert witness.q1 == source
         assert witness_is_valid(data, witness)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(1, 30),
+    density=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strong_components_match_the_transitive_closure(n, density, seed):
+    adjacency = np.random.default_rng(seed).random((n, n)) < density
+    src, dst = np.nonzero(adjacency)
+    labels = strong_components(n, src, dst)
+    reach = adjacency | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k])
+    assert labels.min() == 0 and set(labels) == set(range(labels.max() + 1))
+    np.testing.assert_array_equal(labels[:, None] == labels[None, :], reach & reach.T)
+
+
+def test_strong_components_of_a_long_path_and_a_long_ladder():
+    # one component per vertex along a path, one for a path with its reverse;
+    # label propagation would need a sweep per vertex of the path here
+    n = 20_000
+    head, tail = np.arange(1, n), np.arange(n - 1)
+    assert len(set(strong_components(n, head, tail))) == n
+    ladder = strong_components(n, np.concatenate([head, tail]), np.concatenate([tail, head]))
+    assert set(ladder) == {0}
 
 
 def test_witness_validation_rejects_wrong_claims(four_teams):

@@ -1,7 +1,5 @@
 """Every import is used: in the package (``__init__.py`` re-exports aside),
-the tests and the demos. The package imports SciPy only inside functions, so
-importing btrank, and every fit whose existence check passes, loads none of
-it."""
+the tests and the demos. The package imports no SciPy anywhere."""
 
 import ast
 from pathlib import Path
@@ -42,28 +40,22 @@ def test_no_unused_imports_in_the_tests_and_demos(tree):
     assert [entry for path in CHECKED[tree] for entry in _unused_imports(path)] == []
 
 
-def _module_level_scipy_imports(path: Path) -> list[str]:
-    """``file:line`` of each SciPy import that runs when the module is imported
-    (anywhere but inside a function body)."""
+def _scipy_imports(path: Path) -> list[str]:
+    """``file:line`` of each SciPy import, at module level or in a function."""
     found = []
-    pending = [ast.parse(path.read_text())]
-    while pending:
-        for node in ast.iter_child_nodes(pending.pop()):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""] if node.level == 0 else []
-            else:
-                modules = []
-            if any(module.split(".")[0] == "scipy" for module in modules):
-                found.append(f"{path.name}:{node.lineno}")
-            pending.append(node)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] if node.level == 0 else []
+        else:
+            modules = []
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            found.append(f"{path.name}:{node.lineno}")
     return found
 
 
-def test_the_package_imports_scipy_only_inside_functions():
+def test_the_package_imports_no_scipy():
     paths = CHECKED["package"]
     assert paths
-    assert [entry for path in paths for entry in _module_level_scipy_imports(path)] == []
+    assert [entry for path in paths for entry in _scipy_imports(path)] == []
