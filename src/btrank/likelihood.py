@@ -236,9 +236,11 @@ def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=(),
     if edge_form(t, len(i)):
         border, block = np.reshape(rows, (k, t)), np.reshape(block, (k, k))
         return value, grad, EdgeHessian(i, j, c, np.zeros(t) + shift, border, block)
-    hess = np.zeros((t + k, t + k))
-    hess[i, j] = hess[j, i] = c
-    hess[np.diag_indices(t)] = shift - (np.bincount(i, c, t) + np.bincount(j, c, t))
+    n = t + k
+    flat = np.zeros(n * n)  # flat indices scatter faster than index pairs
+    flat[i * n + j] = flat[j * n + i] = c
+    flat[: t * (n + 1) : n + 1] = shift - (np.bincount(i, c, t) + np.bincount(j, c, t))
+    hess = flat.reshape(n, n)
     for a, row in enumerate(rows):
         hess[:t, t + a] = hess[t + a, :t] = row
     hess[t:, t:] = block

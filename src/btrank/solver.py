@@ -214,7 +214,7 @@ def _newton_direction(g: Array, h, labels, rtol: float) -> tuple[Array, float, b
         if isinstance(h, EdgeHessian):
             direction = _pcg(h, g, labels, rtol)[0]
         else:
-            direction = np.linalg.solve(-h, g)
+            direction = -np.linalg.solve(h, g)
         slope = float(g @ direction)  # the Newton decrement on a Newton step
     except LinAlgError:
         slope = math.nan
