@@ -61,7 +61,6 @@ returns the value, gradient and Hessian together: ``log_likelihood`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -143,8 +142,7 @@ def edge_form(t: int, pairs: int) -> bool:
     return t >= 200 and 16 * pairs < t * t
 
 
-@dataclass(frozen=True)
-class EdgeHessian:
+class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     """A Hessian over ``[beta_1 .. beta_t, extras]`` kept by its edges.
 
     The merit block is ``diag(shift) - L``, with L the graph Laplacian of the
@@ -155,18 +153,17 @@ class EdgeHessian:
     free layout leaves out ``beta_1``. ``matvec`` costs O(t + edges).
     """
 
-    i: np.ndarray
-    j: np.ndarray
-    weight: Array
-    shift: Array
-    border: Array
-    block: Array
-    pinned: int = 0
+    def __init__(self, i, j, weight: Array, shift: Array, border: Array, block: Array, pinned=0):
+        self.i, self.j, self.weight, self.shift = i, j, weight, shift
+        self.border, self.block, self.pinned = border, block, pinned
 
     def __neg__(self) -> "EdgeHessian":
-        return replace(
-            self, weight=-self.weight, shift=-self.shift, border=-self.border, block=-self.block
-        )
+        parts = (-self.weight, -self.shift, -self.border, -self.block, self.pinned)
+        return EdgeHessian(self.i, self.j, *parts)
+
+    def pin_first(self) -> "EdgeHessian":
+        """The same Hessian over the free layout, without ``beta_1``."""
+        return EdgeHessian(self.i, self.j, self.weight, self.shift, self.border, self.block, 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -404,7 +401,7 @@ class Objective:
         value, grad, hess = _terms(self.model, *self._split(x), self._edge_data)
         # the free layout leaves out beta_1, which is pinned at 0
         if isinstance(hess, EdgeHessian):
-            return value, grad[1:], replace(hess, pinned=1)
+            return value, grad[1:], hess.pin_first()
         return value, grad[1:], hess[1:, 1:]
 
     def value(self, x: Array) -> float:
