@@ -41,8 +41,8 @@ for i in range(t):
                 t_home[i, j] += 1
 
 data = btrank.venue_dataset(teams, a_home, a_away, t_home)
-games = int(data.totals.n.sum() / 2)
-ties = int(data.totals.ties.sum() / 2)
+games = int(data.counts.games.sum())
+ties = int(data.counts.games[2].sum())
 print(f"simulated {games} games, {ties} of them drawn, planted gamma {gamma}")
 
 print(f"\n{'model':<12} {'theta':>8} {'gamma':>8}   top of table")

@@ -5,11 +5,14 @@ Usage, from the root of a btrank checkout:
     python scripts/bench_kernel.py [--src DIR] [--label NAME] [--out PATH]
 
 Each league case is a home-and-away league drawn from a fixed seed: a ring
-plus random chords, so every team meets about 6 others, and Bradley-Terry
-outcomes from evenly spaced merits. It is fitted with Bradley-Terry under
-``Improved("auto")`` in its own single-threaded interpreter, which imports
-btrank from ``--src`` (default: this checkout's ``src``), so that the peak
-RSS is the case's own. Per case the column records the median time of one
+plus random chords, so every team meets about 6 others, one game at each
+venue, and Bradley-Terry outcomes from evenly spaced merits. Its games are
+built as records (``GameTable``) and aggregated by ``btrank.aggregate``, so
+no t x t array is built for the input. It is fitted with Bradley-Terry
+under ``Improved("auto")`` in its own single-threaded interpreter, which
+imports btrank from ``--src`` (default: this checkout's ``src``), so that
+the peak RSS is the case's own, aggregation included. Per case the column
+records the number of games and met pairs, the median time of one
 ``Objective.value_gradient_hessian`` at the start point, the median time of
 the solver's own Newton step on the system it returns
 (``solver._newton_direction`` where the solver has it, else the
@@ -27,6 +30,8 @@ step.
 
 The column is stored under ``--label`` in the JSON file, next to any columns
 already there, so that two checkouts can be compared on the same cases.
+Each case named by ``--skip`` is recorded as not run, with the reason given
+(for a checkout that would need a t x t array the host cannot hold).
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ CASES = {
     "sparse-t400": (400, 400, 50, 5),
     "sparse-t2000": (2000, 2000, 10, 3),
     "sparse-t4000": (4000, 4000, 5, 2),
+    "sparse-t20000": (20000, 20000, 3, 2),
 }
 PROBE_TEAMS = 1000  # per league of the two-leagues case
 PROBE_EPS = (1e-1, 1e-5, 1e-9, 1e-12)
@@ -56,9 +62,10 @@ OPPONENTS = 6
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def league(t: int, seed: int):
-    """Venue-split win counts of a home-and-away league with about
-    ``OPPONENTS`` opponents per team."""
+def league(t: int, seed: int, offset: int = 0):
+    """``(home, away, outcome)`` per game of a home-and-away league of teams
+    ``offset .. offset + t - 1`` with about ``OPPONENTS`` opponents per
+    team; the outcome is a host win (0) or a visitor win (1)."""
     rng = np.random.default_rng(seed)
     ring = np.arange(t)
     chords = rng.integers(0, t, (2, t * (OPPONENTS - 2) // 2))
@@ -66,12 +73,21 @@ def league(t: int, seed: int):
     j = np.concatenate([(ring + 1) % t, chords[1]])
     pairs = np.unique(np.sort(np.stack([i[i != j], j[i != j]]), axis=0), axis=1)
     beta = rng.permutation(np.linspace(-2.0, 2.0, t))
-    a_home, a_away = np.zeros((t, t)), np.zeros((t, t))
+    home, away, outcome = [], [], []
     for host, visitor in (pairs, pairs[::-1]):  # one game at each venue
         host_wins = rng.random(host.size) < 1.0 / (1.0 + np.exp(beta[visitor] - beta[host]))
-        a_home[host[host_wins], visitor[host_wins]] = 1.0
-        a_away[visitor[~host_wins], host[~host_wins]] = 1.0
-    return a_home, a_away
+        home.append(host + offset)
+        away.append(visitor + offset)
+        outcome.append(np.where(host_wins, 0, 1))
+    return tuple(np.concatenate(column) for column in (home, away, outcome))
+
+
+def dataset(btrank, t: int, games):
+    """The Dataset of t teams ``T0 ..`` that ``btrank.aggregate`` builds
+    from the ``(home, away, outcome)`` records of ``games``."""
+    home, away, outcome = games
+    table = btrank.GameTable([f"T{k}" for k in range(t)], home, away, outcome, np.ones(len(home)))
+    return btrank.aggregate(table)
 
 
 def _step(solver, g, h, labels, rtol=None):
@@ -82,10 +98,14 @@ def _step(solver, g, h, labels, rtol=None):
     return np.linalg.solve(-h, g)
 
 
-def _labels(solver, model, dataset, edges):
-    if hasattr(solver, "_raw_components"):
-        return solver._raw_components(model, dataset, edges)
-    return None
+def _labels(solver, model, data, perturbed):
+    """The coarse-space labels the solver's own fit uses, where it has them;
+    a checkout with dense count fields passes the edge list, not its size."""
+    if not hasattr(solver, "_raw_components"):
+        return None
+    if hasattr(perturbed, "edges"):
+        return solver._raw_components(model, data, perturbed.edges)
+    return solver._raw_components(model, data, len(perturbed.i))
 
 
 def run_case(name: str) -> dict:
@@ -97,12 +117,12 @@ def run_case(name: str) -> dict:
     from btrank.perturbation import perturb
 
     t, seed, evaluations, fits = CASES[name]
-    a_home, a_away = league(t, seed)
-    dataset = btrank.venue_dataset([f"T{k}" for k in range(t)], a_home, a_away)
+    games = league(t, seed)
+    data = dataset(btrank, t, games)
     spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
-    perturbed = perturb(dataset, spec.perturbation)
+    perturbed = perturb(data, spec.perturbation)
     objective = Objective(spec.model, perturbed)
-    labels = _labels(solver, spec.model, dataset, perturbed.edges)
+    labels = _labels(solver, spec.model, data, perturbed)
     x = objective.initial_point()
     kernel, step = [], []
     for _ in range(evaluations):
@@ -115,11 +135,13 @@ def run_case(name: str) -> dict:
     wall = []
     for _ in range(fits):
         clock = time.perf_counter()
-        result = btrank.fit(spec, dataset)
+        result = btrank.fit(spec, data)
         wall.append(time.perf_counter() - clock)
+    home, away, _ = games
     return {
         "teams": t,
-        "met_pairs": int(((a_home + a_away.T) > 0).sum()) // 2,
+        "games": len(home),
+        "met_pairs": len(np.unique(np.minimum(home, away) * t + np.maximum(home, away))),
         "kernel_median_s": statistics.median(kernel),
         "step_median_s": statistics.median(step),
         "fit_median_s": statistics.median(wall),
@@ -130,12 +152,10 @@ def run_case(name: str) -> dict:
 
 
 def two_leagues(t: int):
-    """Venue-split counts of two t-team leagues joined by one win."""
-    a_home, a_away = np.zeros((2, 2 * t, 2 * t))
-    for k, block in enumerate((slice(0, t), slice(t, 2 * t))):
-        a_home[block, block], a_away[block, block] = league(t, k + 1)
-    a_home[0, t] = 1.0
-    return a_home, a_away
+    """``(home, away, outcome)`` of two t-team leagues joined by one win of
+    team 0, hosting, over team t."""
+    first, second = league(t, 1), league(t, 2, offset=t)
+    return tuple(np.concatenate([a, b, [c]]) for a, b, c in zip(first, second, (0, t, 0)))
 
 
 def run_probe() -> dict:
@@ -143,9 +163,7 @@ def run_probe() -> dict:
     from btrank import likelihood, solver
     from btrank.perturbation import perturb
 
-    dataset = btrank.venue_dataset(
-        [f"T{k}" for k in range(2 * PROBE_TEAMS)], *two_leagues(PROBE_TEAMS)
-    )
+    data = dataset(btrank, 2 * PROBE_TEAMS, two_leagues(PROBE_TEAMS))
     pcg = getattr(solver, "_pcg", None)
     counts = []
 
@@ -161,13 +179,13 @@ def run_probe() -> dict:
         spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved(eps))
         counts.clear()
         clock = time.perf_counter()
-        result = btrank.fit(spec, dataset)
+        result = btrank.fit(spec, data)
         wall = time.perf_counter() - clock
         most = max(counts, default=0)
-        perturbed = perturb(dataset, spec.perturbation)
+        perturbed = perturb(data, spec.perturbation)
         objective = likelihood.Objective(spec.model, perturbed)
         _, g, h = objective.value_gradient_hessian(result.beta[1:])
-        d = _step(solver, g, h, _labels(solver, spec.model, dataset, perturbed.edges), 1e-12)
+        d = _step(solver, g, h, _labels(solver, spec.model, data, perturbed), 1e-12)
         dense = h if isinstance(h, np.ndarray) else _dense(likelihood, objective, result.beta[1:])
         norm = np.linalg.norm(g)
         out[f"{eps:g}"] = {
@@ -196,6 +214,11 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding btrank")
     parser.add_argument("--label", default="change", help="column name in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
+    parser.add_argument(
+        "--skip", action="append", default=[], choices=[*CASES, "two-leagues"],
+        help="a case to record as not run (repeatable)",
+    )
+    parser.add_argument("--reason", default="skipped", help="why the --skip cases were not run")
     parser.add_argument("--case", choices=[*CASES, "two-leagues"], help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:  # the child interpreter of one case
@@ -204,6 +227,9 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=args.src, **{var: "1" for var in THREAD_VARS})
     column = {}
     for name in [*CASES, "two-leagues"]:
+        if name in args.skip:
+            column[name] = f"not run: {args.reason}"
+            continue
         child = subprocess.run(
             [sys.executable, __file__, "--case", name],
             env=env, capture_output=True, text=True, check=True,

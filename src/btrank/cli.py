@@ -70,9 +70,15 @@ EXIT_PARSE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_CONFIG = 4
 
-_PARSE_ERRORS = (ParseError, SelfPlayError, ShapeError, NegativeCountError, EmptyInputError)
+_PARSE_ERRORS = (ParseError, SelfPlayError, ShapeError, NegativeCountError, EmptyInputError, OSError)
 _EXISTENCE_ERRORS = (ExistenceError, NoTiesError, VenuelessDataError)
 _CONFIG_ERRORS = (ConfigError, NonPositiveEpsilonError, ThetaDomainError, DimensionError)
+_EXIT_CODES = (
+    (_PARSE_ERRORS, EXIT_PARSE),
+    (_EXISTENCE_ERRORS, EXIT_EXISTENCE),
+    ((NonConvergenceError,), EXIT_NONCONVERGENCE),
+    (_CONFIG_ERRORS, EXIT_CONFIG),
+)
 
 
 class _UsageError(Exception):
@@ -218,6 +224,15 @@ def _add_model_flags(sub) -> None:
         "--normalization",
         choices=[n.value for n in Normalization],
         default=Normalization.REFERENCE.value,
+    )
+
+
+def _add_perturbation_flags(sub) -> None:
+    sub.add_argument("--epsilon", default=None, help="positive number or 'auto' (default)")
+    sub.add_argument(
+        "--perturbation",
+        default="improved",
+        help="improved (default), conner-grant, or matrix:<json file>",
     )
 
 
@@ -550,12 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(fit_cmd)
     _add_out_flag(fit_cmd)
     _add_model_flags(fit_cmd)
-    fit_cmd.add_argument("--epsilon", default=None, help="positive number or 'auto' (default)")
-    fit_cmd.add_argument(
-        "--perturbation",
-        default="improved",
-        help="improved (default), conner-grant, or matrix:<json file>",
-    )
+    _add_perturbation_flags(fit_cmd)
     _add_solver_flags(fit_cmd)
     fit_cmd.set_defaults(handler=cmd_fit)
 
@@ -595,12 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--key", choices=["merit", "pct"], default="merit")
     seeds.add_argument("--seeds-per-conference", type=_positive_int, default=6)
     _add_model_flags(seeds)
-    seeds.add_argument("--epsilon", default=None, help="positive number or 'auto' (default)")
-    seeds.add_argument(
-        "--perturbation",
-        default="improved",
-        help="improved (default), conner-grant, or matrix:<json file>",
-    )
+    _add_perturbation_flags(seeds)
     _add_solver_flags(seeds)
     seeds.set_defaults(handler=cmd_seeds)
 
@@ -626,24 +631,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _PARSE_ERRORS as err:
-        print(f"btrank: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except _EXISTENCE_ERRORS as err:
-        print(f"btrank: {err}", file=sys.stderr)
-        return EXIT_EXISTENCE
-    except NonConvergenceError as err:
-        print(f"btrank: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except _CONFIG_ERRORS as err:
-        print(f"btrank: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except json.JSONDecodeError as err:
         print(f"btrank: invalid JSON: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as err:
+    except (*_PARSE_ERRORS, *_EXISTENCE_ERRORS, *_CONFIG_ERRORS, NonConvergenceError) as err:
         print(f"btrank: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(err, kinds))
 
 
 def entry() -> None:

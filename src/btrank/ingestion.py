@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
-    NegativeCountError,
     ParseError,
     SelfPlayError,
     ShapeError,
 )
-from .types import CountMatrices, Dataset, venue_free_dataset
+from .types import CountMatrices, Dataset, venue_dataset, venue_free_dataset
 
 
 class Outcome(enum.Enum):
@@ -68,8 +67,8 @@ class GameTable:
     def __post_init__(self):
         object.__setattr__(self, "teams", tuple(self.teams))
         n, t = len(self.home), len(self.teams)
-        # An index out of its range would land silently in another cell of
-        # aggregate's count block.
+        # An index out of its range would land silently on another edge or
+        # cell of aggregate's counts.
         bounds = (("home", 0, t), ("away", 0, t), ("outcome", 0, len(Outcome)), ("repeat", 1, np.inf))
         for name, low, high in bounds:
             arr = np.array(getattr(self, name), dtype=np.int64)
@@ -210,37 +209,31 @@ def _parse_json_records(text: str) -> GameTable:
 def aggregate(table: GameTable) -> Dataset:
     """Accumulate a table of records into a venue-aware Dataset.
 
-    Teams keep the table's order. A home win by host h over visitor v
-    increments ``a_home[h][v]``; an away win by v at h increments
-    ``a_away[v][h]``; a tie at h increments ``t_home[h][v]``.
+    Teams keep the table's order. Each record lands on the edge of its pair
+    (lower team index first), in the orientation of its host and at its
+    outcome, as laid out in ``types``: one ``np.unique`` of the pair keys
+    and one ``np.bincount`` of the repeats, with no t x t array.
     """
     if not len(table):
         raise EmptyInputError("no game records to aggregate")
     t = len(table.teams)
-    # Flat (row, col) cells; an away win is credited to the visitor's row.
-    away_win = table.outcome == _CODES[Outcome.AWAY_WIN.value]
-    flat = np.where(away_win, table.away * t + table.home, table.home * t + table.away)
-    # One bincount per matrix, not one into a (3, t, t) block: on the
-    # 400-team sparse-league benchmark workload the block version raised
-    # peak RSS by about 2 MB.
-    masks = (table.outcome == code for code in range(len(Outcome)))
-    a_home, a_away, t_home = (
-        np.bincount(flat[m], table.repeat[m], t * t).reshape(t, t) for m in masks
-    )
-    return Dataset(teams=table.teams, counts=CountMatrices(a_home, a_away, t_home))
+    home, away = table.home, table.away
+    flipped = home > away  # the higher index hosts: orientation 1
+    keys = np.minimum(home, away) * t + np.maximum(home, away)
+    pairs, edge = np.unique(keys, return_inverse=True)
+    e = len(pairs)
+    cell = (table.outcome * 2 + flipped) * e + edge
+    games = np.bincount(cell, table.repeat, 6 * e).reshape(3, 2, e)
+    return Dataset(teams=table.teams, counts=CountMatrices(t, *np.divmod(pairs, t), games))
 
 
-def _integer_matrix(values, name: str, t: int) -> np.ndarray:
+def _integer_matrix(values, name: str) -> np.ndarray:
+    """A numeric matrix of integer counts; its shape, diagonal and signs are
+    checked where the dataset is built, under the same name."""
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{name}: not a numeric matrix ({exc})") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[0] != t:
-        raise ShapeError(f"{name} must be {t}x{t}, got {arr.shape[0]}x{arr.shape[1]}")
-    if np.any(arr < 0):
-        raise NegativeCountError(f"{name} contains a negative count")
     if not np.all(arr == np.floor(arr)):
         raise ParseError(f"{name} must contain integer counts")
     return arr
@@ -263,27 +256,16 @@ def parse_matrix(data: bytes | str) -> Dataset:
     teams = payload.get("teams")
     if not isinstance(teams, list) or not all(isinstance(x, str) for x in teams):
         raise ParseError('matrix JSON needs a "teams" array of strings')
-    t = len(teams)
-    if t < 2:
-        raise ShapeError(f"need at least 2 teams, got {t}")
-    if len(set(teams)) != t:
+    if len(set(teams)) != len(teams):
         raise ParseError("team identifiers must be unique")
 
     if "a" in payload:
-        a = _integer_matrix(payload["a"], "a", t)
-        if np.any(np.diagonal(a) != 0):
-            raise ShapeError("a must have a zero diagonal")
-        ties = None
-        if "ties" in payload:
-            ties = _integer_matrix(payload["ties"], "ties", t)
-        return venue_free_dataset(tuple(teams), a, ties)
+        ties = _integer_matrix(payload["ties"], "ties") if "ties" in payload else None
+        return venue_free_dataset(tuple(teams), _integer_matrix(payload["a"], "a"), ties)
 
     if all(k in payload for k in ("a_home", "a_away", "t_home")):
-        a_home = _integer_matrix(payload["a_home"], "a_home", t)
-        a_away = _integer_matrix(payload["a_away"], "a_away", t)
-        t_home = _integer_matrix(payload["t_home"], "t_home", t)
-        counts = CountMatrices(a_home=a_home, a_away=a_away, t_home=t_home)
-        return Dataset(teams=tuple(teams), counts=counts, venueless=False)
+        matrices = (_integer_matrix(payload[k], k) for k in ("a_home", "a_away", "t_home"))
+        return venue_dataset(tuple(teams), *matrices)
 
     raise ParseError(
         'matrix JSON needs either "a" or all of "a_home", "a_away", "t_home"'

@@ -10,11 +10,12 @@ Free parameter vectors are laid out ``[beta_2 .. beta_t]`` plus ``phi`` for
 models with a tie parameter, plus ``log_gamma`` for models with a home
 parameter, in that order.
 
-Every kernel runs over ``PerturbedCounts.edges``, the unordered pairs
-i < j where any count a model reads is nonzero (Improved keeps it as sparse
-as the schedule; under ConnerGrant every pair is an edge), and forms no
-t x t array but a dense Hessian. With perturbed wins ``w`` and raw ties ``tw``,
-one term per edge covers both orders for:
+Every kernel runs over the edge list of ``PerturbedCounts`` (the layout of
+``types.CountMatrices``: unordered pairs i < j, as sparse as the schedule
+under Improved, every pair under ConnerGrant) and forms no t x t array but a
+dense Hessian. Each kernel reads its counts as slices of the per-edge arrays
+(``_edge_data``), gathering nothing. With perturbed wins ``w`` and raw ties
+``tw``, one term per edge covers both orders for:
 
 * Bradley-Terry: ``w_ij log s(beta_i - beta_j) + w_ji log s(beta_j - beta_i)``
   with s the logistic function; ties do not enter. The MAP posterior
@@ -30,12 +31,12 @@ and (host j, visitor i):
   and ties ``tw (log(theta^2 - 1) + beta_i + beta_j - D_ij - D_ji)`` where
   ``D_ij = lse(beta_i, phi + beta_j)`` and ``log(theta^2 - 1)`` is computed
   as ``2 phi + log1p(-exp(-2 phi))``.
-* home-field, with venue-split perturbed wins ``wh[i][j]`` (host win) and
-  ``wv[i][j]`` (visitor win at i's venue): host denominator ``D =
+* home-field, with perturbed host wins ``wh`` and visitor wins ``wv`` per
+  orientation (``games[0]`` and ``games[1]``): host denominator ``D =
   lse(log_gamma + beta_i, beta_j)``, contribution ``wh (log_gamma + beta_i)
   + wv beta_j - (wh + wv) D``.
-* home-field with ties: adds hosted ties ``wt[i][j] mid`` and extends the
-  denominator to ``lse(log_gamma + beta_i, beta_j, mid)``.
+* home-field with ties: adds hosted ties ``wt mid`` (``games[2]``) and
+  extends the denominator to ``lse(log_gamma + beta_i, beta_j, mid)``.
 
 Derivatives. Every term depends on the merits only through ``beta_i -
 beta_j``, so each model reduces to arrays of shape (orientations, edges): a
@@ -71,7 +72,7 @@ from .errors import (
     ThetaDomainError,
     VenuelessDataError,
 )
-from .types import Array, Model, ParameterPoint, PerturbedCounts, pair_edges
+from .types import Array, CountMatrices, Model, ParameterPoint, PerturbedCounts, derive_totals
 
 #: Smallest phi admitted for the Rao-Kupper model (theta must exceed 1).
 RK_PHI_MIN = 1e-10
@@ -103,7 +104,7 @@ def _refuse_data(model: Model, perturbed: PerturbedCounts) -> None:
         raise VenuelessDataError(
             f"{model.value} needs home/away structure and this dataset has none"
         )
-    if model.needs_ties and perturbed.ties.sum() == 0:
+    if model.needs_ties and not perturbed.games[2].any():
         raise NoTiesError(
             f"{model.value} models tie probabilities and the data contain no tie"
         )
@@ -301,17 +302,17 @@ def _rao_kupper_terms(beta, host, visitor, w, ties, phi):
 
 def _edge_data(model: Model, perturbed: PerturbedCounts):
     """``(host, visitor, counts)``: the oriented edges one model evaluates,
-    and the perturbed counts its kernel reads on them."""
-    i, j = perturbed.edges
-    both = model.needs_venues or model is Model.RAO_KUPPER
-    h, v = (np.stack([i, j]), np.stack([j, i])) if both else (i[None], j[None])
+    and the perturbed counts its kernel reads on them, sliced from the
+    per-edge arrays."""
+    i, j, games, wins = perturbed.i, perturbed.j, perturbed.games, perturbed.wins
+    ties = games[2, 0] + games[2, 1]
+    if not (model.needs_venues or model is Model.RAO_KUPPER):
+        wt = ties[None] if model is Model.DAVIDSON else 0.0
+        return i[None], j[None], (wins[:1], wins[1:], wt)
+    h, v = np.stack([i, j]), np.stack([j, i])
     if model is Model.RAO_KUPPER:
-        return h, v, (perturbed.a_free[h, v], perturbed.ties[h, v])
-    if model.needs_venues:
-        wt = perturbed.t_home[h, v] if model is Model.DAVID else 0.0
-        return h, v, (perturbed.a_home[h, v], perturbed.a_away[v, h], wt)
-    wt = perturbed.ties[h, v] if model is Model.DAVIDSON else 0.0
-    return h, v, (perturbed.a_free[h, v], perturbed.a_free[v, h], wt)
+        return h, v, (wins, np.stack([ties, ties]))
+    return h, v, (games[0], games[1], games[2] if model is Model.DAVID else 0.0)
 
 
 def _terms(model: Model, beta, phi, log_gamma, edge_data):
@@ -414,19 +415,22 @@ class Objective:
 class PosteriorObjective:
     """Unnormalized log-posterior of the Bradley-Terry log merits under
     independent Gamma(shape, rate) priors with shape > 1 and rate > 0: the
-    log-likelihood of the win counts ``wins`` plus ``(shape - 1) beta_i -
-    rate exp(beta_i)`` per team, over all t log merits.
+    log-likelihood of the venue-free wins of ``counts`` plus ``(shape - 1)
+    beta_i - rate exp(beta_i)`` per team, over all t log merits. Its
+    ``edges`` are the pairs with a raw win.
     """
 
-    def __init__(self, wins: Array, shape: float, rate: float):
-        self.wins, self.shape, self.rate = wins, shape, rate
-        self.edges = i, j = pair_edges(wins != 0)
-        self._sides, self._wins = (i[None], j[None]), (wins[i, j][None], wins[j, i][None])
+    def __init__(self, counts: CountMatrices, shape: float, rate: float):
+        self.num_teams, self.shape, self.rate = counts.num_teams, shape, rate
+        wins = derive_totals(counts)[:2]
+        won = (wins != 0).any(axis=0)
+        self.edges = i, j = counts.i[won], counts.j[won]
+        self._sides, self._wins = (i[None], j[None]), (wins[:1, won], wins[1:, won])
 
     def initial_point(self) -> Array:
         """Uniform merits at the scale of every stationary point,
         ``sum(u) = t (shape - 1) / rate``."""
-        return np.full(len(self.wins), np.log((self.shape - 1.0) / self.rate))
+        return np.full(self.num_teams, np.log((self.shape - 1.0) / self.rate))
 
     def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array | EdgeHessian]:
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf

@@ -1,17 +1,17 @@
-"""Apply a perturbation scheme to a dataset's win counts.
+"""Apply a perturbation scheme to a dataset's win counts, per edge.
 
-Tie counts are never perturbed. Three schemes are supported:
+Tie counts are never perturbed. Each scheme is a rule over an edge list (the
+layout of ``types.CountMatrices``), in O(edges):
 
-* Improved(eps): wins gain eps only where the pair actually met. At the
-  venue level, ``a_home[i][j]`` gains eps when i has hosted j at all
-  (``n_host[i][j] > 0``); the venue-free view gains eps on ``a[i][j]`` when
-  ``n[i][j] > 0``. The venue-free view is computed directly from the pair
-  totals rather than by summing the perturbed venue matrices, so a pair that
-  met at both venues still gains exactly one eps in the venue-free view.
-* ConnerGrant(eps): every off-diagonal win count gains eps, met or not.
-* MatrixShift(a0): wins gain an arbitrary matrix with entries > -1. The
-  venue-free view gains a0; each venue view gains a0 / 2 so the venue split
-  sums back to the venue-free shift.
+* Improved(eps) keeps the dataset's edges, the pairs that met. It adds eps
+  to both venue-free directions of every edge (to the raw wins, so a pair
+  that met at both venues gains one eps, not two), and to the host and the
+  visitor win of every orientation that has a game.
+* ConnerGrant(eps) runs the same rule over every pair, met or not, and
+  lifts every orientation. It is dense by definition: t (t - 1) / 2 edges.
+* MatrixShift(a0) widens the edge list to the pairs where ``a0`` is
+  nonzero. The venue-free wins of x over y gain ``a0[x][y]``; the host win
+  at "x hosts y" and the visitor win at "y hosts x" each gain half of it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .types import (
     MatrixShift,
     PerturbationSpec,
     PerturbedCounts,
+    pair_edges,
 )
 
 
@@ -52,37 +53,44 @@ def resolve_epsilon(spec: PerturbationSpec, t: int) -> float | None:
     return float(spec.epsilon)
 
 
-def perturb(dataset: Dataset, spec: PerturbationSpec) -> PerturbedCounts:
-    """Produce the perturbed win counts for a dataset under a scheme.
+def _widen(dataset: Dataset, extra: np.ndarray):
+    """The dataset's ``(i, j, games, wins)`` over its edges and the pairs
+    where the boolean t x t ``extra`` holds (the dataset's pairs are marked
+    in it), in row-major order; zero on the pairs the dataset lacks."""
+    counts, t = dataset.counts, dataset.num_teams
+    extra[counts.i, counts.j] = True
+    i, j = pair_edges(extra)
+    at = np.searchsorted(i * t + j, counts.i * t + counts.j)
+    games = np.zeros((3, 2, len(i)))
+    games[..., at] = counts.games
+    wins = np.zeros((2, len(i)))
+    wins[:, at] = dataset.totals[:2]
+    return i, j, games, wins
 
-    Each scheme picks the shift added to the venue-free, home and away win
-    counts; the ties pass through untouched.
-    """
-    totals = dataset.totals
-    counts = dataset.counts
-    t = dataset.num_teams
+
+def perturb(dataset: Dataset, spec: PerturbationSpec) -> PerturbedCounts:
+    """Produce the perturbed win counts for a dataset under a scheme, by the
+    rules of the module docstring; the ties pass through untouched."""
+    counts, t = dataset.counts, dataset.num_teams
     if not isinstance(spec, (Improved, ConnerGrant, MatrixShift)):
         raise TypeError(f"unknown perturbation spec {spec!r}")
     eps = resolve_epsilon(spec, t)
     if isinstance(spec, MatrixShift):
-        if spec.a0.shape[0] != t:
-            raise ShapeError(
-                f"a0 is {spec.a0.shape[0]}x{spec.a0.shape[1]} "
-                f"but the dataset has {t} teams"
-            )
-        free = spec.a0
-        home = away = spec.a0 / 2.0
-    elif isinstance(spec, Improved):
-        free = eps * (totals.n > 0)
-        home = eps * (totals.n_host > 0)
-        away = eps * (totals.n_host.T > 0)
-    else:  # ConnerGrant
-        free = home = away = eps * ~np.eye(t, dtype=bool)
-    return PerturbedCounts(
-        a_home=counts.a_home + home,
-        a_away=counts.a_away + away,
-        a_free=totals.a + free,
-        t_home=counts.t_home,
-        venueless=dataset.venueless,
-        epsilon=eps,
-    )
+        a0 = spec.a0
+        if a0.shape[0] != t:
+            raise ShapeError(f"a0 is {a0.shape[0]}x{a0.shape[1]} but the dataset has {t} teams")
+        i, j, games, wins = _widen(dataset, a0 != 0)
+        shift = np.stack([a0[i, j], a0[j, i]])
+        wins += shift
+        games[0] += shift / 2.0
+        games[1] += shift[::-1] / 2.0
+    else:
+        if isinstance(spec, Improved):
+            i, j, games, wins = counts.i, counts.j, counts.games, dataset.totals[:2]
+            hosted = games.sum(axis=0) > 0
+        else:  # ConnerGrant
+            i, j, games, wins = _widen(dataset, np.ones((t, t), dtype=bool))
+            hosted = True
+        wins = wins + eps
+        games = np.concatenate([games[:2] + eps * hosted, games[2:]])
+    return PerturbedCounts(t, i, j, games, wins, dataset.venueless, eps)

@@ -222,10 +222,12 @@ def merit_table(result: FitResult) -> dict[str, float]:
 
 def pct_table(dataset: Dataset) -> dict[str, float]:
     """Team -> winning percentage (w + ties/2) / games, 0.0 when no games."""
-    totals = dataset.totals
-    wins = totals.a.sum(axis=1)
-    ties = totals.ties.sum(axis=1)
-    games = totals.n.sum(axis=1)
+    counts, totals, t = dataset.counts, dataset.totals, dataset.num_teams
+
+    def per_team(weights):  # a per-edge count shared by both ends
+        return np.bincount(counts.i, weights, t) + np.bincount(counts.j, weights, t)
+
+    wins, ties, games = dataset.scores, per_team(totals[2]), per_team(totals.sum(axis=0))
     out = {}
     for k, team in enumerate(dataset.teams):
         out[team] = float((wins[k] + ties[k] / 2.0) / games[k]) if games[k] > 0 else 0.0

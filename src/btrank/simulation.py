@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .perturbation import auto_epsilon
 from .solver import fit
-from .types import Array, Dataset, Improved, Model, ModelSpec, is_integer, venue_free_dataset
+from .types import Array, CountMatrices, Dataset, Improved, Model, ModelSpec, is_integer
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,22 @@ def _team_names(t: int) -> tuple[str, ...]:
     return tuple(f"T{k + 1}" for k in range(t))
 
 
+def _round_robin(t: int, forward: Array, backward: Array) -> Dataset:
+    """Venueless t-team dataset of a round-robin: ``forward`` and
+    ``backward`` are the wins of i over j and of j over i on the pairs
+    i < j in row-major order, pairs without a game left out."""
+    i, j = np.triu_indices(t, k=1)
+    met = forward + backward > 0
+    games = np.zeros((3, 2, int(met.sum())))
+    games[0] = forward[met], backward[met]
+    counts = CountMatrices(t, i[met], j[met], games)
+    return Dataset(_team_names(t), counts, venueless=True)
+
+
 def _sample_dataset(u: Array, n_per_pair: int, rng: np.random.Generator) -> Dataset:
-    t = len(u)
-    rows, cols = np.triu_indices(t, k=1)
-    p = u[rows] / (u[rows] + u[cols])
-    wins = rng.binomial(n_per_pair, p)
-    a = np.zeros((t, t))
-    a[rows, cols] = wins
-    a[cols, rows] = n_per_pair - wins
-    return venue_free_dataset(_team_names(t), a)
+    rows, cols = np.triu_indices(len(u), k=1)
+    wins = rng.binomial(n_per_pair, u[rows] / (u[rows] + u[cols]))
+    return _round_robin(len(u), wins, n_per_pair - wins)
 
 
 def expected_counts_dataset(merits, n_per_pair: int = 4) -> Dataset:
@@ -98,10 +105,9 @@ def expected_counts_dataset(merits, n_per_pair: int = 4) -> Dataset:
     u = np.asarray(merits, dtype=float)
     if u.ndim != 1 or len(u) < 2 or np.any(u <= 0):
         raise ConfigError("merits must be a vector of at least 2 positive values")
-    p = u[:, None] / (u[:, None] + u[None, :])
-    a = n_per_pair * p
-    np.fill_diagonal(a, 0.0)
-    return venue_free_dataset(_team_names(len(u)), a)
+    i, j = np.triu_indices(len(u), k=1)
+    forward, backward = n_per_pair * (u[i] / (u[i] + u[j])), n_per_pair * (u[j] / (u[j] + u[i]))
+    return _round_robin(len(u), forward, backward)
 
 
 def max_relative_error(fitted: Array, planted: Array) -> float:

@@ -57,16 +57,17 @@ venueless data and tie models on data without ties (tie counts are never
 perturbed, so this holds whatever the scheme). Then one rule serves every
 scheme, Ford's condition on the perturbed data (Assumption 1 of Hunter
 2004): no perturbed win count the model reads may be negative, and the
-perturbed win digraph must be strongly connected. For the venue models that
-digraph has an edge i -> j where i hosted j in a game the model reads: a
-decisive one (``a_home + a_away.T``) for home-field, any one (``n_host``)
-for the model with ties. A venue model also needs some perturbed home-win
-weight and some visitor-win weight, or the home advantage runs off to 0 or
-infinity. Improved adds epsilon exactly where the pair met, to both
-outcomes of every hosted pairing, so its perturbed ``a_free`` is positive
-iff ``n > 0`` and both venue digraphs have an edge iff ``n_host > 0``: the
-rule is then Condition B (venue-free models) or C (venue models) of the raw
-data. ConnerGrant lifts every pair, so the rule always holds.
+perturbed win digraph must be strongly connected. Both are read per edge
+(``_digraph``). For the venue models that digraph has an arc i -> j where i
+hosted j in a game the model reads: a decisive one (host win or visitor
+win) for home-field, any one for the model with ties. A venue model also
+needs some perturbed home-win weight and some visitor-win weight, or the
+home advantage runs off to 0 or infinity. Improved adds epsilon exactly
+where the pair met, to both outcomes of every hosted orientation, so its
+venue-free wins are positive both ways on every edge and both venue
+digraphs have an arc wherever a game was hosted: the rule is then
+Condition B (venue-free models) or C (venue models) of the raw data.
+ConnerGrant lifts every pair, so the rule always holds.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from numpy.linalg import LinAlgError
 from .connectivity import (
     CONDITION_B,
     CONDITION_C,
+    arcs,
     strong_components,
     strong_connectivity_witness,
 )
@@ -339,20 +341,27 @@ _WITNESS_WORDING = {
 }
 
 
+def _digraph(model: Model, games: Array, wins: Array) -> Array:
+    """Weights (2, edges) of the arcs i -> j and j -> i the existence rule
+    reads: the venue-free wins, or the games a venue model reads by host."""
+    if not model.needs_venues:
+        return wins
+    if model.needs_ties:
+        return games.sum(axis=0)
+    return games[0] + games[1]  # home-field never reads the ties
+
+
 def _verify_existence(spec: ModelSpec, teams, perturbed: PerturbedCounts) -> None:
     """Refuse unless the perturbed counts the model reads meet Ford's condition."""
     model = spec.model
     _refuse_negative_counts(model, perturbed, teams)
-    if not model.needs_venues:
-        weights = perturbed.a_free
-    elif model.needs_ties:
-        weights = perturbed.n_host
-    else:  # home-field never reads the ties
-        weights = perturbed.a_home + perturbed.a_away.T
+    weights = _digraph(model, perturbed.games, perturbed.wins)
     condition, detail = _WITNESS_WORDING[
         isinstance(spec.perturbation, Improved), model.needs_venues
     ]
-    witness = strong_connectivity_witness(weights, condition, detail)
+    witness = strong_connectivity_witness(
+        perturbed.num_teams, *arcs(perturbed.i, perturbed.j, weights), condition, detail
+    )
     if witness is not None:
         raise ExistenceError(
             f"the {model.value} estimate does not exist for these data: "
@@ -360,8 +369,8 @@ def _verify_existence(spec: ModelSpec, teams, perturbed: PerturbedCounts) -> Non
             witness=witness,
         )
     if model.needs_venues:
-        for name in ("a_home", "a_away"):
-            if not getattr(perturbed, name).sum() > 0:
+        for name, outcome in (("a_home", 0), ("a_away", 1)):
+            if not perturbed.games[outcome].sum() > 0:
                 raise ExistenceError(
                     f"the {model.value} estimate does not exist for these data: after "
                     f"the shift, {name} holds no positive win weight, so the home "
@@ -374,39 +383,37 @@ def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> 
 
     A negative count rewards driving that pair's win probability to 0, so
     the objective is no longer concave and need not be bounded above.
+    The first negative count in row order is named, as an entry of the
+    t x t matrix it belongs to (``a_free``: the venue-free wins).
     """
-    names = ("a_home", "a_away") if model.needs_venues else ("a_free",)
-    for name in names:
-        counts = getattr(perturbed, name)
+    i, j, t, g = perturbed.i, perturbed.j, perturbed.num_teams, perturbed.games
+    # each (2, edges): row 0 the wins of i over j, row 1 those of j over i
+    views = {"a_free": perturbed.wins, "a_home": g[0], "a_away": g[1, ::-1]}
+    for name in ("a_home", "a_away") if model.needs_venues else ("a_free",):
+        counts = views[name]
         negative = counts < 0
         if negative.any():
-            i, j = np.unravel_index(negative.argmax(), counts.shape)  # first in row order
+            winner, loser = np.stack([i, j]), np.stack([j, i])
+            first = np.argmin(np.where(negative, winner * t + loser, t * t))
+            x, y = winner.flat[first], loser.flat[first]
             raise ExistenceError(
-                f"refused: after the shift, {name} gives team {teams[i]!r} a "
-                f"negative win count {counts[i, j]:g} over team {teams[j]!r}, so "
+                f"refused: after the shift, {name} gives team {teams[x]!r} a "
+                f"negative win count {counts.flat[first]:g} over team {teams[y]!r}, so "
                 f"the {model.value} estimate is not guaranteed to exist"
             )
 
 
-def _raw_components(model: Model, dataset: Dataset, edges) -> np.ndarray | None:
+def _raw_components(model: Model, dataset: Dataset, pairs: int) -> np.ndarray | None:
     """Labels of the strongly connected components of the raw digraph the
-    existence rule reads (the counts before perturbation), over the met
-    pairs ``edges``; None below the size rule, where the step is solved by
-    LU and needs no coarse space."""
-    i, j = edges
+    existence rule reads (the counts before perturbation); None below the
+    size rule for ``pairs`` edges, where the step is solved by LU and needs
+    no coarse space."""
     t = dataset.num_teams
-    if not edge_form(t, len(i)):
+    if not edge_form(t, pairs):
         return None
-    if model.needs_venues and not model.needs_ties:  # home-field: decisive games by host
-        a_home, a_away = dataset.counts.a_home, dataset.counts.a_away
-        forward = a_home[i, j] + a_away[j, i] > 0
-        backward = a_home[j, i] + a_away[i, j] > 0
-    else:
-        weights = dataset.totals.n_host if model.needs_venues else dataset.totals.a
-        forward, backward = weights[i, j] > 0, weights[j, i] > 0
-    src = np.concatenate([i[forward], j[backward]])
-    dst = np.concatenate([j[forward], i[backward]])
-    return strong_components(t, src, dst)
+    counts = dataset.counts
+    weights = _digraph(model, counts.games, dataset.totals[:2])
+    return strong_components(t, *arcs(counts.i, counts.j, weights))
 
 
 def _fit_result(
@@ -454,7 +461,7 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     perturbed = perturb(dataset, model_spec.perturbation)
     objective = Objective(model_spec.model, perturbed)  # venue and tie refusals
     _verify_existence(model_spec, dataset.teams, perturbed)
-    labels = _raw_components(model_spec.model, dataset, perturbed.edges)
+    labels = _raw_components(model_spec.model, dataset, len(perturbed.i))
     solution = _newton(objective, objective.initial_point(), config, labels)
     point = objective.unpack(solution.x)
     return _fit_result(
@@ -464,8 +471,8 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
 
 def _map_mode(dataset: Dataset, d: float, b: float, config: SolverConfig) -> _Solution:
     """The unnormalized posterior mode of a proper prior, over all t log merits."""
-    posterior = PosteriorObjective(dataset.totals.a, d, b)
-    labels = _raw_components(Model.BRADLEY_TERRY, dataset, posterior.edges)
+    posterior = PosteriorObjective(dataset.counts, d, b)
+    labels = _raw_components(Model.BRADLEY_TERRY, dataset, len(posterior.edges[0]))
     return _newton(posterior, posterior.initial_point(), config, labels)
 
 

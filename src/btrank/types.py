@@ -1,17 +1,27 @@
 """Shared domain types.
 
-Venue conventions used throughout the package:
+Game counts are stored once, per met pair (``CountMatrices``): the unordered
+pairs ``i < j`` with at least one game, in row-major order, each with a
+3 x 2 block ``games[outcome, orientation, e]``. The outcome is a host win
+(0), a visitor win (1) or a tie (2); the orientation is a game ``i`` hosted
+against ``j`` (0) or one ``j`` hosted against ``i`` (1). So, per edge:
 
-* ``a_home[i][j]`` counts wins of team ``i`` over team ``j`` in games hosted
-  by ``i``.
-* ``a_away[i][j]`` counts wins of team ``i`` over team ``j`` in games hosted
-  by ``j``.
-* ``t_home[i][j]`` counts ties between ``i`` and ``j`` in games hosted by
-  ``i`` (so the symmetric tie total between the pair is
-  ``t_home[i][j] + t_home[j][i]``).
+* the wins of ``i`` over ``j`` anywhere are ``games[0, 0] + games[1, 1]``
+  (as host, then as visitor), and those of ``j`` over ``i`` are
+  ``games[0, 1] + games[1, 0]``;
+* the ties between the pair are ``games[2, 0] + games[2, 1]``;
+* the games ``i`` hosted against ``j`` are ``games[:, 0].sum()``, those
+  ``j`` hosted ``games[:, 1].sum()``.
 
-All matrices are square, indexed consistently with the team list, have a zero
-diagonal, and are stored as read-only ``float64`` arrays.
+Venueless data keep every count in orientation 0 and the host slots: the
+wins of ``i`` over ``j`` in ``games[0, 0]``, those of ``j`` over ``i`` in
+``games[0, 1]``, the ties in ``games[2, 0]``.
+
+t x t matrices are input only (``venue_dataset``, ``venue_free_dataset``,
+``MatrixShift``). There ``a_home[i][j]`` counts wins of ``i`` over ``j``
+hosted by ``i``, ``a_away[i][j]`` wins of ``i`` over ``j`` hosted by ``j``
+and ``t_home[i][j]`` ties hosted by ``i``; every matrix is square, indexed
+like the team list, and has a zero diagonal.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import Union
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConfigError, NonPositiveEpsilonError, ShapeError
+from .errors import ConfigError, NegativeCountError, NonPositiveEpsilonError, ShapeError
 
 Array = npt.NDArray[np.float64]
 
@@ -67,58 +77,67 @@ def pair_edges(mask) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CountMatrices:
-    """Per-ordered-pair game counts, split by venue."""
+    """Game counts per met pair: the edges ``(i[e], j[e])`` and the
+    (3, 2, edges) array ``games``, laid out as in the module docstring."""
 
-    a_home: Array
-    a_away: Array
-    t_home: Array
+    num_teams: int
+    i: np.ndarray
+    j: np.ndarray
+    games: Array
 
     def __post_init__(self):
-        from .errors import NegativeCountError
+        t = self.num_teams
+        i, j = (np.array(x, dtype=np.intp) for x in (self.i, self.j))
+        games = np.array(self.games, dtype=np.float64)
+        if not is_integer(t) or i.ndim != 1 or j.shape != i.shape or games.shape != (3, 2, len(i)):
+            raise ShapeError(f"{t!r} teams, edges {i.shape} and {j.shape}, games {games.shape}")
+        keys = i * t + j  # strictly increasing: distinct pairs in row-major order
+        if len(i) and (i.min() < 0 or np.any(i >= j) or j.max() >= t or np.any(np.diff(keys) <= 0)):
+            raise ShapeError("edges must be distinct pairs i < j of teams, in row-major order")
+        if not np.all(np.isfinite(games)):
+            raise ShapeError("games contains non-finite entries")
+        if np.any(games < 0):
+            raise NegativeCountError("games contains a negative count")
+        if not np.all(games.sum(axis=(0, 1)) > 0):
+            raise ShapeError("every edge needs at least one game")
+        for name, arr in (("i", i), ("j", j), ("games", games)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-        a_home = _freeze(self.a_home, "a_home")
-        t = a_home.shape[0]
-        a_away = _freeze(self.a_away, "a_away", t)
-        t_home = _freeze(self.t_home, "t_home", t)
-        for name, arr in (("a_home", a_home), ("a_away", a_away), ("t_home", t_home)):
-            if np.any(arr < 0):
-                raise NegativeCountError(f"{name} contains a negative count")
-        object.__setattr__(self, "a_home", a_home)
-        object.__setattr__(self, "a_away", a_away)
-        object.__setattr__(self, "t_home", t_home)
+    def _view(self, forward: Array, backward: Array) -> Array:
+        out = np.zeros((self.num_teams, self.num_teams))
+        out[self.i, self.j], out[self.j, self.i] = forward, backward
+        return out
 
-    @property
-    def num_teams(self) -> int:
-        return self.a_home.shape[0]
+    # t x t views built on request, for the benchmark's own checks; the
+    # package never reads them
+    a_home = property(lambda self: self._view(self.games[0, 0], self.games[0, 1]))
+    a_away = property(lambda self: self._view(self.games[1, 1], self.games[1, 0]))
+    t_home = property(lambda self: self._view(self.games[2, 0], self.games[2, 1]))
 
 
-@dataclass(frozen=True)
-class Totals:
-    """Derived totals: ``a[i][j]`` wins of i over j anywhere, ``ties[i][j]``
-    ties between the pair, ``n[i][j]`` games between the pair, and
-    ``n_host[i][j]`` games between the pair hosted by i."""
-
-    a: Array
-    ties: Array
-    n: Array
-    n_host: Array
+def derive_totals(counts: CountMatrices) -> Array:
+    """Venue-free totals per edge, shape (3, edges): the wins of i over j,
+    the wins of j over i, and the ties between them."""
+    g = counts.games
+    out = np.stack([g[0, 0] + g[1, 1], g[0, 1] + g[1, 0], g[2, 0] + g[2, 1]])
+    out.setflags(write=False)
+    return out
 
 
-def derive_totals(counts: CountMatrices) -> Totals:
-    """Fold venue-split counts into pair totals.
-
-    ``a = a_home + a_away`` (wins anywhere), ``ties[i][j] = t_home[i][j] +
-    t_home[j][i]``, ``n = a + a.T + ties``, and ``n_host[i][j] =
-    a_home[i][j] + a_away[j][i] + t_home[i][j]`` (every game played at i's
-    venue against j, whoever won).
-    """
-    a = counts.a_home + counts.a_away
-    ties = counts.t_home + counts.t_home.T
-    n = a + a.T + ties
-    n_host = counts.a_home + counts.a_away.T + counts.t_home
-    for arr in (a, ties, n, n_host):
-        arr.setflags(write=False)
-    return Totals(a=a, ties=ties, n=n, n_host=n_host)
+def _dense_counts(a_home, a_away, t_home, names=("a_home", "a_away", "t_home")) -> CountMatrices:
+    """The edge record of venue-split t x t count matrices. Refusals name
+    each matrix by the input it came from, ``names``."""
+    a_home = _freeze(a_home, names[0])
+    t = a_home.shape[0]
+    matrices = (a_home, _freeze(a_away, names[1], t), _freeze(t_home, names[2], t))
+    for name, arr in zip(names, matrices):
+        if np.any(arr < 0):
+            raise NegativeCountError(f"{name} contains a negative count")
+    a_home, a_away, t_home = matrices
+    i, j = pair_edges((a_home != 0) | (a_away != 0) | (t_home != 0))
+    games = [a_home[i, j], a_home[j, i], a_away[j, i], a_away[i, j], t_home[i, j], t_home[j, i]]
+    return CountMatrices(t, i, j, np.reshape(games, (3, 2, len(i))))
 
 
 @dataclass(frozen=True)
@@ -141,10 +160,7 @@ class Dataset:
         if len(teams) < 2:
             raise ShapeError(f"need at least 2 teams, got {len(teams)}")
         if len(teams) != self.counts.num_teams:
-            raise ShapeError(
-                f"{len(teams)} teams but {self.counts.num_teams}x"
-                f"{self.counts.num_teams} count matrices"
-            )
+            raise ShapeError(f"{len(teams)} teams but counts for {self.counts.num_teams}")
         object.__setattr__(self, "teams", teams)
 
     @property
@@ -152,13 +168,15 @@ class Dataset:
         return len(self.teams)
 
     @cached_property
-    def totals(self) -> Totals:
+    def totals(self) -> Array:
+        """``derive_totals`` of the counts."""
         return derive_totals(self.counts)
 
     @cached_property
     def scores(self) -> Array:
         """Win score per team: ``a_i = sum_j a_ij``."""
-        s = self.totals.a.sum(axis=1)
+        counts, t = self.counts, self.num_teams
+        s = np.bincount(counts.i, self.totals[0], t) + np.bincount(counts.j, self.totals[1], t)
         s.setflags(write=False)
         return s
 
@@ -166,37 +184,24 @@ class Dataset:
 def venue_dataset(teams, a_home, a_away, t_home=None) -> Dataset:
     """Build a venue-aware Dataset from matrices (``t_home`` defaults to zero)."""
     a_home = np.asarray(a_home, dtype=np.float64)
-    if t_home is None:
-        t_home = np.zeros_like(a_home)
-    return Dataset(
-        teams=tuple(teams),
-        counts=CountMatrices(a_home=a_home, a_away=a_away, t_home=t_home),
-    )
+    t_home = np.zeros_like(a_home) if t_home is None else t_home
+    return Dataset(teams=tuple(teams), counts=_dense_counts(a_home, a_away, t_home))
 
 
 def venue_free_dataset(teams, a, ties=None) -> Dataset:
     """Build a venueless Dataset from a win matrix ``a`` (and optional
     symmetric tie matrix).
 
-    The win counts are stored on the home side purely as a container; the
-    dataset is flagged venueless so venue-aware operations refuse it.
+    The counts are stored in the host slots purely as a container (the ties
+    as the upper triangle); the dataset is flagged venueless so venue-aware
+    operations refuse it.
     """
     a = np.asarray(a, dtype=np.float64)
-    zeros = np.zeros_like(a)
-    if ties is None:
-        t_home = zeros
-    else:
-        ties = np.asarray(ties, dtype=np.float64)
-        if not np.array_equal(ties, ties.T):
-            raise ShapeError("tie matrix must be symmetric for venueless data")
-        # Store the upper triangle on the host side; derive_totals restores
-        # the symmetric total.
-        t_home = np.triu(ties)
-    return Dataset(
-        teams=tuple(teams),
-        counts=CountMatrices(a_home=a, a_away=zeros, t_home=t_home),
-        venueless=True,
-    )
+    ties = np.zeros_like(a) if ties is None else np.asarray(ties, dtype=np.float64)
+    if not np.array_equal(ties, ties.T):
+        raise ShapeError("tie matrix must be symmetric for venueless data")
+    counts = _dense_counts(a, np.zeros_like(a), np.triu(ties), ("a", "a", "ties"))
+    return Dataset(teams=tuple(teams), counts=counts, venueless=True)
 
 
 class Model(enum.Enum):
@@ -297,54 +302,32 @@ PerturbationSpec = Union[Improved, ConnerGrant, MatrixShift]
 
 @dataclass(frozen=True)
 class PerturbedCounts:
-    """Win counts after perturbation, alongside the untouched tie counts.
+    """Counts after perturbation, over their own edge list.
 
-    ``a_home`` and ``a_away`` are the venue-split perturbed wins consumed by
-    the venue-aware models. ``a_free`` is the venue-free perturbed win matrix
-    consumed by the other models; under the Improved scheme it is computed
-    directly from the pair totals (``a_ij + eps * I(n_ij > 0)``), not by
-    summing the venue-split matrices, which could add the perturbation twice
-    for pairs that met at both venues.
+    ``i``, ``j`` and ``games`` are laid out as in ``CountMatrices``, with
+    the perturbed host and visitor wins the venue models read and the raw
+    ties; a pair may carry only perturbation. ``wins`` (2, edges) holds the
+    perturbed venue-free wins of i over j and of j over i that the other
+    models read (under Improved, the raw wins plus eps, not the sum of the
+    perturbed venue wins, which would add eps twice to a pair that met at
+    both venues).
 
     ``epsilon`` records the resolved magnitude (None for MatrixShift).
     """
 
-    a_home: Array
-    a_away: Array
-    a_free: Array
-    t_home: Array
+    num_teams: int
+    i: np.ndarray
+    j: np.ndarray
+    games: Array
+    wins: Array
     venueless: bool
     epsilon: float | None
 
     def __post_init__(self):
-        for name in ("a_home", "a_away", "a_free", "t_home"):
+        for name in ("games", "wins"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def num_teams(self) -> int:
-        return self.a_free.shape[0]
-
-    @cached_property
-    def ties(self) -> Array:
-        out = self.t_home + self.t_home.T
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs i < j, as in pair_edges, where any count a model reads is nonzero."""
-        return pair_edges(
-            (self.a_free != 0) | (self.a_home != 0) | (self.a_away != 0) | (self.t_home != 0)
-        )
-
-    @cached_property
-    def n_host(self) -> Array:
-        """Perturbed per-venue pair totals: games at i's venue against j."""
-        out = self.a_home + self.a_away.T + self.t_home
-        out.setflags(write=False)
-        return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ def random_connected_dataset(rng, t=6, max_games=3, with_ties=False) -> btrank.D
             ties = ties + ties.T
         data = btrank.venue_free_dataset(names(t), a, ties)
         if check_condition_b(data) is None:
-            if not with_ties or data.totals.ties.sum() > 0:
+            if not with_ties or data.counts.games[2].any():
                 return data
 
 
@@ -56,7 +56,7 @@ def random_venue_dataset(rng, t=5, max_games=3, with_ties=False) -> btrank.Datas
             np.fill_diagonal(t_home, 0)
         data = btrank.venue_dataset(names(t), a_home, a_away, t_home)
         if check_condition_c(data) is None:
-            if not with_ties or data.totals.ties.sum() > 0:
+            if not with_ties or data.counts.games[2].any():
                 return data
 
 

@@ -6,9 +6,20 @@ the log of the outcome's probability. ``condition_c_by_enumeration`` decides
 Condition C by scanning every split of the teams, exponentially, to
 cross-check the strong-connectivity reduction on small t.
 ``kendall_distance_by_pairs`` counts discordant pairs one pair at a time.
+
+``dense`` and ``dense_perturbed`` scatter the per-edge counts of a dataset
+or of perturbed counts back to the t x t matrices of the venue conventions
+in ``btrank.types``. ``dense_totals``, ``dense_perturb`` and
+``dense_existence_refusal`` are the dense reference formulas the per-edge
+layout replaced: the venue-free totals of venue-split matrices, the three
+perturbation schemes applied to them, and the fit's existence rule read off
+the perturbed matrices, with ``first_source_component`` found by a
+transitive closure.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +30,102 @@ from btrank.errors import (
     VenuelessDataError,
 )
 from btrank.likelihood import _check_point, _logistic, _lse3
-from btrank.types import Dataset, Model, ParameterPoint, Ranking
+from btrank.perturbation import resolve_epsilon
+from btrank.solver import _WITNESS_WORDING
+from btrank.types import (
+    ConnerGrant,
+    Dataset,
+    Improved,
+    MatrixShift,
+    Model,
+    ParameterPoint,
+    PartitionWitness,
+    PerturbedCounts,
+    Ranking,
+)
+
+
+def _scatter(t: int, i, j, forward, backward) -> np.ndarray:
+    """The t x t matrix with ``forward`` at (i, j) and ``backward`` at (j, i)."""
+    out = np.zeros((t, t))
+    out[i, j], out[j, i] = forward, backward
+    return out
+
+
+def _venue_matrices(t: int, i, j, games) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a_home, a_away, t_home)`` of per-edge games."""
+    return (
+        _scatter(t, i, j, games[0, 0], games[0, 1]),
+        _scatter(t, i, j, games[1, 1], games[1, 0]),
+        _scatter(t, i, j, games[2, 0], games[2, 1]),
+    )
+
+
+def dense_totals(a_home, a_away, t_home) -> SimpleNamespace:
+    """The venue matrices with their dense totals: ``a = a_home + a_away``
+    (wins anywhere), ``ties = t_home + t_home.T``, ``n = a + a.T + ties``
+    and ``n_host = a_home + a_away.T + t_home`` (games at i's venue
+    against j)."""
+    a = a_home + a_away
+    ties = t_home + t_home.T
+    return SimpleNamespace(
+        a_home=a_home,
+        a_away=a_away,
+        t_home=t_home,
+        a=a,
+        ties=ties,
+        n=a + a.T + ties,
+        n_host=a_home + a_away.T + t_home,
+    )
+
+
+def dense(dataset: Dataset) -> SimpleNamespace:
+    """``dense_totals`` of a dataset's counts, scattered to t x t."""
+    c = dataset.counts
+    return dense_totals(*_venue_matrices(c.num_teams, c.i, c.j, c.games))
+
+
+def dense_perturbed(perturbed: PerturbedCounts) -> SimpleNamespace:
+    """Perturbed counts scattered to t x t: ``a_home``, ``a_away``,
+    ``t_home``, the venue-free ``a_free``, ``ties`` and ``n_host``."""
+    t, i, j = perturbed.num_teams, perturbed.i, perturbed.j
+    a_home, a_away, t_home = _venue_matrices(t, i, j, perturbed.games)
+    return SimpleNamespace(
+        a_home=a_home,
+        a_away=a_away,
+        t_home=t_home,
+        a_free=_scatter(t, i, j, perturbed.wins[0], perturbed.wins[1]),
+        ties=t_home + t_home.T,
+        n_host=a_home + a_away.T + t_home,
+    )
+
+
+def dense_perturb(dataset: Dataset, spec) -> SimpleNamespace:
+    """The dense reference of ``perturb``, in the names of
+    ``dense_perturbed``: Improved adds eps to ``a`` where ``n > 0``, to
+    ``a_home`` where ``n_host > 0`` and to ``a_away`` where ``n_host.T >
+    0``; ConnerGrant adds eps off the diagonal; MatrixShift adds ``a0`` to
+    ``a`` and ``a0 / 2`` to each venue matrix."""
+    d = dense(dataset)
+    t = dataset.num_teams
+    if isinstance(spec, MatrixShift):
+        free = spec.a0
+        home = away = spec.a0 / 2.0
+    elif isinstance(spec, Improved):
+        eps = resolve_epsilon(spec, t)
+        free, home, away = eps * (d.n > 0), eps * (d.n_host > 0), eps * (d.n_host.T > 0)
+    else:
+        assert isinstance(spec, ConnerGrant)
+        free = home = away = resolve_epsilon(spec, t) * ~np.eye(t, dtype=bool)
+    a_home, a_away = d.a_home + home, d.a_away + away
+    return SimpleNamespace(
+        a_home=a_home,
+        a_away=a_away,
+        t_home=d.t_home,
+        a_free=d.a + free,
+        ties=d.ties,
+        n_host=a_home + a_away.T + d.t_home,
+    )
 
 
 def probabilities(
@@ -87,6 +193,58 @@ def probabilities(
     return p_guest, p_host, p_tie
 
 
+def first_source_component(adjacency) -> tuple[int, ...]:
+    """The source SCC holding the smallest vertex of a boolean adjacency
+    matrix, read off its transitive closure (Warshall)."""
+    t = adjacency.shape[0]
+    reach = adjacency | np.eye(t, dtype=bool)
+    for k in range(t):
+        reach |= np.outer(reach[:, k], reach[k])
+    for v in range(t):
+        component = reach[v] & reach[:, v]
+        if not (reach[:, v] & ~component).any():  # nothing outside reaches v
+            return tuple(int(u) for u in np.flatnonzero(component))
+
+
+def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, teams):
+    """``(message, witness)`` of the refusal the existence rule gives on
+    dense perturbed counts (``dense_perturb``), or None: a negative count
+    the model reads, first in row order; a perturbed digraph that is not
+    strongly connected; or, for a venue model, no positive home-win or
+    visitor-win weight."""
+    for name in ("a_home", "a_away") if model.needs_venues else ("a_free",):
+        counts = getattr(perturbed, name)
+        negative = counts < 0
+        if negative.any():
+            i, j = np.unravel_index(negative.argmax(), counts.shape)
+            return (
+                f"refused: after the shift, {name} gives team {teams[i]!r} a "
+                f"negative win count {counts[i, j]:g} over team {teams[j]!r}, so "
+                f"the {model.value} estimate is not guaranteed to exist"
+            ), None
+    if not model.needs_venues:
+        weights = perturbed.a_free
+    elif model.needs_ties:
+        weights = perturbed.n_host
+    else:
+        weights = perturbed.a_home + perturbed.a_away.T
+    q1 = first_source_component(weights > 0)
+    if len(q1) < len(teams):
+        condition, detail = _WITNESS_WORDING[isinstance(spec, Improved), model.needs_venues]
+        q2 = sorted(set(range(len(teams))) - set(q1))
+        witness = PartitionWitness(condition, q1, q2, detail)
+        message = f"the {model.value} estimate does not exist for these data: "
+        return message + witness.describe(teams), witness
+    for name in ("a_home", "a_away") if model.needs_venues else ():
+        if not getattr(perturbed, name).sum() > 0:
+            return (
+                f"the {model.value} estimate does not exist for these data: after "
+                f"the shift, {name} holds no positive win weight, so the home "
+                "advantage has no finite estimate"
+            ), None
+    return None
+
+
 def condition_c_by_enumeration(dataset: Dataset) -> bool:
     """Decide Condition C by scanning every split; exponential, for
     cross-checking the component-based reduction on small t."""
@@ -94,7 +252,7 @@ def condition_c_by_enumeration(dataset: Dataset) -> bool:
         raise VenuelessDataError(
             "condition C needs home/away structure and this dataset has none"
         )
-    n_host = dataset.totals.n_host
+    n_host = dense(dataset).n_host
     t = dataset.num_teams
     for mask in range(1, 2**t - 1):
         q1 = [i for i in range(t) if mask >> i & 1]

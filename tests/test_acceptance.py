@@ -269,7 +269,7 @@ def _map_objective(rng):
         return btrank.Objective(Model.BRADLEY_TERRY, btrank.perturb(data, zeros))
     data = random_connected_dataset(rng, t=6)
     shape = float(rng.uniform(1.1, 3.0))
-    return btrank.PosteriorObjective(data.totals.a, shape, shape * 6 - 1.0)
+    return btrank.PosteriorObjective(data.counts, shape, shape * 6 - 1.0)
 
 
 @pytest.mark.parametrize("model", list(Model) + ["map"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from btrank.connectivity import (
     CONDITION_C,
+    arcs,
     check_condition_a,
     check_condition_b,
     check_condition_c,
@@ -16,7 +17,7 @@ from btrank.errors import VenuelessDataError
 from btrank.types import PartitionWitness, venue_dataset, venue_free_dataset
 
 from conftest import names, random_strongly_connected_dataset, random_venue_dataset
-from oracles import condition_c_by_enumeration
+from oracles import condition_c_by_enumeration, first_source_component
 
 
 def test_condition_a_failure_yields_the_trapped_pair(four_teams):
@@ -137,24 +138,18 @@ def test_source_component_prefers_lowest_index():
 
 
 def test_strong_connectivity_witness_on_raw_weights():
-    weights = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    witness = strong_connectivity_witness(weights, condition="A", detail="x")
+    weights = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # arcs 0 -> 1 -> 2
+    witness = strong_connectivity_witness(3, *np.nonzero(weights), condition="A", detail="x")
     assert witness is not None
     assert witness.q1 == (0,)
-    assert strong_connectivity_witness(np.ones((3, 3)), "A", "x") is None
+    assert strong_connectivity_witness(3, *np.nonzero(np.ones((3, 3))), "A", "x") is None
 
 
-def _first_source_component(adjacency):
-    """The source SCC holding the smallest vertex, read off a boolean
-    transitive closure (Warshall)."""
-    t = adjacency.shape[0]
-    reach = adjacency | np.eye(t, dtype=bool)
-    for k in range(t):
-        reach |= np.outer(reach[:, k], reach[k])
-    for v in range(t):
-        component = reach[v] & reach[:, v]
-        if not (reach[:, v] & ~component).any():  # nothing outside reaches v
-            return tuple(np.flatnonzero(component))
+def test_arcs_read_both_directions_of_each_edge():
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    weights = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.5]])
+    src, dst = arcs(i, j, weights)
+    assert list(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 2), (2, 0), (2, 1)]
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -168,10 +163,10 @@ def test_the_reachability_verdict_and_witness_match_the_oracles(t, density, seed
     np.fill_diagonal(adjacency, False)
     w = adjacency.astype(float)
     data = venue_dataset(names(t), w, np.zeros((t, t)))  # n_host == w
-    witness = strong_connectivity_witness(w, *CONDITION_C)
+    witness = strong_connectivity_witness(t, *np.nonzero(adjacency), *CONDITION_C)
     if t <= 7:
         assert (witness is None) == condition_c_by_enumeration(data)
-    source = _first_source_component(adjacency)
+    source = first_source_component(adjacency)
     if witness is None:
         assert source == tuple(range(t))
     else:

@@ -23,6 +23,8 @@ from btrank.ingestion import (
     parse_records,
 )
 
+from oracles import dense
+
 CSV = """home,away,outcome,repeat
 Lions,Bears,home_win,2
 Bears,Lions,away_win,1
@@ -64,10 +66,11 @@ def test_csv_parse_and_aggregate():
     data = aggregate(records)
     assert data.teams == ("Lions", "Bears", "Hawks")
     li, be, ha = 0, 1, 2
-    assert data.counts.a_home[li, be] == 2  # Lions won twice hosting Bears
-    assert data.counts.a_away[li, be] == 1  # Lions won once at Bears
-    assert data.counts.t_home[li, ha] == 1
-    assert data.counts.a_home[ha, be] == 1
+    d = dense(data)
+    assert d.a_home[li, be] == 2  # Lions won twice hosting Bears
+    assert d.a_away[li, be] == 1  # Lions won once at Bears
+    assert d.t_home[li, ha] == 1
+    assert d.a_home[ha, be] == 1
     assert not data.venueless
 
 
@@ -225,12 +228,12 @@ def reference_aggregate(records) -> btrank.Dataset:
             a_away[v, h] += repeat
         else:
             t_home[h, v] += repeat
-    return btrank.Dataset(tuple(index), btrank.CountMatrices(a_home, a_away, t_home))
+    return btrank.venue_dataset(tuple(index), a_home, a_away, t_home)
 
 
 def assert_same_dataset(got, want):
     assert got.teams == want.teams
-    for name in ("a_home", "a_away", "t_home"):
+    for name in ("num_teams", "i", "j", "games"):
         assert np.array_equal(getattr(got.counts, name), getattr(want.counts, name))
 
 
@@ -295,7 +298,7 @@ def test_matrix_json_venue_free(four_teams):
     expected = np.array(
         [[0, 2, 0, 1], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]], dtype=float
     )
-    assert np.array_equal(four_teams.totals.a, expected)
+    assert np.array_equal(dense(four_teams).a, expected)
 
 
 def test_matrix_json_with_ties():
@@ -306,7 +309,7 @@ def test_matrix_json_with_ties():
     }
     data = parse_matrix(json.dumps(payload))
     assert data.venueless
-    assert data.totals.ties[0, 1] == 2
+    assert dense(data).ties[0, 1] == 2
 
 
 def test_matrix_json_venue_form():
@@ -319,8 +322,8 @@ def test_matrix_json_venue_form():
     data = parse_matrix(json.dumps(payload))
     assert not data.venueless
     # hosted by B against A: B's home wins (0) + A's road wins (1) + B-hosted ties (1)
-    assert data.totals.n_host[1, 0] == 0 + 1 + 1
-    assert data.totals.n_host[0, 1] == 1 + 1 + 0
+    assert dense(data).n_host[1, 0] == 0 + 1 + 1
+    assert dense(data).n_host[0, 1] == 1 + 1 + 0
 
 
 def test_matrix_json_errors():
@@ -338,6 +341,12 @@ def test_matrix_json_errors():
         parse_matrix('{"teams": ["A", "B"], "a": [[0, 1.5], [1, 0]]}')
     with pytest.raises(ShapeError):
         parse_matrix('{"teams": ["A"], "a": [[0]]}')
+    # a refusal names the input matrix, not a field of the stored counts
+    with pytest.raises(ShapeError, match="^ties must have a zero diagonal$"):
+        parse_matrix('{"teams": ["A", "B"], "a": [[0, 1], [1, 0]], "ties": [[1, 0], [0, 0]]}')
+    venue = '{"teams": ["A", "B"], "a_home": %s, "a_away": %s, "t_home": %s}'
+    with pytest.raises(ShapeError, match="^a_away must have a zero diagonal$"):
+        parse_matrix(venue % ("[[0, 1], [0, 0]]", "[[0, 0], [0, 2]]", "[[0, 0], [0, 0]]"))
 
 
 def test_game_record_validation():

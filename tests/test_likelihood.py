@@ -32,7 +32,7 @@ from btrank.types import (
 )
 
 from conftest import names, random_connected_dataset, random_point, random_venue_dataset
-from oracles import probabilities
+from oracles import dense_perturbed, probabilities
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -271,6 +271,7 @@ def _oracle_log_likelihood(model, point, perturbed):
     probability, summed over every ordered pair (the hosting pair for the
     venue models, the winner-loser pair for the others)."""
     t = perturbed.num_teams
+    perturbed = dense_perturbed(perturbed)
     total = 0.0
     for i in range(t):
         for j in range(t):
@@ -292,7 +293,7 @@ def _oracle_log_likelihood(model, point, perturbed):
 
 def _check_every_model_against_the_oracle(data, scheme, rng):
     perturbed = perturb(data, scheme)
-    has_ties = perturbed.ties.sum() > 0
+    has_ties = perturbed.games[2].any()
     checked = 0
     for model in Model:
         if (model.needs_venues and data.venueless) or (model.needs_ties and not has_ties):

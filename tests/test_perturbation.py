@@ -6,6 +6,7 @@ from btrank.perturbation import auto_epsilon, perturb, resolve_epsilon
 from btrank.types import AUTO_EPSILON, ConnerGrant, Improved, MatrixShift, venue_dataset
 
 from conftest import names
+from oracles import dense, dense_perturbed
 
 
 @pytest.fixture
@@ -50,9 +51,9 @@ def test_resolve_epsilon():
 
 def test_improved_venue_free_view_gains_one_epsilon_per_met_pair(venue_data):
     eps = 0.125
-    out = perturb(venue_data, Improved(eps))
-    gain = out.a_free - venue_data.totals.a
-    met = venue_data.totals.n > 0
+    out = dense_perturbed(perturb(venue_data, Improved(eps)))
+    gain = out.a_free - dense(venue_data).a
+    met = dense(venue_data).n > 0
     assert np.allclose(gain[met], eps)
     assert np.all(gain[~met] == 0.0)
     # A and B met at both venues, yet the venue-free view gains eps once
@@ -66,13 +67,13 @@ def test_improved_venue_free_view_gains_one_epsilon_per_met_pair(venue_data):
 
 def test_improved_venue_split_follows_hosting(venue_data):
     eps = 0.125
-    out = perturb(venue_data, Improved(eps))
-    n_host = venue_data.totals.n_host
-    assert np.allclose(out.a_home - venue_data.counts.a_home, eps * (n_host > 0))
-    assert np.allclose(out.a_away - venue_data.counts.a_away, eps * (n_host.T > 0))
+    out = dense_perturbed(perturb(venue_data, Improved(eps)))
+    n_host = dense(venue_data).n_host
+    assert np.allclose(out.a_home - dense(venue_data).a_home, eps * (n_host > 0))
+    assert np.allclose(out.a_away - dense(venue_data).a_away, eps * (n_host.T > 0))
     # summing the venue split double-counts pairs that met at both venues,
     # which is exactly why a_free is not that sum
-    venue_sum_gain = (out.a_home + out.a_away) - venue_data.totals.a
+    venue_sum_gain = (out.a_home + out.a_away) - dense(venue_data).a
     assert venue_sum_gain[0, 1] == pytest.approx(2 * eps)
     assert venue_sum_gain[0, 2] == pytest.approx(eps)
     allowed = {0.0, eps, 2 * eps}
@@ -81,12 +82,12 @@ def test_improved_venue_split_follows_hosting(venue_data):
 
 def test_conner_grant_touches_every_off_diagonal(venue_data):
     eps = 0.5
-    out = perturb(venue_data, ConnerGrant(eps))
+    out = dense_perturbed(perturb(venue_data, ConnerGrant(eps)))
     off = ~np.eye(4, dtype=bool)
     for gained, base in (
-        (out.a_free, venue_data.totals.a),
-        (out.a_home, venue_data.counts.a_home),
-        (out.a_away, venue_data.counts.a_away),
+        (out.a_free, dense(venue_data).a),
+        (out.a_home, dense(venue_data).a_home),
+        (out.a_away, dense(venue_data).a_away),
     ):
         gain = gained - base
         assert np.allclose(gain[off], eps)
@@ -104,19 +105,19 @@ def test_matrix_shift_adds_the_given_matrix(venue_data):
             [0.5, 0.0, 0.0, 0.0],
         ]
     )
-    out = perturb(venue_data, MatrixShift(a0))
-    assert out.epsilon is None
-    assert np.allclose(out.a_free, venue_data.totals.a + a0)
+    assert perturb(venue_data, MatrixShift(a0)).epsilon is None
+    out = dense_perturbed(perturb(venue_data, MatrixShift(a0)))
+    assert np.allclose(out.a_free, dense(venue_data).a + a0)
     # the venue split carries half each so the two venues sum to the shift
-    assert np.allclose(out.a_home + out.a_away, venue_data.totals.a + a0)
-    assert np.allclose(out.a_home - venue_data.counts.a_home, a0 / 2)
+    assert np.allclose(out.a_home + out.a_away, dense(venue_data).a + a0)
+    assert np.allclose(out.a_home - dense(venue_data).a_home, a0 / 2)
 
 
 def test_matrix_shift_of_zeros_is_a_no_op(venue_data):
-    out = perturb(venue_data, MatrixShift(np.zeros((4, 4))))
-    assert np.array_equal(out.a_free, venue_data.totals.a)
-    assert np.array_equal(out.a_home, venue_data.counts.a_home)
-    assert np.array_equal(out.a_away, venue_data.counts.a_away)
+    out = dense_perturbed(perturb(venue_data, MatrixShift(np.zeros((4, 4)))))
+    assert np.array_equal(out.a_free, dense(venue_data).a)
+    assert np.array_equal(out.a_home, dense(venue_data).a_home)
+    assert np.array_equal(out.a_away, dense(venue_data).a_away)
 
 
 def test_matrix_shift_shape_must_match(venue_data):
@@ -126,20 +127,39 @@ def test_matrix_shift_shape_must_match(venue_data):
 
 def test_ties_pass_through_unchanged(venue_data):
     for spec in (Improved(0.3), ConnerGrant(0.3), MatrixShift(np.ones((4, 4)) * 0.1 - 0.1 * np.eye(4))):
-        out = perturb(venue_data, spec)
-        assert np.array_equal(out.t_home, venue_data.counts.t_home)
-        assert np.array_equal(out.ties, venue_data.totals.ties)
+        out = dense_perturbed(perturb(venue_data, spec))
+        assert np.array_equal(out.t_home, dense(venue_data).t_home)
+        assert np.array_equal(out.ties, dense(venue_data).ties)
 
 
 def test_perturbed_hosting_totals(venue_data):
     eps = 0.25
-    out = perturb(venue_data, Improved(eps))
+    out = dense_perturbed(perturb(venue_data, Improved(eps)))
     assert np.allclose(out.n_host, out.a_home + out.a_away.T + out.t_home)
     # hosting that existed keeps existing and gains weight
-    raw = venue_data.totals.n_host
+    raw = dense(venue_data).n_host
     assert np.all((out.n_host > 0) == (raw > 0))
 
 
 def test_auto_keyword_resolves_at_perturb_time(venue_data):
     out = perturb(venue_data, Improved(AUTO_EPSILON))
     assert out.epsilon == pytest.approx(auto_epsilon(4))
+
+
+def test_each_scheme_keeps_its_own_edge_list(venue_data):
+    def pairs(counts):
+        return list(zip(counts.i.tolist(), counts.j.tolist()))
+
+    met = [(0, 1), (0, 2), (1, 2)]
+    assert pairs(venue_data.counts) == met
+    assert pairs(perturb(venue_data, Improved(0.1))) == met
+    assert pairs(perturb(venue_data, ConnerGrant(0.1))) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+    ]
+    a0 = np.zeros((4, 4))
+    a0[3, 1] = -0.5  # an unmet pair, named from its higher index
+    shifted = perturb(venue_data, MatrixShift(a0))
+    assert pairs(shifted) == [(0, 1), (0, 2), (1, 2), (1, 3)]
+    # wins of 1 over 3, then of 3 over 1; the visitor win at "1 hosts 3"
+    assert shifted.wins[:, 3].tolist() == [0.0, -0.5]
+    assert shifted.games[:, :, 3].tolist() == [[0.0, -0.25], [-0.25, 0.0], [0.0, 0.0]]

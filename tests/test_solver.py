@@ -43,6 +43,8 @@ from btrank.types import (
 )
 
 from conftest import names, random_point, random_strongly_connected_dataset
+from oracles import dense as dense_counts
+from oracles import dense_perturb
 
 TIGHT = SolverConfig(rel_ll_tol=1e-14, max_iters=100_000)
 
@@ -198,7 +200,7 @@ def test_three_team_fit_matches_a_grid_search():
     a = np.array([[0, 2, 1], [1, 0, 1], [0, 2, 0]])
     data = venue_free_dataset(names(3), a)
     eps = 0.5
-    w = data.totals.a + eps * (data.totals.n > 0)
+    w = dense_perturb(data, Improved(eps)).a_free
 
     def grid_loglik(b2, b3):
         d01 = np.logaddexp(0.0, b2)
@@ -508,7 +510,7 @@ def test_existence_is_strong_connectivity_of_the_perturbed_counts(data, eps):
     # Improved refuses exactly on Condition B (C for venue models) of the raw
     # data, ConnerGrant never refuses, and MatrixShift(0) for BT exactly on
     # Condition A, each with the witness its condition check gives.
-    has_ties = data.totals.ties.sum() > 0
+    has_ties = data.counts.games[2].any()
     short = SolverConfig(max_iters=20)  # only the refusal is under test
     for model in Model:
         if (model.needs_venues and data.venueless) or (model.needs_ties and not has_ties):
@@ -677,15 +679,15 @@ def test_the_sparse_step_matches_the_dense_hessian_and_its_lu_step(t, seed, shif
     rng = np.random.default_rng(seed)
     data = venue_dataset(names(t), *_sparse_league(rng, t))
     if shift:  # a shift on the met pairs only keeps the pairs sparse
-        a0 = rng.uniform(0.0, 1.0, (t, t)) * (data.totals.n > 0)
+        a0 = rng.uniform(0.0, 1.0, (t, t)) * (dense_counts(data).n > 0)
         perturbation = MatrixShift(a0)
     else:
         perturbation = Improved(float(rng.choice([1e-3, 0.5])))
     perturbed = perturb(data, perturbation)
-    posterior = likelihood.PosteriorObjective(data.totals.a, 2.0, 2.0 * t - 1.0)
-    cases = [(model, Objective(model, perturbed), perturbed.edges) for model in Model]
-    cases.append((Model.BRADLEY_TERRY, posterior, posterior.edges))
-    for model, objective, edges in cases:
+    posterior = likelihood.PosteriorObjective(data.counts, 2.0, 2.0 * t - 1.0)
+    cases = [(model, Objective(model, perturbed), len(perturbed.i)) for model in Model]
+    cases.append((Model.BRADLEY_TERRY, posterior, len(posterior.edges[0])))
+    for model, objective, pairs in cases:
         if isinstance(objective, Objective):
             x = random_point(objective, rng)
         else:
@@ -698,7 +700,7 @@ def test_the_sparse_step_matches_the_dense_hessian_and_its_lu_step(t, seed, shif
         np.testing.assert_allclose(h.diagonal(), np.diagonal(dense), rtol=1e-12)
         if np.linalg.cond(-dense) < 1e8:
             lu = np.linalg.solve(-dense, g)
-            labels = solver._raw_components(model, data, edges)
+            labels = solver._raw_components(model, data, pairs)
             step, _ = solver._pcg(h, g, labels, 1e-14)
             assert np.abs(step - lu).max() <= 1e-8 * np.abs(lu).max()
 

@@ -10,6 +10,8 @@ from btrank.errors import (
     ShapeError,
 )
 from btrank.types import CountMatrices, ParameterPoint, derive_totals
+from conftest import names
+from oracles import dense
 
 
 def test_venue_totals_follow_the_hosting_convention():
@@ -18,31 +20,45 @@ def test_venue_totals_follow_the_hosting_convention():
     a_home = np.array([[0, 2], [1, 0]], dtype=float)
     a_away = np.array([[0, 3], [4, 0]], dtype=float)
     t_home = np.array([[0, 1], [2, 0]], dtype=float)
-    counts = CountMatrices(a_home=a_home, a_away=a_away, t_home=t_home)
-    totals = derive_totals(counts)
-
-    assert totals.a[0, 1] == 2 + 3
-    assert totals.a[1, 0] == 1 + 4
-    assert totals.ties[0, 1] == totals.ties[1, 0] == 1 + 2
-    # games hosted by 0 against 1: home wins 2, visitor (1) wins there 4, ties 1
-    assert totals.n_host[0, 1] == 2 + 4 + 1
-    assert totals.n_host[1, 0] == 1 + 3 + 2
-    assert np.allclose(totals.n, totals.n.T)
-    assert totals.n[0, 1] == totals.n_host[0, 1] + totals.n_host[1, 0]
+    data = btrank.venue_dataset(("A", "B"), a_home, a_away, t_home)
+    counts = data.counts
+    assert (counts.num_teams, counts.i.tolist(), counts.j.tolist()) == (2, [0], [1])
+    # [host win, visitor win, tie] x [A hosts B, B hosts A]
+    assert counts.games[..., 0].tolist() == [[2, 1], [4, 3], [1, 2]]
+    wins_ab, wins_ba, ties = derive_totals(counts)[:, 0]
+    assert (wins_ab, wins_ba, ties) == (2 + 3, 1 + 4, 1 + 2)
+    # games hosted by A against B: home wins 2, visitor (B) wins there 4, ties 1
+    assert counts.games[:, 0, 0].sum() == 2 + 4 + 1
+    assert counts.games[:, 1, 0].sum() == 1 + 3 + 2
+    d = dense(data)
+    for name, matrix in (("a_home", a_home), ("a_away", a_away), ("t_home", t_home)):
+        assert np.array_equal(getattr(d, name), matrix)
 
 
 def test_count_matrices_reject_bad_input():
-    good = np.zeros((3, 3))
+    i, j, games = [0, 0], [1, 2], np.ones((3, 2, 2))
+    CountMatrices(3, i, j, games)
     with pytest.raises(NegativeCountError):
+        bad = games.copy()
+        bad[1, 0, 1] = -1
+        CountMatrices(3, i, j, bad)
+    # too few edges, i > j, out of row order, repeated, a team out of range
+    for edges in (([0], [1]), ([0, 1], [1, 0]), ([0, 0], [2, 1]), ([0, 0], [1, 1]), ([0, 0], [1, 3])):
+        with pytest.raises(ShapeError):
+            CountMatrices(3, *edges, games)
+    with pytest.raises(ShapeError):  # an edge without a game
+        CountMatrices(3, i, j, np.concatenate([games[..., :1], np.zeros((3, 2, 1))], axis=2))
+    good = np.zeros((3, 3))
+    with pytest.raises(NegativeCountError, match="a_away contains a negative count"):
         bad = good.copy()
         bad[0, 1] = -1
-        CountMatrices(a_home=bad, a_away=good, t_home=good)
-    with pytest.raises(ShapeError):
-        CountMatrices(a_home=np.zeros((2, 3)), a_away=good, t_home=good)
-    with pytest.raises(ShapeError):
+        btrank.venue_dataset(names(3), good, bad)
+    with pytest.raises(ShapeError, match="a_home must be a square matrix"):
+        btrank.venue_dataset(names(3), np.zeros((2, 3)), good)
+    with pytest.raises(ShapeError, match="a must have a zero diagonal"):
         diag = good.copy()
         diag[1, 1] = 2
-        CountMatrices(a_home=diag, a_away=good, t_home=good)
+        btrank.venue_free_dataset(names(3), diag)
 
 
 def test_dataset_validation():
@@ -69,10 +85,9 @@ def test_venue_free_ties_must_be_symmetric():
 
 
 def test_dataset_arrays_are_read_only(four_teams):
-    with pytest.raises(ValueError):
-        four_teams.counts.a_home[0, 1] = 5.0
-    with pytest.raises(ValueError):
-        four_teams.totals.a[0, 1] = 5.0
+    for arr in (four_teams.counts.games, four_teams.counts.i, four_teams.totals, four_teams.scores):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
 
 
 def test_epsilon_specs_validate():
