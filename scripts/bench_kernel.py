@@ -99,8 +99,9 @@ def _step(solver, g, h, labels, rtol=None):
 
 
 def _labels(solver, model, data, perturbed):
-    """The coarse-space labels the solver's own fit uses, where it has them;
-    a checkout with dense count fields passes the edge list, not its size."""
+    """The coarse-space labels the solver's own fit uses, where it has them
+    (None below ``solver.edge_form``, where the step is solved by LU); a
+    checkout with dense count fields passes the edge list, not its size."""
     if not hasattr(solver, "_raw_components"):
         return None
     if hasattr(perturbed, "edges"):
@@ -186,7 +187,7 @@ def run_probe() -> dict:
         objective = likelihood.Objective(spec.model, perturbed)
         _, g, h = objective.value_gradient_hessian(result.beta[1:])
         d = _step(solver, g, h, _labels(solver, spec.model, data, perturbed), 1e-12)
-        dense = h if isinstance(h, np.ndarray) else _dense(likelihood, objective, result.beta[1:])
+        dense = _dense(h)
         norm = np.linalg.norm(g)
         out[f"{eps:g}"] = {
             "fit_s": wall,
@@ -199,14 +200,13 @@ def run_probe() -> dict:
     return out
 
 
-def _dense(likelihood, objective, x):
-    """The dense Hessian at x, from the kernels' dense form."""
-    rule = likelihood.edge_form
-    likelihood.edge_form = lambda t, pairs: False
-    try:
-        return objective.value_gradient_hessian(x)[2]
-    finally:
-        likelihood.edge_form = rule
+def _dense(h):
+    """The dense Hessian ``np.asarray(h)``; an edge-form Hessian without
+    ``__array__`` (older checkouts) is expanded by its products with the
+    unit vectors."""
+    if hasattr(h, "__array__"):
+        return np.asarray(h)
+    return np.stack([h.matvec(e) for e in np.eye(len(h.diagonal()))], axis=1)
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,10 @@ Exit codes, by error family:
 
 Tables print floats with 3 decimals; JSON output keeps full precision,
 sorts keys, and uses compact separators so identical results render to
-identical bytes. ``--out`` accepts ``table``, ``json``, or a path ending in
-``.json`` to write the JSON report to a file.
+identical bytes. Results are identical for a given numpy and BLAS build and
+thread count: the last digits of a dense LU solve vary with the thread
+count. ``--out`` accepts ``table``, ``json``, or a path ending in ``.json``
+to write the JSON report to a file.
 """
 
 from __future__ import annotations
@@ -639,9 +641,5 @@ def main(argv=None) -> int:
         return next(code for kinds, code in _EXIT_CODES if isinstance(err, kinds))
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

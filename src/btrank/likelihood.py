@@ -12,8 +12,8 @@ parameter, in that order.
 
 Every kernel runs over the edge list of ``PerturbedCounts`` (the layout of
 ``types.CountMatrices``: unordered pairs i < j, as sparse as the schedule
-under Improved, every pair under ConnerGrant) and forms no t x t array but a
-dense Hessian. Each kernel reads its counts as slices of the per-edge arrays
+under Improved, every pair under ConnerGrant) and forms no t x t array.
+Each kernel reads its counts as slices of the per-edge arrays
 (``_edge_data``), gathering nothing. With perturbed wins ``w`` and raw ties
 ``tw``, one term per edge covers both orders for:
 
@@ -44,12 +44,11 @@ residual (the gradient along ``e_host - e_visitor``), a curvature (the merit
 block of the Hessian is minus the graph Laplacian with edge weights the
 summed curvature), one border array per tie or home parameter, and a small
 block for those parameters. ``_assemble`` scatters the gradient and the
-border rows with ``np.bincount``. The Hessian takes one of two forms, by the
-size rule of ``edge_form`` (a function of t and the number of edges): a
-dense array, with each edge's weight written to its two off-diagonal
-entries, or an ``EdgeHessian`` holding the per-edge weights, the diagonal
-beyond the Laplacian, the border rows and the parameter block, whose
-products with a vector cost O(t + edges). For Bradley-Terry the curvature is
+border rows with ``np.bincount``. The Hessian is an ``EdgeHessian``
+holding the per-edge weights, the diagonal beyond the Laplacian, the border
+rows and the parameter block: its products with a vector cost O(t + edges),
+and ``np.asarray`` scatters it to the dense array, each edge's weight
+written to its two off-diagonal entries. For Bradley-Terry the curvature is
 ``n_ij p_ij (1 - p_ij)``. All models except Rao-Kupper share one kernel, a
 softmax of the host, visitor and tie scores above; Bradley-Terry and
 Davidson are its venue-free cases.
@@ -100,11 +99,11 @@ def _check_point(model: Model, point: ParameterPoint, t: int) -> None:
 def _refuse_data(model: Model, perturbed: PerturbedCounts) -> None:
     """Refuse data the model cannot read: venue models need home/away
     structure, tie models need a tie."""
-    if model.needs_venues and perturbed.venueless:
+    if model.has_home_parameter and perturbed.venueless:
         raise VenuelessDataError(
             f"{model.value} needs home/away structure and this dataset has none"
         )
-    if model.needs_ties and not perturbed.games[2].any():
+    if model.has_tie_parameter and not perturbed.games[2].any():
         raise NoTiesError(
             f"{model.value} models tie probabilities and the data contain no tie"
         )
@@ -135,14 +134,6 @@ def _logistic(x):
     )
 
 
-def edge_form(t: int, pairs: int) -> bool:
-    """The size rule: the Hessian of ``t`` merits over ``pairs`` met pairs is
-    kept in edge form (``EdgeHessian``) from 200 teams on, while fewer than
-    ``t**2 / 16`` pairs have met; otherwise it is a dense array. The solver
-    docstring gives the crossovers behind the constants."""
-    return t >= 200 and 16 * pairs < t * t
-
-
 class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     """A Hessian over ``[beta_1 .. beta_t, extras]`` kept by its edges.
 
@@ -151,7 +142,8 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     the edge, its off-diagonal entry); ``border`` holds the rows of the k <= 2
     tie and home parameters over the merits, and ``block`` their k x k
     block. ``pinned`` merits at the front are left out of the layout, as the
-    free layout leaves out ``beta_1``. ``matvec`` costs O(t + edges).
+    free layout leaves out ``beta_1``. ``matvec`` costs O(t + edges), and
+    ``np.asarray(h)`` is the dense array, O((t + k)^2).
     """
 
     def __init__(self, i, j, weight: Array, shift: Array, border: Array, block: Array, pinned=0):
@@ -166,10 +158,16 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         """The same Hessian over the free layout, without ``beta_1``."""
         return EdgeHessian(self.i, self.j, self.weight, self.shift, self.border, self.block, 1)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = len(self.shift) - self.pinned + len(self.block)
-        return n, n
+    def __array__(self, dtype=None, copy=None) -> Array:
+        """The dense H over this layout."""
+        t, i, j, c = len(self.shift), self.i, self.j, self.weight
+        n = t + len(self.block)
+        flat = np.zeros(n * n)  # flat indices scatter faster than index pairs
+        flat[i * n + j] = flat[j * n + i] = c
+        flat[: t * (n + 1) : n + 1] = self.shift - (np.bincount(i, c, t) + np.bincount(j, c, t))
+        hess = flat.reshape(n, n)
+        hess[:t, t:], hess[t:, :t], hess[t:, t:] = self.border.T, self.border, self.block
+        return hess[self.pinned :, self.pinned :]
 
     @cached_property
     def _layout_edges(self):
@@ -221,27 +219,16 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
 
 
 def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=(), shift=0.0):
-    """``(value, gradient, Hessian)`` over ``[beta_1 .. beta_t, extras]`` from
-    the per-edge arrays of the module docstring: row 0 holds the edges (i, j),
-    i < j, and a row 1 their reverses, whose residuals and borders flip sign.
-    The Hessian is an ``EdgeHessian`` under the size rule of ``edge_form``,
-    else a dense array; ``shift`` is added to its merit diagonal."""
+    """``(value, gradient, EdgeHessian)`` over ``[beta_1 .. beta_t, extras]``
+    from the per-edge arrays of the module docstring: row 0 holds the edges
+    (i, j), i < j, and a row 1 their reverses, whose residuals and borders
+    flip sign; ``shift`` is added to the merit diagonal of the Hessian."""
     i, j, k = host[0], visitor[0], len(grads)
     r = np.subtract.reduce(resid)
     grad = np.concatenate([np.bincount(i, r, t) - np.bincount(j, r, t), grads])
     rows = [np.bincount(i, b, t) - np.bincount(j, b, t) for b in map(np.subtract.reduce, borders)]
-    c = np.add.reduce(curv)
-    if edge_form(t, len(i)):
-        border, block = np.reshape(rows, (k, t)), np.reshape(block, (k, k))
-        return value, grad, EdgeHessian(i, j, c, np.zeros(t) + shift, border, block)
-    n = t + k
-    flat = np.zeros(n * n)  # flat indices scatter faster than index pairs
-    flat[i * n + j] = flat[j * n + i] = c
-    flat[: t * (n + 1) : n + 1] = shift - (np.bincount(i, c, t) + np.bincount(j, c, t))
-    hess = flat.reshape(n, n)
-    for a, row in enumerate(rows):
-        hess[:t, t + a] = hess[t + a, :t] = row
-    hess[t:, t:] = block
+    border, block = np.array(rows).reshape(k, t), np.array(block).reshape(k, k)
+    hess = EdgeHessian(i, j, np.add.reduce(curv), np.zeros(t) + shift, border, block)
     return value, grad, hess
 
 
@@ -306,7 +293,7 @@ def _edge_data(model: Model, perturbed: PerturbedCounts):
     per-edge arrays."""
     i, j, games, wins = perturbed.i, perturbed.j, perturbed.games, perturbed.wins
     ties = games[2, 0] + games[2, 1]
-    if not (model.needs_venues or model is Model.RAO_KUPPER):
+    if not (model.has_home_parameter or model is Model.RAO_KUPPER):
         wt = ties[None] if model is Model.DAVIDSON else 0.0
         return i[None], j[None], (wins[:1], wins[1:], wt)
     h, v = np.stack([i, j]), np.stack([j, i])
@@ -394,16 +381,14 @@ class Objective:
 
     def value_gradient_hessian(
         self, x: Array
-    ) -> tuple[float, Array | None, Array | None]:
+    ) -> tuple[float, Array | None, EdgeHessian | None]:
         """Value, gradient and Hessian in the free layout; ``(-inf, None,
         None)`` outside the Rao-Kupper domain."""
         if not self.in_domain(x):
             return -np.inf, None, None
         value, grad, hess = _terms(self.model, *self._split(x), self._edge_data)
         # the free layout leaves out beta_1, which is pinned at 0
-        if isinstance(hess, EdgeHessian):
-            return value, grad[1:], hess.pin_first()
-        return value, grad[1:], hess[1:, 1:]
+        return value, grad[1:], hess.pin_first()
 
     def value(self, x: Array) -> float:
         return self.value_gradient_hessian(x)[0]
@@ -432,7 +417,7 @@ class PosteriorObjective:
         ``sum(u) = t (shape - 1) / rate``."""
         return np.full(self.num_teams, np.log((self.shape - 1.0) / self.rate))
 
-    def value_gradient_hessian(self, x: Array) -> tuple[float, Array, Array | EdgeHessian]:
+    def value_gradient_hessian(self, x: Array) -> tuple[float, Array, EdgeHessian]:
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf
             u = np.exp(x)
         value, grad, hess = _outcome_terms(

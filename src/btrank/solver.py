@@ -14,26 +14,28 @@ holds. An objective marks its domain by returning ``(-inf, None, None)``
 outside it (the Rao-Kupper tie parameter), which fails the Armijo test, so
 steps leaving the domain are halved like any other.
 
-The linear solve follows one size rule, ``likelihood.edge_form``: from 200
-teams on, while fewer than ``t**2 / 16`` pairs have met, the Hessian comes
-in edge form (``EdgeHessian``); otherwise it is a dense array, solved by
-numpy's LU. Its constants are measured crossovers: on sparse leagues the LU
-fit is faster up to about 150 teams and the sparse one from about 200, and a
-dense league keeps the LU (a fully met 300-team league runs at par). An
-edge-form step is solved by conjugate gradients on ``-H``, each product
-O(t + edges) by ``np.bincount``, with a two-level preconditioner: Jacobi on
-the fine level, plus the additive coarse correction ``Z (Z' -H Z)^-1 Z' r``
-(Tang et al. 2009 compare such two-level preconditioners). ``Z`` has one
-indicator column per strongly connected component of the raw digraph the
-existence rule reads (the counts before perturbation), labelled once per
-fit, and one per tie or home parameter; the m x m system ``Z' -H Z`` is
-inverted once per step. When the raw data fail strong connection, only
-O(eps) curvature joins those components, so their indicators are the
-near-null directions of ``-H`` that leave plain Jacobi-PCG stalling as eps
-goes to 0; the coarse level solves them exactly. The step is an inexact
-Newton step (Eisenstat and Walker 1996): the first is solved to a residual of
-a tenth of ``|g|`` (2-norms), each later one to the sup-norm of the step
-before it (capped at a tenth), so the solves tighten as the steps shrink.
+The objectives return their Hessians in edge form (``EdgeHessian``), and
+the linear solve follows one size rule, ``edge_form``, applied once per fit:
+from 200 teams on, while fewer than ``t**2 / 16`` pairs have met, the step
+is solved in edge form; otherwise the Hessian is scattered to a dense array
+(``np.asarray(h)``) and solved by numpy's LU. Its constants are measured
+crossovers: on sparse leagues the LU fit is faster up to about 150 teams and
+the sparse one from about 200, and a dense league keeps the LU (a fully met
+300-team league runs at par). An edge-form step is solved by conjugate
+gradients on ``-H``, each product O(t + edges) by ``np.bincount``, with a
+two-level preconditioner: Jacobi on the fine level, plus the additive
+coarse correction ``Z (Z' -H Z)^-1 Z' r`` (Tang et al. 2009 compare such
+two-level preconditioners). ``Z`` has one indicator column per strongly
+connected component of the raw digraph the existence rule reads (the counts
+before perturbation), labelled once per fit, and one per tie or home
+parameter; the m x m system ``Z' -H Z`` is inverted once per step. When
+the raw data fail strong connection, only O(eps) curvature joins those
+components, so their indicators are the near-null directions of ``-H``
+that leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level
+solves them exactly. The step is an inexact Newton step (Eisenstat and
+Walker 1996): the first is solved to a residual of a tenth of ``|g|``
+(2-norms), each later one to the sup-norm of the step before it (capped at
+a tenth), so the solves tighten as the steps shrink.
 
 A fit stops converged once the Newton step at the current point has
 sup-norm at most 1e-9, in log-merit units: near the maximizer that is its
@@ -86,14 +88,13 @@ from .connectivity import (
     strong_connectivity_witness,
 )
 from .errors import ConfigError, ExistenceError
-from .likelihood import EdgeHessian, Objective, PosteriorObjective, edge_form
+from .likelihood import EdgeHessian, Objective, PosteriorObjective
 from .perturbation import perturb
 from .types import (
     Array,
     Dataset,
     FitResult,
     Improved,
-    MatrixShift,
     Model,
     ModelSpec,
     Normalization,
@@ -172,18 +173,25 @@ class _Solution:
     converged: bool
 
 
-def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray | None, rtol: float):
+def edge_form(t: int, pairs: int) -> bool:
+    """The size rule: a Newton step over ``t`` merits and ``pairs`` met pairs
+    is solved in edge form from 200 teams on, while fewer than ``t**2 / 16``
+    pairs have met; otherwise by LU. The module docstring gives the
+    crossovers behind the constants."""
+    return t >= 200 and 16 * pairs < t * t
+
+
+def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray, rtol: float):
     """``(d, iterations)``: the solution of ``-H d = g`` for an edge-form
     Hessian by conjugate gradients, preconditioned with two levels as in the
     module docstring, run until the residual is at most ``rtol`` times
-    ``|g|`` (2-norms) or for ``len(g)`` iterations. ``labels`` (None: all
-    merits in one) are the coarse components of the merits."""
+    ``|g|`` (2-norms) or for ``len(g)`` iterations. ``labels`` are the
+    coarse components of the merits."""
     a = -h
-    t, k, pinned = len(a.shift), len(a.block), a.pinned
-    merit = np.zeros(t, dtype=np.intp) if labels is None else labels
+    k, pinned = len(a.block), a.pinned
     # renumbered, as a component of pinned merits only would have no column
     present, layout = np.unique(
-        np.concatenate([merit[pinned:], merit.max() + 1 + np.arange(k)]), return_inverse=True
+        np.concatenate([labels[pinned:], labels.max() + 1 + np.arange(k)]), return_inverse=True
     )
     m = len(present)
     coarse = np.linalg.inv(a.galerkin(layout, m))
@@ -211,12 +219,13 @@ def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray | None, rtol: float):
 
 def _newton_direction(g: Array, h, labels, rtol: float) -> tuple[Array, float, bool]:
     """``(direction, slope, newton)``: the Newton step if it ascends, else
-    the gradient."""
+    the gradient. The step is solved by LU on ``np.asarray(h)`` without
+    ``labels``, by ``_pcg`` with them."""
     try:
-        if isinstance(h, EdgeHessian):
-            direction = _pcg(h, g, labels, rtol)[0]
+        if labels is None:
+            direction = -np.linalg.solve(np.asarray(h), g)
         else:
-            direction = -np.linalg.solve(h, g)
+            direction = _pcg(h, g, labels, rtol)[0]
         slope = float(g @ direction)  # the Newton decrement on a Newton step
     except LinAlgError:
         slope = math.nan
@@ -287,10 +296,11 @@ def maximize_concave(objective, start, config: SolverConfig | None = None):
 
     ``objective`` needs a ``value_gradient_hessian(x) -> (float, ndarray,
     Hessian)`` method, which every line-search trial calls and which returns
-    ``(-inf, None, None)`` outside the domain. The Hessian is a square
-    ndarray, solved by LU, or an ``EdgeHessian``, solved by the two-level
-    PCG of the module docstring with all merits in one coarse component. The
-    stop rules are those of the module docstring. Returns ``(point, trace)``
+    ``(-inf, None, None)`` outside the domain. The Hessian is anything
+    ``np.asarray`` makes a square array of, such as an ndarray or an
+    ``EdgeHessian``: with no dataset to label a coarse space, every step is
+    solved densely by LU, whatever the size. The stop rules are those of the
+    module docstring. Returns ``(point, trace)``
     where ``trace`` lists the objective value at the start and after each
     accepted iteration; it is non-decreasing, up to rounding on steps taken
     where the objective is flat to rounding.
@@ -344,21 +354,19 @@ _WITNESS_WORDING = {
 def _digraph(model: Model, games: Array, wins: Array) -> Array:
     """Weights (2, edges) of the arcs i -> j and j -> i the existence rule
     reads: the venue-free wins, or the games a venue model reads by host."""
-    if not model.needs_venues:
+    if not model.has_home_parameter:
         return wins
-    if model.needs_ties:
+    if model.has_tie_parameter:
         return games.sum(axis=0)
     return games[0] + games[1]  # home-field never reads the ties
 
 
-def _verify_existence(spec: ModelSpec, teams, perturbed: PerturbedCounts) -> None:
-    """Refuse unless the perturbed counts the model reads meet Ford's condition."""
-    model = spec.model
+def _verify_existence(model: Model, improved: bool, teams, perturbed: PerturbedCounts) -> None:
+    """Refuse unless the perturbed counts the model reads meet Ford's
+    condition; ``improved`` says they come from the Improved scheme."""
     _refuse_negative_counts(model, perturbed, teams)
     weights = _digraph(model, perturbed.games, perturbed.wins)
-    condition, detail = _WITNESS_WORDING[
-        isinstance(spec.perturbation, Improved), model.needs_venues
-    ]
+    condition, detail = _WITNESS_WORDING[improved, model.has_home_parameter]
     witness = strong_connectivity_witness(
         perturbed.num_teams, *arcs(perturbed.i, perturbed.j, weights), condition, detail
     )
@@ -368,7 +376,7 @@ def _verify_existence(spec: ModelSpec, teams, perturbed: PerturbedCounts) -> Non
             + witness.describe(teams),
             witness=witness,
         )
-    if model.needs_venues:
+    if model.has_home_parameter:
         for name, outcome in (("a_home", 0), ("a_away", 1)):
             if not perturbed.games[outcome].sum() > 0:
                 raise ExistenceError(
@@ -389,7 +397,7 @@ def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> 
     i, j, t, g = perturbed.i, perturbed.j, perturbed.num_teams, perturbed.games
     # each (2, edges): row 0 the wins of i over j, row 1 those of j over i
     views = {"a_free": perturbed.wins, "a_home": g[0], "a_away": g[1, ::-1]}
-    for name in ("a_home", "a_away") if model.needs_venues else ("a_free",):
+    for name in ("a_home", "a_away") if model.has_home_parameter else ("a_free",):
         counts = views[name]
         negative = counts < 0
         if negative.any():
@@ -457,16 +465,29 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     iteration budget is still returned, with ``converged=False``; use
     ``FitResult.ensure_converged`` to turn that into an error.
     """
-    config = config or SolverConfig()
     perturbed = perturb(dataset, model_spec.perturbation)
-    objective = Objective(model_spec.model, perturbed)  # venue and tie refusals
-    _verify_existence(model_spec, dataset.teams, perturbed)
-    labels = _raw_components(model_spec.model, dataset, len(perturbed.i))
+    improved = isinstance(model_spec.perturbation, Improved)
+    return _fit_counts(
+        model_spec.model, improved, dataset, perturbed, model_spec.normalization, config
+    )
+
+
+def _fit_counts(
+    model: Model,
+    improved: bool,
+    dataset: Dataset,
+    perturbed: PerturbedCounts,
+    normalization: Normalization,
+    config: SolverConfig | None,
+) -> FitResult:
+    """``fit`` from its perturbed counts on."""
+    config = config or SolverConfig()
+    objective = Objective(model, perturbed)  # venue and tie refusals
+    _verify_existence(model, improved, dataset.teams, perturbed)
+    labels = _raw_components(model, dataset, len(perturbed.i))
     solution = _newton(objective, objective.initial_point(), config, labels)
     point = objective.unpack(solution.x)
-    return _fit_result(
-        model_spec.model, dataset, solution, point, model_spec.normalization, perturbed.epsilon
-    )
+    return _fit_result(model, dataset, solution, point, normalization, perturbed.epsilon)
 
 
 def _map_mode(dataset: Dataset, d: float, b: float, config: SolverConfig) -> _Solution:
@@ -487,19 +508,20 @@ def fit_map_em(
     The mode exists in the interior only for shape > 1 with rate > 0, or
     for the flat prior (shape 1, rate 0); any other prior is refused. The
     flat prior adds nothing to the likelihood, so its mode is the
-    Bradley-Terry fit under a zero ``MatrixShift``, refused as that fit is
-    when the win digraph is not strongly connected. Merits are reported on
-    the simplex by default. ``log_likelihood`` on the result is the
-    unnormalized log-posterior, and ``gradient_sup_norm`` is measured with
-    respect to log-merits so it is scale-free.
+    Bradley-Terry fit of the raw counts (the fit under a zero
+    ``MatrixShift``), refused as that fit is when the win digraph is not
+    strongly connected. Merits are reported on the simplex by default.
+    ``log_likelihood`` on the result is the unnormalized log-posterior, and
+    ``gradient_sup_norm`` is measured with respect to log-merits so it is
+    scale-free.
 
     Ties in the data are ignored: the underlying outcome model is win/loss
     only.
     """
     if prior.ml_equivalent:
-        t = dataset.num_teams
-        flat = ModelSpec(Model.BRADLEY_TERRY, MatrixShift(np.zeros((t, t))), normalization)
-        return fit(flat, dataset, config)
+        c, venueless = dataset.counts, dataset.venueless
+        raw = PerturbedCounts(c.num_teams, c.i, c.j, c.games, dataset.totals[:2], venueless, None)
+        return _fit_counts(Model.BRADLEY_TERRY, False, dataset, raw, normalization, config)
     config = config or SolverConfig()
     d = float(prior.shape)
     b = prior.resolved_rate(dataset.num_teams)

@@ -221,14 +221,6 @@ class Model(enum.Enum):
     def has_home_parameter(self) -> bool:
         return self in (Model.HOME_FIELD, Model.DAVID)
 
-    @property
-    def needs_ties(self) -> bool:
-        return self.has_tie_parameter
-
-    @property
-    def needs_venues(self) -> bool:
-        return self.has_home_parameter
-
 
 class Normalization(enum.Enum):
     REFERENCE = "reference"  # u_1 = 1

@@ -212,7 +212,7 @@ def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, team
     the model reads, first in row order; a perturbed digraph that is not
     strongly connected; or, for a venue model, no positive home-win or
     visitor-win weight."""
-    for name in ("a_home", "a_away") if model.needs_venues else ("a_free",):
+    for name in ("a_home", "a_away") if model.has_home_parameter else ("a_free",):
         counts = getattr(perturbed, name)
         negative = counts < 0
         if negative.any():
@@ -222,20 +222,20 @@ def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, team
                 f"negative win count {counts[i, j]:g} over team {teams[j]!r}, so "
                 f"the {model.value} estimate is not guaranteed to exist"
             ), None
-    if not model.needs_venues:
+    if not model.has_home_parameter:
         weights = perturbed.a_free
-    elif model.needs_ties:
+    elif model.has_tie_parameter:
         weights = perturbed.n_host
     else:
         weights = perturbed.a_home + perturbed.a_away.T
     q1 = first_source_component(weights > 0)
     if len(q1) < len(teams):
-        condition, detail = _WITNESS_WORDING[isinstance(spec, Improved), model.needs_venues]
+        condition, detail = _WITNESS_WORDING[isinstance(spec, Improved), model.has_home_parameter]
         q2 = sorted(set(range(len(teams))) - set(q1))
         witness = PartitionWitness(condition, q1, q2, detail)
         message = f"the {model.value} estimate does not exist for these data: "
         return message + witness.describe(teams), witness
-    for name in ("a_home", "a_away") if model.needs_venues else ():
+    for name in ("a_home", "a_away") if model.has_home_parameter else ():
         if not getattr(perturbed, name).sum() > 0:
             return (
                 f"the {model.value} estimate does not exist for these data: after "

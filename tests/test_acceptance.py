@@ -236,9 +236,10 @@ def test_unfittable_data_is_always_refused_with_evidence():
 
 
 def _fittable_dataset(model, rng, t_free=6, t_venue=5, max_games=3):
-    if model.needs_venues:
-        return random_venue_dataset(rng, t=t_venue, max_games=max_games, with_ties=model.needs_ties)
-    return random_connected_dataset(rng, t=t_free, max_games=max_games, with_ties=model.needs_ties)
+    ties = model.has_tie_parameter
+    if model.has_home_parameter:
+        return random_venue_dataset(rng, t=t_venue, max_games=max_games, with_ties=ties)
+    return random_connected_dataset(rng, t=t_free, max_games=max_games, with_ties=ties)
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -288,7 +289,8 @@ def test_hessians_match_finite_differences(model):
                 x = objective.initial_point() + rng.uniform(-1.0, 1.0, dimension)
             else:
                 x = random_point(objective, rng)
-            value, _, analytic = objective.value_gradient_hessian(x)
+            value, _, hess = objective.value_gradient_hessian(x)
+            analytic = np.asarray(hess)
             assert math.isfinite(value)
             numeric = np.stack(
                 [

@@ -1,5 +1,5 @@
 """Every import is used: in the package (``__init__.py`` re-exports aside),
-the tests and the demos. The package imports no SciPy anywhere."""
+the tests, the demos and the scripts. The package imports no SciPy anywhere."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ CHECKED = {
     "package": sorted((REPO / "src" / "btrank").glob("*.py")),
     "tests": sorted((REPO / "tests").glob("*.py")),
     "demos": sorted((REPO / "demos").glob("*.py")),
+    "scripts": sorted((REPO / "scripts").glob("*.py")),
 }
 
 
@@ -34,7 +35,7 @@ def test_no_unused_imports_in_the_package():
     assert [entry for path in paths for entry in _unused_imports(path)] == []
 
 
-@pytest.mark.parametrize("tree", ["tests", "demos"])
+@pytest.mark.parametrize("tree", ["tests", "demos", "scripts"])
 def test_no_unused_imports_in_the_tests_and_demos(tree):
     assert CHECKED[tree]
     assert [entry for path in CHECKED[tree] for entry in _unused_imports(path)] == []

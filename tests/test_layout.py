@@ -4,6 +4,7 @@ replaced, and what it costs in memory."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,7 +103,8 @@ def test_the_edge_record_scatters_to_the_dense_reference(case):
 
 def _refusal(spec, teams, perturbed):
     try:
-        solver._verify_existence(spec, teams, perturbed)
+        improved = isinstance(spec.perturbation, Improved)
+        solver._verify_existence(spec.model, improved, teams, perturbed)
     except ExistenceError as err:
         return str(err), err.witness
     return None
@@ -126,16 +128,21 @@ def test_existence_verdicts_witnesses_and_refusals_match_the_dense_rule(case):
         assert witness is None or witness.q1 == source
 
 
-def test_a_sparse_fit_from_records_allocates_less_than_one_dense_array():
-    # a 2000-team league of about 6 opponents a team, one game at each venue
-    t = 2000
+def _league(t):
+    """The game records of a t-team league of about 6 opponents a team, one
+    game at each venue, outcomes drawn at random."""
     rng = np.random.default_rng(5)
     i = np.concatenate([np.arange(t), rng.integers(0, t, 2 * t)])
     j = np.concatenate([(np.arange(t) + 1) % t, rng.integers(0, t, 2 * t)])
     i, j = i[i != j], j[i != j]
     home, away = np.concatenate([i, j]), np.concatenate([j, i])
     games = len(home)
-    table = GameTable(names(t), home, away, rng.integers(0, 3, games), np.ones(games))
+    return GameTable(names(t), home, away, rng.integers(0, 3, games), np.ones(games))
+
+
+def test_a_sparse_fit_from_records_allocates_less_than_one_dense_array():
+    t = 2000
+    table = _league(t)
     tracemalloc.start()
     try:
         perturbed = perturb(aggregate(table), Improved("auto"))
@@ -145,4 +152,18 @@ def test_a_sparse_fit_from_records_allocates_less_than_one_dense_array():
     finally:
         tracemalloc.stop()
     assert isinstance(hess, EdgeHessian)
+    assert peak < t * t * 8
+
+
+def test_a_refused_flat_prior_fit_allocates_less_than_one_dense_array():
+    # the flat prior fits the raw counts, which fail strong connection here
+    t = 2000
+    data = aggregate(_league(t))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExistenceError):
+            solver.fit_map_em(data, solver.MapPriorSpec(shape=1.0, rate=0.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < t * t * 8

@@ -1,0 +1,41 @@
+"""``scripts/bench_kernel.py`` runs its cases in a child interpreter and
+reports the keys its docstring documents."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _bench_case(name: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **{var: "1" for var in THREADS})
+    child = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bench_kernel.py"), "--case", name],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_the_league_case_reports_a_converged_fit():
+    out = _bench_case("sparse-t400")
+    assert set(out) == {
+        "teams", "games", "met_pairs", "kernel_median_s", "step_median_s",
+        "fit_median_s", "iterations", "converged", "peak_rss_mb",
+    }
+    assert out["teams"] == 400 and out["converged"]
+
+
+def test_the_two_leagues_case_solves_its_steps_to_the_residual():
+    out = _bench_case("two-leagues")
+    assert set(out) == {"0.1", "1e-05", "1e-09", "1e-12"}
+    for probe in out.values():
+        assert set(probe) == {
+            "fit_s", "iterations", "converged", "max_cg_iterations",
+            "step_residual", "lu_residual",
+        }
+    assert out["0.1"]["converged"]
+    assert out["0.1"]["step_residual"] < 1e-10

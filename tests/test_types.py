@@ -120,12 +120,12 @@ def test_parameter_point_contract():
 
 def test_model_capabilities():
     assert btrank.Model.BRADLEY_TERRY.value == "bt"
-    assert btrank.Model.RAO_KUPPER.needs_ties
+    assert btrank.Model.RAO_KUPPER.has_tie_parameter
     assert btrank.Model.DAVIDSON.has_tie_parameter
-    assert not btrank.Model.DAVIDSON.needs_venues
-    assert btrank.Model.HOME_FIELD.needs_venues
-    assert not btrank.Model.HOME_FIELD.needs_ties
-    assert btrank.Model.DAVID.needs_ties and btrank.Model.DAVID.needs_venues
+    assert not btrank.Model.DAVIDSON.has_home_parameter
+    assert btrank.Model.HOME_FIELD.has_home_parameter
+    assert not btrank.Model.HOME_FIELD.has_tie_parameter
+    assert btrank.Model.DAVID.has_tie_parameter and btrank.Model.DAVID.has_home_parameter
 
 
 def test_ranking_validation_and_describe():
