@@ -4,6 +4,10 @@ Usage, from the root of a btrank checkout:
 
     python scripts/bench_kernel.py [--src DIR] [--label NAME] [--out PATH]
 
+``--src`` must name the ``src`` of a btrank checkout at or after 33c8123,
+whose kernels return an ``EdgeHessian`` with ``__array__`` and whose solver
+has ``_newton_direction``, ``_raw_components`` and ``_pcg``.
+
 Each league case is a home-and-away league drawn from a fixed seed: a ring
 plus random chords, so every team meets about 6 others, one game at each
 venue, and Bradley-Terry outcomes from evenly spaced merits. Its games are
@@ -15,23 +19,20 @@ the peak RSS is the case's own, aggregation included. Per case the column
 records the number of games and met pairs, the median time of one
 ``Objective.value_gradient_hessian`` at the start point, the median time of
 the solver's own Newton step on the system it returns
-(``solver._newton_direction`` where the solver has it, else the
-``np.linalg.solve`` the solver took), the median wall time of one
-``btrank.fit`` and the peak RSS of the interpreter.
+(``solver._newton_direction``), the median wall time of one ``btrank.fit``
+and the peak RSS of the interpreter.
 
 The ``two-leagues`` case joins two 1000-team leagues by a single win, so the
 raw data fail strong connection, and fits them at each epsilon of
 ``PROBE_EPS``. Per epsilon it records the fit's time, iterations and
 convergence, the largest number of conjugate-gradient iterations a step of
 the fit took (0 where every step was solved by LU), and at the fitted point
-the relative residual ``|(-H) d - g| / |g|`` of the solver's step, an
+the relative residual ``|H d + g| / |g|`` of the solver's step, an
 iterative one solved to a relative residual of 1e-12, and of a dense LU
 step.
 
 The column is stored under ``--label`` in the JSON file, next to any columns
 already there, so that two checkouts can be compared on the same cases.
-Each case named by ``--skip`` is recorded as not run, with the reason given
-(for a checkout that would need a t x t array the host cannot hold).
 """
 
 from __future__ import annotations
@@ -90,25 +91,6 @@ def dataset(btrank, t: int, games):
     return btrank.aggregate(table)
 
 
-def _step(solver, g, h, labels, rtol=None):
-    """The solver's own Newton step on ``-H d = g``, an iterative one solved
-    to the relative residual ``rtol`` (default: that of a fit's first step)."""
-    if hasattr(solver, "_newton_direction"):
-        return solver._newton_direction(g, h, labels, rtol or solver._CG_RTOL)[0]
-    return np.linalg.solve(-h, g)
-
-
-def _labels(solver, model, data, perturbed):
-    """The coarse-space labels the solver's own fit uses, where it has them
-    (None below ``solver.edge_form``, where the step is solved by LU); a
-    checkout with dense count fields passes the edge list, not its size."""
-    if not hasattr(solver, "_raw_components"):
-        return None
-    if hasattr(perturbed, "edges"):
-        return solver._raw_components(model, data, perturbed.edges)
-    return solver._raw_components(model, data, len(perturbed.i))
-
-
 def run_case(name: str) -> dict:
     import resource
 
@@ -123,7 +105,7 @@ def run_case(name: str) -> dict:
     spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
     perturbed = perturb(data, spec.perturbation)
     objective = Objective(spec.model, perturbed)
-    labels = _labels(solver, spec.model, data, perturbed)
+    labels = solver._raw_components(spec.model, data, len(perturbed.i))  # None below edge_form
     x = objective.initial_point()
     kernel, step = [], []
     for _ in range(evaluations):
@@ -131,7 +113,7 @@ def run_case(name: str) -> dict:
         _, g, h = objective.value_gradient_hessian(x)
         kernel.append(time.perf_counter() - clock)
         clock = time.perf_counter()
-        _step(solver, g, h, labels)
+        solver._newton_direction(g, h, labels, solver._CG_RTOL)  # a fit's first step
         step.append(time.perf_counter() - clock)
     wall = []
     for _ in range(fits):
@@ -165,7 +147,7 @@ def run_probe() -> dict:
     from btrank.perturbation import perturb
 
     data = dataset(btrank, 2 * PROBE_TEAMS, two_leagues(PROBE_TEAMS))
-    pcg = getattr(solver, "_pcg", None)
+    pcg = solver._pcg
     counts = []
 
     def counted(*args):
@@ -173,8 +155,7 @@ def run_probe() -> dict:
         counts.append(iterations)
         return step, iterations
 
-    if pcg is not None:
-        solver._pcg = counted
+    solver._pcg = counted
     out = {}
     for eps in PROBE_EPS:
         spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved(eps))
@@ -186,27 +167,19 @@ def run_probe() -> dict:
         perturbed = perturb(data, spec.perturbation)
         objective = likelihood.Objective(spec.model, perturbed)
         _, g, h = objective.value_gradient_hessian(result.beta[1:])
-        d = _step(solver, g, h, _labels(solver, spec.model, data, perturbed), 1e-12)
-        dense = _dense(h)
+        labels = solver._raw_components(spec.model, data, len(perturbed.i))
+        d = solver._newton_direction(g, h, labels, 1e-12)[0]
+        dense = np.asarray(h)
         norm = np.linalg.norm(g)
         out[f"{eps:g}"] = {
             "fit_s": wall,
             "iterations": result.iterations,
             "converged": result.converged,
             "max_cg_iterations": most,
-            "step_residual": float(np.linalg.norm(-dense @ d - g) / norm),
-            "lu_residual": float(np.linalg.norm(-dense @ np.linalg.solve(-dense, g) - g) / norm),
+            "step_residual": float(np.linalg.norm(dense @ d + g) / norm),
+            "lu_residual": float(np.linalg.norm(dense @ np.linalg.solve(dense, -g) + g) / norm),
         }
     return out
-
-
-def _dense(h):
-    """The dense Hessian ``np.asarray(h)``; an edge-form Hessian without
-    ``__array__`` (older checkouts) is expanded by its products with the
-    unit vectors."""
-    if hasattr(h, "__array__"):
-        return np.asarray(h)
-    return np.stack([h.matvec(e) for e in np.eye(len(h.diagonal()))], axis=1)
 
 
 def main(argv=None) -> int:
@@ -214,11 +187,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding btrank")
     parser.add_argument("--label", default="change", help="column name in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
-    parser.add_argument(
-        "--skip", action="append", default=[], choices=[*CASES, "two-leagues"],
-        help="a case to record as not run (repeatable)",
-    )
-    parser.add_argument("--reason", default="skipped", help="why the --skip cases were not run")
     parser.add_argument("--case", choices=[*CASES, "two-leagues"], help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:  # the child interpreter of one case
@@ -227,9 +195,6 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=args.src, **{var: "1" for var in THREAD_VARS})
     column = {}
     for name in [*CASES, "two-leagues"]:
-        if name in args.skip:
-            column[name] = f"not run: {args.reason}"
-            continue
         child = subprocess.run(
             [sys.executable, __file__, "--case", name],
             env=env, capture_output=True, text=True, check=True,

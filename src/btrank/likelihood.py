@@ -61,8 +61,6 @@ returns the value, gradient and Hessian together: ``log_likelihood`` and
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import (
@@ -135,28 +133,22 @@ def _logistic(x):
 
 
 class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
-    """A Hessian over ``[beta_1 .. beta_t, extras]`` kept by its edges.
+    """A Hessian H over ``[beta_1 .. beta_t, extras]`` kept by its edges.
 
     The merit block is ``diag(shift) - L``, with L the graph Laplacian of the
     edges ``(i[e], j[e])`` weighted by ``weight[e]`` (the summed curvature of
     the edge, its off-diagonal entry); ``border`` holds the rows of the k <= 2
     tie and home parameters over the merits, and ``block`` their k x k
     block. ``pinned`` merits at the front are left out of the layout, as the
-    free layout leaves out ``beta_1``. ``matvec`` costs O(t + edges), and
-    ``np.asarray(h)`` is the dense array, O((t + k)^2).
+    free layout leaves out ``beta_1``. The solver steps by ``H d = -g`` on H
+    as it is, with Newton decrement ``-g' H^-1 g``; ``galerkin`` gives the
+    ``Z' H Z`` of its coarse correction ``Z (Z' H Z)^-1 Z' r``. ``matvec``
+    costs O(t + edges), and ``np.asarray(h)`` is the dense array, O((t + k)^2).
     """
 
-    def __init__(self, i, j, weight: Array, shift: Array, border: Array, block: Array, pinned=0):
+    def __init__(self, i, j, weight: Array, shift: Array, border: Array, block: Array):
         self.i, self.j, self.weight, self.shift = i, j, weight, shift
-        self.border, self.block, self.pinned = border, block, pinned
-
-    def __neg__(self) -> "EdgeHessian":
-        parts = (-self.weight, -self.shift, -self.border, -self.block, self.pinned)
-        return EdgeHessian(self.i, self.j, *parts)
-
-    def pin_first(self) -> "EdgeHessian":
-        """The same Hessian over the free layout, without ``beta_1``."""
-        return EdgeHessian(self.i, self.j, self.weight, self.shift, self.border, self.block, 1)
+        self.border, self.block, self.pinned = border, block, 0
 
     def __array__(self, dtype=None, copy=None) -> Array:
         """The dense H over this layout."""
@@ -169,21 +161,14 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         hess[:t, t:], hess[t:, :t], hess[t:, t:] = self.border.T, self.border, self.block
         return hess[self.pinned :, self.pinned :]
 
-    @cached_property
-    def _layout_edges(self):
-        """The edge ends over the layout, pinned merits sent to a zero slot
-        past the merits (the pinned merit is 0 and its row is left out)."""
-        t = len(self.shift)
-        return (self.i - self.pinned) % t, (self.j - self.pinned) % t
-
     def matvec(self, x: Array) -> Array:
-        """``H @ x`` over this layout, the Laplacian applied as edge flows."""
+        """``H @ x`` over this layout, the Laplacian applied as edge flows;
+        the pinned merits are 0 and their rows are left out."""
         t, p = len(self.shift), self.pinned
-        i, j = self._layout_edges
-        beta = np.concatenate([x[: t - p], np.zeros(p)])
-        flow = self.weight * (beta[i] - beta[j])
-        beta = beta[: t - p]
-        laplacian = (np.bincount(i, flow, t) - np.bincount(j, flow, t))[: t - p]
+        beta = np.concatenate([np.zeros(p), x[: t - p]])
+        flow = self.weight * (beta[self.i] - beta[self.j])
+        laplacian = (np.bincount(self.i, flow, t) - np.bincount(self.j, flow, t))[p:]
+        beta = beta[p:]
         merits = self.shift[p:] * beta - laplacian
         if not len(self.block):
             return merits
@@ -218,28 +203,27 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         return out[:m, :m]
 
 
-def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=(), shift=0.0):
+def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=()):
     """``(value, gradient, EdgeHessian)`` over ``[beta_1 .. beta_t, extras]``
     from the per-edge arrays of the module docstring: row 0 holds the edges
     (i, j), i < j, and a row 1 their reverses, whose residuals and borders
-    flip sign; ``shift`` is added to the merit diagonal of the Hessian."""
+    flip sign."""
     i, j, k = host[0], visitor[0], len(grads)
     r = np.subtract.reduce(resid)
     grad = np.concatenate([np.bincount(i, r, t) - np.bincount(j, r, t), grads])
     rows = [np.bincount(i, b, t) - np.bincount(j, b, t) for b in map(np.subtract.reduce, borders)]
     border, block = np.array(rows).reshape(k, t), np.array(block).reshape(k, k)
-    hess = EdgeHessian(i, j, np.add.reduce(curv), np.zeros(t) + shift, border, block)
+    hess = EdgeHessian(i, j, np.add.reduce(curv), np.zeros(t), border, block)
     return value, grad, hess
 
 
-def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg, shift=0.0):
+def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
     """Kernel of the models whose outcome is a softmax of three scores per
     oriented edge (``host``, ``visitor``): host win ``lg + beta_host``,
     visitor win ``beta_visitor`` and, unless ``phi`` is None, tie ``phi +
     (beta_host + beta_visitor)/2``, observed ``wh``, ``wv`` and ``wt`` times.
     ``lg=None`` pins the home parameter at 0 and leaves it out of the
-    gradient; ``shift`` is added to the merit diagonal of the Hessian.
-    Returns ``(value, gradient, Hessian)``."""
+    gradient. Returns ``(value, gradient, Hessian)``."""
     b_h, b_v = beta[host], beta[visitor]
     h = b_h + (0.0 if lg is None else lg)
     if phi is None:
@@ -269,7 +253,7 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg, shift=0.0):
         [float((n * p * (q - float(a == b))).sum()) for b, (_, q, _) in enumerate(extras)]
         for a, (_, p, _) in enumerate(extras)
     ]
-    return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block, shift)
+    return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block)
 
 
 def _rao_kupper_terms(beta, host, visitor, w, ties, phi):
@@ -387,8 +371,8 @@ class Objective:
         if not self.in_domain(x):
             return -np.inf, None, None
         value, grad, hess = _terms(self.model, *self._split(x), self._edge_data)
-        # the free layout leaves out beta_1, which is pinned at 0
-        return value, grad[1:], hess.pin_first()
+        hess.pinned = 1  # the free layout leaves out beta_1, which is pinned at 0
+        return value, grad[1:], hess
 
     def value(self, x: Array) -> float:
         return self.value_gradient_hessian(x)[0]
@@ -420,9 +404,8 @@ class PosteriorObjective:
     def value_gradient_hessian(self, x: Array) -> tuple[float, Array, EdgeHessian]:
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf
             u = np.exp(x)
-        value, grad, hess = _outcome_terms(
-            x, *self._sides, *self._wins, 0.0, None, None, shift=-self.rate * u
-        )
+        value, grad, hess = _outcome_terms(x, *self._sides, *self._wins, 0.0, None, None)
         value += float(((self.shape - 1.0) * x - self.rate * u).sum())
         grad += (self.shape - 1.0) - self.rate * u
+        hess.shift -= self.rate * u
         return value, grad, hess

@@ -4,9 +4,10 @@ mode of the Bradley-Terry merits under Gamma priors.
 All six fits maximize a concave function of the log merits (plus the log tie
 and home parameters), with at most t + 1 free parameters, so one damped
 Newton method serves them all (``maximize_concave``). Each iteration solves
-``-H d = g`` for the Newton direction and keeps it only if it ascends: the
-slope ``g' d`` must be finite and positive, which it is whenever ``-H`` is
-positive definite. A singular ``-H``, or one that is not positive definite
+``H d = -g`` for the Newton direction, on the Hessian H as the objective
+returns it, and keeps it only if it ascends: the slope ``g' d = -g' H^-1 g``
+(the Newton decrement) must be finite and positive, which it is whenever H
+is negative definite. A singular H, or one that is not negative definite
 along ``d`` (only a caller-supplied objective or numerical breakdown can do
 that, as negative shifted counts are refused), gets the gradient direction
 instead. It then backtracks from the full step until the Armijo condition
@@ -22,27 +23,29 @@ is solved in edge form; otherwise the Hessian is scattered to a dense array
 crossovers: on sparse leagues the LU fit is faster up to about 150 teams and
 the sparse one from about 200, and a dense league keeps the LU (a fully met
 300-team league runs at par). An edge-form step is solved by conjugate
-gradients on ``-H``, each product O(t + edges) by ``np.bincount``, with a
-two-level preconditioner: Jacobi on the fine level, plus the additive
-coarse correction ``Z (Z' -H Z)^-1 Z' r`` (Tang et al. 2009 compare such
-two-level preconditioners). ``Z`` has one indicator column per strongly
-connected component of the raw digraph the existence rule reads (the counts
-before perturbation), labelled once per fit, and one per tie or home
-parameter; the m x m system ``Z' -H Z`` is inverted once per step. When
+gradients on ``H d = -g``, each product O(t + edges) by ``np.bincount``,
+with a two-level preconditioner: Jacobi ``1 / diag(H)`` on the fine level,
+plus the additive coarse correction ``Z (Z' H Z)^-1 Z' r`` (Tang et al.
+2009 compare such two-level preconditioners). Every inner product flips
+sign with H and rounding is symmetric in sign, so the iterates are bit for
+bit those of CG on ``-H d = g``. ``Z`` has one indicator column per
+strongly connected component of the raw digraph the existence rule reads
+(the counts before perturbation), labelled once per fit, and one per tie or
+home parameter; the m x m system ``Z' H Z`` is inverted once per step. When
 the raw data fail strong connection, only O(eps) curvature joins those
-components, so their indicators are the near-null directions of ``-H``
-that leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level
-solves them exactly. The step is an inexact Newton step (Eisenstat and
-Walker 1996): the first is solved to a residual of a tenth of ``|g|``
-(2-norms), each later one to the sup-norm of the step before it (capped at
-a tenth), so the solves tighten as the steps shrink.
+components, so their indicators are the near-null directions of H that
+leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level solves
+them exactly. The step is an inexact Newton step (Eisenstat and Walker
+1996): the first is solved to a residual of a tenth of ``|g|`` (2-norms),
+each later one to the sup-norm of the step before it (capped at a tenth),
+so the solves tighten as the steps shrink.
 
 A fit stops converged once the Newton step at the current point has
 sup-norm at most 1e-9, in log-merit units: near the maximizer that is its
 distance from it, whatever the curvature (where only O(eps) curvature joins
 the components, a small gradient does not make the point close). It also
 stops converged where the gradient is exactly 0. The last step is not
-taken. Half the Newton decrement ``g' (-H)^-1 g`` bounds the objective
+taken. Half the Newton decrement ``-g' H^-1 g`` bounds the objective
 still to gain. Once it is at most ``rel_ll_tol * max(1, |objective|)``, the
 objective is flat at working precision and its quadratic model exact to
 rounding: only the full Newton step is tried, and it is kept if it passes
@@ -182,26 +185,26 @@ def edge_form(t: int, pairs: int) -> bool:
 
 
 def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray, rtol: float):
-    """``(d, iterations)``: the solution of ``-H d = g`` for an edge-form
+    """``(d, iterations)``: the solution of ``H d = -g`` for an edge-form
     Hessian by conjugate gradients, preconditioned with two levels as in the
-    module docstring, run until the residual is at most ``rtol`` times
-    ``|g|`` (2-norms) or for ``len(g)`` iterations. ``labels`` are the
-    coarse components of the merits."""
-    a = -h
-    k, pinned = len(a.block), a.pinned
+    module docstring (Jacobi ``1 / diag(H)`` plus ``Z (Z' H Z)^-1 Z' r``),
+    run until the residual is at most ``rtol`` times ``|g|`` (2-norms) or
+    for ``len(g)`` iterations. ``labels`` are the coarse components of the
+    merits."""
+    k, pinned = len(h.block), h.pinned
     # renumbered, as a component of pinned merits only would have no column
     present, layout = np.unique(
         np.concatenate([labels[pinned:], labels.max() + 1 + np.arange(k)]), return_inverse=True
     )
     m = len(present)
-    coarse = np.linalg.inv(a.galerkin(layout, m))
-    jacobi = 1.0 / a.diagonal()
+    coarse = np.linalg.inv(h.galerkin(layout, m))
+    jacobi = 1.0 / h.diagonal()
 
-    def deflate(r):  # Z (Z' -H Z)^-1 Z' r
+    def deflate(r):  # Z (Z' H Z)^-1 Z' r
         return (coarse @ np.bincount(layout, r, m))[layout]
 
-    d = deflate(g)
-    r = g - a.matvec(d)
+    d = deflate(-g)
+    r = -g - h.matvec(d)
     goal = rtol * np.sqrt(g @ g)
     p = rho = None
     for iterations in range(len(g) + 1):
@@ -210,7 +213,7 @@ def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray, rtol: float):
         z = jacobi * r + deflate(r)
         rho, previous = r @ z, rho
         p = z if p is None else z + (rho / previous) * p
-        q = a.matvec(p)
+        q = h.matvec(p)
         alpha = rho / (p @ q)
         d = d + alpha * p
         r = r - alpha * q
@@ -223,7 +226,7 @@ def _newton_direction(g: Array, h, labels, rtol: float) -> tuple[Array, float, b
     ``labels``, by ``_pcg`` with them."""
     try:
         if labels is None:
-            direction = -np.linalg.solve(np.asarray(h), g)
+            direction = np.linalg.solve(np.asarray(h), -g)
         else:
             direction = _pcg(h, g, labels, rtol)[0]
         slope = float(g @ direction)  # the Newton decrement on a Newton step
@@ -318,7 +321,7 @@ class _Negated:
         f, g, h = self._objective.value_gradient_hessian(x)
         if g is None:
             return -f, None, None
-        return -f, -g, -h
+        return -f, -g, -np.asarray(h)
 
 
 def minimize(objective, start, config: SolverConfig | None = None):

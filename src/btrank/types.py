@@ -230,41 +230,39 @@ class Normalization(enum.Enum):
 AUTO_EPSILON = "auto"
 
 
-def _check_epsilon(value) -> float | str:
-    if isinstance(value, str):
-        if value == AUTO_EPSILON:
-            return value
-        raise NonPositiveEpsilonError(
-            f"epsilon must be a positive number or {AUTO_EPSILON!r}, got {value!r}"
-        )
-    eps = float(value)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise NonPositiveEpsilonError(f"epsilon must be positive, got {eps}")
-    return eps
+@dataclass(frozen=True)
+class _EpsilonScheme:
+    """A perturbation that adds one ``epsilon`` to win counts: a positive
+    finite number, or the string ``"auto"``."""
+
+    epsilon: float | str
+
+    def __post_init__(self):
+        value = self.epsilon
+        if isinstance(value, str):
+            if value == AUTO_EPSILON:
+                return
+            raise NonPositiveEpsilonError(
+                f"epsilon must be a positive number or {AUTO_EPSILON!r}, got {value!r}"
+            )
+        eps = float(value)
+        if not math.isfinite(eps) or eps <= 0.0:
+            raise NonPositiveEpsilonError(f"epsilon must be positive, got {eps}")
+        object.__setattr__(self, "epsilon", eps)
 
 
 @dataclass(frozen=True)
-class Improved:
+class Improved(_EpsilonScheme):
     """Add ``epsilon`` to a win count only where the pair actually met.
 
     ``epsilon`` may be the string ``"auto"``, resolved against the dataset as
     ``sqrt(log(t) / t)`` at perturbation time.
     """
 
-    epsilon: float | str
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
-
 
 @dataclass(frozen=True)
-class ConnerGrant:
+class ConnerGrant(_EpsilonScheme):
     """Add ``epsilon`` to every off-diagonal win count, met or not."""
-
-    epsilon: float | str
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,25 @@ def test_kendall_distance_matches_the_pairwise_loop(pair):
     assert type(distance) is int
     assert distance == kendall_distance_by_pairs(first, second)
     assert kendall_distance(second, first) == distance
+
+
+def test_kendall_distance_allocates_far_less_than_a_pairwise_array():
+    # comparing every pair of positions took three t x t boolean arrays,
+    # 48 MB at t = 4000
+    t = 4000
+    order = np.random.default_rng(0).permutation(t).tolist()
+    first, second = (
+        Ranking(teams=names(t), order=o, groups=tuple((k,) for k in o))
+        for o in (order, order[::-1])
+    )
+    tracemalloc.start()
+    try:
+        distance = kendall_distance(first, second)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert distance == t * (t - 1) // 2
+    assert peak < t * t / 16
 
 
 def test_sweep_is_stable_on_clean_data(ten_teams):

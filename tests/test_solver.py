@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import btrank
@@ -453,33 +453,8 @@ def _newton_refit(objective, x, steps=30):
     """Plain Newton steps from x, past any stop rule, by dense LU."""
     for _ in range(steps):
         _, g, h = objective.value_gradient_hessian(x)
-        x = x + np.linalg.solve(-h, g)
+        x = x + np.linalg.solve(np.asarray(h), -g)
     return x
-
-
-@pytest.mark.parametrize(
-    "wins, eps",
-    [
-        # X beats Z twice, Y beats Z once, X and Y never meet: the X - Y
-        # offset is 0.6931; a gradient stop rule left it at 0.0171
-        ([(0, 2), (0, 2), (1, 2)], 1e-10),
-        # two 3-cycles, 0 -> 1 -> 2 -> 0 and 3 -> 4 -> 5 -> 3, with 0 beating
-        # 3 once: a gradient stop rule left beta up to 1.64 away
-        ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)], 1e-9),
-    ],
-    ids=["two-beat-a-third", "two-cycles-in-a-chain"],
-)
-def test_a_converged_fit_is_within_1e_6_in_beta_of_a_tight_refit(wins, eps):
-    t = 1 + max(max(pair) for pair in wins)
-    a = np.zeros((t, t))
-    for i, j in wins:
-        a[i, j] += 1
-    data = venue_free_dataset(names(t), a)
-    default = fit(spec(Model.BRADLEY_TERRY, Improved(eps)), data)
-    objective = Objective(Model.BRADLEY_TERRY, perturb(data, Improved(eps)))
-    tight = np.concatenate([[0.0], _newton_refit(objective, default.beta[1:])])
-    assert default.converged
-    assert np.abs(default.beta - tight).max() <= 1e-6
 
 
 @st.composite
@@ -499,6 +474,60 @@ def sparse_datasets(draw):
         return venue_dataset(names(t), matrix(), matrix(), ties)
     upper = np.triu(ties, 1)
     return venue_free_dataset(names(t), matrix(), upper + upper.T)
+
+
+def _wins_dataset(wins):
+    """The venue-free dataset of the listed (winner, loser) games."""
+    t = 1 + max(max(pair) for pair in wins)
+    a = np.zeros((t, t))
+    for i, j in wins:
+        a[i, j] += 1
+    return venue_free_dataset(names(t), a)
+
+
+# X beats Z twice, Y beats Z once, X and Y never meet: the X - Y offset is
+# 0.6931; a gradient stop rule left it at 0.0171 (eps 1e-10)
+TWO_BEAT_A_THIRD = _wins_dataset([(0, 2), (0, 2), (1, 2)])
+# two 3-cycles, 0 -> 1 -> 2 -> 0 and 3 -> 4 -> 5 -> 3, with 0 beating 3 once:
+# a gradient stop rule left beta up to 1.64 away (eps 1e-9)
+TWO_CYCLES_IN_A_CHAIN = _wins_dataset([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+
+
+@pytest.mark.parametrize(
+    "data, eps",
+    [(TWO_BEAT_A_THIRD, 1e-10), (TWO_CYCLES_IN_A_CHAIN, 1e-9)],
+    ids=["two-beat-a-third", "two-cycles-in-a-chain"],
+)
+def test_the_gradient_plateau_cases_converge(data, eps):
+    assert fit(spec(Model.BRADLEY_TERRY, Improved(eps)), data).converged
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    data=sparse_datasets(),
+    eps=st.integers(1, 12).map(lambda k: 10.0**-k),
+    scheme=st.sampled_from([Improved, ConnerGrant]),
+)
+@example(data=TWO_BEAT_A_THIRD, eps=1e-10, scheme=Improved)
+@example(data=TWO_CYCLES_IN_A_CHAIN, eps=1e-9, scheme=Improved)
+def test_a_converged_fit_is_within_1e_6_in_beta_of_a_tight_refit(data, eps, scheme):
+    # every model the data admit, and the MAP mode, which reads no eps
+    t = data.num_teams
+    perturbed = perturb(data, scheme(eps))
+    for model in Model:
+        try:
+            result = fit(spec(model, scheme(eps)), data)
+        except (ExistenceError, NoTiesError, VenuelessDataError):
+            continue
+        if result.converged:
+            extras = [np.log(v) for v in (result.theta_hat, result.gamma_hat) if v is not None]
+            x = np.concatenate([result.beta[1:], extras])
+            tight = _newton_refit(Objective(model, perturbed), x)
+            assert np.abs(result.beta[1:] - tight[: t - 1]).max() <= 1e-6, model
+    posterior = likelihood.PosteriorObjective(data.counts, 2.0, 2.0 * t - 1.0)
+    mode = _map_mode(data, 2.0, 2.0 * t - 1.0, SolverConfig())
+    if mode.converged:
+        assert np.abs(mode.x - _newton_refit(posterior, mode.x)).max() <= 1e-6
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
