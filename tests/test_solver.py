@@ -498,8 +498,12 @@ TWO_CYCLES_IN_A_CHAIN = _wins_dataset([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (
     [(TWO_BEAT_A_THIRD, 1e-10), (TWO_CYCLES_IN_A_CHAIN, 1e-9)],
     ids=["two-beat-a-third", "two-cycles-in-a-chain"],
 )
-def test_the_gradient_plateau_cases_converge(data, eps):
-    assert fit(spec(Model.BRADLEY_TERRY, Improved(eps)), data).converged
+def test_a_converged_fit_is_within_1e_6_in_beta_of_a_tight_refit(data, eps):
+    result = fit(spec(Model.BRADLEY_TERRY, Improved(eps)), data)
+    assert result.converged
+    perturbed = perturb(data, Improved(eps))
+    tight = _newton_refit(Objective(Model.BRADLEY_TERRY, perturbed), result.beta[1:])
+    assert np.abs(result.beta[1:] - tight).max() <= 1e-6
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -510,7 +514,7 @@ def test_the_gradient_plateau_cases_converge(data, eps):
 )
 @example(data=TWO_BEAT_A_THIRD, eps=1e-10, scheme=Improved)
 @example(data=TWO_CYCLES_IN_A_CHAIN, eps=1e-9, scheme=Improved)
-def test_a_converged_fit_is_within_1e_6_in_beta_of_a_tight_refit(data, eps, scheme):
+def test_every_converged_fit_is_within_1e_6_in_beta_of_a_tight_refit(data, eps, scheme):
     # every model the data admit, and the MAP mode, which reads no eps
     t = data.num_teams
     perturbed = perturb(data, scheme(eps))
