@@ -4,9 +4,10 @@ Usage, from the root of a btrank checkout:
 
     python scripts/bench_kernel.py [--src DIR] [--label NAME] [--out PATH]
 
-``--src`` must name the ``src`` of a btrank checkout at or after 33c8123,
-whose kernels return an ``EdgeHessian`` with ``__array__`` and whose solver
-has ``_newton_direction``, ``_raw_components`` and ``_pcg``.
+``--src`` must name the ``src`` of a btrank checkout whose kernels return
+an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
+``_newton_direction`` and ``_pcg``, and whose connectivity module labels the
+raw components with ``raw_components``.
 
 Each league case is a home-and-away league drawn from a fixed seed: a ring
 plus random chords, so every team meets about 6 others, one game at each
@@ -91,6 +92,16 @@ def dataset(btrank, t: int, games):
     return btrank.aggregate(table)
 
 
+def raw_labels(model, data, pairs: int):
+    """The coarse labels of a fit's sparse step: the raw components of
+    ``connectivity.raw_components``, or None below ``solver.edge_form``,
+    where the step is solved by LU."""
+    from btrank import connectivity, solver
+
+    sparse = solver.edge_form(data.num_teams, pairs)
+    return connectivity.raw_components(model, data) if sparse else None
+
+
 def run_case(name: str) -> dict:
     import resource
 
@@ -105,7 +116,7 @@ def run_case(name: str) -> dict:
     spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
     perturbed = perturb(data, spec.perturbation)
     objective = Objective(spec.model, perturbed)
-    labels = solver._raw_components(spec.model, data, len(perturbed.i))  # None below edge_form
+    labels = raw_labels(spec.model, data, len(perturbed.i))
     x = objective.initial_point()
     kernel, step = [], []
     for _ in range(evaluations):
@@ -167,7 +178,7 @@ def run_probe() -> dict:
         perturbed = perturb(data, spec.perturbation)
         objective = likelihood.Objective(spec.model, perturbed)
         _, g, h = objective.value_gradient_hessian(result.beta[1:])
-        labels = solver._raw_components(spec.model, data, len(perturbed.i))
+        labels = raw_labels(spec.model, data, len(perturbed.i))
         d = solver._newton_direction(g, h, labels, 1e-12)[0]
         dense = np.asarray(h)
         norm = np.linalg.norm(g)

@@ -1,4 +1,5 @@
-"""Connectivity diagnostics for paired-comparison data.
+"""Connectivity diagnostics for paired-comparison data, and the existence
+rule every fit applies.
 
 Three graphs are read off a dataset's edge list:
 
@@ -14,29 +15,65 @@ holds exactly when the hosting digraph is strongly connected (for every
 proper vertex subset, strong connectivity means an arc leaves it and an arc
 enters it, which are precisely the two hosting directions), so all three
 checks reduce to one strong-connectivity test (on the symmetric digraph of
-the edges for B) instead of a scan over all 2^t - 2 splits.
+the edges for B) instead of a scan over all 2^t - 2 splits. A check returns
+None on success, else a PartitionWitness: a split no arc of its condition's
+digraph enters from the second set, as ``witness_is_valid`` re-checks.
+
+Every fit re-verifies existence before iterating (``verify_existence``),
+refusing with a witness rather than diverging; its Objective has already
+refused venue models on venueless data and tie models on data without ties.
+One rule serves every scheme, Ford's condition on the perturbed data
+(Assumption 1 of Hunter 2004): no perturbed win count the model reads is
+negative, and the perturbed ``digraph`` the model reads is strongly
+connected. That is the win digraph for the venue-free models; for the venue
+models it has an arc i -> j where i hosted j in a game the model reads (a
+decisive one for home-field, any one for David). A venue model also needs
+some perturbed home-win and some visitor-win weight, or the home advantage
+runs off to 0 or infinity. Improved adds epsilon exactly where the pair
+met, to both outcomes of every hosted orientation, so its venue-free wins
+are positive both ways on every edge and its venue digraphs have an arc
+wherever a game was hosted: the rule is Condition B (venue-free models) or
+C (venue models) of the raw data, and a refusal words its witness so.
+ConnerGrant lifts every pair and never refuses; a shift, and the flat
+prior's raw counts, are refused in terms of the counts after the shift.
 
 A digraph is strongly connected exactly when every team is reachable from
 team 0 along its arcs and along its reversed arcs, so the test is two
 breadth-first searches in numpy over the arc arrays, a boolean frontier
 pushed across every arc per round. Only when it fails are the strongly
 connected components labelled (``strong_components``, Tarjan's algorithm
-over the arcs), to name a witness. The checks return None on success and a
-PartitionWitness on failure. The solver labels the components of the raw
-data with the same function, for the coarse space of its sparse Newton step.
+over the arcs), to name a witness. The solver labels those of the raw
+digraph a model reads (``raw_components``), for the coarse space of its
+sparse Newton step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import VenuelessDataError
-from .types import Array, Dataset, PartitionWitness
+from .errors import ExistenceError, VenuelessDataError
+from .types import Array, Dataset, Model, PartitionWitness, PerturbedCounts
 
-# (condition, witness detail) of the raw-data checks; fit refusals under the
-# Improved scheme reuse them
+# (condition, witness detail) of the raw-data checks
+CONDITION_A = ("A", "no team in the second set has beaten any team in the first set")
 CONDITION_B = ("B", "no games at all between the two sets")
 CONDITION_C = ("C", "no team in the second set has ever hosted a team in the first set")
+# (condition, witness detail) of a fit refusal by (epsilon scheme, venue
+# model): an epsilon scheme's rule is the raw Condition B or C
+REFUSAL_WORDING = {
+    (True, False): CONDITION_B,
+    (True, True): CONDITION_C,
+    (False, False): (
+        "A",
+        "after the shift, no team in the second set has positive win weight "
+        "over the first set",
+    ),
+    (False, True): (
+        "C",
+        "after the shift, no team in the second set hosts any team in the "
+        "first set in a game the model reads",
+    ),
+}
 
 
 def arcs(i: np.ndarray, j: np.ndarray, weights: Array) -> tuple[np.ndarray, np.ndarray]:
@@ -45,6 +82,17 @@ def arcs(i: np.ndarray, j: np.ndarray, weights: Array) -> tuple[np.ndarray, np.n
     (2, edges)."""
     keep = (weights > 0).ravel()
     return np.concatenate([i, j])[keep], np.concatenate([j, i])[keep]
+
+
+def digraph(model: Model, games: Array, wins: Array) -> Array:
+    """Weights (2, edges) of the arcs i -> j and j -> i the existence rule
+    reads for ``model``: the venue-free ``wins``, or the ``games`` a venue
+    model reads by host (decisive ones for home-field, all for David)."""
+    if not model.has_home_parameter:
+        return wins
+    if model.has_tie_parameter:
+        return games.sum(axis=0)
+    return games[0] + games[1]  # home-field never reads the ties
 
 
 def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
@@ -107,33 +155,40 @@ def strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.array(label, dtype=np.intp)
 
 
-def _source_component(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Vertices of a source SCC (no incoming arcs from other components).
-
-    Among all source components, the one containing the smallest vertex
-    index is returned, which makes witnesses deterministic.
-    """
-    labels = strong_components(n, src, dst)
-    has_incoming = np.zeros(labels.max() + 1, dtype=bool)
-    cross = labels[src] != labels[dst]
-    has_incoming[labels[dst[cross]]] = True
-    first_source = np.argmax(~has_incoming[labels])  # smallest vertex in a source SCC
-    return np.flatnonzero(labels == labels[first_source])
-
-
 def strong_connectivity_witness(
     n: int, src: np.ndarray, dst: np.ndarray, condition: str, detail: str
 ) -> PartitionWitness | None:
     """None if the digraph on ``n`` vertices with arcs ``src[k] -> dst[k]``
-    is strongly connected, else a witness split (q1 = a source component,
-    so q2 sends no arcs into q1)."""
+    is strongly connected, else a witness split: q1 is a source component
+    (q2 sends no arcs into it), the one holding the smallest vertex, which
+    makes witnesses deterministic."""
     if _reaches_all(n, src, dst) and _reaches_all(n, dst, src):
         return None
-    q1 = _source_component(n, src, dst)
-    in_q1 = np.zeros(n, dtype=bool)
-    in_q1[q1] = True
-    q2 = np.flatnonzero(~in_q1)
+    labels = strong_components(n, src, dst)
+    has_incoming = np.zeros(labels.max() + 1, dtype=bool)
+    has_incoming[labels[dst[labels[src] != labels[dst]]]] = True
+    in_q1 = labels == labels[np.argmax(~has_incoming[labels])]
+    q1, q2 = np.flatnonzero(in_q1), np.flatnonzero(~in_q1)
     return PartitionWitness(condition=condition, q1=tuple(q1), q2=tuple(q2), detail=detail)
+
+
+# the model whose raw digraph a condition reads; B reads every met edge
+_CONDITION_MODEL = {"A": Model.BRADLEY_TERRY, "B": None, "C": Model.DAVID}
+
+
+def _raw_arcs(dataset: Dataset, model: Model | None) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs of the ``digraph`` a model reads of the raw counts, or both
+    arcs of every met edge for ``model=None``."""
+    counts = dataset.counts
+    if model is None:
+        return arcs(counts.i, counts.j, np.ones((2, len(counts.i))))
+    return arcs(counts.i, counts.j, digraph(model, counts.games, dataset.totals[:2]))
+
+
+def _check(dataset: Dataset, wording: tuple[str, str]) -> PartitionWitness | None:
+    """The raw-data check of the condition ``wording`` names."""
+    condition_arcs = _raw_arcs(dataset, _CONDITION_MODEL[wording[0]])
+    return strong_connectivity_witness(dataset.num_teams, *condition_arcs, *wording)
 
 
 def check_condition_a(dataset: Dataset) -> PartitionWitness | None:
@@ -141,13 +196,7 @@ def check_condition_a(dataset: Dataset) -> PartitionWitness | None:
 
     On failure the witness has q1 = a set nobody outside it has beaten.
     """
-    counts = dataset.counts
-    return strong_connectivity_witness(
-        dataset.num_teams,
-        *arcs(counts.i, counts.j, dataset.totals[:2]),
-        condition="A",
-        detail="no team in the second set has beaten any team in the first set",
-    )
+    return _check(dataset, CONDITION_A)
 
 
 def check_condition_b(dataset: Dataset) -> PartitionWitness | None:
@@ -155,13 +204,10 @@ def check_condition_b(dataset: Dataset) -> PartitionWitness | None:
 
     The comparison graph is connected exactly when the digraph with both
     arcs of every edge is strongly connected, and every component is a
-    source component. On failure the witness has
-    q1 = the component containing the lowest team index, q2 = everyone
-    else; the two sets share no games.
+    source component. On failure q1 is the component holding the lowest
+    team index and q2 everyone else; the two sets share no games.
     """
-    i, j = dataset.counts.i, dataset.counts.j
-    both = np.concatenate([i, j]), np.concatenate([j, i])
-    return strong_connectivity_witness(dataset.num_teams, *both, *CONDITION_B)
+    return _check(dataset, CONDITION_B)
 
 
 def check_condition_c(dataset: Dataset) -> PartitionWitness | None:
@@ -174,31 +220,66 @@ def check_condition_c(dataset: Dataset) -> PartitionWitness | None:
         raise VenuelessDataError(
             "condition C needs home/away structure and this dataset has none"
         )
-    counts = dataset.counts  # games per edge hosted by i, and by j
-    hosting = arcs(counts.i, counts.j, counts.games.sum(axis=0))
-    return strong_connectivity_witness(dataset.num_teams, *hosting, *CONDITION_C)
+    return _check(dataset, CONDITION_C)
 
 
 def witness_is_valid(dataset: Dataset, witness: PartitionWitness) -> bool:
     """Re-evaluate a witness against the data: does it really violate the
-    condition it names?"""
+    condition it names? It does when the split covers the teams and no arc
+    of the condition's digraph runs from q2 into q1."""
     t = dataset.num_teams
-    if set(witness.q1) | set(witness.q2) != set(range(t)):
+    covered = set(witness.q1) | set(witness.q2) == set(range(t))
+    if witness.condition not in _CONDITION_MODEL or not covered:
         return False
     in_q1 = np.zeros(t, dtype=bool)
     in_q1[list(witness.q1)] = True
-    i, j, games = dataset.counts.i, dataset.counts.j, dataset.counts.games
+    src, dst = _raw_arcs(dataset, _CONDITION_MODEL[witness.condition])
+    return not np.any(~in_q1[src] & in_q1[dst])
 
-    def crosses(weights, into_q1: bool) -> bool:
-        """Whether an arc of ``weights`` runs from q2 into q1 (``into_q1``),
-        or from q1 into q2."""
-        src, dst = arcs(i, j, weights)
-        return bool(np.any((in_q1[src] != into_q1) & (in_q1[dst] == into_q1)))
 
-    if witness.condition == "A":
-        return not crosses(dataset.totals[:2], True)
-    if witness.condition == "B":
-        return not np.any(in_q1[i] != in_q1[j])
-    if witness.condition == "C":
-        return not (crosses(games.sum(axis=0), False) and crosses(games.sum(axis=0), True))
-    return False
+def verify_existence(model: Model, perturbed: PerturbedCounts, teams) -> None:
+    """Refuse, with ExistenceError, unless the perturbed counts the model
+    reads meet Ford's condition (the module docstring gives the rule).
+
+    A negative count rewards driving that pair's win probability to 0, so
+    the objective is no longer concave and need not be bounded above. The
+    first negative count in row order is named, as an entry of the t x t
+    matrix it belongs to (``a_free``: the venue-free wins).
+    """
+    i, j, t, g = perturbed.i, perturbed.j, perturbed.num_teams, perturbed.games
+    names = ("a_home", "a_away") if model.has_home_parameter else ("a_free",)
+    # each (2, edges): row 0 the wins of i over j, row 1 those of j over i
+    views = {"a_free": perturbed.wins, "a_home": g[0], "a_away": g[1, ::-1]}
+    for name in names:
+        counts = views[name]
+        if (counts < 0).any():
+            winner, loser = np.stack([i, j]), np.stack([j, i])
+            first = np.argmin(np.where(counts < 0, winner * t + loser, t * t))
+            x, y = winner.flat[first], loser.flat[first]
+            raise ExistenceError(
+                f"refused: after the shift, {name} gives team {teams[x]!r} a "
+                f"negative win count {counts.flat[first]:g} over team {teams[y]!r}, so "
+                f"the {model.value} estimate is not guaranteed to exist"
+            )
+    wording = REFUSAL_WORDING[perturbed.epsilon is not None, model.has_home_parameter]
+    weights = digraph(model, g, perturbed.wins)
+    witness = strong_connectivity_witness(t, *arcs(i, j, weights), *wording)
+    if witness is not None:
+        raise ExistenceError(
+            f"the {model.value} estimate does not exist for these data: "
+            + witness.describe(teams),
+            witness=witness,
+        )
+    for name in names:  # never refuses a_free: its strongly connected digraph has an arc
+        if not views[name].sum() > 0:
+            raise ExistenceError(
+                f"the {model.value} estimate does not exist for these data: after "
+                f"the shift, {name} holds no positive win weight, so the home "
+                "advantage has no finite estimate"
+            )
+
+
+def raw_components(model: Model, dataset: Dataset) -> np.ndarray:
+    """Labels of the strongly connected components of the raw digraph the
+    model's existence rule reads (the counts before perturbation)."""
+    return strong_components(dataset.num_teams, *_raw_arcs(dataset, model))

@@ -226,32 +226,33 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
     gradient. Returns ``(value, gradient, Hessian)``."""
     b_h, b_v = beta[host], beta[visitor]
     h = b_h + (0.0 if lg is None else lg)
+    n = wh + wv + wt
     if phi is None:
         p_h, p_v, log_h, log_v = _logistic(h - b_v)
         value = float((wh * log_h + wv * log_v).sum())
         p_t = 0.0
+        resid, curv = wh * p_v - wv * p_h, n * (p_h * p_v)
     else:
         tie = phi + (b_h + b_v) / 2.0
         d = _lse3(h, b_v, tie)
         value = float((wh * (h - d) + wv * (b_v - d) + wt * (tie - d)).sum())
         p_h, p_v, p_t = np.exp(h - d), np.exp(b_v - d), np.exp(tie - d)
-    # expected coefficients of beta_host and beta_visitor in the outcome's score
-    m_h, m_v = p_h + p_t / 2.0, p_v + p_t / 2.0
-    n = wh + wv + wt
-    resid = wh * m_v - wv * m_h + wt * (m_v - m_h) / 2.0
+        # sums of products of the probabilities: where one outcome is nearly
+        # certain, a difference of near-equal terms would lose the eps-sized parts
+        resid = (wh - wv) * p_t / 2.0 + wh * p_v - wv * p_h - wt * (p_h - p_v) / 2.0
+        curv = n * (p_h * p_v + p_t * (p_h + p_v) / 4.0)
     # the tie and host-win outcomes carry phi and lg, with coefficient 1:
-    # (observed count, probability, coefficient of beta_host) of each
+    # (observed count, probability, border row, own block entry) of each
     extras = []
     if phi is not None:
-        extras.append((wt, p_t, 0.5))
+        extras.append((wt, p_t, n * p_t * (p_h - p_v) / 2.0, -n * p_t * (p_h + p_v)))
     if lg is not None:
-        extras.append((wh, p_h, 1.0))
-    grads = [float((w - n * p).sum()) for w, p, _ in extras]
-    curv = n * (m_h * m_v - p_t / 4.0)
-    borders = [n * p * (m_h - share) for _, p, share in extras]
+        extras.append((wh, p_h, n * p_h * (p_h + p_t / 2.0 - 1.0), n * p_h * (p_h - 1.0)))
+    grads = [float((w - n * p).sum()) for w, p, _, _ in extras]
+    borders = [border for _, _, border, _ in extras]
     block = [
-        [float((n * p * (q - float(a == b))).sum()) for b, (_, q, _) in enumerate(extras)]
-        for a, (_, p, _) in enumerate(extras)
+        [float((own if a == b else n * p * q).sum()) for b, (_, q, _, _) in enumerate(extras)]
+        for a, (_, p, _, own) in enumerate(extras)
     ]
     return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block)
 

@@ -56,23 +56,10 @@ step stops the fit unconverged, as does using up ``max_iters`` iterations.
 Strict concavity makes the optimum unique, so each fit runs once, from the
 objective's deterministic start.
 
-Every fit re-verifies existence before iterating, refusing with a witness
-rather than diverging. Building the Objective first refuses venue models on
-venueless data and tie models on data without ties (tie counts are never
-perturbed, so this holds whatever the scheme). Then one rule serves every
-scheme, Ford's condition on the perturbed data (Assumption 1 of Hunter
-2004): no perturbed win count the model reads may be negative, and the
-perturbed win digraph must be strongly connected. Both are read per edge
-(``_digraph``). For the venue models that digraph has an arc i -> j where i
-hosted j in a game the model reads: a decisive one (host win or visitor
-win) for home-field, any one for the model with ties. A venue model also
-needs some perturbed home-win weight and some visitor-win weight, or the
-home advantage runs off to 0 or infinity. Improved adds epsilon exactly
-where the pair met, to both outcomes of every hosted orientation, so its
-venue-free wins are positive both ways on every edge and both venue
-digraphs have an arc wherever a game was hosted: the rule is then
-Condition B (venue-free models) or C (venue models) of the raw data.
-ConnerGrant lifts every pair, so the rule always holds.
+Every fit re-verifies existence before iterating, by Ford's condition on the
+perturbed digraph the model reads (``connectivity.verify_existence``; that
+module's docstring states the rule). The coarse space of the sparse step
+reads the same digraph of the raw counts (``connectivity.raw_components``).
 """
 
 from __future__ import annotations
@@ -83,26 +70,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .connectivity import (
-    CONDITION_B,
-    CONDITION_C,
-    arcs,
-    strong_components,
-    strong_connectivity_witness,
-)
-from .errors import ConfigError, ExistenceError
+from .connectivity import raw_components, verify_existence
+from .errors import ConfigError
 from .likelihood import EdgeHessian, Objective, PosteriorObjective
 from .perturbation import perturb
 from .types import (
     Array,
     Dataset,
     FitResult,
-    Improved,
     Model,
     ModelSpec,
     Normalization,
     ParameterPoint,
     PerturbedCounts,
+    is_bool,
     is_integer,
 )
 
@@ -130,7 +111,8 @@ class SolverConfig:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if not (0 < self.grad_tol < math.inf and 0 < self.rel_ll_tol < math.inf):
+        tolerances = (self.grad_tol, self.rel_ll_tol)
+        if any(is_bool(tol) or not 0 < tol < math.inf for tol in tolerances):
             raise ConfigError("tolerances must be positive and finite")
         iters = self.max_iters
         if not is_integer(iters) or iters < 1:
@@ -150,10 +132,10 @@ class MapPriorSpec:
     rate: float | None = None
 
     def __post_init__(self):
-        if not 1.0 <= self.shape < math.inf:
-            raise ConfigError(f"prior shape must be finite and >= 1, got {self.shape}")
-        if self.rate is not None and not 0.0 <= self.rate < math.inf:
-            raise ConfigError(f"prior rate must be finite and >= 0, got {self.rate}")
+        if is_bool(self.shape) or not 1.0 <= self.shape < math.inf:
+            raise ConfigError(f"prior shape must be a finite number >= 1, got {self.shape}")
+        if self.rate is not None and (is_bool(self.rate) or not 0.0 <= self.rate < math.inf):
+            raise ConfigError(f"prior rate must be a finite number >= 0, got {self.rate}")
 
     @property
     def ml_equivalent(self) -> bool:
@@ -336,97 +318,6 @@ def minimize(objective, start, config: SolverConfig | None = None):
     return x, tuple(-value for value in trace)
 
 
-# Witness (condition, detail) by (Improved scheme, venue model): under
-# Improved the perturbed digraphs have the raw data's edges (Conditions B, C).
-_WITNESS_WORDING = {
-    (True, False): CONDITION_B,
-    (True, True): CONDITION_C,
-    (False, False): (
-        "A",
-        "after the shift, no team in the second set has positive win weight "
-        "over the first set",
-    ),
-    (False, True): (
-        "C",
-        "after the shift, no team in the second set hosts any team in the "
-        "first set in a game the model reads",
-    ),
-}
-
-
-def _digraph(model: Model, games: Array, wins: Array) -> Array:
-    """Weights (2, edges) of the arcs i -> j and j -> i the existence rule
-    reads: the venue-free wins, or the games a venue model reads by host."""
-    if not model.has_home_parameter:
-        return wins
-    if model.has_tie_parameter:
-        return games.sum(axis=0)
-    return games[0] + games[1]  # home-field never reads the ties
-
-
-def _verify_existence(model: Model, improved: bool, teams, perturbed: PerturbedCounts) -> None:
-    """Refuse unless the perturbed counts the model reads meet Ford's
-    condition; ``improved`` says they come from the Improved scheme."""
-    _refuse_negative_counts(model, perturbed, teams)
-    weights = _digraph(model, perturbed.games, perturbed.wins)
-    condition, detail = _WITNESS_WORDING[improved, model.has_home_parameter]
-    witness = strong_connectivity_witness(
-        perturbed.num_teams, *arcs(perturbed.i, perturbed.j, weights), condition, detail
-    )
-    if witness is not None:
-        raise ExistenceError(
-            f"the {model.value} estimate does not exist for these data: "
-            + witness.describe(teams),
-            witness=witness,
-        )
-    if model.has_home_parameter:
-        for name, outcome in (("a_home", 0), ("a_away", 1)):
-            if not perturbed.games[outcome].sum() > 0:
-                raise ExistenceError(
-                    f"the {model.value} estimate does not exist for these data: after "
-                    f"the shift, {name} holds no positive win weight, so the home "
-                    "advantage has no finite estimate"
-                )
-
-
-def _refuse_negative_counts(model: Model, perturbed: PerturbedCounts, teams) -> None:
-    """Refuse a shift that leaves a win count the model reads below zero.
-
-    A negative count rewards driving that pair's win probability to 0, so
-    the objective is no longer concave and need not be bounded above.
-    The first negative count in row order is named, as an entry of the
-    t x t matrix it belongs to (``a_free``: the venue-free wins).
-    """
-    i, j, t, g = perturbed.i, perturbed.j, perturbed.num_teams, perturbed.games
-    # each (2, edges): row 0 the wins of i over j, row 1 those of j over i
-    views = {"a_free": perturbed.wins, "a_home": g[0], "a_away": g[1, ::-1]}
-    for name in ("a_home", "a_away") if model.has_home_parameter else ("a_free",):
-        counts = views[name]
-        negative = counts < 0
-        if negative.any():
-            winner, loser = np.stack([i, j]), np.stack([j, i])
-            first = np.argmin(np.where(negative, winner * t + loser, t * t))
-            x, y = winner.flat[first], loser.flat[first]
-            raise ExistenceError(
-                f"refused: after the shift, {name} gives team {teams[x]!r} a "
-                f"negative win count {counts.flat[first]:g} over team {teams[y]!r}, so "
-                f"the {model.value} estimate is not guaranteed to exist"
-            )
-
-
-def _raw_components(model: Model, dataset: Dataset, pairs: int) -> np.ndarray | None:
-    """Labels of the strongly connected components of the raw digraph the
-    existence rule reads (the counts before perturbation); None below the
-    size rule for ``pairs`` edges, where the step is solved by LU and needs
-    no coarse space."""
-    t = dataset.num_teams
-    if not edge_form(t, pairs):
-        return None
-    counts = dataset.counts
-    weights = _digraph(model, counts.games, dataset.totals[:2])
-    return strong_components(t, *arcs(counts.i, counts.j, weights))
-
-
 def _fit_result(
     model: Model,
     dataset: Dataset,
@@ -469,15 +360,11 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     ``FitResult.ensure_converged`` to turn that into an error.
     """
     perturbed = perturb(dataset, model_spec.perturbation)
-    improved = isinstance(model_spec.perturbation, Improved)
-    return _fit_counts(
-        model_spec.model, improved, dataset, perturbed, model_spec.normalization, config
-    )
+    return _fit_counts(model_spec.model, dataset, perturbed, model_spec.normalization, config)
 
 
 def _fit_counts(
     model: Model,
-    improved: bool,
     dataset: Dataset,
     perturbed: PerturbedCounts,
     normalization: Normalization,
@@ -486,8 +373,9 @@ def _fit_counts(
     """``fit`` from its perturbed counts on."""
     config = config or SolverConfig()
     objective = Objective(model, perturbed)  # venue and tie refusals
-    _verify_existence(model, improved, dataset.teams, perturbed)
-    labels = _raw_components(model, dataset, len(perturbed.i))
+    verify_existence(model, perturbed, dataset.teams)
+    sparse = edge_form(dataset.num_teams, len(perturbed.i))
+    labels = raw_components(model, dataset) if sparse else None
     solution = _newton(objective, objective.initial_point(), config, labels)
     point = objective.unpack(solution.x)
     return _fit_result(model, dataset, solution, point, normalization, perturbed.epsilon)
@@ -496,7 +384,8 @@ def _fit_counts(
 def _map_mode(dataset: Dataset, d: float, b: float, config: SolverConfig) -> _Solution:
     """The unnormalized posterior mode of a proper prior, over all t log merits."""
     posterior = PosteriorObjective(dataset.counts, d, b)
-    labels = _raw_components(Model.BRADLEY_TERRY, dataset, len(posterior.edges[0]))
+    sparse = edge_form(dataset.num_teams, len(posterior.edges[0]))
+    labels = raw_components(Model.BRADLEY_TERRY, dataset) if sparse else None
     return _newton(posterior, posterior.initial_point(), config, labels)
 
 
@@ -524,7 +413,7 @@ def fit_map_em(
     if prior.ml_equivalent:
         c, venueless = dataset.counts, dataset.venueless
         raw = PerturbedCounts(c.num_teams, c.i, c.j, c.games, dataset.totals[:2], venueless, None)
-        return _fit_counts(Model.BRADLEY_TERRY, False, dataset, raw, normalization, config)
+        return _fit_counts(Model.BRADLEY_TERRY, dataset, raw, normalization, config)
     config = config or SolverConfig()
     d = float(prior.shape)
     b = prior.resolved_rate(dataset.num_teams)

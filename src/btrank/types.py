@@ -63,6 +63,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_bool(value) -> bool:
+    """True for a Python or numpy bool, which no numeric setting takes."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _freeze_vector(values) -> Array:
     arr = np.array(values, dtype=np.float64, copy=True)
     arr.setflags(write=False)
@@ -245,6 +250,8 @@ class _EpsilonScheme:
             raise NonPositiveEpsilonError(
                 f"epsilon must be a positive number or {AUTO_EPSILON!r}, got {value!r}"
             )
+        if is_bool(value):
+            raise NonPositiveEpsilonError(f"epsilon must be a positive number, got {value!r}")
         eps = float(value)
         if not math.isfinite(eps) or eps <= 0.0:
             raise NonPositiveEpsilonError(f"epsilon must be positive, got {eps}")

@@ -29,9 +29,9 @@ from btrank.errors import (
     ThetaDomainError,
     VenuelessDataError,
 )
+from btrank.connectivity import REFUSAL_WORDING
 from btrank.likelihood import _check_point, _logistic, _lse3
 from btrank.perturbation import resolve_epsilon
-from btrank.solver import _WITNESS_WORDING
 from btrank.types import (
     ConnerGrant,
     Dataset,
@@ -230,7 +230,7 @@ def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, team
         weights = perturbed.a_home + perturbed.a_away.T
     q1 = first_source_component(weights > 0)
     if len(q1) < len(teams):
-        condition, detail = _WITNESS_WORDING[isinstance(spec, Improved), model.has_home_parameter]
+        condition, detail = REFUSAL_WORDING[isinstance(spec, Improved), model.has_home_parameter]
         q2 = sorted(set(range(len(teams))) - set(q1))
         witness = PartitionWitness(condition, q1, q2, detail)
         message = f"the {model.value} estimate does not exist for these data: "

@@ -218,5 +218,8 @@ def test_witness_validation_confirms_condition_c():
     data = venue_dataset(names(2), a_home, np.zeros((2, 2), dtype=int))
     good = PartitionWitness(condition="C", q1=(0,), q2=(1,), detail="")
     assert witness_is_valid(data, good)
+    # team 0, in q2, hosted team 1, in q1: the data refute the swapped split
+    swapped = PartitionWitness(condition="C", q1=(1,), q2=(0,), detail="")
+    assert not witness_is_valid(data, swapped)
     unknown = PartitionWitness(condition="D", q1=(0,), q2=(1,), detail="")
     assert not witness_is_valid(data, unknown)

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btrank import solver
-from btrank.connectivity import check_condition_a, check_condition_b, check_condition_c
+from btrank.connectivity import (
+    check_condition_a,
+    check_condition_b,
+    check_condition_c,
+    verify_existence,
+)
 from btrank.errors import ExistenceError
 from btrank.ingestion import GameTable, aggregate
 from btrank.likelihood import EdgeHessian, Objective
@@ -103,8 +108,7 @@ def test_the_edge_record_scatters_to_the_dense_reference(case):
 
 def _refusal(spec, teams, perturbed):
     try:
-        improved = isinstance(spec.perturbation, Improved)
-        solver._verify_existence(spec.model, improved, teams, perturbed)
+        verify_existence(spec.model, perturbed, teams)
     except ExistenceError as err:
         return str(err), err.witness
     return None

@@ -93,7 +93,8 @@ def test_dataset_arrays_are_read_only(four_teams):
 def test_epsilon_specs_validate():
     assert btrank.Improved("auto").epsilon == "auto"
     assert btrank.ConnerGrant(0.5).epsilon == 0.5
-    for bad in (0.0, -1.0, float("nan"), "bogus"):
+    # a bool is no magnitude: Improved(True) would fit at eps = 1
+    for bad in (0.0, -1.0, float("nan"), "bogus", True, np.True_):
         with pytest.raises(NonPositiveEpsilonError):
             btrank.Improved(bad)
         with pytest.raises(NonPositiveEpsilonError):
