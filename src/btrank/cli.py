@@ -234,7 +234,8 @@ def _add_perturbation_flags(sub) -> None:
     sub.add_argument(
         "--perturbation",
         default="improved",
-        help="improved (default), conner-grant, or matrix:<json file>",
+        help="improved (default), conner-grant, or matrix:<json file> "
+        "(bt, rao-kupper and davidson only)",
     )
 
 

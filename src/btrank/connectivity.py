@@ -23,19 +23,20 @@ Every fit re-verifies existence before iterating (``verify_existence``),
 refusing with a witness rather than diverging; its Objective has already
 refused venue models on venueless data and tie models on data without ties.
 One rule serves every scheme, Ford's condition on the perturbed data
-(Assumption 1 of Hunter 2004): no perturbed win count the model reads is
-negative, and the perturbed ``digraph`` the model reads is strongly
-connected. That is the win digraph for the venue-free models; for the venue
-models it has an arc i -> j where i hosted j in a game the model reads (a
-decisive one for home-field, any one for David). A venue model also needs
-some perturbed home-win and some visitor-win weight, or the home advantage
-runs off to 0 or infinity. Improved adds epsilon exactly where the pair
-met, to both outcomes of every hosted orientation, so its venue-free wins
-are positive both ways on every edge and its venue digraphs have an arc
-wherever a game was hosted: the rule is Condition B (venue-free models) or
-C (venue models) of the raw data, and a refusal words its witness so.
-ConnerGrant lifts every pair and never refuses; a shift, and the flat
-prior's raw counts, are refused in terms of the counts after the shift.
+(Assumption 1 of Hunter 2004): no perturbed venue-free win count is
+negative (only a shift can make one so), and the perturbed ``digraph`` the
+model reads is strongly connected. That is the win digraph for the
+venue-free models; for the venue models it has an arc i -> j where i hosted
+j in a game the model reads (a decisive one for home-field, any one for
+David). Improved adds epsilon exactly where the pair met, to both outcomes
+of every hosted orientation, so its venue-free wins are positive both ways
+on every edge and its venue digraphs have an arc wherever a game was
+hosted: the rule is Condition B (venue-free models) or C (venue models) of
+the raw data, and a refusal words its witness so. Condition C is
+sufficient for the venue models, not necessary. ConnerGrant lifts every
+pair and never refuses. A shift, which only the venue-free models take, and the flat
+prior's raw counts are refused as Condition A of the counts after the
+shift.
 
 A digraph is strongly connected exactly when every team is reachable from
 team 0 along its arcs and along its reversed arcs, so the test is two
@@ -65,13 +66,7 @@ REFUSAL_WORDING = {
     (True, True): CONDITION_C,
     (False, False): (
         "A",
-        "after the shift, no team in the second set has positive win weight "
-        "over the first set",
-    ),
-    (False, True): (
-        "C",
-        "after the shift, no team in the second set hosts any team in the "
-        "first set in a game the model reads",
+        "after the shift, no team in the second set has any win over the first set",
     ),
 }
 
@@ -244,25 +239,20 @@ def verify_existence(model: Model, perturbed: PerturbedCounts, teams) -> None:
     A negative count rewards driving that pair's win probability to 0, so
     the objective is no longer concave and need not be bounded above. The
     first negative count in row order is named, as an entry of the t x t
-    matrix it belongs to (``a_free``: the venue-free wins).
+    venue-free win matrix ``a_free``.
     """
-    i, j, t, g = perturbed.i, perturbed.j, perturbed.num_teams, perturbed.games
-    names = ("a_home", "a_away") if model.has_home_parameter else ("a_free",)
-    # each (2, edges): row 0 the wins of i over j, row 1 those of j over i
-    views = {"a_free": perturbed.wins, "a_home": g[0], "a_away": g[1, ::-1]}
-    for name in names:
-        counts = views[name]
-        if (counts < 0).any():
-            winner, loser = np.stack([i, j]), np.stack([j, i])
-            first = np.argmin(np.where(counts < 0, winner * t + loser, t * t))
-            x, y = winner.flat[first], loser.flat[first]
-            raise ExistenceError(
-                f"refused: after the shift, {name} gives team {teams[x]!r} a "
-                f"negative win count {counts.flat[first]:g} over team {teams[y]!r}, so "
-                f"the {model.value} estimate is not guaranteed to exist"
-            )
+    i, j, t, wins = perturbed.i, perturbed.j, perturbed.num_teams, perturbed.wins
+    if (wins < 0).any():  # row 0 the wins of i over j, row 1 those of j over i
+        winner, loser = np.stack([i, j]), np.stack([j, i])
+        first = np.argmin(np.where(wins < 0, winner * t + loser, t * t))
+        x, y = winner.flat[first], loser.flat[first]
+        raise ExistenceError(
+            f"refused: after the shift, a_free gives team {teams[x]!r} a "
+            f"negative win count {wins.flat[first]:g} over team {teams[y]!r}, so "
+            f"the {model.value} estimate is not guaranteed to exist"
+        )
     wording = REFUSAL_WORDING[perturbed.epsilon is not None, model.has_home_parameter]
-    weights = digraph(model, g, perturbed.wins)
+    weights = digraph(model, perturbed.games, wins)
     witness = strong_connectivity_witness(t, *arcs(i, j, weights), *wording)
     if witness is not None:
         raise ExistenceError(
@@ -270,13 +260,6 @@ def verify_existence(model: Model, perturbed: PerturbedCounts, teams) -> None:
             + witness.describe(teams),
             witness=witness,
         )
-    for name in names:  # never refuses a_free: its strongly connected digraph has an arc
-        if not views[name].sum() > 0:
-            raise ExistenceError(
-                f"the {model.value} estimate does not exist for these data: after "
-                f"the shift, {name} holds no positive win weight, so the home "
-                "advantage has no finite estimate"
-            )
 
 
 def raw_components(model: Model, dataset: Dataset) -> np.ndarray:

@@ -10,8 +10,8 @@ layout of ``types.CountMatrices``), in O(edges):
 * ConnerGrant(eps) runs the same rule over every pair, met or not, and
   lifts every orientation. It is dense by definition: t (t - 1) / 2 edges.
 * MatrixShift(a0) widens the edge list to the pairs where ``a0`` is
-  nonzero. The venue-free wins of x over y gain ``a0[x][y]``; the host win
-  at "x hosts y" and the visitor win at "y hosts x" each gain half of it.
+  nonzero. The venue-free wins of x over y gain ``a0[x][y]``; the games by
+  venue stay raw, since only the venue-free models take a shift.
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ def perturb(dataset: Dataset, spec: PerturbationSpec) -> PerturbedCounts:
         if a0.shape[0] != t:
             raise ShapeError(f"a0 is {a0.shape[0]}x{a0.shape[1]} but the dataset has {t} teams")
         i, j, games, wins = _widen(dataset, a0 != 0)
-        shift = np.stack([a0[i, j], a0[j, i]])
-        wins += shift
-        games[0] += shift / 2.0
-        games[1] += shift[::-1] / 2.0
+        wins += np.stack([a0[i, j], a0[j, i]])
     else:
         if isinstance(spec, Improved):
             i, j, games, wins = counts.i, counts.j, counts.games, dataset.totals[:2]

@@ -274,15 +274,12 @@ class ConnerGrant(_EpsilonScheme):
 
 @dataclass(frozen=True)
 class MatrixShift:
-    """Add an arbitrary prior matrix ``a0`` to the win counts.
+    """Add an arbitrary prior matrix ``a0`` to the venue-free win counts.
 
-    Entries must exceed -1 and the diagonal must be zero. A fit refuses
-    (ExistenceError) a shift that leaves any win count the model reads
-    negative: the venue-free ``a + a0`` for the venue-free models, and
-    ``a_home + a0 / 2`` or ``a_away + a0 / 2`` for the venue models. It also
-    refuses a venue-model shift that leaves no positive home-win or no
-    positive visitor-win weight, where the home advantage has no finite
-    estimate.
+    Entries must exceed -1 and the diagonal must be zero. Only the
+    venue-free models take a shift (``ModelSpec`` refuses it for the venue
+    models), and a fit refuses (ExistenceError) a shift that leaves any win
+    count of ``a + a0`` negative.
     """
 
     a0: Array
@@ -329,11 +326,30 @@ class PerturbedCounts:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which model to fit, how to perturb, and how to normalize the output."""
+    """Which model to fit, how to perturb, and how to normalize the output.
+
+    A ``MatrixShift`` perturbs the venue-free wins only, so the venue
+    models refuse it (ConfigError); they take an epsilon scheme.
+    """
 
     model: Model
     perturbation: PerturbationSpec
     normalization: Normalization = Normalization.REFERENCE
+
+    def __post_init__(self):
+        for value, kind in ((self.model, Model), (self.normalization, Normalization)):
+            if not isinstance(value, kind):
+                raise ConfigError(f"expected a {kind.__name__}, got {value!r}")
+        if not isinstance(self.perturbation, PerturbationSpec):
+            raise ConfigError(
+                "perturbation must be Improved, ConnerGrant or MatrixShift, "
+                f"got {self.perturbation!r}"
+            )
+        if isinstance(self.perturbation, MatrixShift) and self.model.has_home_parameter:
+            raise ConfigError(
+                f"the {self.model.value} model takes no matrix shift, which perturbs "
+                "the venue-free wins only; use improved or conner-grant"
+            )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ layout replaced: the venue-free totals of venue-split matrices, the three
 perturbation schemes applied to them, and the fit's existence rule read off
 the perturbed matrices, with ``first_source_component`` found by a
 transitive closure.
+
+``home_field_has_unique_maximizer`` decides by linear programming whether
+the home-field likelihood of perturbed counts has a unique maximizer, to
+check the existence rule against.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.optimize import linprog
 
 from btrank.errors import (
     ConfigError,
@@ -105,12 +110,11 @@ def dense_perturb(dataset: Dataset, spec) -> SimpleNamespace:
     ``dense_perturbed``: Improved adds eps to ``a`` where ``n > 0``, to
     ``a_home`` where ``n_host > 0`` and to ``a_away`` where ``n_host.T >
     0``; ConnerGrant adds eps off the diagonal; MatrixShift adds ``a0`` to
-    ``a`` and ``a0 / 2`` to each venue matrix."""
+    ``a`` alone."""
     d = dense(dataset)
     t = dataset.num_teams
     if isinstance(spec, MatrixShift):
-        free = spec.a0
-        home = away = spec.a0 / 2.0
+        free, home, away = spec.a0, 0.0, 0.0
     elif isinstance(spec, Improved):
         eps = resolve_epsilon(spec, t)
         free, home, away = eps * (d.n > 0), eps * (d.n_host > 0), eps * (d.n_host.T > 0)
@@ -208,20 +212,17 @@ def first_source_component(adjacency) -> tuple[int, ...]:
 
 def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, teams):
     """``(message, witness)`` of the refusal the existence rule gives on
-    dense perturbed counts (``dense_perturb``), or None: a negative count
-    the model reads, first in row order; a perturbed digraph that is not
-    strongly connected; or, for a venue model, no positive home-win or
-    visitor-win weight."""
-    for name in ("a_home", "a_away") if model.has_home_parameter else ("a_free",):
-        counts = getattr(perturbed, name)
-        negative = counts < 0
-        if negative.any():
-            i, j = np.unravel_index(negative.argmax(), counts.shape)
-            return (
-                f"refused: after the shift, {name} gives team {teams[i]!r} a "
-                f"negative win count {counts[i, j]:g} over team {teams[j]!r}, so "
-                f"the {model.value} estimate is not guaranteed to exist"
-            ), None
+    dense perturbed counts (``dense_perturb``), or None: a negative
+    venue-free win count, first in row order, or a perturbed digraph the
+    model reads that is not strongly connected."""
+    negative = perturbed.a_free < 0
+    if negative.any():
+        i, j = np.unravel_index(negative.argmax(), negative.shape)
+        return (
+            f"refused: after the shift, a_free gives team {teams[i]!r} a "
+            f"negative win count {perturbed.a_free[i, j]:g} over team {teams[j]!r}, so "
+            f"the {model.value} estimate is not guaranteed to exist"
+        ), None
     if not model.has_home_parameter:
         weights = perturbed.a_free
     elif model.has_tie_parameter:
@@ -235,14 +236,42 @@ def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, team
         witness = PartitionWitness(condition, q1, q2, detail)
         message = f"the {model.value} estimate does not exist for these data: "
         return message + witness.describe(teams), witness
-    for name in ("a_home", "a_away") if model.has_home_parameter else ():
-        if not getattr(perturbed, name).sum() > 0:
-            return (
-                f"the {model.value} estimate does not exist for these data: after "
-                f"the shift, {name} holds no positive win weight, so the home "
-                "advantage has no finite estimate"
-            ), None
     return None
+
+
+def home_field_has_unique_maximizer(perturbed: PerturbedCounts) -> bool:
+    """True when the home-field log-likelihood of the perturbed counts has a
+    unique maximizer, for nonnegative counts.
+
+    In z = (beta_1, ..., beta_{t-1}, log_gamma), a host win of h over v
+    scores ``log_gamma + beta_h - beta_v`` and a visitor win the negative.
+    The objective is a positive sum of log-logistic functions of the
+    scores of the observed outcomes, so a maximizer exists and is unique
+    exactly when its recession cone, the directions along which no
+    observed score falls, is {0}. Each of the 2 t linear programs
+    maximizes +z_k or -z_k over that cone cut to the box [-1, 1]; the cone
+    is {0} when every optimum is 0.
+    """
+    t, i, j, games = perturbed.num_teams, perturbed.i, perturbed.j, perturbed.games
+    rows = []
+    for orientation, (host, visitor) in enumerate(((i, j), (j, i))):
+        for outcome, sign in ((0, 1.0), (1, -1.0)):  # host win, visitor win
+            observed = games[outcome, orientation] > 0
+            score = np.zeros((observed.sum(), t + 1))
+            at = np.arange(len(score))
+            score[at, host[observed]] += sign
+            score[at, visitor[observed]] -= sign
+            score[:, t] = sign
+            rows.append(score[:, 1:])  # beta_0 is pinned at 0
+    cone = -np.concatenate(rows)  # cone @ z <= 0: no observed score falls
+    for k in range(t):
+        for sign in (1.0, -1.0):
+            c = np.zeros(t)
+            c[k] = -sign
+            lp = linprog(c, A_ub=cone, b_ub=np.zeros(len(cone)), bounds=(-1.0, 1.0))
+            if lp.status != 0 or -lp.fun > 1e-9:
+                return False
+    return True
 
 
 def condition_c_by_enumeration(dataset: Dataset) -> bool:

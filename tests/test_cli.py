@@ -435,6 +435,25 @@ def test_matrix_shift_with_negative_shifted_counts_exits_1(capsys, four_teams_fi
     assert "is not guaranteed to exist" in err
 
 
+def test_venue_models_refuse_a_matrix_shift_with_exit_4(capsys, tmp_path):
+    games = tmp_path / "games.csv"
+    games.write_text(CSV_GAMES)
+    shift = tmp_path / "a0.json"
+    shift.write_text(json.dumps([[0, 0.1, 0.1], [0.1, 0, 0.1], [0.1, 0.1, 0]]))
+    divisions = tmp_path / "divisions.json"
+    divisions.write_text(json.dumps({"conferences": {"C": {"D1": ["A", "B"], "D2": ["C"]}}}))
+    for model, command in (
+        ("home-field", ["fit", "--data", str(games)]),
+        ("david", ["seeds", "--data", str(games), "--divisions", str(divisions)]),
+    ):
+        code, out, err = run(
+            capsys, *command, "--model", model, "--perturbation", f"matrix:{shift}"
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith(f"btrank: the {model} model takes no matrix shift")
+        assert err.count("\n") == 1
+
+
 def test_simulate_summarizes_per_team_count(capsys, tmp_path):
     code, out, _ = run(
         capsys,

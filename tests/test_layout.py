@@ -15,7 +15,7 @@ from btrank.connectivity import (
     check_condition_c,
     verify_existence,
 )
-from btrank.errors import ExistenceError
+from btrank.errors import ConfigError, ExistenceError
 from btrank.ingestion import GameTable, aggregate
 from btrank.likelihood import EdgeHessian, Objective
 from btrank.perturbation import perturb
@@ -120,6 +120,10 @@ def test_existence_verdicts_witnesses_and_refusals_match_the_dense_rule(case):
     data, _, spec = case
     perturbed, reference = perturb(data, spec), dense_perturb(data, spec)
     for model in Model:
+        if model.has_home_parameter and isinstance(spec, MatrixShift):
+            with pytest.raises(ConfigError):
+                ModelSpec(model, spec)
+            continue
         got = _refusal(ModelSpec(model, spec), data.teams, perturbed)
         assert got == dense_existence_refusal(model, spec, reference, data.teams)
     raw = dense(data)

@@ -108,9 +108,9 @@ def test_matrix_shift_adds_the_given_matrix(venue_data):
     assert perturb(venue_data, MatrixShift(a0)).epsilon is None
     out = dense_perturbed(perturb(venue_data, MatrixShift(a0)))
     assert np.allclose(out.a_free, dense(venue_data).a + a0)
-    # the venue split carries half each so the two venues sum to the shift
-    assert np.allclose(out.a_home + out.a_away, dense(venue_data).a + a0)
-    assert np.allclose(out.a_home - dense(venue_data).a_home, a0 / 2)
+    # the games by venue, games[0] and games[1], stay raw
+    assert np.array_equal(out.a_home, dense(venue_data).a_home)
+    assert np.array_equal(out.a_away, dense(venue_data).a_away)
 
 
 def test_matrix_shift_of_zeros_is_a_no_op(venue_data):
@@ -160,6 +160,6 @@ def test_each_scheme_keeps_its_own_edge_list(venue_data):
     a0[3, 1] = -0.5  # an unmet pair, named from its higher index
     shifted = perturb(venue_data, MatrixShift(a0))
     assert pairs(shifted) == [(0, 1), (0, 2), (1, 2), (1, 3)]
-    # wins of 1 over 3, then of 3 over 1; the visitor win at "1 hosts 3"
+    # wins of 1 over 3, then of 3 over 1; the pair played no game
     assert shifted.wins[:, 3].tolist() == [0.0, -0.5]
-    assert shifted.games[:, :, 3].tolist() == [[0.0, -0.25], [-0.25, 0.0], [0.0, 0.0]]
+    assert not shifted.games[:, :, 3].any()

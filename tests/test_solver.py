@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import btrank
@@ -16,6 +16,7 @@ from btrank.connectivity import (
     check_condition_b,
     check_condition_c,
     raw_components,
+    verify_existence,
 )
 from btrank.errors import (
     ConfigError,
@@ -50,7 +51,7 @@ from btrank.types import (
 
 from conftest import names, random_point, random_strongly_connected_dataset
 from oracles import dense as dense_counts
-from oracles import dense_perturb
+from oracles import dense_perturb, home_field_has_unique_maximizer
 
 TIGHT = SolverConfig(rel_ll_tol=1e-14, max_iters=100_000)
 
@@ -394,11 +395,6 @@ def test_matrix_shift_existence_is_checked_on_shifted_counts(four_teams, one_way
     rescued = fit(spec(Model.BRADLEY_TERRY, MatrixShift(lift)), four_teams)
     assert rescued.converged
 
-    with pytest.raises(ExistenceError):
-        fit(spec(Model.HOME_FIELD, MatrixShift(np.zeros((3, 3)))), one_way_hosting)
-    hf = fit(spec(Model.HOME_FIELD, MatrixShift(0.1 * (1 - np.eye(3)))), one_way_hosting)
-    assert hf.converged
-
 
 def test_matrix_shift_refuses_negative_shifted_counts(four_teams, one_way_hosting):
     # Shifted counts 2->4 (-0.16) and 4->2 (-0.5) are negative, yet the positive
@@ -416,43 +412,71 @@ def test_matrix_shift_refuses_negative_shifted_counts(four_teams, one_way_hostin
     assert str(info.value).startswith("refused: after the shift, a_free gives")
     assert str(info.value).endswith("so the bt estimate is not guaranteed to exist")
 
-    # T2's road win at T1 keeps the venue-free count at 1 - 0.5, but the home
-    # split the venue models read is 0 - 0.25.
+    # T2's road win at T1 keeps the venue-free count at 1 - 0.5
     a0 = 0.1 * (1 - np.eye(3))
     a0[1, 0] = -0.5
     assert fit(spec(Model.BRADLEY_TERRY, MatrixShift(a0)), one_way_hosting).converged
-    with pytest.raises(ExistenceError, match="a_home gives team 'T2' a negative win count -0.25"):
-        fit(spec(Model.HOME_FIELD, MatrixShift(a0)), one_way_hosting)
 
 
-@pytest.mark.parametrize(
-    "model, t_home",
-    [
-        (Model.HOME_FIELD, [[0, 0], [0, 0]]),  # each won its one home game
-        (Model.DAVID, [[0, 1], [0, 0]]),  # the same, plus a tie at T1
-    ],
-)
-def test_venue_matrix_shift_refuses_an_unbounded_home_advantage(model, t_home):
-    # No visitor ever wins, so the fit ran off to gamma 2e8 (home-field) or
-    # 4e16 (David) and still reported converged=True.
-    data = venue_dataset(names(2), [[0, 1], [1, 0]], np.zeros((2, 2)), t_home)
-    with pytest.raises(ExistenceError, match="a_away holds no positive win weight") as info:
-        fit(spec(model, MatrixShift(np.zeros((2, 2)))), data)
-    assert info.value.witness is None
+@pytest.mark.parametrize("model", [Model.HOME_FIELD, Model.DAVID])
+def test_venue_models_refuse_a_matrix_shift(model, one_way_hosting):
+    # T2 hosts T1 three times and wins twice; at T1's venue T2 wins twice.
+    # Home-field fits under this shift used to report converged=True at
+    # gamma 1e-8, though no maximizer exists.
+    two_teams = venue_dataset(names(2), [[0, 0], [2, 0]], [[0, 1], [2, 0]])
+    a0 = np.zeros((2, 2))
+    a0[1, 0] = 0.06910177315017457
+    lift = 0.1 * (1 - np.eye(3))
+    cases = [(two_teams, a0), (two_teams, np.zeros((2, 2))), (one_way_hosting, lift)]
+    for data, shift in cases:
+        with pytest.raises(ConfigError, match=f"the {model.value} model takes no matrix shift"):
+            fit(spec(model, MatrixShift(shift)), data)
 
 
 def test_home_field_existence_ignores_hosted_ties():
     # At T1's venue each team won once; at T2's venue they tied. Home-field
-    # never reads the tie, so T2 hosts no game it reads: every point with
-    # log_gamma == beta_2 is optimal, and the fit used to stop there after 0
-    # iterations with converged=True.
+    # never reads the tie, so T2 hosts no game it reads and the raw digraph
+    # home-field reads splits the two; David reads the tie and joins them.
     data = venue_dataset(names(2), [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1, 0]])
-    with pytest.raises(ExistenceError) as info:
-        fit(spec(Model.HOME_FIELD, MatrixShift(np.zeros((2, 2)))), data)
-    witness = info.value.witness
-    assert (witness.condition, witness.q1, witness.q2) == ("C", (0,), (1,))
-    # the tie model reads it, and the hosting digraph is strongly connected
-    assert fit(spec(Model.DAVID, MatrixShift(np.zeros((2, 2)))), data).converged
+    home_field = raw_components(Model.HOME_FIELD, data)
+    assert home_field[0] != home_field[1]
+    david = raw_components(Model.DAVID, data)
+    assert david[0] == david[1]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    t=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.3, 0.6, 1.0]),
+    scheme=st.sampled_from([Improved(1e-6), Improved(0.5), Improved("auto"), ConnerGrant(0.5)]),
+)
+def test_every_home_field_fit_the_rule_accepts_has_a_unique_maximizer(t, seed, density, scheme):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 3, (3, t, t)) * (rng.random((3, t, t)) < density) * (1 - np.eye(t))
+    assume(counts.any())
+    data = venue_dataset(names(t), *counts)
+    perturbed = perturb(data, scheme)
+    try:
+        verify_existence(Model.HOME_FIELD, perturbed, data.teams)
+    except ExistenceError:
+        return
+    assert home_field_has_unique_maximizer(perturbed)
+
+
+@pytest.mark.xfail(
+    raises=ExistenceError,
+    strict=True,
+    reason="Condition C is sufficient, not necessary, for home-field under Improved",
+)
+def test_home_field_refuses_a_fit_whose_maximizer_exists():
+    # Nobody hosts T2, so Condition C fails, yet the maximizer exists and
+    # Newton reaches it in 4 steps, with cond(H) 7.9 there.
+    a_home = [[0, 0, 0], [2, 0, 0], [2, 0, 0]]
+    a_away = [[0, 1, 1], [1, 0, 0], [0, 0, 0]]
+    data = venue_dataset(("T0", "T1", "T2"), a_home, a_away)
+    assert home_field_has_unique_maximizer(perturb(data, Improved(0.5)))
+    assert fit(spec(Model.HOME_FIELD, Improved(0.5)), data).converged
 
 
 def _newton_refit(objective, x, steps=30):

@@ -111,6 +111,21 @@ def test_matrix_shift_validates_entries():
     assert shift.a0[0, 1] == -0.5
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ("bt", btrank.Improved(0.5)),
+        (btrank.Model.BRADLEY_TERRY, 0.5),
+        (btrank.Model.BRADLEY_TERRY, None),
+        (btrank.Model.BRADLEY_TERRY, btrank.Improved(0.5), "simplex"),
+    ],
+    ids=["model-name", "bare-epsilon", "no-perturbation", "normalization-name"],
+)
+def test_model_spec_refuses_fields_of_the_wrong_type(fields):
+    with pytest.raises(ConfigError):
+        btrank.ModelSpec(*fields)
+
+
 def test_parameter_point_contract():
     with pytest.raises(ShapeError):
         ParameterPoint(beta=np.array([0.1, 0.2]))
