@@ -43,15 +43,9 @@ played("Eels", "Bolts", 1)
 played("Aces", "Gulls", 1)
 
 data = btrank.venue_free_dataset(teams, wins)
-divisions = {
-    "North East": ["Aces", "Bolts"],
-    "North West": ["Cranes", "Drakes"],
-    "South East": ["Eels", "Foxes"],
-    "South West": ["Gulls", "Herons"],
-}
 conferences = {
-    "North": ["North East", "North West"],
-    "South": ["South East", "South West"],
+    "North": {"East": ["Aces", "Bolts"], "West": ["Cranes", "Drakes"]},
+    "South": {"East": ["Eels", "Foxes"], "West": ["Gulls", "Herons"]},
 }
 
 result = btrank.fit(
@@ -68,7 +62,7 @@ for name in teams:
     print(f"{name:<8} {f'{w}-{losses}':>7} {pct[name]:>6.3f} {merit[name]:>8.3f}")
 
 for label, values in (("win percentage", pct), ("fitted merit", merit)):
-    table = btrank.select_seeds(values, divisions, conferences, seeds_per_conference=3)
+    table = btrank.select_seeds(values, conferences, seeds_per_conference=3)
     print(f"\nSeeds by {label}:")
     for conf in ("North", "South"):
         entries = table.conference(conf)

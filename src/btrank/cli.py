@@ -72,14 +72,13 @@ EXIT_PARSE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_CONFIG = 4
 
-_PARSE_ERRORS = (ParseError, SelfPlayError, ShapeError, NegativeCountError, EmptyInputError, OSError)
-_EXISTENCE_ERRORS = (ExistenceError, NoTiesError, VenuelessDataError)
-_CONFIG_ERRORS = (ConfigError, NonPositiveEpsilonError, ThetaDomainError, DimensionError)
+#: The exit code of each error family; any other exception propagates.
 _EXIT_CODES = (
-    (_PARSE_ERRORS, EXIT_PARSE),
-    (_EXISTENCE_ERRORS, EXIT_EXISTENCE),
+    ((ParseError, SelfPlayError, ShapeError, NegativeCountError, EmptyInputError, OSError),
+     EXIT_PARSE),
+    ((ExistenceError, NoTiesError, VenuelessDataError), EXIT_EXISTENCE),
     ((NonConvergenceError,), EXIT_NONCONVERGENCE),
-    (_CONFIG_ERRORS, EXIT_CONFIG),
+    ((ConfigError, NonPositiveEpsilonError, ThetaDomainError, DimensionError), EXIT_CONFIG),
 )
 
 
@@ -92,14 +91,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _render_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _render_table(rows: list[list[str]]) -> str:
     """Align columns on width; rows are lists of already-formatted cells."""
-    if not rows:
-        return ""
     widths = [0] * max(len(r) for r in rows)
     for row in rows:
         for k, cell in enumerate(row):
@@ -116,23 +109,20 @@ def _fmt(x: float) -> str:
 
 
 def _emit(args, payload: dict, table: str) -> None:
-    out = getattr(args, "out", "table")
-    if out == "table":
+    if args.out == "table":
         sys.stdout.write(table)
         return
-    text = _render_json(payload)
-    if out == "json":
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if args.out == "json":
         sys.stdout.write(text)
         return
-    Path(out).write_text(text, encoding="utf-8")
+    Path(args.out).write_text(text, encoding="utf-8")
 
 
 def _out_value(value: str) -> str:
     if value in ("table", "json") or value.endswith(".json"):
         return value
-    raise argparse.ArgumentTypeError(
-        "expected 'table', 'json', or a path ending in .json"
-    )
+    raise argparse.ArgumentTypeError("expected 'table', 'json', or a path ending in .json")
 
 
 def _positive_int(value: str) -> int:
@@ -142,119 +132,44 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _int_list(value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in value.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+def _list_of(cast, noun: str):
+    """An argparse type for a comma-separated list; empty items are dropped."""
 
+    def parse(value: str) -> tuple:
+        try:
+            return tuple(cast(tok) for tok in value.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {value!r}")
 
-def _float_list(value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in value.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
+    return parse
 
 
 def _read_text(path: str) -> str:
+    """A UTF-8 file's text without its byte-order mark, if it has one; an
+    error names the byte offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_dataset(args) -> Dataset:
     text = _read_text(args.data)
     fmt = args.format
     if fmt is None:
-        fmt = _infer_format(args.data, text)
-    if fmt == "csv":
-        return aggregate(parse_records(text, "csv"))
-    if fmt == "records-json":
-        return aggregate(parse_records(text, "json"))
+        suffix = Path(args.data).suffix.lower()
+        if suffix == ".csv":
+            fmt = "csv"
+        elif suffix == ".json":
+            fmt = "records-json" if text.lstrip().startswith("[") else "matrix-json"
+        else:
+            raise ConfigError(
+                f"cannot infer format from {args.data!r}; pass --format "
+                "{csv,records-json,matrix-json}"
+            )
     if fmt == "matrix-json":
         return parse_matrix(text)
-    raise ConfigError(f"unknown format {fmt!r}")
-
-
-def _infer_format(path: str, text: str) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".json":
-        stripped = text.lstrip()
-        if stripped.startswith("["):
-            return "records-json"
-        return "matrix-json"
-    raise ConfigError(
-        f"cannot infer format from {path!r}; pass --format "
-        "{csv,records-json,matrix-json}"
-    )
-
-
-def _add_data_flags(sub) -> None:
-    sub.add_argument("--data", required=True, help="input file")
-    sub.add_argument(
-        "--format",
-        choices=["csv", "records-json", "matrix-json"],
-        help="input format (inferred from the file when omitted)",
-    )
-
-
-def _add_out_flag(sub) -> None:
-    sub.add_argument(
-        "--out",
-        type=_out_value,
-        default="table",
-        help="'table', 'json', or a .json path to write the report to",
-    )
-
-
-def _add_solver_flags(sub) -> None:
-    sub.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iters)
-
-
-def _add_model_flags(sub) -> None:
-    sub.add_argument(
-        "--model",
-        choices=[m.value for m in Model],
-        default=Model.BRADLEY_TERRY.value,
-    )
-    sub.add_argument(
-        "--normalization",
-        choices=[n.value for n in Normalization],
-        default=Normalization.REFERENCE.value,
-    )
-
-
-def _add_perturbation_flags(sub) -> None:
-    sub.add_argument("--epsilon", default=None, help="positive number or 'auto' (default)")
-    sub.add_argument(
-        "--perturbation",
-        default="improved",
-        help="improved (default), conner-grant, or matrix:<json file> "
-        "(bt, rao-kupper and davidson only)",
-    )
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iters=args.max_iters)
-
-
-_EPSILON_SCHEMES = {"improved": Improved, "conner-grant": ConnerGrant}
-
-
-def _epsilon_scheme(raw: str):
-    """The scheme class a ``--perturbation`` value names, other than a matrix."""
-    try:
-        return _EPSILON_SCHEMES[raw]
-    except KeyError:
-        raise ConfigError(
-            f"unknown perturbation {raw!r}; expected improved, conner-grant, "
-            "or matrix:<file>"
-        ) from None
+    return aggregate(parse_records(text, "csv" if fmt == "csv" else "json"))
 
 
 def _perturbation(args):
@@ -273,9 +188,15 @@ def _perturbation(args):
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: a0 is not a numeric matrix ({exc})") from None
         return MatrixShift(a0)
-    scheme = _epsilon_scheme(raw)
-    epsilon = args.epsilon if args.epsilon is not None else AUTO_EPSILON
-    if isinstance(epsilon, str) and epsilon != AUTO_EPSILON:
+    try:
+        scheme = {"improved": Improved, "conner-grant": ConnerGrant}[raw]
+    except KeyError:
+        raise ConfigError(
+            f"unknown perturbation {raw!r}; expected improved, conner-grant, "
+            "or matrix:<file>"
+        ) from None
+    epsilon = AUTO_EPSILON if args.epsilon is None else args.epsilon
+    if epsilon != AUTO_EPSILON:
         try:
             epsilon = float(epsilon)
         except ValueError:
@@ -305,11 +226,6 @@ def _witness_dict(witness, teams) -> dict | None:
 def cmd_check(args) -> int:
     dataset = _load_dataset(args)
     teams = dataset.teams
-    witness_a = check_condition_a(dataset)
-    witness_b = check_condition_b(dataset)
-    applicable_c = not dataset.venueless
-    witness_c = check_condition_c(dataset) if applicable_c else None
-
     required = []
     if args.require:
         for token in args.require.split(","):
@@ -317,34 +233,23 @@ def cmd_check(args) -> int:
             if token not in ("a", "b", "c"):
                 raise ConfigError(f"--require expects letters from a,b,c, got {token!r}")
             required.append(token)
-    if "c" in required and not applicable_c:
+    if "c" in required and dataset.venueless:
         raise ConfigError("condition c cannot be required: the data carry no venues")
 
-    verdicts = {
-        "a": {"holds": witness_a is None, "witness": _witness_dict(witness_a, teams)},
-        "b": {"holds": witness_b is None, "witness": _witness_dict(witness_b, teams)},
-        "c": {
-            "holds": witness_c is None if applicable_c else None,
-            "applicable": applicable_c,
-            "witness": _witness_dict(witness_c, teams),
-        },
-    }
+    verdicts = {}
+    rows = [["condition", "verdict", "note"]]
+    for name, check in zip("abc", (check_condition_a, check_condition_b, check_condition_c)):
+        if name == "c" and dataset.venueless:
+            verdicts[name] = {"holds": None, "witness": None}
+            rows.append(["C", "n/a", "data carry no venue structure"])
+            continue
+        witness = check(dataset)
+        verdicts[name] = {"holds": witness is None, "witness": _witness_dict(witness, teams)}
+        note = "" if witness is None else witness.describe(teams)
+        rows.append([name.upper(), "pass" if witness is None else "fail", note])
+    verdicts["c"]["applicable"] = not dataset.venueless
     ok = all(verdicts[name]["holds"] for name in required)
     payload = {"conditions": verdicts, "required": required, "ok": ok}
-
-    rows = [["condition", "verdict", "note"]]
-    for name, witness in (("A", witness_a), ("B", witness_b)):
-        rows.append(
-            [name, "pass" if witness is None else "fail",
-             "" if witness is None else witness.describe(teams)]
-        )
-    if applicable_c:
-        rows.append(
-            ["C", "pass" if witness_c is None else "fail",
-             "" if witness_c is None else witness_c.describe(teams)]
-        )
-    else:
-        rows.append(["C", "n/a", "data carry no venue structure"])
     _emit(args, payload, _render_table(rows))
     return EXIT_OK if ok else EXIT_EXISTENCE
 
@@ -392,7 +297,7 @@ def _fit_table(result: FitResult, ranking) -> str:
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
     spec = _model_spec(args)
-    result = fit(spec, dataset, _solver_config(args)).ensure_converged()
+    result = fit(spec, dataset, SolverConfig(max_iters=args.max_iters)).ensure_converged()
     ranking = extract_ranking(result)
     _emit(args, _fit_payload(result, ranking), _fit_table(result, ranking))
     return EXIT_OK
@@ -402,15 +307,8 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     if args.perturbation.startswith("matrix:"):
         raise ConfigError("a matrix shift has no epsilon to sweep")
-    scheme = _epsilon_scheme(args.perturbation)
-    if not args.epsilons:
-        raise ConfigError("--epsilons must list at least one value")
-    spec = ModelSpec(
-        model=Model(args.model),
-        perturbation=scheme(args.epsilons[0]),
-        normalization=Normalization(args.normalization),
-    )
-    sweep = sweep_epsilon(spec, dataset, args.epsilons, _solver_config(args))
+    spec = _model_spec(args)  # sweep has no --epsilon, so the spec holds AUTO_EPSILON
+    sweep = sweep_epsilon(spec, dataset, args.epsilons, SolverConfig(max_iters=args.max_iters))
     payload = {
         "model": args.model,
         "perturbation": args.perturbation,
@@ -475,7 +373,7 @@ def cmd_map(args) -> int:
     result = fit_map_em(
         dataset,
         prior,
-        _solver_config(args),
+        SolverConfig(max_iters=args.max_iters),
         normalization=Normalization(args.normalization),
     ).ensure_converged()
     ranking = extract_ranking(result)
@@ -491,35 +389,23 @@ def cmd_seeds(args) -> int:
     structure = json.loads(_read_text(args.divisions))
     if not isinstance(structure, dict) or "conferences" not in structure:
         raise ParseError(f'{args.divisions}: expected an object with a "conferences" key')
-    conferences_in = structure["conferences"]
-    if not isinstance(conferences_in, dict):
+    conferences = structure["conferences"]
+    if not isinstance(conferences, dict):
         raise ParseError(f'{args.divisions}: "conferences" must map names to divisions')
-    divisions: dict[str, list[str]] = {}
-    conferences: dict[str, list[str]] = {}
-    for conf, divs in conferences_in.items():
-        if not isinstance(divs, dict):
+    for conf, divisions in conferences.items():
+        if not isinstance(divisions, dict):
             raise ParseError(f"{args.divisions}: conference {conf!r} must map divisions to teams")
-        conferences[conf] = []
-        for div, teams in divs.items():
-            if div in divisions:
-                raise ConfigError(
-                    f"division name {div!r} is used in more than one conference; "
-                    "qualify the names"
-                )
+        for div, teams in divisions.items():
             if not isinstance(teams, list):
                 raise ParseError(f"{args.divisions}: division {div!r} must list teams")
-            divisions[div] = teams
-            conferences[conf].append(div)
 
     if args.key == "pct":
         values = pct_table(dataset)
     else:
-        spec = _model_spec(args)
-        values = merit_table(fit(spec, dataset, _solver_config(args)).ensure_converged())
+        result = fit(_model_spec(args), dataset, SolverConfig(max_iters=args.max_iters))
+        values = merit_table(result.ensure_converged())
 
-    table_result = select_seeds(
-        values, divisions, conferences, seeds_per_conference=args.seeds_per_conference
-    )
+    table_result = select_seeds(values, conferences, args.seeds_per_conference)
     payload = {"key": args.key, "conferences": table_result.to_dict()}
     rows = [["conference", "seed", "team", "division", "value", "division winner"]]
     for conf, entries in table_result.conferences:
@@ -551,42 +437,69 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="input file")
+    data.add_argument(
+        "--format",
+        choices=["csv", "records-json", "matrix-json"],
+        help="input format (inferred from the file when omitted)",
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
+        "--out",
+        type=_out_value,
+        default="table",
+        help="'table', 'json', or a .json path to write the report to",
+    )
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument(
+        "--model", choices=[m.value for m in Model], default=Model.BRADLEY_TERRY.value
+    )
+    model.add_argument(
+        "--normalization",
+        choices=[n.value for n in Normalization],
+        default=Normalization.REFERENCE.value,
+    )
+    perturbation = argparse.ArgumentParser(add_help=False)
+    perturbation.add_argument("--epsilon", help="positive number or 'auto' (default)")
+    perturbation.add_argument(
+        "--perturbation",
+        default="improved",
+        help="improved (default), conner-grant, or matrix:<json file> "
+        "(bt, rao-kupper and davidson only)",
+    )
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iters)
+
     parser = _Parser(prog="btrank", description="Rank teams from paired comparisons.")
     parser.add_argument("--version", action="version", version=f"btrank {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    check = subs.add_parser("check", help="connectivity diagnostics", description=cmd_check.__doc__)
-    _add_data_flags(check)
-    _add_out_flag(check)
+    check = subs.add_parser("check", parents=[data, out], help="connectivity diagnostics")
     check.add_argument(
         "--require",
         help="comma list from a,b,c; exit 1 unless all the listed conditions hold",
     )
     check.set_defaults(handler=cmd_check)
 
-    fit_cmd = subs.add_parser("fit", help="fit one model")
-    _add_data_flags(fit_cmd)
-    _add_out_flag(fit_cmd)
-    _add_model_flags(fit_cmd)
-    _add_perturbation_flags(fit_cmd)
-    _add_solver_flags(fit_cmd)
+    fit_cmd = subs.add_parser(
+        "fit", parents=[data, out, model, perturbation, solver], help="fit one model"
+    )
     fit_cmd.set_defaults(handler=cmd_fit)
 
-    sweep = subs.add_parser("sweep", help="refit across an epsilon grid")
-    _add_data_flags(sweep)
-    _add_out_flag(sweep)
-    _add_model_flags(sweep)
-    sweep.add_argument("--epsilons", type=_float_list, required=True)
+    sweep = subs.add_parser(
+        "sweep", parents=[data, out, model, solver], help="refit across an epsilon grid"
+    )
+    sweep.add_argument("--epsilons", type=_list_of(float, "numbers"), required=True)
     sweep.add_argument(
         "--perturbation", default="improved", help="improved (default) or conner-grant"
     )
     sweep.add_argument("--ratios", action="store_true", help="include the merit-ratio trend report")
-    _add_solver_flags(sweep)
-    sweep.set_defaults(handler=cmd_sweep)
+    sweep.set_defaults(handler=cmd_sweep, epsilon=None)
 
-    map_cmd = subs.add_parser("map", help="posterior mode under Gamma priors")
-    _add_data_flags(map_cmd)
-    _add_out_flag(map_cmd)
+    map_cmd = subs.add_parser(
+        "map", parents=[data, out, solver], help="posterior mode under Gamma priors"
+    )
     map_cmd.add_argument("--shape", type=float, required=True)
     map_cmd.add_argument("--rate", type=float, default=None, help="default: shape * teams - 1")
     map_cmd.add_argument(
@@ -594,12 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[n.value for n in Normalization],
         default=Normalization.SIMPLEX.value,
     )
-    _add_solver_flags(map_cmd)
     map_cmd.set_defaults(handler=cmd_map)
 
-    seeds = subs.add_parser("seeds", help="playoff seeding from divisions")
-    _add_data_flags(seeds)
-    _add_out_flag(seeds)
+    seeds = subs.add_parser(
+        "seeds",
+        parents=[data, out, model, perturbation, solver],
+        help="playoff seeding from divisions",
+    )
     seeds.add_argument(
         "--divisions",
         required=True,
@@ -607,14 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seeds.add_argument("--key", choices=["merit", "pct"], default="merit")
     seeds.add_argument("--seeds-per-conference", type=_positive_int, default=6)
-    _add_model_flags(seeds)
-    _add_perturbation_flags(seeds)
-    _add_solver_flags(seeds)
     seeds.set_defaults(handler=cmd_seeds)
 
-    simulate = subs.add_parser("simulate", help="consistency experiment")
-    _add_out_flag(simulate)
-    simulate.add_argument("--t-grid", type=_int_list, required=True)
+    simulate = subs.add_parser("simulate", parents=[out], help="consistency experiment")
+    simulate.add_argument("--t-grid", type=_list_of(int, "integers"), required=True)
     simulate.add_argument("--replicas", type=_positive_int, default=50)
     simulate.add_argument("--n-per-pair", type=_positive_int, default=4)
     simulate.add_argument("--seed", type=int, default=0)
@@ -637,9 +547,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as err:
         print(f"btrank: invalid JSON: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (*_PARSE_ERRORS, *_EXISTENCE_ERRORS, *_CONFIG_ERRORS, NonConvergenceError) as err:
+    except Exception as err:
+        code = next((code for kinds, code in _EXIT_CODES if isinstance(err, kinds)), None)
+        if code is None:
+            raise
         print(f"btrank: {err}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(err, kinds))
+        return code
 
 
 if __name__ == "__main__":

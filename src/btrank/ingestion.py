@@ -37,7 +37,7 @@ class Outcome(enum.Enum):
 def _decode(data: bytes | str) -> str:
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8")
+            return data.decode("utf-8").removeprefix("\ufeff")  # Excel writes a BOM
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     return data
@@ -69,7 +69,9 @@ class GameTable:
         n, t = len(self.home), len(self.teams)
         # An index out of its range would land silently on another edge or
         # cell of aggregate's counts.
-        bounds = (("home", 0, t), ("away", 0, t), ("outcome", 0, len(Outcome)), ("repeat", 1, np.inf))
+        bounds = (
+            ("home", 0, t), ("away", 0, t), ("outcome", 0, len(Outcome)), ("repeat", 1, np.inf)
+        )
         for name, low, high in bounds:
             arr = np.array(getattr(self, name), dtype=np.int64)
             if arr.shape != (n,) or (n and (arr.min() < low or arr.max() >= high)):

@@ -287,16 +287,17 @@ class SeedTable:
 
 def select_seeds(
     values: Mapping[str, float],
-    divisions: Mapping[str, Sequence[str]],
-    conferences: Mapping[str, Sequence[str]],
+    conferences: Mapping[str, Mapping[str, Sequence[str]]],
     seeds_per_conference: int = 6,
 ) -> SeedTable:
     """Seed each conference: division winners first, then wild cards.
 
-    ``divisions`` maps a division name to its teams, ``conferences`` maps a
-    conference name to its division names, and ``values`` supplies the
-    comparison key, a team -> number mapping with larger meaning better
-    (``merit_table`` of a fit, or ``pct_table``). Within each conference
+    ``conferences`` maps a conference name to its divisions, each a
+    division name mapped to its teams; division names are scoped by
+    conference, so two conferences may both have an "East", and a team
+    sits in one division only. ``values`` supplies the comparison key, a
+    team -> number mapping with larger meaning better (``merit_table`` of
+    a fit, or ``pct_table``). Within each conference
     the best team of each division takes one of the top seeds, ordered by
     value, so a conference needs between 1 and ``seeds_per_conference``
     divisions; the best remaining teams fill the seeds up to
@@ -308,46 +309,35 @@ def select_seeds(
             f"seeds_per_conference must be an integer >= 1, got {seeds_per_conference!r}"
         )
     table = dict(values)
-    for conf, div_names in conferences.items():
-        if not 1 <= len(div_names) <= seeds_per_conference:
+    for conf, divisions in conferences.items():
+        if not 1 <= len(divisions) <= seeds_per_conference:
             raise ConfigError(
-                f"conference {conf!r} has {len(div_names)} divisions; each "
+                f"conference {conf!r} has {len(divisions)} divisions; each "
                 "conference needs between 1 and seeds_per_conference="
                 f"{seeds_per_conference}, one seed per division winner"
             )
 
     seen_teams: set[str] = set()
-    for div, teams in divisions.items():
-        if len(teams) == 0:
-            raise ConfigError(f"division {div!r} has no teams")
-        for team in teams:
-            if team in seen_teams:
-                raise ConfigError(f"team {team!r} appears in more than one division")
-            seen_teams.add(team)
-            if team not in table:
-                raise ConfigError(f"no comparison value for team {team!r}")
-
-    assigned: set[str] = set()
-    for conf, div_names in conferences.items():
-        for div in div_names:
-            if div not in divisions:
-                raise ConfigError(f"conference {conf!r} references unknown division {div!r}")
-            if div in assigned:
-                raise ConfigError(f"division {div!r} appears in more than one conference")
-            assigned.add(div)
-    unassigned = set(divisions) - assigned
-    if unassigned:
-        raise ConfigError(f"divisions not in any conference: {sorted(unassigned)}")
+    for divisions in conferences.values():
+        for div, teams in divisions.items():
+            if len(teams) == 0:
+                raise ConfigError(f"division {div!r} has no teams")
+            for team in teams:
+                if team in seen_teams:
+                    raise ConfigError(f"team {team!r} appears in more than one division")
+                seen_teams.add(team)
+                if team not in table:
+                    raise ConfigError(f"no comparison value for team {team!r}")
 
     def sort_key(team: str):
         return (-table[team], team)
 
     result = []
-    for conf, div_names in conferences.items():
+    for conf, divisions in conferences.items():
         winners = []
         others = []
-        for div in div_names:
-            teams = sorted(divisions[div], key=sort_key)
+        for div, div_teams in divisions.items():
+            teams = sorted(div_teams, key=sort_key)
             winners.append((teams[0], div))
             others.extend((team, div) for team in teams[1:])
         total = len(winners) + len(others)

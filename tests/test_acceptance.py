@@ -504,16 +504,16 @@ def test_nfl_2008_tie_and_home_fits_and_seeding():
 
     teams_by_nick = {_nickname(team): team for team in data.teams}
     assert len(teams_by_nick) == 32
-    divisions = {
-        name: [teams_by_nick[nick] for nick in nicks]
-        for name, nicks in NFL_DIVISIONS.items()
-    }
     conferences = {
-        "AFC": [name for name in NFL_DIVISIONS if name.startswith("AFC")],
-        "NFC": [name for name in NFL_DIVISIONS if name.startswith("NFC")],
+        conf: {
+            name: [teams_by_nick[nick] for nick in nicks]
+            for name, nicks in NFL_DIVISIONS.items()
+            if name.startswith(conf)
+        }
+        for conf in ("AFC", "NFC")
     }
 
-    by_merit = btrank.select_seeds(btrank.merit_table(david), divisions, conferences)
-    by_pct = btrank.select_seeds(btrank.pct_table(data), divisions, conferences)
+    by_merit = btrank.select_seeds(btrank.merit_table(david), conferences)
+    by_pct = btrank.select_seeds(btrank.pct_table(data), conferences)
     assert "patriots" in by_merit.conference("AFC")[2].team.lower()
     assert "dolphins" in by_pct.conference("AFC")[2].team.lower()

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 
 import pytest
@@ -16,6 +18,8 @@ ISLANDS = {
 }
 
 CSV_GAMES = "home,away,outcome\nA,B,home_win\nB,C,away_win\nC,A,home_win\nA,B,tie\n"
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Excel's "CSV UTF-8" export writes
 
 
 @pytest.fixture
@@ -46,6 +50,64 @@ def test_fit_table_output(capsys, four_teams_file):
     assert err == ""
     assert "ranking: 1 > 2 > 4 > 3" in out
     assert "converged        yes" in out
+
+
+FIT_TABLE = """\
+model            bt
+epsilon          0.500
+log-likelihood   -6.417
+iterations       4
+converged        yes
+
+team  merit  beta    score
+1     1.000  0.000   3.000
+2     0.600  -0.511  1.000
+3     0.200  -1.609  1.000
+4     0.333  -1.099  2.000
+
+ranking: 1 > 2 > 4 > 3
+"""
+
+CHECK_TABLE = """\
+condition  verdict  note
+A          fail     condition A fails for the split {1, 2} | {3, 4}: \
+no team in the second set has beaten any team in the first set
+B          pass
+C          n/a      data carry no venue structure
+"""
+
+SWEEP_RATIO_TABLE = """\
+epsilon  log-likelihood  ranking
+0.001    -3.830          1 > 2 > 4 > 3
+0.010    -3.905          1 > 2 > 4 > 3
+0.100    -4.463          1 > 2 > 4 > 3
+0.500    -6.417          1 > 2 > 4 > 3
+1.000    -8.640          1 > 2 > 4 > 3
+2.000    -12.926         1 > 2 > 4 > 3
+
+stable: yes
+
+merit ratios across the grid (best-to-worst adjacent pairs):
+pair  ratios                                  non-increasing
+1/2   1.999 1.990 1.909 1.667 1.500 1.333     yes
+2/4   500.750 50.751 5.762 1.800 1.333 1.125  yes
+4/3   1.999 1.990 1.909 1.667 1.500 1.333     yes
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["fit", "--epsilon", "0.5"], FIT_TABLE),
+        (["check"], CHECK_TABLE),
+        (["sweep", "--epsilons", "0.001,0.01,0.1,0.5,1,2", "--ratios"], SWEEP_RATIO_TABLE),
+    ],
+    ids=["fit", "check", "sweep-ratios"],
+)
+def test_tables_render_these_exact_bytes(capsys, four_teams_file, argv, expected):
+    # every value prints to 3 decimals, so the bytes do not vary with BLAS threads
+    code, out, err = run(capsys, argv[0], "--data", four_teams_file, *argv[1:])
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_fit_json_is_deterministic_and_carries_the_estimate(capsys, four_teams_file):
@@ -243,6 +305,52 @@ def test_format_inference_and_override(capsys, tmp_path):
     assert run(capsys, "fit", "--data", str(opaque), "--format", "csv")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("games.csv", CSV_GAMES, ["fit", "--model", "davidson"]),
+        ("games.json", json.dumps(list(csv.DictReader(io.StringIO(CSV_GAMES)))), ["check"]),
+        ("four.json", json.dumps(FOUR_TEAMS), ["fit", "--epsilon", "0.5", "--out", "json"]),
+    ],
+    ids=["csv", "records-json", "matrix-json"],
+)
+def test_a_utf8_bom_on_the_data_changes_nothing(capsys, tmp_path, name, text, argv):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(BOM + text.encode())
+    expected = run(capsys, argv[0], "--data", str(plain), *argv[1:])
+    assert expected[0] == 0
+    assert run(capsys, argv[0], "--data", str(marked), *argv[1:]) == expected
+
+
+def test_a_utf8_bom_on_a_shift_or_divisions_file_changes_nothing(
+    capsys, four_teams_file, tmp_path
+):
+    lift = [[0.0 if i == j else 0.1 for j in range(4)] for i in range(4)]
+    divisions = {"conferences": {"C": {"D1": ["1", "2"], "D2": ["3", "4"]}}}
+    for payload, argv in (
+        ({"a0": lift}, ["fit", "--perturbation", "matrix:{}"]),
+        (divisions, ["seeds", "--divisions", "{}", "--key", "pct", "--seeds-per-conference", "3"]),
+    ):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(payload), encoding="utf-8")
+        marked.write_bytes(BOM + json.dumps(payload).encode())
+        outputs = [
+            run(capsys, argv[0], "--data", four_teams_file, *[a.format(path) for a in argv[1:]])
+            for path in (plain, marked)
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+    # a file that is not UTF-8 still names the offending byte of the file
+    latin1 = tmp_path / "latin1.csv"
+    text = "home,away,outcome\nJos\u00e9,B,home_win\n"
+    latin1.write_bytes(BOM + text.encode("latin-1"))
+    code, _, err = run(capsys, "fit", "--data", str(latin1))
+    assert code == 2
+    assert err == f"btrank: {latin1}: not UTF-8 text (invalid continuation byte at byte 24)\n"
+
+
 def test_out_flag_validation(capsys, four_teams_file):
     code, _, err = run(
         capsys, "fit", "--data", four_teams_file, "--out", "xml"
@@ -385,14 +493,19 @@ def test_seeds_structure_errors(capsys, four_teams_file, tmp_path):
         }
     }
     divisions.write_text(json.dumps(reused))
-    code, _, err = run(
+    code, out, err = run(
         capsys,
         "seeds", "--data", four_teams_file,
         "--divisions", str(divisions),
         "--seeds-per-conference", "1",
+        "--key", "pct",
+        "--out", "json",
     )
-    assert code == 4
-    assert "more than one conference" in err
+    # division names are scoped by conference, so both conferences seed
+    assert (code, err) == (0, "")
+    seeded = json.loads(out)["conferences"]
+    assert [(e["team"], e["division"]) for e in seeded["X"]] == [("1", "D1")]
+    assert [(e["team"], e["division"]) for e in seeded["Y"]] == [("4", "D1")]
 
 
 def test_matrix_shift_perturbation_from_a_file(capsys, four_teams_file, tmp_path):

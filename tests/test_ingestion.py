@@ -172,6 +172,32 @@ def test_json_records_parse_and_errors():
         parse_records("{", "json")
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Excel's "CSV UTF-8" export writes
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_record_bytes_with_a_bom_parse_as_without(fmt):
+    records = rows(parse_records(CSV, "csv"))
+    data = render(records, fmt).encode()
+    assert rows(parse_records(BOM + data, fmt)) == rows(parse_records(data, fmt)) == records
+
+
+def test_errors_after_a_bom_keep_their_line_numbers_and_offsets():
+    with pytest.raises(ParseError, match="^line 3: unknown outcome"):
+        parse_records(BOM + b"home,away,outcome\nA,B,tie\nA,B,upset\n", "csv")
+    message = "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 11"
+    with pytest.raises(ParseError, match=f"^{message}: invalid continuation byte$"):
+        parse_records(BOM + "home\nJos\u00e9,".encode("latin-1"), "csv")
+
+
+def test_matrix_bytes_with_a_bom_parse_as_without():
+    text = json.dumps({"teams": ["A", "B"], "a": [[0, 1], [2, 0]], "ties": [[0, 1], [1, 0]]})
+    plain, marked = parse_matrix(text.encode()), parse_matrix(BOM + text.encode())
+    assert marked.teams == plain.teams
+    assert np.array_equal(dense(marked).a, dense(plain).a)
+    assert np.array_equal(dense(marked).ties, dense(plain).ties)
+
+
 def test_unknown_record_format_is_refused():
     with pytest.raises(ParseError):
         parse_records(CSV, "tsv")

@@ -251,8 +251,7 @@ def test_select_seeds_division_winners_then_wild_cards():
     values = {"E1": 4.0, "E2": 3.0, "W1": 2.0, "W2": 1.0}
     table = select_seeds(
         values,
-        divisions={"East": ["E1", "E2"], "West": ["W1", "W2"]},
-        conferences={"League": ["East", "West"]},
+        conferences={"League": {"East": ["E1", "E2"], "West": ["W1", "W2"]}},
         seeds_per_conference=3,
     )
     entries = table.conference("League")
@@ -270,8 +269,7 @@ def test_select_seeds_breaks_exact_ties_by_name():
     values = {"B": 1.0, "A": 1.0, "C": 1.0, "D": 0.5}
     table = select_seeds(
         values,
-        divisions={"D1": ["B", "A"], "D2": ["C", "D"]},
-        conferences={"L": ["D1", "D2"]},
+        conferences={"L": {"D1": ["B", "A"], "D2": ["C", "D"]}},
         seeds_per_conference=3,
     )
     entries = table.conference("L")
@@ -280,55 +278,42 @@ def test_select_seeds_breaks_exact_ties_by_name():
 
 def test_select_seeds_validation():
     values = {"A": 2.0, "B": 1.0}
-    good_div = {"D1": ["A"], "D2": ["B"]}
-    good_conf = {"L": ["D1", "D2"]}
+    good = {"L": {"D1": ["A"], "D2": ["B"]}}
     with pytest.raises(ConfigError, match="seeds_per_conference"):
-        select_seeds(values, good_div, good_conf, 1)
+        select_seeds(values, good, 1)
     with pytest.raises(ConfigError, match="no teams"):
-        select_seeds(values, {"D1": ["A"], "D2": []}, good_conf, 2)
+        select_seeds(values, {"L": {"D1": ["A"], "D2": []}}, 2)
     with pytest.raises(ConfigError, match="more than one division"):
-        select_seeds(values, {"D1": ["A"], "D2": ["A"]}, good_conf, 2)
+        select_seeds(values, {"L": {"D1": ["A"], "D2": ["A"]}}, 2)
+    with pytest.raises(ConfigError, match="more than one division"):
+        select_seeds(values, {"L": {"D1": ["A"]}, "M": {"D1": ["A"]}}, 1)
     with pytest.raises(ConfigError, match="no comparison value"):
-        select_seeds({"A": 2.0}, good_div, good_conf, 2)
-    with pytest.raises(ConfigError, match="unknown division"):
-        select_seeds(values, good_div, {"L": ["D1", "D9"]}, 2)
-    with pytest.raises(ConfigError, match="more than one conference"):
-        select_seeds(
-            values, good_div, {"L": ["D1", "D2"], "M": ["D2", "D1"]}, 2
-        )
-    with pytest.raises(ConfigError, match="not in any conference"):
-        select_seeds(values, good_div, {"L": ["D1"]}, 1)
+        select_seeds({"A": 2.0}, good, 2)
     with pytest.raises(ConfigError, match="too few"):
-        select_seeds(values, good_div, good_conf, 3)
+        select_seeds(values, good, 3)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, 0, -1, "2", None])
 def test_select_seeds_refuses_a_non_integer_seed_count(bad):
     values = {"A": 2.0, "B": 1.0, "C": 0.5}
     with pytest.raises(ConfigError, match=f"integer >= 1, got {bad!r}"):
-        select_seeds(values, {"D1": ["A", "B"], "D2": ["C"]}, {"L": ["D1", "D2"]}, bad)
+        select_seeds(values, {"L": {"D1": ["A", "B"], "D2": ["C"]}}, bad)
 
 
 def test_select_seeds_accepts_a_numpy_integer_seed_count():
     values = {"A": 2.0, "B": 1.0, "C": 0.5}
-    table = select_seeds(
-        values, {"D1": ["A", "B"], "D2": ["C"]}, {"L": ["D1", "D2"]}, np.int64(3)
-    )
+    table = select_seeds(values, {"L": {"D1": ["A", "B"], "D2": ["C"]}}, np.int64(3))
     assert [e.team for e in table.conference("L")] == ["A", "C", "B"]
 
 
 def test_select_seeds_takes_one_winner_per_division():
     # conferences with 3 and 2 divisions seed 3 and 2 division winners
     values = {name: float(k) for k, name in enumerate("ABCDEFGHIJ")}
-    divisions = {
-        "D1": ["A", "B"],
-        "D2": ["C", "D"],
-        "D3": ["E", "F"],
-        "D4": ["G", "H"],
-        "D5": ["I", "J"],
+    conferences = {
+        "X": {"D1": ["A", "B"], "D2": ["C", "D"], "D3": ["E", "F"]},
+        "Y": {"D4": ["G", "H"], "D5": ["I", "J"]},
     }
-    conferences = {"X": ["D1", "D2", "D3"], "Y": ["D4", "D5"]}
-    table = select_seeds(values, divisions, conferences, 4)
+    table = select_seeds(values, conferences, 4)
     x, y = table.conference("X"), table.conference("Y")
     assert [e.team for e in x] == ["F", "D", "B", "E"]
     assert [e.division_winner for e in x] == [True, True, True, False]
@@ -336,20 +321,21 @@ def test_select_seeds_takes_one_winner_per_division():
     assert [e.division_winner for e in y] == [True, True, False, False]
     assert [e.seed for e in y] == [1, 2, 3, 4]
     with pytest.raises(ConfigError, match="seeds_per_conference=2"):
-        select_seeds(values, divisions, conferences, 2)
+        select_seeds(values, conferences, 2)
     with pytest.raises(ConfigError, match="0 divisions"):
-        select_seeds(values, divisions, {**conferences, "Z": []}, 4)
+        select_seeds(values, {**conferences, "Z": {}}, 4)
 
 
 def test_select_seeds_handles_multiple_conferences():
     values = {name: float(k) for k, name in enumerate("ABCDEFGH")}
-    divisions = {
-        "D1": ["A", "B"],
-        "D2": ["C", "D"],
-        "D3": ["E", "F"],
-        "D4": ["G", "H"],
+    conferences = {
+        "X": {"D1": ["A", "B"], "D2": ["C", "D"]},
+        "Y": {"D3": ["E", "F"], "D4": ["G", "H"]},
     }
-    conferences = {"X": ["D1", "D2"], "Y": ["D3", "D4"]}
-    table = select_seeds(values, divisions, conferences, 3)
+    table = select_seeds(values, conferences, 3)
     assert [e.team for e in table.conference("X")] == ["D", "B", "C"]
     assert [e.team for e in table.conference("Y")] == ["H", "F", "G"]
+    # division names are scoped by conference
+    renamed = {"X": conferences["X"], "Y": {"D1": ["E", "F"], "D2": ["G", "H"]}}
+    y = select_seeds(values, renamed, 3).conference("Y")
+    assert [(e.team, e.division) for e in y] == [("H", "D2"), ("F", "D1"), ("G", "D2")]
