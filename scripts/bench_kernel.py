@@ -32,6 +32,15 @@ the relative residual ``|H d + g| / |g|`` of the solver's step, an
 iterative one solved to a relative residual of 1e-12, and of a dense LU
 step.
 
+The ``crowd-1e6`` case parses a CSV of ``CROWD_ROWS`` crowd comparisons
+among ``CROWD_ITEMS`` items (uniformly random pairs of distinct items,
+decided by Bradley-Terry with evenly spaced merits), drawn from a fixed
+seed and written to a temporary file by an interpreter of its own before
+the case's interpreter starts. It records the median time of
+``btrank.parse_records`` on the file's text, the median time of
+``btrank.aggregate`` on the table, and the peak RSS of the interpreter,
+whose only large work is reading, parsing and aggregating.
+
 The column is stored under ``--label`` in the JSON file, next to any columns
 already there, so that two checkouts can be compared on the same cases.
 """
@@ -45,6 +54,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -61,6 +71,7 @@ CASES = {
 PROBE_TEAMS = 1000  # per league of the two-leagues case
 PROBE_EPS = (1e-1, 1e-5, 1e-9, 1e-12)
 OPPONENTS = 6
+CROWD_ROWS, CROWD_ITEMS, CROWD_SEED, CROWD_REPEATS = 10**6, 300, 6, 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -193,25 +204,86 @@ def run_probe() -> dict:
     return out
 
 
+def crowd_csv() -> str:
+    """A CSV of ``CROWD_ROWS`` crowd comparisons among ``CROWD_ITEMS`` items
+    ``I000 ..``: uniformly random pairs of distinct items, the first one
+    listed as home, decided by Bradley-Terry with evenly spaced merits in
+    [-2, 2]."""
+    rng = np.random.default_rng(CROWD_SEED)
+    beta = np.linspace(-2.0, 2.0, CROWD_ITEMS)
+    first = rng.integers(0, CROWD_ITEMS, CROWD_ROWS)
+    second = (first + rng.integers(1, CROWD_ITEMS, CROWD_ROWS)) % CROWD_ITEMS
+    first_wins = rng.random(CROWD_ROWS) < 1.0 / (1.0 + np.exp(beta[second] - beta[first]))
+    names = [f"I{k:03d}" for k in range(CROWD_ITEMS)]
+    lines = [
+        f"{names[h]},{names[a]},{'home_win' if won else 'away_win'}"
+        for h, a, won in zip(first.tolist(), second.tolist(), first_wins.tolist())
+    ]
+    return "home,away,outcome\n" + "\n".join(lines) + "\n"
+
+
+def run_crowd(path: str) -> dict:
+    import resource
+
+    import btrank
+
+    text = Path(path).read_text(encoding="utf-8")  # as ``btrank fit --data`` reads it
+    parse, aggregate = [], []
+    for _ in range(CROWD_REPEATS):
+        table = None  # let the last table go before the next parse
+        clock = time.perf_counter()
+        table = btrank.parse_records(text, "csv")
+        parse.append(time.perf_counter() - clock)
+    for _ in range(CROWD_REPEATS):
+        clock = time.perf_counter()
+        data = btrank.aggregate(table)
+        aggregate.append(time.perf_counter() - clock)
+    return {
+        "rows": len(table),
+        "teams": data.num_teams,
+        "parse_s": statistics.median(parse),
+        "aggregate_s": statistics.median(aggregate),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding btrank")
     parser.add_argument("--label", default="change", help="column name in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
-    parser.add_argument("--case", choices=[*CASES, "two-leagues"], help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--case", choices=[*CASES, "two-leagues", "crowd-1e6"], help=argparse.SUPPRESS
+    )
+    parser.add_argument("--csv", help=argparse.SUPPRESS)  # the crowd-1e6 input
+    parser.add_argument("--write-csv", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.write_csv:
+        Path(args.write_csv).write_text(crowd_csv(), encoding="utf-8")
+        return 0
     if args.case:  # the child interpreter of one case
-        print(json.dumps(run_probe() if args.case == "two-leagues" else run_case(args.case)))
+        if args.case == "crowd-1e6":
+            out = run_crowd(args.csv)
+        elif args.case == "two-leagues":
+            out = run_probe()
+        else:
+            out = run_case(args.case)
+        print(json.dumps(out))
         return 0
     env = dict(os.environ, PYTHONPATH=args.src, **{var: "1" for var in THREAD_VARS})
     column = {}
-    for name in [*CASES, "two-leagues"]:
-        child = subprocess.run(
-            [sys.executable, __file__, "--case", name],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        column[name] = json.loads(child.stdout.splitlines()[-1])
-        print(name, column[name], flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        crowd = Path(scratch) / "crowd.csv"
+        # Written by a child: a case's peak RSS starts at this process's own
+        # high-water mark, which a spawned interpreter inherits on Linux.
+        subprocess.run([sys.executable, __file__, "--write-csv", str(crowd)], check=True)
+        for name in [*CASES, "two-leagues", "crowd-1e6"]:
+            child = subprocess.run(
+                [sys.executable, __file__, "--case", name, "--csv", str(crowd)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            column[name] = json.loads(child.stdout.splitlines()[-1])
+            print(name, column[name], flush=True)
     out = Path(args.out)
     bench = json.loads(out.read_text()) if out.exists() else {}
     bench.setdefault("columns", {})[args.label] = column

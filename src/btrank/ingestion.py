@@ -16,6 +16,7 @@ import enum
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -142,13 +143,16 @@ def parse_records(data: bytes | str, format: str = "csv") -> GameTable:
     """
     text = _decode(data)
     if format == "csv":
-        return _parse_csv(text)
+        table = _split_plain_csv(text)
+        return _parse_csv(text) if table is None else table
     if format == "json":
         return _parse_json_records(text)
     raise ParseError(f"unknown record format {format!r} (expected csv or json)")
 
 
 def _parse_csv(text: str) -> GameTable:
+    """The csv module's row loop: it parses any CSV text and raises every
+    CSV error."""
     reader = csv.reader(io.StringIO(text))
     try:
         return _read_csv(reader)
@@ -157,18 +161,7 @@ def _parse_csv(text: str) -> GameTable:
 
 
 def _read_csv(reader) -> GameTable:
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("line 1: missing CSV header")
-    # The same name resolution as csv.DictReader plus a stripped, lowercased
-    # key: the last column of a repeated name wins.
-    raw = {name: i for i, name in enumerate(header)}
-    columns = {name.strip().lower(): i for name, i in raw.items()}
-    for required in ("home", "away", "outcome"):
-        if required not in columns:
-            raise ParseError(f"line 1: CSV header must include {required!r}")
-    width = len(header)
-    h, a, o, r = (columns.get(key, width) for key in ("home", "away", "outcome", "repeat"))
+    width, h, a, o, r = _header_columns(next(reader, None))
     pad = [None] * (width + 1)  # missing cells, and an absent repeat column, read None
 
     def rows():
@@ -188,6 +181,111 @@ def _read_csv(reader) -> GameTable:
             )
 
     return _build_table(rows(), "line")
+
+
+def _header_columns(header) -> tuple[int, int, int, int, int]:
+    """``(width, home, away, outcome, repeat)`` column indices of a CSV
+    header; an absent repeat column is ``width``."""
+    if header is None:
+        raise ParseError("line 1: missing CSV header")
+    # The same name resolution as csv.DictReader plus a stripped, lowercased
+    # key: the last column of a repeated name wins.
+    raw = {name: i for i, name in enumerate(header)}
+    columns = {name.strip().lower(): i for name, i in raw.items()}
+    for required in ("home", "away", "outcome"):
+        if required not in columns:
+            raise ParseError(f"line 1: CSV header must include {required!r}")
+    width = len(header)
+    return (width, *(columns.get(key, width) for key in ("home", "away", "outcome", "repeat")))
+
+
+#: characters per block of a plain CSV body; a block ends at a line end
+_BLOCK_CHARS = 1 << 16
+
+
+def _split_plain_csv(text: str) -> GameTable | None:
+    """The records of a plain CSV, or None for the row loop to parse.
+
+    A plain CSV has no quote, NUL (a csv.Error before Python 3.11) or bare
+    carriage return, a header line and a body, and each line of the body
+    holds exactly the header's number of cells. Its header line is read by
+    the csv module, and its body is split block by block with ``str.split``;
+    each distinct cell is stripped and converted once. Any other text, or a
+    row that would raise, gives None, so that the row loop raises the error.
+    """
+    crlf = text.count("\r")
+    start = text.find("\n") + 1  # of the body
+    if '"' in text or "\0" in text or crlf != text.count("\r\n") or not 0 < start < len(text):
+        return None
+    try:
+        width, h, a, o, r = _header_columns(next(csv.reader([text[:start]])))
+    except (csv.Error, ParseError):
+        return None
+    limit = csv.field_size_limit()
+    teams: dict[str, int] = {}
+
+    def team(cell: str) -> int:
+        name = cell.strip()
+        if not name:
+            raise ParseError("home and away team ids are required")
+        return teams.setdefault(name, len(teams))
+
+    team_of, outcome_of, repeat_of = {}, {}, {}  # by cell, as it stands in the text
+    homes, aways, outcomes, repeats = [], [], [], []
+    try:
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+            block = text[start:end].replace("\r\n", "\n") if crlf else text[start:end]
+            start = end
+            if not block.endswith("\n"):  # the last line of a file without a final line end
+                block += "\n"
+            raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), np.uint8)
+            ends = np.flatnonzero((raw == 44) | (raw == 10))  # of each cell, "," or "\n"
+            if (
+                len(ends) != block.count("\n") * width
+                or not (raw[ends[width - 1 :: width]] == 10).all()
+                or len(block) > limit and np.diff(ends, prepend=-1).max() > limit + 1  # bytes
+            ):
+                return None
+            cells = block.replace("\n", ",").split(",")
+            del cells[-1]  # after the last line end
+            home, away = _intern(team_of, team, np.int32, cells[h::width], cells[a::width])
+            if (home == away).any():
+                return None
+            homes.append(home)
+            aways.append(away)
+            outcomes += _intern(outcome_of, _outcome_cell, np.int8, cells[o::width])
+            if r < width:
+                repeats += _intern(repeat_of, _repeat_cell, np.int64, cells[r::width])
+    except ParseError:
+        return None
+    outcome = np.concatenate(outcomes)
+    repeat = np.concatenate(repeats) if repeats else np.ones(len(outcome), np.int8)
+    return GameTable(tuple(teams), np.concatenate(homes), np.concatenate(aways), outcome, repeat)
+
+
+def _outcome_cell(cell: str) -> int:
+    return _outcome_code(cell, "line", 0)
+
+
+def _repeat_cell(cell: str) -> int:
+    return _parse_repeat(cell, "line", 0) if cell.strip() else 1
+
+
+def _intern(known: dict, convert, dtype, *columns: list[str]) -> list[np.ndarray]:
+    """Each column of cells as ``known`` maps them. A cell not yet in
+    ``known`` is converted once, in row-major order of first appearance."""
+
+    def codes():
+        return [np.fromiter(map(known.__getitem__, cells), dtype, len(cells)) for cells in columns]
+
+    try:
+        return codes()
+    except KeyError:
+        for cell in dict.fromkeys(chain.from_iterable(zip(*columns))):
+            if cell not in known:
+                known[cell] = convert(cell)
+        return codes()
 
 
 def _parse_json_records(text: str) -> GameTable:

@@ -318,10 +318,10 @@ def select_seeds(
             )
 
     seen_teams: set[str] = set()
-    for divisions in conferences.values():
+    for conf, divisions in conferences.items():
         for div, teams in divisions.items():
             if len(teams) == 0:
-                raise ConfigError(f"division {div!r} has no teams")
+                raise ConfigError(f"division {div!r} of conference {conf!r} has no teams")
             for team in teams:
                 if team in seen_teams:
                     raise ConfigError(f"team {team!r} appears in more than one division")

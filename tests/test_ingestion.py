@@ -1,13 +1,15 @@
 import csv
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import btrank
+from btrank import ingestion
 from btrank.errors import (
     EmptyInputError,
     NegativeCountError,
@@ -157,6 +159,141 @@ def test_csv_dialect_cases_parse_as_before(text, expected):
         with pytest.raises(error) as info:
             parse_records(text, "csv")
         assert str(info.value) == message
+
+
+# Cells by the role of their column: valid ones, then ones the parser refuses.
+TEAM_CELLS = ("A", "b", "\u00dc", "Team 3", "x\u2028y", "c ")
+CELLS = {
+    "home": (TEAM_CELLS, ("", "  ")),
+    "away": (TEAM_CELLS, ("", "  ")),
+    "outcome": (("home_win", " Away_Win", "TIE", "tie "), ("upset", "")),
+    "repeat": (("", "1", " 3 ", "07", "+2"), ("0", "two", "-1", str(2**63))),
+    "note": (("", "note", " ", "x\x85y"), ()),
+}
+FLAWS = ("cell", "self", "short", "long", "blank")
+SPECIALS = ('"', '""', '"x,y"', "\x00", "\r", "\r\n", "\n", ",")
+CSV_HEADERS = (
+    "home,away,outcome",
+    "home,away,outcome,repeat",
+    "away,note,HOME,repeat,outcome",
+    "home, Home ,away,outcome,home",
+    "home,away,outcome,repeat,repeat",
+)
+DEFAULT_LIMIT = csv.field_size_limit()
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts of valid rows, but for a few flaws: a refused cell,
+    self-play, too few or too many cells, a blank line, or a special string
+    inserted into the body."""
+    header = draw(st.sampled_from(CSV_HEADERS))
+    names = header.split(",")
+    columns = {name.strip().lower(): i for i, name in enumerate(names)}
+    roles = ["note"] * len(names)
+    for role in ("home", "away", "outcome", "repeat"):
+        if role in columns:
+            roles[columns[role]] = role
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [draw(st.sampled_from(CELLS[role][0])) for role in roles]
+        home = draw(st.integers(0, len(TEAM_CELLS) - 1))
+        away = (home + draw(st.integers(1, len(TEAM_CELLS) - 1))) % len(TEAM_CELLS)
+        cells[columns["home"]], cells[columns["away"]] = TEAM_CELLS[home], " " + TEAM_CELLS[away]
+        rows.append(cells)
+    for row, flaw in draw(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(FLAWS)), max_size=2)):
+        cells = rows[row % len(rows)] if rows else []
+        if len(cells) != len(roles):
+            continue
+        if flaw == "cell":
+            column = draw(st.sampled_from([k for k, role in enumerate(roles) if CELLS[role][1]]))
+            cells[column] = draw(st.sampled_from(CELLS[roles[column]][1]))
+        elif flaw == "self":
+            cells[columns["away"]] = f" {cells[columns['home']]} "
+        else:
+            cells[:] = {"short": cells[:-1], "long": cells + ["x"], "blank": []}[flaw]
+    body = "".join(",".join(cells) + draw(st.sampled_from(("\n", "\r\n"))) for cells in rows)
+    if draw(st.booleans()):  # no line end after the last line
+        body = body.removesuffix("\n").removesuffix("\r")
+    for position, special in draw(
+        st.lists(st.tuples(st.integers(0, 999), st.sampled_from(SPECIALS)), max_size=1)
+    ):
+        position %= len(body) + 1
+        body = body[:position] + special + body[position:]
+    return header + draw(st.sampled_from(("\n", "\r\n"))) + body
+
+
+def parsed(parse, text):
+    """What ``parse(text)`` gives: the table's columns, or the error's type
+    and message."""
+    try:
+        table = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.teams, *(getattr(table, name).tolist() for name in ("home", "away", "outcome", "repeat"))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    text=csv_texts(),
+    limit=st.sampled_from((DEFAULT_LIMIT, 8)),
+    block=st.sampled_from((1, 12, 1 << 16)),
+)
+@example(text="home,away,outcome\r\nA,B,tie\r\nB,A,home_win\r\n", limit=DEFAULT_LIMIT, block=1 << 16)
+@example(text="home,away,outcome\nA,B\x00,tie\n", limit=DEFAULT_LIMIT, block=1 << 16)
+@example(text="home,away,outcome\nA,B,tie\n\nB,A,tie\n", limit=DEFAULT_LIMIT, block=1 << 16)
+@example(text="home,away,outcome,repeat\nA,B,tie,2\nB,A,tie\n", limit=DEFAULT_LIMIT, block=1 << 16)
+@example(text='home,away,outcome\n"A,1",B,tie\n', limit=DEFAULT_LIMIT, block=1 << 16)
+@example(text="home,away,outcome\nA,B,tie,C,A\ntie\n", limit=DEFAULT_LIMIT, block=1 << 16)
+@example(text="home,away,outcome\nA,B,tie\nA,BBBBBBBBB,tie\n", limit=8, block=1 << 16)
+def test_csv_parses_as_the_row_loop_does(text, limit, block):
+    # The bulk split of a plain body must give what the csv module's row
+    # loop gives, and any other text must reach the row loop's error.
+    previous = csv.field_size_limit(limit)
+    try:
+        with mock.patch.object(ingestion, "_BLOCK_CHARS", block):
+            got = parsed(lambda text: parse_records(text, "csv"), text)
+        assert got == parsed(ingestion._parse_csv, text)
+    finally:
+        csv.field_size_limit(previous)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "home,away,outcome\nA\x00,B,tie\n",  # the csv module refuses it before Python 3.11
+        'home,away,outcome\n"A",B,tie\n',
+        "home,away,outcome\nA,B,tie\rB,A,tie\n",
+    ],
+    ids=["nul", "quote", "bare-cr"],
+)
+def test_a_body_that_is_not_plain_is_left_to_the_csv_module(text):
+    assert ingestion._split_plain_csv(text) is None
+
+
+def crowd_csv(end: str, padded: bool, rows: int = 20_000, items: int = 300) -> str:
+    """A seeded crowd CSV with a repeat column and no final line end: random
+    pairs of distinct items."""
+    rng = np.random.default_rng(1)
+    first = rng.integers(0, items, rows)
+    second = (first + rng.integers(1, items, rows)) % items
+    outcome, repeat = rng.integers(0, 3, rows), rng.integers(1, 4, rows)
+    cell = " I{:03d} " if padded else "I{:03d}"
+    tokens = [member.value for member in Outcome]
+    lines = [
+        f"{cell.format(h)},{cell.format(a)},{tokens[o]},{r}"
+        for h, a, o, r in zip(first.tolist(), second.tolist(), outcome.tolist(), repeat.tolist())
+    ]
+    return "home,away,outcome,repeat" + end + end.join(lines)
+
+
+@pytest.mark.parametrize("end, padded", [("\n", False), ("\r\n", True)])
+def test_a_plain_crowd_csv_never_reaches_the_row_loop(end, padded):
+    # Several blocks; a silent fallback to the row loop would lose the gain.
+    text = crowd_csv(end, padded)
+    want = parsed(ingestion._parse_csv, text)
+    with mock.patch.object(ingestion, "_parse_csv", side_effect=AssertionError("row loop")):
+        assert parsed(lambda text: parse_records(text, "csv"), text) == want
 
 
 def test_json_records_parse_and_errors():

@@ -339,3 +339,11 @@ def test_select_seeds_handles_multiple_conferences():
     renamed = {"X": conferences["X"], "Y": {"D1": ["E", "F"], "D2": ["G", "H"]}}
     y = select_seeds(values, renamed, 3).conference("Y")
     assert [(e.team, e.division) for e in y] == [("H", "D2"), ("F", "D1"), ("G", "D2")]
+
+
+def test_an_empty_division_is_named_with_its_conference():
+    values = {"A": 2.0, "B": 1.0, "C": 0.5}
+    conferences = {"AFC": {"East": ["A"], "West": ["B"]}, "NFC": {"East": [], "West": ["C"]}}
+    with pytest.raises(ConfigError) as info:
+        select_seeds(values, conferences, 2)
+    assert str(info.value) == "division 'East' of conference 'NFC' has no teams"

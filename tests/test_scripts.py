@@ -11,17 +11,17 @@ REPO = Path(__file__).resolve().parents[1]
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _bench_case(name: str) -> dict:
+def _bench(*args: str) -> dict | None:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **{var: "1" for var in THREADS})
     child = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "bench_kernel.py"), "--case", name],
+        [sys.executable, str(REPO / "scripts" / "bench_kernel.py"), *args],
         env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(child.stdout.splitlines()[-1])
+    return json.loads(child.stdout.splitlines()[-1]) if child.stdout else None
 
 
 def test_the_league_case_reports_a_converged_fit():
-    out = _bench_case("sparse-t400")
+    out = _bench("--case", "sparse-t400")
     assert set(out) == {
         "teams", "games", "met_pairs", "kernel_median_s", "step_median_s",
         "fit_median_s", "iterations", "converged", "peak_rss_mb",
@@ -30,7 +30,7 @@ def test_the_league_case_reports_a_converged_fit():
 
 
 def test_the_two_leagues_case_solves_its_steps_to_the_residual():
-    out = _bench_case("two-leagues")
+    out = _bench("--case", "two-leagues")
     assert set(out) == {"0.1", "1e-05", "1e-09", "1e-12"}
     for probe in out.values():
         assert set(probe) == {
@@ -39,3 +39,11 @@ def test_the_two_leagues_case_solves_its_steps_to_the_residual():
         }
     assert out["0.1"]["converged"]
     assert out["0.1"]["step_residual"] < 1e-10
+
+
+def test_the_crowd_case_parses_and_aggregates_its_csv(tmp_path):
+    path = str(tmp_path / "crowd.csv")
+    _bench("--write-csv", path)
+    out = _bench("--case", "crowd-1e6", "--csv", path)
+    assert set(out) == {"rows", "teams", "parse_s", "aggregate_s", "peak_rss_mb"}
+    assert out["rows"] == 10**6 and out["teams"] == 300
