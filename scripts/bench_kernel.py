@@ -7,7 +7,8 @@ Usage, from the root of a btrank checkout:
 ``--src`` must name the ``src`` of a btrank checkout whose kernels return
 an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
 ``_newton_direction`` and ``_pcg``, and whose connectivity module labels the
-raw components with ``raw_components``.
+raw components with ``raw_components`` and has ``arcs``,
+``verify_existence`` and ``strong_components``.
 
 Each league case is a home-and-away league drawn from a fixed seed: a ring
 plus random chords, so every team meets about 6 others, one game at each
@@ -41,6 +42,14 @@ the case's interpreter starts. It records the median time of
 ``btrank.aggregate`` on the table, and the peak RSS of the interpreter,
 whose only large work is reading, parsing and aggregating.
 
+Each case of ``PATH_TEAMS`` is a path league of t teams, each team
+beating the next one at home, perturbed under ``Improved("auto")`` so that
+its win digraph is the path in both directions, strongly connected with
+diameter t - 1. It records the median time of
+``connectivity.verify_existence`` on the perturbed counts (the check every
+fit runs, a reachability search whose rounds grow with the diameter) and of
+``connectivity.strong_components`` (Tarjan labelling) on the same arcs.
+
 The column is stored under ``--label`` in the JSON file, next to any columns
 already there, so that two checkouts can be compared on the same cases.
 """
@@ -72,6 +81,8 @@ PROBE_TEAMS = 1000  # per league of the two-leagues case
 PROBE_EPS = (1e-1, 1e-5, 1e-9, 1e-12)
 OPPONENTS = 6
 CROWD_ROWS, CROWD_ITEMS, CROWD_SEED, CROWD_REPEATS = 10**6, 300, 6, 3
+PATH_TEAMS = {"path-t400": 400, "path-t2000": 2000, "path-t5000": 5000}
+PATH_REPEATS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -204,6 +215,33 @@ def run_probe() -> dict:
     return out
 
 
+def run_path(t: int) -> dict:
+    import btrank
+    from btrank import connectivity
+    from btrank.perturbation import perturb
+
+    first = np.arange(t - 1)
+    data = dataset(btrank, t, (first, first + 1, np.zeros(t - 1, dtype=int)))
+    model = btrank.Model.BRADLEY_TERRY
+    perturbed = perturb(data, btrank.Improved("auto"))
+    arcs = connectivity.arcs(perturbed.i, perturbed.j, perturbed.wins)
+    check, label = [], []
+    for _ in range(PATH_REPEATS):
+        clock = time.perf_counter()
+        connectivity.verify_existence(model, perturbed, data.teams)
+        check.append(time.perf_counter() - clock)
+        clock = time.perf_counter()
+        labels = connectivity.strong_components(t, *arcs)
+        label.append(time.perf_counter() - clock)
+    return {
+        "teams": t,
+        "arcs": len(arcs[0]),
+        "components": len(np.unique(labels)),
+        "verify_existence_s": statistics.median(check),
+        "strong_components_s": statistics.median(label),
+    }
+
+
 def crowd_csv() -> str:
     """A CSV of ``CROWD_ROWS`` crowd comparisons among ``CROWD_ITEMS`` items
     ``I000 ..``: uniformly random pairs of distinct items, the first one
@@ -253,7 +291,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="change", help="column name in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     parser.add_argument(
-        "--case", choices=[*CASES, "two-leagues", "crowd-1e6"], help=argparse.SUPPRESS
+        "--case", choices=[*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS], help=argparse.SUPPRESS
     )
     parser.add_argument("--csv", help=argparse.SUPPRESS)  # the crowd-1e6 input
     parser.add_argument("--write-csv", help=argparse.SUPPRESS)
@@ -266,6 +304,8 @@ def main(argv=None) -> int:
             out = run_crowd(args.csv)
         elif args.case == "two-leagues":
             out = run_probe()
+        elif args.case in PATH_TEAMS:
+            out = run_path(PATH_TEAMS[args.case])
         else:
             out = run_case(args.case)
         print(json.dumps(out))
@@ -277,7 +317,7 @@ def main(argv=None) -> int:
         # Written by a child: a case's peak RSS starts at this process's own
         # high-water mark, which a spawned interpreter inherits on Linux.
         subprocess.run([sys.executable, __file__, "--write-csv", str(crowd)], check=True)
-        for name in [*CASES, "two-leagues", "crowd-1e6"]:
+        for name in [*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS]:
             child = subprocess.run(
                 [sys.executable, __file__, "--case", name, "--csv", str(crowd)],
                 env=env, capture_output=True, text=True, check=True,

@@ -35,8 +35,8 @@ hosted: the rule is Condition B (venue-free models) or C (venue models) of
 the raw data, and a refusal words its witness so. Condition C is
 sufficient for the venue models, not necessary. ConnerGrant lifts every
 pair and never refuses. A shift, which only the venue-free models take, and the flat
-prior's raw counts are refused as Condition A of the counts after the
-shift.
+prior's raw counts are refused as Condition A of the counts fitted (the
+shifted counts, or the raw ones).
 
 A digraph is strongly connected exactly when every team is reachable from
 team 0 along its arcs and along its reversed arcs, so the test is two
@@ -60,14 +60,12 @@ CONDITION_A = ("A", "no team in the second set has beaten any team in the first 
 CONDITION_B = ("B", "no games at all between the two sets")
 CONDITION_C = ("C", "no team in the second set has ever hosted a team in the first set")
 # (condition, witness detail) of a fit refusal by (epsilon scheme, venue
-# model): an epsilon scheme's rule is the raw Condition B or C
+# model): an epsilon scheme's rule is the raw Condition B or C, and a shift
+# or the flat prior's raw counts are refused as Condition A of those counts
 REFUSAL_WORDING = {
     (True, False): CONDITION_B,
     (True, True): CONDITION_C,
-    (False, False): (
-        "A",
-        "after the shift, no team in the second set has any win over the first set",
-    ),
+    (False, False): ("A", "no team in the second set has any win over the first set"),
 }
 
 

@@ -53,10 +53,10 @@ class GameTable:
     """Game records held column-wise, as produced by :func:`parse_records`.
 
     ``teams`` lists the team ids in first-appearance order (home before away
-    within a record). ``home`` and ``away`` are team indices into ``teams``,
-    ``outcome`` holds codes in :class:`Outcome` member order and ``repeat``
-    the positive game counts; all four are read-only arrays of one length,
-    the number of records.
+    within a record). ``home`` and ``away`` are distinct team indices into
+    ``teams``, ``outcome`` holds codes in :class:`Outcome` member order and
+    ``repeat`` the positive game counts; all four are read-only arrays of
+    one length, the number of records.
     """
 
     teams: tuple[str, ...]
@@ -79,58 +79,58 @@ class GameTable:
                 raise ShapeError(f"{name} must hold {n} entries in [{low}, {high})")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        self_play = self.home == self.away
+        if self_play.any():
+            k = int(self_play.argmax())
+            team = self.teams[self.home[k]]
+            raise SelfPlayError(f"record {k}: team {team!r} cannot play itself")
 
     def __len__(self) -> int:
         return len(self.home)
 
 
-def _outcome_code(token, label: str, position: int) -> int:
+def _outcome_code(token) -> int:
     if not isinstance(token, str):
-        raise ParseError(f"{label} {position}: outcome must be a string, got {token!r}")
+        raise ParseError(f"outcome must be a string, got {token!r}")
     code = _CODES.get(token.strip().lower())
     if code is None:
-        raise ParseError(
-            f"{label} {position}: unknown outcome {token!r} "
-            f"(expected home_win, away_win, or tie)"
-        )
+        raise ParseError(f"unknown outcome {token!r} (expected home_win, away_win, or tie)")
     return code
 
 
-def _parse_repeat(value, label: str, position: int) -> int:
+def _parse_repeat(value) -> int:
+    """A record's game count; a missing or blank value means 1."""
+    if value is None or value == "":
+        return 1
     try:
         repeat = int(str(value).strip())
     except (TypeError, ValueError):
-        raise ParseError(
-            f"{label} {position}: repeat must be an integer, got {value!r}"
-        ) from None
+        raise ParseError(f"repeat must be an integer, got {value!r}") from None
     if repeat < 1:
-        raise ParseError(f"{label} {position}: repeat must be >= 1, got {repeat}")
+        raise ParseError(f"repeat must be >= 1, got {repeat}")
     if repeat > _MAX_REPEAT:
-        raise ParseError(f"{label} {position}: repeat must be <= {_MAX_REPEAT}, got {repeat}")
+        raise ParseError(f"repeat must be <= {_MAX_REPEAT}, got {repeat}")
     return repeat
 
 
 def _build_table(rows, label: str) -> GameTable:
     """Check ``(home, away, outcome, repeat, position)`` rows in that order
-    (a missing or blank repeat is 1) and intern the team ids; errors name
-    the row as ``f"{label} {position}"``."""
+    and intern the team ids; errors name the row as ``f"{label} {position}"``."""
     index: dict[str, int] = {}
     home_idx, away_idx, codes, repeats = [], [], [], []
     for home, away, outcome, repeat, position in rows:
-        if not home or not away:
-            raise ParseError(f"{label} {position}: home and away team ids are required")
-        home_id, away_id = str(home), str(away)
-        if home == away or home_id == away_id:
-            raise SelfPlayError(f"{label} {position}: team {home!r} cannot play itself")
-        code = _outcome_code(outcome, label, position)
-        if repeat is None or repeat == "":
-            repeat = 1
-        else:
-            repeat = _parse_repeat(repeat, label, position)
+        try:
+            if not home or not away:
+                raise ParseError("home and away team ids are required")
+            home_id, away_id = str(home), str(away)
+            if home == away or home_id == away_id:
+                raise SelfPlayError(f"team {home!r} cannot play itself")
+            codes.append(_outcome_code(outcome))
+            repeats.append(_parse_repeat(repeat))
+        except (ParseError, SelfPlayError) as exc:
+            raise type(exc)(f"{label} {position}: {exc}") from None
         home_idx.append(index.setdefault(home_id, len(index)))
         away_idx.append(index.setdefault(away_id, len(index)))
-        codes.append(code)
-        repeats.append(repeat)
     return GameTable(tuple(index), home_idx, away_idx, codes, repeats)
 
 
@@ -152,35 +152,38 @@ def parse_records(data: bytes | str, format: str = "csv") -> GameTable:
 
 def _parse_csv(text: str) -> GameTable:
     """The csv module's row loop: it parses any CSV text and raises every
-    CSV error."""
-    reader = csv.reader(io.StringIO(text))
+    CSV error. The text is read as UTF-8 bytes, not copied at 4 bytes per
+    character into ``io.StringIO``, and its lines end at "\\n" only."""
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    reader = csv.reader(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="\n"))
     try:
-        return _read_csv(reader)
+        columns = _header_columns(next(reader, None))
+        lines = ((reader.line_num, row) for row in reader)
+        return _build_table(_csv_rows(lines, columns), "line")
     except csv.Error as exc:  # e.g. a bare carriage return, an oversized cell
         raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_csv(reader) -> GameTable:
-    width, h, a, o, r = _header_columns(next(reader, None))
-    pad = [None] * (width + 1)  # missing cells, and an absent repeat column, read None
-
-    def rows():
-        for row in reader:
-            if not row:
-                continue
-            if len(row) > width:
-                raise ParseError(f"line {reader.line_num}: more cells than header columns")
-            row += pad
-            home, away, outcome, repeat = row[h], row[a], row[o], row[r]
-            yield (
-                home and home.strip(),
-                away and away.strip(),
-                outcome and outcome.strip(),
-                repeat and repeat.strip(),
-                reader.line_num,
-            )
-
-    return _build_table(rows(), "line")
+def _csv_rows(lines, columns: tuple[int, int, int, int, int]):
+    """``(home, away, outcome, repeat, line)`` of each ``(line, cells)`` pair
+    under the header's ``_header_columns``, cells stripped; a blank line is
+    skipped, and a missing cell or an absent repeat column reads None."""
+    width, h, a, o, r = columns
+    pad = [None] * (width + 1)
+    for line, row in lines:
+        if not row:
+            continue
+        if len(row) > width:
+            raise ParseError(f"line {line}: more cells than header columns")
+        row = [*row, *pad]
+        home, away, outcome, repeat = row[h], row[a], row[o], row[r]
+        yield (
+            home and home.strip(),
+            away and away.strip(),
+            outcome and outcome.strip(),
+            repeat and repeat.strip(),
+            line,
+        )
 
 
 def _header_columns(header) -> tuple[int, int, int, int, int]:
@@ -206,75 +209,70 @@ _BLOCK_CHARS = 1 << 16
 def _split_plain_csv(text: str) -> GameTable | None:
     """The records of a plain CSV, or None for the row loop to parse.
 
-    A plain CSV has no quote, NUL (a csv.Error before Python 3.11) or bare
-    carriage return, a header line and a body, and each line of the body
-    holds exactly the header's number of cells. Its header line is read by
-    the csv module, and its body is split block by block with ``str.split``;
-    each distinct cell is stripped and converted once. Any other text, or a
-    row that would raise, gives None, so that the row loop raises the error.
+    A plain CSV has a header line, read by the csv module, and a body; it
+    holds no quote, NUL (a csv.Error before Python 3.11) or bare carriage
+    return, and each body line holds the header's number of cells, none
+    over the csv field limit. The body is split block by block with
+    ``str.split``, each distinct cell stripped and converted once; a block
+    with a bad row goes to ``_build_table``, which raises the row loop's error.
     """
     crlf = text.count("\r")
     start = text.find("\n") + 1  # of the body
     if '"' in text or "\0" in text or crlf != text.count("\r\n") or not 0 < start < len(text):
         return None
     try:
-        width, h, a, o, r = _header_columns(next(csv.reader([text[:start]])))
+        columns = _header_columns(next(csv.reader([text[:start]])))
     except (csv.Error, ParseError):
         return None
+    width, h, a, o, r = columns
     limit = csv.field_size_limit()
     teams: dict[str, int] = {}
 
-    def team(cell: str) -> int:
-        name = cell.strip()
+    def team(name: str) -> int:
         if not name:
             raise ParseError("home and away team ids are required")
         return teams.setdefault(name, len(teams))
 
     team_of, outcome_of, repeat_of = {}, {}, {}  # by cell, as it stands in the text
     homes, aways, outcomes, repeats = [], [], [], []
-    try:
-        while start < len(text):
-            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-            block = text[start:end].replace("\r\n", "\n") if crlf else text[start:end]
-            start = end
-            if not block.endswith("\n"):  # the last line of a file without a final line end
-                block += "\n"
-            raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), np.uint8)
-            ends = np.flatnonzero((raw == 44) | (raw == 10))  # of each cell, "," or "\n"
-            if (
-                len(ends) != block.count("\n") * width
-                or not (raw[ends[width - 1 :: width]] == 10).all()
-                or len(block) > limit and np.diff(ends, prepend=-1).max() > limit + 1  # bytes
-            ):
-                return None
-            cells = block.replace("\n", ",").split(",")
-            del cells[-1]  # after the last line end
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end].replace("\r\n", "\n") if crlf else text[start:end]
+        if not block.endswith("\n"):  # the last line of a file without a final line end
+            block += "\n"
+        raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.flatnonzero((raw == 44) | (raw == 10))  # of each cell, "," or "\n"
+        if (
+            len(ends) != block.count("\n") * width
+            or not (raw[ends[width - 1 :: width]] == 10).all()
+            or len(block) > limit and np.diff(ends, prepend=-1).max() > limit + 1  # bytes
+        ):
+            return None
+        cells = block.replace("\n", ",").split(",")
+        del cells[-1]  # after the last line end
+        try:
             home, away = _intern(team_of, team, np.int32, cells[h::width], cells[a::width])
             if (home == away).any():
-                return None
-            homes.append(home)
-            aways.append(away)
-            outcomes += _intern(outcome_of, _outcome_cell, np.int8, cells[o::width])
+                raise SelfPlayError("a team cannot play itself")
+            outcomes += _intern(outcome_of, _outcome_code, np.int8, cells[o::width])
             if r < width:
-                repeats += _intern(repeat_of, _repeat_cell, np.int64, cells[r::width])
-    except ParseError:
-        return None
+                repeats += _intern(repeat_of, _parse_repeat, np.int64, cells[r::width])
+        except (ParseError, SelfPlayError):
+            rows = (cells[k : k + width] for k in range(0, len(cells), width))
+            lines = enumerate(rows, text.count("\n", 0, start) + 1)
+            _build_table(_csv_rows(lines, columns), "line")  # raises the first bad row's error
+            raise
+        homes.append(home)
+        aways.append(away)
+        start = end
     outcome = np.concatenate(outcomes)
     repeat = np.concatenate(repeats) if repeats else np.ones(len(outcome), np.int8)
     return GameTable(tuple(teams), np.concatenate(homes), np.concatenate(aways), outcome, repeat)
 
 
-def _outcome_cell(cell: str) -> int:
-    return _outcome_code(cell, "line", 0)
-
-
-def _repeat_cell(cell: str) -> int:
-    return _parse_repeat(cell, "line", 0) if cell.strip() else 1
-
-
 def _intern(known: dict, convert, dtype, *columns: list[str]) -> list[np.ndarray]:
-    """Each column of cells as ``known`` maps them. A cell not yet in
-    ``known`` is converted once, in row-major order of first appearance."""
+    """Each column of cells as ``known`` maps them. A new cell is stripped
+    and converted once, in row-major order of first appearance."""
 
     def codes():
         return [np.fromiter(map(known.__getitem__, cells), dtype, len(cells)) for cells in columns]
@@ -284,7 +282,7 @@ def _intern(known: dict, convert, dtype, *columns: list[str]) -> list[np.ndarray
     except KeyError:
         for cell in dict.fromkeys(chain.from_iterable(zip(*columns))):
             if cell not in known:
-                known[cell] = convert(cell)
+                known[cell] = convert(cell.strip())
         return codes()
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -296,6 +297,48 @@ def test_a_plain_crowd_csv_never_reaches_the_row_loop(end, padded):
         assert parsed(lambda text: parse_records(text, "csv"), text) == want
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("I001,I002,upset,1", "line 1502: unknown outcome 'upset' (expected home_win, away_win, or tie)"),
+        ("I001, ,tie,1", "line 1502: home and away team ids are required"),
+        ("I001, I001 ,tie,1", "line 1502: team 'I001' cannot play itself"),
+        ("I001,I002,tie,0", "line 1502: repeat must be >= 1, got 0"),
+    ],
+    ids=["outcome", "blank-id", "self-play", "repeat"],
+)
+def test_a_bad_plain_row_in_a_late_block_raises_without_the_row_loop(line, error):
+    # The bulk split names the bad row itself, as the row loop would, and
+    # does not parse the whole text a second time.
+    lines = crowd_csv("\n", False, rows=2_000).split("\n")
+    lines[1501] = line
+    text = "\n".join(lines)
+    want = parsed(ingestion._parse_csv, text)
+    assert want[1] == error
+    with (
+        mock.patch.object(ingestion, "_BLOCK_CHARS", 256),
+        mock.patch.object(ingestion, "_parse_csv", side_effect=AssertionError("row loop")),
+    ):
+        assert parsed(lambda text: parse_records(text, "csv"), text) == want
+
+
+def test_the_row_loop_holds_a_quoted_csv_at_about_its_own_size():
+    # A few long quoted ids over many rows, so that the text dominates what
+    # the row loop holds: a copy at 4 bytes per character would show.
+    ids = [f'"T{k}' + "x" * 200 + '"' for k in range(3)]
+    text = "home,away,outcome\n" + "".join(
+        f"{ids[k % 3]},{ids[(k + 1) % 3]},tie\n" for k in range(2_000)
+    )
+    tracemalloc.start()
+    try:
+        table = ingestion._parse_csv(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 2_000 and len(table.teams) == 3
+    assert peak < 2 * len(text)
+
+
 def test_json_records_parse_and_errors():
     payload = [
         {"home": "A", "away": "B", "outcome": "away_win"},
@@ -371,6 +414,8 @@ def test_game_table_refuses_columns_that_do_not_fit():
         GameTable(("A", "B"), [0], [1], [3], [1])  # no fourth outcome
     with pytest.raises(ShapeError):
         GameTable(("A", "B"), [0], [1], [0], [0])
+    with pytest.raises(SelfPlayError, match=r"^record 1: team 'A' cannot play itself$"):
+        GameTable(("A", "B"), [0, 0, 1], [1, 0, 1], [0, 1, 2], [1, 1, 1])  # records from 0
     with pytest.raises(ParseError, match="line 2: repeat must be <= 9223372036854775807"):
         parse_records(f"home,away,outcome,repeat\nA,B,tie,{2**63}\n", "csv")
 

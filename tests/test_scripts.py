@@ -47,3 +47,9 @@ def test_the_crowd_case_parses_and_aggregates_its_csv(tmp_path):
     out = _bench("--case", "crowd-1e6", "--csv", path)
     assert set(out) == {"rows", "teams", "parse_s", "aggregate_s", "peak_rss_mb"}
     assert out["rows"] == 10**6 and out["teams"] == 300
+
+
+def test_the_path_case_times_the_existence_check_on_one_component():
+    out = _bench("--case", "path-t400")
+    assert set(out) == {"teams", "arcs", "components", "verify_existence_s", "strong_components_s"}
+    assert (out["teams"], out["arcs"], out["components"]) == (400, 798, 1)

@@ -317,6 +317,10 @@ def test_flat_prior_requires_win_cycles(four_teams):
         fit_map_em(four_teams, MapPriorSpec(shape=1.0, rate=0.0))
     assert info.value.witness.condition == "A"
     assert info.value.witness.q1 == (0, 1)
+    # the raw counts are fitted, so no shift is named, and the split is Condition A's
+    assert "shift" not in str(info.value)
+    expected = check_condition_a(four_teams)
+    assert (info.value.witness.q1, info.value.witness.q2) == (expected.q1, expected.q2)
 
 
 def test_default_prior_rate_resolves_against_the_team_count():
