@@ -74,7 +74,7 @@ class GameTable:
             ("home", 0, t), ("away", 0, t), ("outcome", 0, len(Outcome)), ("repeat", 1, np.inf)
         )
         for name, low, high in bounds:
-            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr = _integer_column(name, getattr(self, name))
             if arr.shape != (n,) or (n and (arr.min() < low or arr.max() >= high)):
                 raise ShapeError(f"{name} must hold {n} entries in [{low}, {high})")
             arr.setflags(write=False)
@@ -87,6 +87,25 @@ class GameTable:
 
     def __len__(self) -> int:
         return len(self.home)
+
+
+def _integer_column(name: str, values) -> np.ndarray:
+    """A GameTable column as int64; integral floats are read, a bool column
+    and a fractional, non-finite or out-of-int64 entry are refused."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "b":
+        raise ShapeError(f"{name} must hold integers, not bools")
+    if raw.dtype.kind in "iu":
+        arr = raw.astype(np.int64)
+        if raw.dtype.kind == "i" or arr.min(initial=0) >= 0:  # a uint64 past int64 wraps
+            return arr
+        bad = arr < 0
+    else:
+        real = raw.astype(np.float64)
+        bad = ~(np.isfinite(real) & (real == np.floor(real)) & (np.abs(real) < 2.0**63))
+        if not bad.any():
+            return real.astype(np.int64)
+    raise ShapeError(f"{name} must hold integers, got {raw[bad].tolist()[0]!r}")
 
 
 def _outcome_code(token) -> int:
@@ -120,8 +139,11 @@ def _build_table(rows, label: str) -> GameTable:
     home_idx, away_idx, codes, repeats = [], [], [], []
     for home, away, outcome, repeat, position in rows:
         try:
-            if not home or not away:
-                raise ParseError("home and away team ids are required")
+            for team in (home, away):
+                if team is None or team == "":
+                    raise ParseError("home and away team ids are required")
+                if type(team) not in (str, int, float):  # a bool is no id
+                    raise ParseError(f"a team id must be a string or a number, got {team!r}")
             home_id, away_id = str(home), str(away)
             if home == away or home_id == away_id:
                 raise SelfPlayError(f"team {home!r} cannot play itself")

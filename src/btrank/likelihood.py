@@ -27,10 +27,12 @@ Each kernel reads its counts as slices of the per-edge arrays
 The other models take both orientations of each edge, (host i, visitor j)
 and (host j, visitor i):
 
-* Rao-Kupper (theta > 1): wins ``w_ij (beta_i - lse(beta_i, phi + beta_j))``
-  and ties ``tw (log(theta^2 - 1) + beta_i + beta_j - D_ij - D_ji)`` where
-  ``D_ij = lse(beta_i, phi + beta_j)`` and ``log(theta^2 - 1)`` is computed
-  as ``2 phi + log1p(-exp(-2 phi))``.
+* Rao-Kupper (theta > 1): ``P(i beats j) = s(x_ij)`` with ``x_ij = beta_i -
+  beta_j - phi``, and ``P(tie) = (1 - theta^-2) s(-x_ij) s(-x_ji)``. So per
+  orientation it is the two-outcome home-field term below with the
+  visitor j hosting at home parameter phi, the host's ties as j's wins and
+  the host's wins ``w_ij`` as the visitor's, plus ``log(1 - theta^-2)``
+  per tied game, computed as ``log(-expm1(-2 phi))``.
 * home-field, with perturbed host wins ``wh`` and visitor wins ``wv`` per
   orientation (``games[0]`` and ``games[1]``): host denominator ``D =
   lse(log_gamma + beta_i, beta_j)``, contribution ``wh (log_gamma + beta_i)
@@ -49,9 +51,10 @@ holding the per-edge weights, the diagonal beyond the Laplacian, the border
 rows and the parameter block: its products with a vector cost O(t + edges),
 and ``np.asarray`` scatters it to the dense array, each edge's weight
 written to its two off-diagonal entries. For Bradley-Terry the curvature is
-``n_ij p_ij (1 - p_ij)``. All models except Rao-Kupper share one kernel, a
-softmax of the host, visitor and tie scores above; Bradley-Terry and
-Davidson are its venue-free cases.
+``n_ij p_ij (1 - p_ij)``. All five models and the MAP posterior share one
+kernel, ``_outcome_terms``, a softmax of the host, visitor and tie scores
+above: Bradley-Terry and Davidson are its venue-free cases, and Rao-Kupper
+adds only its ``log(1 - theta^-2)`` per tied game.
 
 Every evaluator is a slice of one kernel call per model, ``_terms``, which
 returns the value, gradient and Hessian together: ``log_likelihood`` and
@@ -230,7 +233,6 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
     if phi is None:
         p_h, p_v, log_h, log_v = _logistic(h - b_v)
         value = float((wh * log_h + wv * log_v).sum())
-        p_t = 0.0
         resid, curv = wh * p_v - wv * p_h, n * (p_h * p_v)
     else:
         tie = phi + (b_h + b_v) / 2.0
@@ -246,8 +248,10 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
     extras = []
     if phi is not None:
         extras.append((wt, p_t, n * p_t * (p_h - p_v) / 2.0, -n * p_t * (p_h + p_v)))
-    if lg is not None:
-        extras.append((wh, p_h, n * p_h * (p_h + p_t / 2.0 - 1.0), n * p_h * (p_h - 1.0)))
+        if lg is not None:
+            extras.append((wh, p_h, n * p_h * (p_h + p_t / 2.0 - 1.0), n * p_h * (p_h - 1.0)))
+    elif lg is not None:  # two outcomes: -curv is the lg-derivative of the residual
+        extras.append((wh, p_h, -curv, -curv))
     grads = [float((w - n * p).sum()) for w, p, _, _ in extras]
     borders = [border for _, _, border, _ in extras]
     block = [
@@ -255,21 +259,6 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
         for a, (_, p, _, own) in enumerate(extras)
     ]
     return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block)
-
-
-def _rao_kupper_terms(beta, host, visitor, w, ties, phi):
-    """Rao-Kupper as oriented-edge terms in ``x = beta_host - beta_visitor -
-    phi``: ``w log s(x) + ties log s(-x)`` with s the logistic function, plus
-    ``log(1 - theta^-2)`` per tied game."""
-    s, s_rev, log_s, log_s_rev = _logistic(beta[host] - beta[visitor] - phi)
-    tied = ties.sum() / 2.0
-    q, r = np.exp(-2.0 * phi), -np.expm1(-2.0 * phi)  # theta^-2 and 1 - theta^-2
-    value = tied * np.log(r) + float((w * log_s + ties * log_s_rev).sum())
-    resid = w * s_rev - ties * s
-    grads = [tied * 2.0 * q / r - float(resid.sum())]
-    curv = (w + ties) * s * s_rev
-    block = [[-tied * 4.0 * q / r**2 - float(curv.sum())]]
-    return _assemble(len(beta), host, visitor, value, resid, grads, curv, [curv], block)
 
 
 def _edge_data(model: Model, perturbed: PerturbedCounts):
@@ -282,8 +271,8 @@ def _edge_data(model: Model, perturbed: PerturbedCounts):
         wt = ties[None] if model is Model.DAVIDSON else 0.0
         return i[None], j[None], (wins[:1], wins[1:], wt)
     h, v = np.stack([i, j]), np.stack([j, i])
-    if model is Model.RAO_KUPPER:
-        return h, v, (wins, np.stack([ties, ties]))
+    if model is Model.RAO_KUPPER:  # the opponent hosts at phi; the host's ties are its wins
+        return v, h, (np.stack([ties, ties]), wins, 0.0)
     return h, v, (games[0], games[1], games[2] if model is Model.DAVID else 0.0)
 
 
@@ -291,9 +280,14 @@ def _terms(model: Model, beta, phi, log_gamma, edge_data):
     """``(value, gradient, Hessian)`` of one model's penalized log-likelihood
     over ``[beta_1 .. beta_t, phi?, log_gamma?]``."""
     h, v, counts = edge_data
-    if model is Model.RAO_KUPPER:
-        return _rao_kupper_terms(beta, h, v, *counts, phi)
-    return _outcome_terms(beta, h, v, *counts, phi, log_gamma)
+    if model is not Model.RAO_KUPPER:
+        return _outcome_terms(beta, h, v, *counts, phi, log_gamma)
+    value, grad, hess = _outcome_terms(beta, h, v, *counts, None, phi)
+    tied = counts[0][0].sum()  # plus log(1 - theta^-2) per tied game
+    q, r = np.exp(-2.0 * phi), -np.expm1(-2.0 * phi)  # theta^-2 and 1 - theta^-2
+    hess.block[-1, -1] -= tied * 4.0 * q / r**2
+    grad[-1] += tied * 2.0 * q / r
+    return value + tied * np.log(r), grad, hess
 
 
 def log_likelihood(

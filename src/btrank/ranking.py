@@ -11,6 +11,7 @@ seeding rule.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -26,6 +27,7 @@ from .types import (
     MatrixShift,
     ModelSpec,
     Ranking,
+    is_bool,
     is_integer,
 )
 
@@ -56,8 +58,11 @@ def extract_ranking(result: FitResult, rank_tol: float = RANK_TOL) -> Ranking:
     Tie groups collect teams whose log-merits differ by at most ``rank_tol``,
     which makes the ranking independent of the merit normalization. The fit
     should be a converged one; an unconverged result still produces a
-    ranking, of whatever the solver last had.
+    ranking, of whatever the solver last had. ``rank_tol`` is a finite
+    number >= 0 (bools refused).
     """
+    if is_bool(rank_tol) or not 0.0 <= rank_tol < math.inf:
+        raise ConfigError(f"rank_tol must be a finite number >= 0, got {rank_tol!r}")
     order, groups = _grouped_order(result.beta, rank_tol)
     return Ranking(teams=result.teams, order=order, groups=tuple(groups))
 

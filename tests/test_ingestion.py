@@ -416,6 +416,16 @@ def test_game_table_refuses_columns_that_do_not_fit():
         GameTable(("A", "B"), [0], [1], [0], [0])
     with pytest.raises(SelfPlayError, match=r"^record 1: team 'A' cannot play itself$"):
         GameTable(("A", "B"), [0, 0, 1], [1, 0, 1], [0, 1, 2], [1, 1, 1])  # records from 0
+    # a fractional, non-finite, out-of-int64 or bool entry is not truncated to a count
+    with pytest.raises(ShapeError, match="^home must hold integers, got 0.9$"):
+        GameTable(("A", "B", "C"), [0.9, 1.0], [1.7, 2.2], [0, 1], [1.5, 2.9])
+    for bad in (float("nan"), float("inf"), 1e30, 2**63):
+        with pytest.raises(ShapeError, match="^repeat must hold integers, got"):
+            GameTable(("A", "B"), [0], [1], [0], [bad])
+    with pytest.raises(ShapeError, match="^outcome must hold integers, not bools$"):
+        GameTable(("A", "B"), [0], [1], [True], [1])
+    integral = GameTable(("A", "B"), [0.0], [1.0], [2.0], np.ones(1))
+    assert rows(integral) == [("A", "B", Outcome.TIE, 1)] and integral.repeat.dtype == np.int64
     with pytest.raises(ParseError, match="line 2: repeat must be <= 9223372036854775807"):
         parse_records(f"home,away,outcome,repeat\nA,B,tie,{2**63}\n", "csv")
 
@@ -567,3 +577,9 @@ def test_game_record_validation():
         parse(home="A", away="B", repeat=0)
     with pytest.raises(ParseError, match="element 1: home and away team ids are required"):
         parse(home="", away="B")
+    with pytest.raises(ParseError, match="element 1: home and away team ids are required"):
+        parse(home=None, away="B")
+    assert parse(home=0, away=1).teams == ("0", "1")
+    for bad in (True, ["x"], {"y": 1}):
+        with pytest.raises(ParseError, match="^element 1: a team id must be a string or a number"):
+            parse(home="A", away=bad)

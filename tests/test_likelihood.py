@@ -303,7 +303,8 @@ def _check_every_model_against_the_oracle(data, scheme, rng):
         beta = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, data.num_teams - 1)])
         phi = None
         if model is Model.RAO_KUPPER:
-            phi = rng.uniform(0.05, 1.5)
+            # log-uniform: theta from 1.01, where log(1 - theta^-2) is large, to e^8
+            phi = float(np.exp(rng.uniform(np.log(0.01), np.log(8.0))))
         elif model.has_tie_parameter:
             phi = rng.uniform(-1.0, 1.0)
         log_gamma = rng.uniform(-1.0, 1.0) if model.has_home_parameter else None

@@ -55,6 +55,14 @@ def test_ranking_from_a_fit(four_teams):
     assert all(len(g) == 1 for g in ranking.groups)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9, True])
+def test_extract_ranking_refuses_a_bad_rank_tol(four_teams, bad):
+    result = fit(bt_spec(), four_teams)
+    with pytest.raises(ConfigError, match=f"rank_tol must be a finite number >= 0, got {bad!r}"):
+        extract_ranking(result, rank_tol=bad)
+    assert extract_ranking(result, rank_tol=0).describe() == "1 > 2 > 4 > 3"
+
+
 def test_symmetric_data_collapse_to_one_group(cycle3):
     result = fit(bt_spec(), cycle3)
     ranking = extract_ranking(result)
