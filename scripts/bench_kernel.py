@@ -6,9 +6,11 @@ Usage, from the root of a btrank checkout:
 
 ``--src`` must name the ``src`` of a btrank checkout whose kernels return
 an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
-``_newton_direction`` and ``_pcg``, and whose connectivity module labels the
-raw components with ``raw_components`` and has ``arcs``,
-``verify_existence`` and ``strong_components``.
+``_newton_direction`` and ``_pcg`` (and ``_coarse_layout``, which builds
+the coarse space those take from the raw labels, where it has one), and
+whose connectivity module labels the raw components with
+``raw_components`` and has ``arcs``, ``verify_existence`` and
+``strong_components``.
 
 Each league case is a home-and-away league drawn from a fixed seed: a ring
 plus random chords, so every team meets about 6 others, one game at each
@@ -50,6 +52,14 @@ diameter t - 1. It records the median time of
 fit runs, a reachability search whose rounds grow with the diameter) and of
 ``connectivity.strong_components`` (Tarjan labelling) on the same arcs.
 
+The ``import`` case starts ``IMPORT_INTERPRETERS`` fresh interpreters,
+each of which imports ``numpy``, then ``btrank``, then ``btrank.cli``, and
+times each of the three imports on its own. It records the median of each:
+``btrank_s`` is what ``import btrank`` adds to an interpreter that has
+numpy, and ``cli_s`` what the command line adds on top. One untimed
+interpreter runs first, with ``PYTHONDONTWRITEBYTECODE`` unset, so that the
+timed ones read compiled bytecode, as imports of an installed package do.
+
 The column is stored under ``--label`` in the JSON file, next to any columns
 already there, so that two checkouts can be compared on the same cases.
 """
@@ -83,6 +93,16 @@ OPPONENTS = 6
 CROWD_ROWS, CROWD_ITEMS, CROWD_SEED, CROWD_REPEATS = 10**6, 300, 6, 3
 PATH_TEAMS = {"path-t400": 400, "path-t2000": 2000, "path-t5000": 5000}
 PATH_REPEATS = 5
+IMPORT_INTERPRETERS = 15
+#: run by each interpreter of the import case: the seconds of each import
+IMPORT_PROBE = """
+import time
+marks = [time.perf_counter()]
+for name in ("numpy", "btrank", "btrank.cli"):
+    __import__(name)
+    marks.append(time.perf_counter())
+print(*(after - before for before, after in zip(marks, marks[1:])))
+"""
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -114,14 +134,19 @@ def dataset(btrank, t: int, games):
     return btrank.aggregate(table)
 
 
-def raw_labels(model, data, pairs: int):
-    """The coarse labels of a fit's sparse step: the raw components of
-    ``connectivity.raw_components``, or None below ``solver.edge_form``,
-    where the step is solved by LU."""
+def coarse_space(model, data, pairs: int, h):
+    """The coarse space that ``solver._newton_direction`` takes for a fit's
+    sparse step with Hessian ``h``, or None below ``solver.edge_form``,
+    where the step is solved by LU: ``solver._coarse_layout`` of the raw
+    components of ``connectivity.raw_components``, or those labels
+    themselves for a solver without ``_coarse_layout``."""
     from btrank import connectivity, solver
 
-    sparse = solver.edge_form(data.num_teams, pairs)
-    return connectivity.raw_components(model, data) if sparse else None
+    if not solver.edge_form(data.num_teams, pairs):
+        return None
+    labels = connectivity.raw_components(model, data)
+    layout = getattr(solver, "_coarse_layout", None)
+    return labels if layout is None else layout(labels, h)
 
 
 def run_case(name: str) -> dict:
@@ -138,15 +163,16 @@ def run_case(name: str) -> dict:
     spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
     perturbed = perturb(data, spec.perturbation)
     objective = Objective(spec.model, perturbed)
-    labels = raw_labels(spec.model, data, len(perturbed.i))
     x = objective.initial_point()
+    start_hessian = objective.value_gradient_hessian(x)[2]
+    coarse = coarse_space(spec.model, data, len(perturbed.i), start_hessian)
     kernel, step = [], []
     for _ in range(evaluations):
         clock = time.perf_counter()
         _, g, h = objective.value_gradient_hessian(x)
         kernel.append(time.perf_counter() - clock)
         clock = time.perf_counter()
-        solver._newton_direction(g, h, labels, solver._CG_RTOL)  # a fit's first step
+        solver._newton_direction(g, h, coarse, solver._CG_RTOL)  # a fit's first step
         step.append(time.perf_counter() - clock)
     wall = []
     for _ in range(fits):
@@ -200,8 +226,8 @@ def run_probe() -> dict:
         perturbed = perturb(data, spec.perturbation)
         objective = likelihood.Objective(spec.model, perturbed)
         _, g, h = objective.value_gradient_hessian(result.beta[1:])
-        labels = raw_labels(spec.model, data, len(perturbed.i))
-        d = solver._newton_direction(g, h, labels, 1e-12)[0]
+        coarse = coarse_space(spec.model, data, len(perturbed.i), h)
+        d = solver._newton_direction(g, h, coarse, 1e-12)[0]
         dense = np.asarray(h)
         norm = np.linalg.norm(g)
         out[f"{eps:g}"] = {
@@ -285,13 +311,26 @@ def run_crowd(path: str) -> dict:
     }
 
 
+def run_imports(count: int) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    seconds = []
+    for _ in range(count + 1):  # the first writes the bytecode cache
+        probe = [sys.executable, "-c", IMPORT_PROBE]
+        child = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+        seconds.append([float(value) for value in child.stdout.split()])
+    numpy_s, btrank_s, cli_s = map(statistics.median, zip(*seconds[1:]))
+    return {"interpreters": count, "numpy_s": numpy_s, "btrank_s": btrank_s, "cli_s": cli_s}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding btrank")
     parser.add_argument("--label", default="change", help="column name in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     parser.add_argument(
-        "--case", choices=[*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS], help=argparse.SUPPRESS
+        "--case",
+        choices=[*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS, "import"],
+        help=argparse.SUPPRESS,
     )
     parser.add_argument("--csv", help=argparse.SUPPRESS)  # the crowd-1e6 input
     parser.add_argument("--write-csv", help=argparse.SUPPRESS)
@@ -306,6 +345,8 @@ def main(argv=None) -> int:
             out = run_probe()
         elif args.case in PATH_TEAMS:
             out = run_path(PATH_TEAMS[args.case])
+        elif args.case == "import":
+            out = run_imports(IMPORT_INTERPRETERS)
         else:
             out = run_case(args.case)
         print(json.dumps(out))
@@ -317,7 +358,7 @@ def main(argv=None) -> int:
         # Written by a child: a case's peak RSS starts at this process's own
         # high-water mark, which a spawned interpreter inherits on Linux.
         subprocess.run([sys.executable, __file__, "--write-csv", str(crowd)], check=True)
-        for name in [*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS]:
+        for name in [*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS, "import"]:
             child = subprocess.run(
                 [sys.executable, __file__, "--case", name, "--csv", str(crowd)],
                 env=env, capture_output=True, text=True, check=True,

@@ -14,8 +14,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -26,7 +24,7 @@ from .errors import (
     SelfPlayError,
     ShapeError,
 )
-from .types import CountMatrices, Dataset, venue_dataset, venue_free_dataset
+from .types import CountMatrices, Dataset, Record, venue_dataset, venue_free_dataset
 
 
 class Outcome(enum.Enum):
@@ -48,16 +46,17 @@ _CODES = {member.value: code for code, member in enumerate(Outcome)}
 _MAX_REPEAT = 2**63 - 1  # repeats are stored as int64
 
 
-@dataclass(frozen=True, eq=False)
-class GameTable:
+class GameTable(Record):
     """Game records held column-wise, as produced by :func:`parse_records`.
 
     ``teams`` lists the team ids in first-appearance order (home before away
     within a record). ``home`` and ``away`` are distinct team indices into
     ``teams``, ``outcome`` holds codes in :class:`Outcome` member order and
     ``repeat`` the positive game counts; all four are read-only arrays of
-    one length, the number of records.
+    one length, the number of records. Tables compare by identity.
     """
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     teams: tuple[str, ...]
     home: np.ndarray
@@ -309,6 +308,7 @@ def _intern(known: dict, convert, dtype, *columns: list[str]) -> list[np.ndarray
 
 
 def _parse_json_records(text: str) -> GameTable:
+    import json  # here, not at the top: most imports of the package parse no JSON
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -366,6 +366,7 @@ def parse_matrix(data: bytes | str) -> Dataset:
     yields a venueless dataset; the full ``a_home``/``a_away``/``t_home``
     triple yields a venue-aware one.
     """
+    import json
     text = _decode(data)
     try:
         payload = json.loads(text)

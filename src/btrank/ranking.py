@@ -10,9 +10,7 @@ seeding rule.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,6 +25,7 @@ from .types import (
     MatrixShift,
     ModelSpec,
     Ranking,
+    Record,
     is_bool,
     is_integer,
 )
@@ -96,15 +95,13 @@ def kendall_distance(first: Ranking, second: Ranking) -> int:
     return inversions
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(Record):
     epsilon: float
     fit: FitResult
     ranking: Ranking
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """One fit per perturbation size, plus a stability verdict.
 
     ``stable`` is true when every entry produces the identical team order.
@@ -153,14 +150,9 @@ def sweep_epsilon(
         raise ConfigError("empty epsilon grid")
 
     def one(epsilon: float) -> SweepEntry:
-        spec = dataclasses.replace(
-            model_spec,
-            perturbation=dataclasses.replace(
-                model_spec.perturbation, epsilon=float(epsilon)
-            ),
-        )
+        scheme = model_spec.perturbation.replace(epsilon=float(epsilon))
         try:
-            result = fit(spec, dataset, config)
+            result = fit(model_spec.replace(perturbation=scheme), dataset, config)
         except BtrankError as err:
             raise _annotated(err, epsilon) from err
         return SweepEntry(
@@ -179,8 +171,7 @@ def sweep_epsilon(
     return SweepResult(entries=entries, stable=stable, kendall_distances=kendall)
 
 
-@dataclass(frozen=True)
-class RatioTrend:
+class RatioTrend(Record):
     """Merit ratio of one adjacent-in-ranking team pair across the sweep."""
 
     better: str
@@ -189,8 +180,7 @@ class RatioTrend:
     non_increasing: bool
 
 
-@dataclass(frozen=True)
-class MonotoneRatioReport:
+class MonotoneRatioReport(Record):
     epsilons: tuple[float, ...]
     sweep_stable: bool
     trends: tuple[RatioTrend, ...]
@@ -253,8 +243,7 @@ def pct_table(dataset: Dataset) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class SeedEntry:
+class SeedEntry(Record):
     seed: int
     team: str
     division: str
@@ -262,8 +251,7 @@ class SeedEntry:
     division_winner: bool
 
 
-@dataclass(frozen=True)
-class SeedTable:
+class SeedTable(Record):
     """Per-conference playoff seeds, best seed first."""
 
     conferences: tuple[tuple[str, tuple[SeedEntry, ...]], ...]

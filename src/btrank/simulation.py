@@ -12,18 +12,15 @@ are each rescaled to geometric mean one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .perturbation import auto_epsilon
 from .solver import fit
-from .types import Array, CountMatrices, Dataset, Improved, Model, ModelSpec, is_integer
+from .types import Array, CountMatrices, Dataset, Improved, Model, ModelSpec, Record, is_integer
 
 
-@dataclass(frozen=True)
-class ConsistencyConfig:
+class ConsistencyConfig(Record):
     """Controls for one consistency run.
 
     ``n_per_pair`` games are played between every pair (full round-robin).
@@ -53,8 +50,7 @@ class ConsistencyConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Max relative merit errors per (t, replica), with per-t summaries."""
 
     t_grid: tuple[int, ...]

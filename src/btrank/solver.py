@@ -30,8 +30,8 @@ plus the additive coarse correction ``Z (Z' H Z)^-1 Z' r`` (Tang et al.
 sign with H and rounding is symmetric in sign, so the iterates are bit for
 bit those of CG on ``-H d = g``. ``Z`` has one indicator column per
 strongly connected component of the raw digraph the existence rule reads
-(the counts before perturbation), labelled once per fit, and one per tie or
-home parameter; the m x m system ``Z' H Z`` is inverted once per step. When
+(the counts before perturbation), and one per tie or home parameter, laid
+out once per fit (``_coarse_layout``); ``Z' H Z`` is inverted per step. When
 the raw data fail strong connection, only O(eps) curvature joins those
 components, so their indicators are the near-null directions of H that
 leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level solves
@@ -65,7 +65,6 @@ reads the same digraph of the raw counts (``connectivity.raw_components``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -83,6 +82,7 @@ from .types import (
     Normalization,
     ParameterPoint,
     PerturbedCounts,
+    Record,
     is_bool,
     is_integer,
 )
@@ -93,8 +93,7 @@ _STEP_TOL = 1e-9  # a fit is converged once the Newton step is this short
 _CG_RTOL = 0.1  # the loosest relative residual of a sparse Newton step
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Iteration controls shared by all fits.
 
     A fit is converged when its Newton step is at most 1e-9 in sup-norm (see
@@ -119,8 +118,7 @@ class SolverConfig:
             raise ConfigError(f"max_iters must be a finite integer >= 1, got {iters!r}")
 
 
-@dataclass(frozen=True)
-class MapPriorSpec:
+class MapPriorSpec(Record):
     """Independent Gamma(shape, rate) prior on every merit.
 
     ``rate=None`` resolves to ``shape * t - 1`` for a t-team dataset (see
@@ -148,8 +146,7 @@ class MapPriorSpec:
         return float(self.shape) * t - 1.0
 
 
-@dataclass(frozen=True)
-class _Solution:
+class _Solution(Record):
     x: Array
     value: float
     trace: tuple[float, ...]
@@ -166,24 +163,26 @@ def edge_form(t: int, pairs: int) -> bool:
     return t >= 200 and 16 * pairs < t * t
 
 
-def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray, rtol: float):
+def _coarse_layout(labels: np.ndarray, h: EdgeHessian) -> tuple[np.ndarray, int]:
+    """``(layout, m)``: the column of Z of each unknown of ``h``, one per component in ``labels``
+    with a free merit, then one per tie or home parameter; the same at every step of a fit."""
+    extras = labels.max() + 1 + np.arange(len(h.block))
+    present, layout = np.unique(np.concatenate([labels[h.pinned :], extras]), return_inverse=True)
+    return layout, len(present)
+
+
+def _pcg(h: EdgeHessian, g: Array, coarse: tuple[np.ndarray, int], rtol: float):
     """``(d, iterations)``: the solution of ``H d = -g`` for an edge-form
     Hessian by conjugate gradients, preconditioned with two levels as in the
     module docstring (Jacobi ``1 / diag(H)`` plus ``Z (Z' H Z)^-1 Z' r``),
     run until the residual is at most ``rtol`` times ``|g|`` (2-norms) or
-    for ``len(g)`` iterations. ``labels`` are the coarse components of the
-    merits."""
-    k, pinned = len(h.block), h.pinned
-    # renumbered, as a component of pinned merits only would have no column
-    present, layout = np.unique(
-        np.concatenate([labels[pinned:], labels.max() + 1 + np.arange(k)]), return_inverse=True
-    )
-    m = len(present)
-    coarse = np.linalg.inv(h.galerkin(layout, m))
+    for ``len(g)`` iterations. ``coarse`` is the ``_coarse_layout`` of Z."""
+    layout, m = coarse
+    inverse = np.linalg.inv(h.galerkin(layout, m))
     jacobi = 1.0 / h.diagonal()
 
     def deflate(r):  # Z (Z' H Z)^-1 Z' r
-        return (coarse @ np.bincount(layout, r, m))[layout]
+        return (inverse @ np.bincount(layout, r, m))[layout]
 
     d = deflate(-g)
     r = -g - h.matvec(d)
@@ -202,15 +201,15 @@ def _pcg(h: EdgeHessian, g: Array, labels: np.ndarray, rtol: float):
     return d, iterations
 
 
-def _newton_direction(g: Array, h, labels, rtol: float) -> tuple[Array, float, bool]:
+def _newton_direction(g: Array, h, coarse, rtol: float) -> tuple[Array, float, bool]:
     """``(direction, slope, newton)``: the Newton step if it ascends, else
-    the gradient. The step is solved by LU on ``np.asarray(h)`` without
-    ``labels``, by ``_pcg`` with them."""
+    the gradient. The step is solved by LU on ``np.asarray(h)`` without a
+    ``coarse`` layout, by ``_pcg`` with one."""
     try:
-        if labels is None:
+        if coarse is None:
             direction = np.linalg.solve(np.asarray(h), -g)
         else:
-            direction = _pcg(h, g, labels, rtol)[0]
+            direction = _pcg(h, g, coarse, rtol)[0]
         slope = float(g @ direction)  # the Newton decrement on a Newton step
     except LinAlgError:
         slope = math.nan
@@ -226,6 +225,7 @@ def _newton(objective, start: Array, config: SolverConfig, labels=None) -> _Solu
     f, g, h = objective.value_gradient_hessian(x)
     if not np.isfinite(f) or g is None:
         raise ConfigError("start point lies outside the objective's domain")
+    coarse = None if labels is None else _coarse_layout(labels, h)
 
     trace = [float(f)]
     iterations = 0
@@ -233,7 +233,7 @@ def _newton(objective, start: Array, config: SolverConfig, labels=None) -> _Solu
     converged = False
     rtol = _CG_RTOL
     while True:
-        direction, slope, newton = _newton_direction(g, h, labels, rtol)
+        direction, slope, newton = _newton_direction(g, h, coarse, rtol)
         size = float(np.abs(direction).max())
         if newton and size <= _STEP_TOL or not g.any():
             converged = True

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -80,8 +79,66 @@ def pair_edges(mask) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(np.triu(mask | mask.T, 1)), len(mask))
 
 
-@dataclass(frozen=True)
-class CountMatrices:
+class Record:
+    """Base of the immutable value records: a subclass declares its fields as
+    annotations (``_fields`` names them), with optional defaults, after those
+    of its bases, and may check them in ``__post_init__``, writing through
+    ``object.__setattr__``. Unlike ``dataclasses``, it generates no code per class."""
+
+    _fields, _defaults = (), {}  # set per subclass by __init_subclass__, as is _names
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = (*cls._fields, *(name for name in own if name not in cls._fields))
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        cls._names = frozenset(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):  # every field, by position
+            values = dict(zip(fields, args))
+        elif not args and kwargs.keys() == self._names:  # every field, by keyword
+            values = kwargs
+        else:
+            values = {**self._defaults, **kwargs}
+            values.update(zip(fields, args))
+            if len(args) > len(fields) or len(values) != len(fields) or kwargs and not (
+                kwargs.keys() <= self._names and kwargs.keys().isdisjoint(fields[: len(args)])
+            ):
+                raise TypeError(f"{type(self).__name__}() takes each of {fields} once")
+        # Assigned whole: filling ``self.__dict__`` would materialize it, and
+        # CPython 3.11 then reads attributes about half as fast
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, validated as a new record."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class CountMatrices(Record):
     """Game counts per met pair: the edges ``(i[e], j[e])`` and the
     (3, 2, edges) array ``games``, laid out as in the module docstring."""
 
@@ -145,8 +202,7 @@ def _dense_counts(a_home, a_away, t_home, names=("a_home", "a_away", "t_home")) 
     return CountMatrices(t, i, j, np.reshape(games, (3, 2, len(i))))
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """A team registry plus venue-split game counts.
 
     ``venueless`` marks data ingested without home/away structure (a bare win
@@ -235,8 +291,7 @@ class Normalization(enum.Enum):
 AUTO_EPSILON = "auto"
 
 
-@dataclass(frozen=True)
-class _EpsilonScheme:
+class _EpsilonScheme(Record):
     """A perturbation that adds one ``epsilon`` to win counts: a positive
     finite number, or the string ``"auto"``."""
 
@@ -258,7 +313,6 @@ class _EpsilonScheme:
         object.__setattr__(self, "epsilon", eps)
 
 
-@dataclass(frozen=True)
 class Improved(_EpsilonScheme):
     """Add ``epsilon`` to a win count only where the pair actually met.
 
@@ -267,13 +321,11 @@ class Improved(_EpsilonScheme):
     """
 
 
-@dataclass(frozen=True)
 class ConnerGrant(_EpsilonScheme):
     """Add ``epsilon`` to every off-diagonal win count, met or not."""
 
 
-@dataclass(frozen=True)
-class MatrixShift:
+class MatrixShift(Record):
     """Add an arbitrary prior matrix ``a0`` to the venue-free win counts.
 
     Entries must exceed -1 and the diagonal must be zero. Only the
@@ -294,8 +346,7 @@ class MatrixShift:
 PerturbationSpec = Union[Improved, ConnerGrant, MatrixShift]
 
 
-@dataclass(frozen=True)
-class PerturbedCounts:
+class PerturbedCounts(Record):
     """Counts after perturbation, over their own edge list.
 
     ``i``, ``j`` and ``games`` are laid out as in ``CountMatrices``, with
@@ -324,8 +375,7 @@ class PerturbedCounts:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Which model to fit, how to perturb, and how to normalize the output.
 
     A ``MatrixShift`` perturbs the venue-free wins only, so the venue
@@ -352,8 +402,7 @@ class ModelSpec:
             )
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
+class ParameterPoint(Record):
     """A point in the reparameterized space.
 
     ``beta[i] = log u_i - log u_1`` with ``beta[0] == 0`` exactly; ``phi`` is
@@ -382,8 +431,7 @@ class ParameterPoint:
         return None if self.log_gamma is None else math.exp(self.log_gamma)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Outcome of one model fit.
 
     ``log_likelihood`` is the final value of the maximized objective (the
@@ -429,8 +477,7 @@ class FitResult:
         return self
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(Record):
     """Teams ordered best to worst, with tie groups.
 
     ``order`` is a permutation of team indices; ``groups`` partitions
@@ -469,8 +516,7 @@ class Ranking:
         return " > ".join(parts)
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(Record):
     """A two-set split of the teams demonstrating a failed condition.
 
     ``condition`` is "A", "B", or "C"; ``detail`` states which direction of

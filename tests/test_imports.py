@@ -1,7 +1,11 @@
 """Every import is used: in the package (``__init__.py`` re-exports aside),
-the tests, the demos and the scripts. The package imports no SciPy anywhere."""
+the tests, the demos and the scripts. The package imports no SciPy anywhere,
+and ``import btrank`` loads neither ``dataclasses`` nor ``json``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,18 @@ def test_the_package_imports_no_scipy():
     paths = CHECKED["package"]
     assert paths
     assert [entry for path in paths for entry in _scipy_imports(path)] == []
+
+
+def test_import_btrank_adds_neither_dataclasses_nor_json_to_numpy():
+    # numpy's own imports differ between versions, so compare against them
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import btrank; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(child.stdout.split())
+    assert "btrank.types" in added
+    assert added & {"dataclasses", "json"} == set()

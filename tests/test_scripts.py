@@ -1,6 +1,8 @@
 """``scripts/bench_kernel.py`` runs its cases in a child interpreter and
-reports the keys its docstring documents."""
+reports the keys its docstring documents; the import case's function is
+called directly, with fewer interpreters."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -53,3 +55,14 @@ def test_the_path_case_times_the_existence_check_on_one_component():
     out = _bench("--case", "path-t400")
     assert set(out) == {"teams", "arcs", "components", "verify_existence_s", "strong_components_s"}
     assert (out["teams"], out["arcs"], out["components"]) == (400, 798, 1)
+
+
+def test_the_import_case_times_each_import_in_fresh_interpreters(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_kernel", REPO / "scripts" / "bench_kernel.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setenv("PYTHONPATH", str(REPO / "src"))
+    out = bench.run_imports(3)  # the full run starts IMPORT_INTERPRETERS
+    assert set(out) == {"interpreters", "numpy_s", "btrank_s", "cli_s"}
+    assert out["interpreters"] == 3
+    assert all(out[key] > 0 for key in ("numpy_s", "btrank_s", "cli_s"))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,7 @@ def test_reports_are_reproducible_bit_for_bit():
 def test_each_row_equals_its_team_count_run_alone():
     report = run_consistency(SMALL)
     for k, t in enumerate(SMALL.t_grid):
-        alone = run_consistency(dataclasses.replace(SMALL, t_grid=(t,)))
+        alone = run_consistency(SMALL.replace(t_grid=(t,)))
         assert alone.errors == (report.errors[k],)
         assert alone.medians == (report.medians[k],)
         assert alone.p90 == (report.p90[k],)

@@ -802,8 +802,8 @@ def test_the_sparse_step_matches_the_dense_hessian_and_its_lu_step(t, seed, shif
         np.testing.assert_allclose(h.diagonal(), np.diagonal(dense), rtol=1e-12)
         if np.linalg.cond(-dense) < 1e8:
             lu = np.linalg.solve(-dense, g)
-            labels = raw_components(model, data)
-            step, _ = solver._pcg(h, g, labels, 1e-14)
+            coarse = solver._coarse_layout(raw_components(model, data), h)
+            step, _ = solver._pcg(h, g, coarse, 1e-14)
             assert np.abs(step - lu).max() <= 1e-8 * np.abs(lu).max()
 
 
@@ -827,8 +827,8 @@ def test_the_two_league_step_takes_few_cg_iterations_and_matches_the_lu_fit(eps)
     model = spec(Model.BRADLEY_TERRY, Improved(eps))
     counts = []
 
-    def counted(h, g, labels, rtol):
-        step, iterations = pcg(h, g, labels, rtol)
+    def counted(h, g, coarse, rtol):
+        step, iterations = pcg(h, g, coarse, rtol)
         counts.append(iterations)
         return step, iterations
 

@@ -196,3 +196,119 @@ def test_normalizations_are_scalar_multiples(four_teams):
     assert simplex.merits_u.sum() == pytest.approx(1.0, abs=1e-12)
     ratio = ref.merits_u / simplex.merits_u
     assert np.allclose(ratio, ratio[0])
+
+
+def _records() -> dict[str, tuple[type, dict]]:
+    """One valid instance of each public record: its class and its fields,
+    in declaration order."""
+    counts = {"num_teams": 2, "i": [0], "j": [1], "games": np.ones((3, 2, 1))}
+    data = btrank.Dataset(("A", "B"), btrank.CountMatrices(**counts))
+    fit = {
+        "model": btrank.Model.BRADLEY_TERRY, "teams": ("A", "B"), "merits_u": [1.0, 2.0],
+        "beta": [0.0, np.log(2.0)], "theta_hat": None, "gamma_hat": None,
+        "log_likelihood": -1.5, "iterations": 3, "converged": True,
+        "gradient_sup_norm": 1e-12, "trace": (-2.0, -1.5), "scores": [1.0, 1.0],
+        "normalization": btrank.Normalization.REFERENCE, "epsilon": 0.1,
+    }
+    ranking = {"teams": ("A", "B"), "order": (1, 0), "groups": ((1,), (0,))}
+    entry = {"epsilon": 0.1, "fit": btrank.FitResult(**fit), "ranking": btrank.Ranking(**ranking)}
+    trend = {"better": "B", "worse": "A", "ratios": (2.0,), "non_increasing": True}
+    seed = {"seed": 1, "team": "B", "division": "D", "value": 2.0, "division_winner": True}
+    table = {key: np.array([value]) for key, value in (("home", 0), ("away", 1), ("outcome", 0))}
+    records = {
+        "CountMatrices": counts,
+        "Dataset": {"teams": ("A", "B"), "counts": data.counts, "venueless": False},
+        "Improved": {"epsilon": 0.1},
+        "ConnerGrant": {"epsilon": 0.1},
+        "MatrixShift": {"a0": np.zeros((2, 2))},
+        "PerturbedCounts": {
+            **counts, "wins": np.ones((2, 1)), "venueless": False, "epsilon": 0.1,
+        },
+        "ModelSpec": {
+            "model": btrank.Model.DAVIDSON, "perturbation": btrank.Improved(0.1),
+            "normalization": btrank.Normalization.SIMPLEX,
+        },
+        "ParameterPoint": {"beta": [0.0, 1.0], "phi": 0.5, "log_gamma": None},
+        "FitResult": fit,
+        "Ranking": ranking,
+        "PartitionWitness": {"condition": "A", "q1": (0,), "q2": (1,), "detail": "none"},
+        "SolverConfig": {"grad_tol": 1e-6, "rel_ll_tol": 1e-12, "max_iters": 50},
+        "MapPriorSpec": {"shape": 2.0, "rate": None},
+        "SweepEntry": entry,
+        "SweepResult": {
+            "entries": (btrank.SweepEntry(**entry),), "stable": True, "kendall_distances": ((0,),),
+        },
+        "RatioTrend": trend,
+        "MonotoneRatioReport": {
+            "epsilons": (0.1,), "sweep_stable": True, "trends": (btrank.RatioTrend(**trend),),
+            "all_non_increasing": True,
+        },
+        "SeedEntry": seed,
+        "SeedTable": {"conferences": (("C", (btrank.SeedEntry(**seed),)),)},
+        "ConsistencyConfig": {"t_grid": (4,), "replicas": 2, "n_per_pair": 3, "seed": 1},
+        "ConsistencyReport": {
+            "t_grid": (4,), "epsilons": (0.5,), "errors": ((0.1,),), "medians": (0.1,),
+            "p90": (0.1,),
+        },
+        "GameTable": {"teams": ("A", "B"), **table, "repeat": np.array([2])},
+    }
+    return {name: (getattr(btrank, name), fields) for name, fields in records.items()}
+
+
+RECORDS = _records()
+HASHABLE = (
+    "ModelSpec", "Improved", "ConnerGrant", "SolverConfig", "MapPriorSpec",
+    "ConsistencyConfig", "PartitionWitness",
+)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_values_built_from_their_fields(name):
+    cls, fields = RECORDS[name]
+    record = cls(**fields)
+    first, *_ = fields
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+    shown = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
+    assert repr(record) == f"{name}({shown})"
+    values = [getattr(record, field) for field in fields]
+    positional = cls(*values)
+    assert repr(positional) == repr(record)
+    if name != "SolverConfig":  # every SolverConfig field has a default
+        with pytest.raises(TypeError):
+            cls(**{key: value for key, value in fields.items() if key != first})
+    with pytest.raises(TypeError):
+        cls(**fields, bogus=1)
+    with pytest.raises(TypeError):
+        cls(*values, 1)
+    with pytest.raises(TypeError):
+        cls(values[0], **fields)
+    if name in HASHABLE:
+        assert positional == record and hash(positional) == hash(record)
+    if name == "GameTable":  # tables compare by identity
+        assert positional != record and record == record
+
+
+def test_records_of_different_classes_differ():
+    assert btrank.Improved(0.1) != btrank.ConnerGrant(0.1)
+    assert btrank.Improved(0.1) == btrank.Improved(0.1)
+    assert btrank.Improved(0.1) != btrank.Improved(0.2)
+
+
+def test_replace_keeps_the_other_fields_and_validates_again():
+    config = btrank.ConsistencyConfig(t_grid=(4, 6), replicas=3, seed=7)
+    assert config.replace(t_grid=[5]) == btrank.ConsistencyConfig((5,), 3, 4, 7)
+    assert config.replace() == config and config.t_grid == (4, 6)
+    with pytest.raises(ConfigError):
+        config.replace(t_grid=(2,))
+    with pytest.raises(TypeError):
+        config.replace(bogus=1)
+    spec = btrank.ModelSpec(btrank.Model.HOME_FIELD, btrank.Improved(0.1))
+    with pytest.raises(ConfigError):  # the venue models take no matrix shift
+        spec.replace(perturbation=btrank.MatrixShift(np.zeros((2, 2))))
+    with pytest.raises(NonPositiveEpsilonError):
+        spec.perturbation.replace(epsilon=0.0)
+    simplex = spec.replace(normalization=btrank.Normalization.SIMPLEX)
+    assert (simplex.model, simplex.perturbation) == (spec.model, spec.perturbation)
