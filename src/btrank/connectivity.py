@@ -45,7 +45,8 @@ pushed across every arc per round. Only when it fails are the strongly
 connected components labelled (``strong_components``, Tarjan's algorithm
 over the arcs), to name a witness. The solver labels those of the raw
 digraph a model reads (``raw_components``), for the coarse space of its
-sparse Newton step.
+sparse Newton step, and keeps them on the immutable Dataset, one entry
+per digraph: wins, decisive hosted games or all hosted games.
 """
 
 from __future__ import annotations
@@ -262,5 +263,11 @@ def verify_existence(model: Model, perturbed: PerturbedCounts, teams) -> None:
 
 def raw_components(model: Model, dataset: Dataset) -> np.ndarray:
     """Labels of the strongly connected components of the raw digraph the
-    model's existence rule reads (the counts before perturbation)."""
-    return strong_components(dataset.num_teams, *_raw_arcs(dataset, model))
+    model's existence rule reads (the counts before perturbation), labelled
+    once per dataset and digraph (the venue-free models share the wins')."""
+    key = model if model.has_home_parameter else Model.BRADLEY_TERRY
+    memo = dataset._raw_labels
+    if key not in memo:
+        memo[key] = strong_components(dataset.num_teams, *_raw_arcs(dataset, key))
+        memo[key].setflags(write=False)
+    return memo[key]

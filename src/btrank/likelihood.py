@@ -50,7 +50,8 @@ border rows with ``np.bincount``. The Hessian is an ``EdgeHessian``
 holding the per-edge weights, the diagonal beyond the Laplacian, the border
 rows and the parameter block: its products with a vector cost O(t + edges),
 and ``np.asarray`` scatters it to the dense array, each edge's weight
-written to its two off-diagonal entries. For Bradley-Terry the curvature is
+written to its two off-diagonal entries, whose positions (``Arcs``) each
+objective computes once. For Bradley-Terry the curvature is
 ``n_ij p_ij (1 - p_ij)``. All five models and the MAP posterior share one
 kernel, ``_outcome_terms``, a softmax of the host, visitor and tie scores
 above: Bradley-Terry and Davidson are its venue-free cases, and Rao-Kupper
@@ -135,6 +136,17 @@ def _logistic(x):
     )
 
 
+class Arcs:  # a plain class, as EdgeHessian
+    """The edges ``(i[e], j[e])`` every Hessian of one objective shares, over
+    t merits and k tie or home parameters, the first ``pinned`` merits left
+    out of the layout, and ``flat``, their off-diagonal positions in the
+    flattened dense H, ``(i * n + j, j * n + i)`` with n = t + k."""
+
+    def __init__(self, i, j, t: int, k: int, pinned: int = 0):
+        self.i, self.j, self.t, self.pinned = i, j, t, pinned
+        self.flat = i * (t + k) + j, j * (t + k) + i
+
+
 class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     """A Hessian H over ``[beta_1 .. beta_t, extras]`` kept by its edges.
 
@@ -147,19 +159,20 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     as it is, with Newton decrement ``-g' H^-1 g``; ``galerkin`` gives the
     ``Z' H Z`` of its coarse correction ``Z (Z' H Z)^-1 Z' r``. ``matvec``
     costs O(t + edges), and ``np.asarray(h)`` is the dense array, O((t + k)^2).
+    The edges and the pinned merits are the objective's ``arcs``.
     """
 
-    def __init__(self, i, j, weight: Array, shift: Array, border: Array, block: Array):
-        self.i, self.j, self.weight, self.shift = i, j, weight, shift
-        self.border, self.block, self.pinned = border, block, 0
+    def __init__(self, arcs: Arcs, weight: Array, shift: Array, border: Array, block: Array):
+        self.arcs, self.weight, self.shift = arcs, weight, shift
+        self.border, self.block, self.pinned = border, block, arcs.pinned
 
     def __array__(self, dtype=None, copy=None) -> Array:
         """The dense H over this layout."""
-        t, i, j, c = len(self.shift), self.i, self.j, self.weight
+        t, a, c = len(self.shift), self.arcs, self.weight
         n = t + len(self.block)
         flat = np.zeros(n * n)  # flat indices scatter faster than index pairs
-        flat[i * n + j] = flat[j * n + i] = c
-        flat[: t * (n + 1) : n + 1] = self.shift - (np.bincount(i, c, t) + np.bincount(j, c, t))
+        flat[a.flat[0]] = flat[a.flat[1]] = c
+        flat[: t * (n + 1) : n + 1] = self.shift - (np.bincount(a.i, c, t) + np.bincount(a.j, c, t))
         hess = flat.reshape(n, n)
         hess[:t, t:], hess[t:, :t], hess[t:, t:] = self.border.T, self.border, self.block
         return hess[self.pinned :, self.pinned :]
@@ -167,10 +180,10 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     def matvec(self, x: Array) -> Array:
         """``H @ x`` over this layout, the Laplacian applied as edge flows;
         the pinned merits are 0 and their rows are left out."""
-        t, p = len(self.shift), self.pinned
+        t, p, a = len(self.shift), self.pinned, self.arcs
         beta = np.concatenate([np.zeros(p), x[: t - p]])
-        flow = self.weight * (beta[self.i] - beta[self.j])
-        laplacian = (np.bincount(self.i, flow, t) - np.bincount(self.j, flow, t))[p:]
+        flow = self.weight * (beta[a.i] - beta[a.j])
+        laplacian = (np.bincount(a.i, flow, t) - np.bincount(a.j, flow, t))[p:]
         beta = beta[p:]
         merits = self.shift[p:] * beta - laplacian
         if not len(self.block):
@@ -180,47 +193,42 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
 
     def diagonal(self) -> Array:
         """The diagonal of H over this layout."""
-        t = len(self.shift)
-        degree = np.bincount(self.i, self.weight, t) + np.bincount(self.j, self.weight, t)
+        t, a = len(self.shift), self.arcs
+        degree = np.bincount(a.i, self.weight, t) + np.bincount(a.j, self.weight, t)
         return np.concatenate([(self.shift - degree)[self.pinned :], np.diagonal(self.block)])
 
-    def galerkin(self, labels: np.ndarray, m: int) -> Array:
-        """``Z' H Z`` for the m indicator columns ``Z[v, labels[v]] = 1``
-        over this layout, in O(t + edges + m^2)."""
-        t, size = len(self.shift), m + 1  # pinned merits go to a dropped label m
-        merit = np.concatenate([np.full(self.pinned, m), labels[: t - self.pinned]])
-        extra = labels[t - self.pinned :]
-        a, b = merit[self.i], merit[self.j]
-        cross = a != b
-        a, b, w = a[cross], b[cross], self.weight[cross]
-        flat = np.concatenate([a * size + b, b * size + a, a * (size + 1), b * (size + 1)])
+    def galerkin(self, plan) -> Array:
+        """``Z' H Z`` for the m indicator columns of a fit's coarse ``plan``
+        (``solver._coarse_layout``), in O(t + edges + m^2): the plan's
+        indices are fixed per fit, and only the weights are summed here."""
+        size, w = plan.m + 1, self.weight[plan.cross]  # column m is dropped
         out = np.zeros(size * size)
-        out += np.bincount(flat, np.concatenate([w, w, -w, -w]), size * size)
+        out += np.bincount(plan.flat, np.concatenate([w, w, -w, -w]), size * size)
+        out[:: size + 1] += np.bincount(plan.merit, self.shift, size)  # the diagonal
         out = out.reshape(size, size)
-        out[np.diag_indices(size)] += np.bincount(merit, self.shift, size)
-        for row, k in zip(self.border, extra):
-            column = np.bincount(merit, row, size)
+        for row, k in zip(self.border, plan.extra):
+            column = np.bincount(plan.merit, row, size)
             out[k, :] += column
             out[:, k] += column
-        out[np.ix_(extra, extra)] += self.block
-        return out[:m, :m]
+        out[plan.corner] += self.block
+        return out[: plan.m, : plan.m]
 
 
-def _assemble(t, host, visitor, value, resid, grads, curv, borders=(), block=()):
+def _assemble(arcs, host, visitor, value, resid, grads, curv, borders=(), block=()):
     """``(value, gradient, EdgeHessian)`` over ``[beta_1 .. beta_t, extras]``
     from the per-edge arrays of the module docstring: row 0 holds the edges
     (i, j), i < j, and a row 1 their reverses, whose residuals and borders
-    flip sign."""
-    i, j, k = host[0], visitor[0], len(grads)
+    flip sign. ``arcs`` are the objective's ``Arcs``."""
+    i, j, k, t = host[0], visitor[0], len(grads), arcs.t
     r = np.subtract.reduce(resid)
     grad = np.concatenate([np.bincount(i, r, t) - np.bincount(j, r, t), grads])
     rows = [np.bincount(i, b, t) - np.bincount(j, b, t) for b in map(np.subtract.reduce, borders)]
     border, block = np.array(rows).reshape(k, t), np.array(block).reshape(k, k)
-    hess = EdgeHessian(i, j, np.add.reduce(curv), np.zeros(t), border, block)
+    hess = EdgeHessian(arcs, np.add.reduce(curv), np.zeros(t), border, block)
     return value, grad, hess
 
 
-def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
+def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg, arcs):
     """Kernel of the models whose outcome is a softmax of three scores per
     oriented edge (``host``, ``visitor``): host win ``lg + beta_host``,
     visitor win ``beta_visitor`` and, unless ``phi`` is None, tie ``phi +
@@ -258,31 +266,33 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg):
         [float((own if a == b else n * p * q).sum()) for b, (_, q, _, _) in enumerate(extras)]
         for a, (_, p, _, own) in enumerate(extras)
     ]
-    return _assemble(len(beta), host, visitor, value, resid, grads, curv, borders, block)
+    return _assemble(arcs, host, visitor, value, resid, grads, curv, borders, block)
 
 
-def _edge_data(model: Model, perturbed: PerturbedCounts):
-    """``(host, visitor, counts)``: the oriented edges one model evaluates,
-    and the perturbed counts its kernel reads on them, sliced from the
-    per-edge arrays."""
+def _edge_data(model: Model, perturbed: PerturbedCounts, pinned: int = 0):
+    """``(host, visitor, counts, arcs)``: the oriented edges one model
+    evaluates, the perturbed counts its kernel reads on them, sliced from
+    the per-edge arrays, and the ``Arcs`` of its Hessians."""
     i, j, games, wins = perturbed.i, perturbed.j, perturbed.games, perturbed.wins
     ties = games[2, 0] + games[2, 1]
+    t, k = perturbed.num_teams, model.has_tie_parameter + model.has_home_parameter
     if not (model.has_home_parameter or model is Model.RAO_KUPPER):
         wt = ties[None] if model is Model.DAVIDSON else 0.0
-        return i[None], j[None], (wins[:1], wins[1:], wt)
+        return i[None], j[None], (wins[:1], wins[1:], wt), Arcs(i, j, t, k, pinned)
     h, v = np.stack([i, j]), np.stack([j, i])
     if model is Model.RAO_KUPPER:  # the opponent hosts at phi; the host's ties are its wins
-        return v, h, (np.stack([ties, ties]), wins, 0.0)
-    return h, v, (games[0], games[1], games[2] if model is Model.DAVID else 0.0)
+        return v, h, (np.stack([ties, ties]), wins, 0.0), Arcs(j, i, t, k, pinned)
+    wt = games[2] if model is Model.DAVID else 0.0
+    return h, v, (games[0], games[1], wt), Arcs(i, j, t, k, pinned)
 
 
 def _terms(model: Model, beta, phi, log_gamma, edge_data):
     """``(value, gradient, Hessian)`` of one model's penalized log-likelihood
     over ``[beta_1 .. beta_t, phi?, log_gamma?]``."""
-    h, v, counts = edge_data
+    h, v, counts, arcs = edge_data
     if model is not Model.RAO_KUPPER:
-        return _outcome_terms(beta, h, v, *counts, phi, log_gamma)
-    value, grad, hess = _outcome_terms(beta, h, v, *counts, None, phi)
+        return _outcome_terms(beta, h, v, *counts, phi, log_gamma, arcs)
+    value, grad, hess = _outcome_terms(beta, h, v, *counts, None, phi, arcs)
     tied = counts[0][0].sum()  # plus log(1 - theta^-2) per tied game
     q, r = np.exp(-2.0 * phi), -np.expm1(-2.0 * phi)  # theta^-2 and 1 - theta^-2
     hess.block[-1, -1] -= tied * 4.0 * q / r**2
@@ -321,7 +331,7 @@ class Objective:
     def __init__(self, model: Model, perturbed: PerturbedCounts):
         _refuse_data(model, perturbed)
         self.model, self.perturbed, self.num_teams = model, perturbed, perturbed.num_teams
-        self._edge_data = _edge_data(model, perturbed)
+        self._edge_data = _edge_data(model, perturbed, pinned=1)  # beta_1 is pinned at 0
         self.dimension = self.num_teams - 1 + model.has_tie_parameter + model.has_home_parameter
 
     def _split(self, x: Array):
@@ -366,7 +376,6 @@ class Objective:
         if not self.in_domain(x):
             return -np.inf, None, None
         value, grad, hess = _terms(self.model, *self._split(x), self._edge_data)
-        hess.pinned = 1  # the free layout leaves out beta_1, which is pinned at 0
         return value, grad[1:], hess
 
     def value(self, x: Array) -> float:
@@ -389,7 +398,8 @@ class PosteriorObjective:
         wins = derive_totals(counts)[:2]
         won = (wins != 0).any(axis=0)
         self.edges = i, j = counts.i[won], counts.j[won]
-        self._sides, self._wins = (i[None], j[None]), (wins[:1, won], wins[1:, won])
+        arcs = Arcs(i, j, self.num_teams, 0)
+        self._data = i[None], j[None], wins[:1, won], wins[1:, won], 0.0, None, None, arcs
 
     def initial_point(self) -> Array:
         """Uniform merits at the scale of every stationary point,
@@ -399,7 +409,7 @@ class PosteriorObjective:
     def value_gradient_hessian(self, x: Array) -> tuple[float, Array, EdgeHessian]:
         with np.errstate(over="ignore"):  # a line-search trial may overflow to -inf
             u = np.exp(x)
-        value, grad, hess = _outcome_terms(x, *self._sides, *self._wins, 0.0, None, None)
+        value, grad, hess = _outcome_terms(x, *self._data)
         value += float(((self.shape - 1.0) * x - self.rate * u).sum())
         grad += (self.shape - 1.0) - self.rate * u
         hess.shift -= self.rate * u

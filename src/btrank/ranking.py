@@ -33,22 +33,23 @@ from .types import (
 
 def _grouped_order(values: Array, tol: float) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Sort indices by value descending (index ascending on exact ties) and
-    split into groups whose values sit within ``tol`` of the group leader."""
+    split into groups whose values sit within ``tol`` of the group leader.
+    A gap over ``tol`` between neighbours in that order always ends a group,
+    so the leader rule only walks the runs of smaller gaps between them."""
     values = np.asarray(values, dtype=float)
-    order = tuple(int(i) for i in np.lexsort((np.arange(len(values)), -values)))
-    groups: list[tuple[int, ...]] = []
-    current: list[int] = []
-    anchor = 0.0
-    for idx in order:
-        if current and abs(values[idx] - anchor) > tol:
-            groups.append(tuple(current))
-            current = []
-        if not current:
-            anchor = float(values[idx])
-        current.append(idx)
-    if current:
-        groups.append(tuple(current))
-    return order, groups
+    index = np.lexsort((np.arange(len(values)), -values))
+    ranked = values[index]
+    cuts = (np.flatnonzero(ranked[:-1] - ranked[1:] > tol) + 1).tolist()
+    order, ranked, bounds = index.tolist(), ranked.tolist(), [0, *cuts, len(values)]
+    groups = []
+    for start, end in zip(bounds, bounds[1:]):
+        if end - start > 1:  # gaps within tol: compare with the leader
+            for k in range(start + 1, end):
+                if abs(ranked[k] - ranked[start]) > tol:
+                    groups.append(tuple(order[start:k]))
+                    start = k
+        groups.append(tuple(order[start:end]))
+    return tuple(order), groups if order else []
 
 
 def extract_ranking(result: FitResult, rank_tol: float = RANK_TOL) -> Ranking:

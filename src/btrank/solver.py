@@ -30,8 +30,9 @@ plus the additive coarse correction ``Z (Z' H Z)^-1 Z' r`` (Tang et al.
 sign with H and rounding is symmetric in sign, so the iterates are bit for
 bit those of CG on ``-H d = g``. ``Z`` has one indicator column per
 strongly connected component of the raw digraph the existence rule reads
-(the counts before perturbation), and one per tie or home parameter, laid
-out once per fit (``_coarse_layout``); ``Z' H Z`` is inverted per step. When
+(the counts before perturbation), and one per tie or home parameter. Its
+plan (``_coarse_layout``), the layout and every index of ``Z' H Z``, is
+built once per fit, and a step only sums and inverts ``Z' H Z``. When
 the raw data fail strong connection, only O(eps) curvature joins those
 components, so their indicators are the near-null directions of H that
 leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level solves
@@ -59,12 +60,14 @@ objective's deterministic start.
 Every fit re-verifies existence before iterating, by Ford's condition on the
 perturbed digraph the model reads (``connectivity.verify_existence``; that
 module's docstring states the rule). The coarse space of the sparse step
-reads the same digraph of the raw counts (``connectivity.raw_components``).
+reads the same digraph of the raw counts (``connectivity.raw_components``),
+labelled once per dataset and digraph, which all fits of the dataset share.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -163,22 +166,37 @@ def edge_form(t: int, pairs: int) -> bool:
     return t >= 200 and 16 * pairs < t * t
 
 
-def _coarse_layout(labels: np.ndarray, h: EdgeHessian) -> tuple[np.ndarray, int]:
-    """``(layout, m)``: the column of Z of each unknown of ``h``, one per component in ``labels``
-    with a free merit, then one per tie or home parameter; the same at every step of a fit."""
+def _coarse_layout(labels: np.ndarray, h: EdgeHessian) -> SimpleNamespace:
+    """The coarse plan of a fit laid out as ``h``: ``layout``, the column of
+    Z of each unknown (of ``m``), one per component in ``labels`` with a free
+    merit, then one per tie or home parameter; ``merit`` and ``extra``, those
+    of the t merits (pinned ones on a dropped column m) and the parameters,
+    whose block of ``Z' H Z`` is at ``corner``; ``cross``, the edges between
+    columns, and ``flat``, the entries (a, b), (b, a), (a, a), (b, b) of
+    ``Z' H Z`` their weights go to."""
+    t, p = len(labels), h.pinned
     extras = labels.max() + 1 + np.arange(len(h.block))
-    present, layout = np.unique(np.concatenate([labels[h.pinned :], extras]), return_inverse=True)
-    return layout, len(present)
+    present, layout = np.unique(np.concatenate([labels[p:], extras]), return_inverse=True)
+    m = len(present)
+    merit = np.concatenate([np.full(p, m), layout[: t - p]])
+    a, b = merit[h.arcs.i], merit[h.arcs.j]
+    cross = a != b
+    a, b, size = a[cross], b[cross], m + 1
+    extra = layout[t - p :]
+    return SimpleNamespace(
+        layout=layout, m=m, merit=merit, extra=extra, corner=np.ix_(extra, extra), cross=cross,
+        flat=np.concatenate([a * size + b, b * size + a, a * (size + 1), b * (size + 1)]),
+    )
 
 
-def _pcg(h: EdgeHessian, g: Array, coarse: tuple[np.ndarray, int], rtol: float):
+def _pcg(h: EdgeHessian, g: Array, plan: SimpleNamespace, rtol: float):
     """``(d, iterations)``: the solution of ``H d = -g`` for an edge-form
     Hessian by conjugate gradients, preconditioned with two levels as in the
     module docstring (Jacobi ``1 / diag(H)`` plus ``Z (Z' H Z)^-1 Z' r``),
     run until the residual is at most ``rtol`` times ``|g|`` (2-norms) or
-    for ``len(g)`` iterations. ``coarse`` is the ``_coarse_layout`` of Z."""
-    layout, m = coarse
-    inverse = np.linalg.inv(h.galerkin(layout, m))
+    for ``len(g)`` iterations. ``plan`` is the fit's coarse space."""
+    layout, m = plan.layout, plan.m
+    inverse = np.linalg.inv(h.galerkin(plan))
     jacobi = 1.0 / h.diagonal()
 
     def deflate(r):  # Z (Z' H Z)^-1 Z' r

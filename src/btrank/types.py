@@ -29,14 +29,14 @@ from __future__ import annotations
 import enum
 import math
 from functools import cached_property
+from itertools import chain
 from typing import Union
 
 import numpy as np
-import numpy.typing as npt
 
 from .errors import ConfigError, NegativeCountError, NonPositiveEpsilonError, ShapeError
 
-Array = npt.NDArray[np.float64]
+Array = np.ndarray  # of float64; every module reads it in annotations only
 
 #: Merits closer than this on the log scale form a tie group in a Ranking.
 RANK_TOL = 1e-9
@@ -122,9 +122,11 @@ class Record:
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._values() == other._values() if same else NotImplemented
+    def __eq__(self, other):  # field by field, arrays by value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = zip(self._values(), other._values())
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def __hash__(self):
         return hash(self._values())
@@ -223,6 +225,7 @@ class Dataset(Record):
         if len(teams) != self.counts.num_teams:
             raise ShapeError(f"{len(teams)} teams but counts for {self.counts.num_teams}")
         object.__setattr__(self, "teams", teams)
+        object.__setattr__(self, "_raw_labels", {})  # filled by connectivity.raw_components
 
     @property
     def num_teams(self) -> int:
@@ -491,14 +494,14 @@ class Ranking(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "teams", tuple(self.teams))
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-        object.__setattr__(
-            self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups)
-        )
+        object.__setattr__(self, "order", tuple(map(int, self.order)))
+        groups = tuple(map(tuple, self.groups))
+        if not set(map(type, chain.from_iterable(groups))) <= {int}:  # numpy integers, say
+            groups = tuple([tuple(map(int, g)) for g in groups])
+        object.__setattr__(self, "groups", groups)
         if sorted(self.order) != list(range(len(self.teams))):
             raise ShapeError("order must be a permutation of the team indices")
-        flat = [i for g in self.groups for i in g]
-        if flat != list(self.order):
+        if list(chain.from_iterable(groups)) != list(self.order):
             raise ShapeError("groups must partition order in sequence")
 
     def team_order(self) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 """Every import is used: in the package (``__init__.py`` re-exports aside),
 the tests, the demos and the scripts. The package imports no SciPy anywhere,
-and ``import btrank`` loads neither ``dataclasses`` nor ``json``."""
+and ``import btrank`` loads neither ``dataclasses``, ``json`` nor
+``numpy.typing``."""
 
 import ast
 import os
@@ -67,15 +68,17 @@ def test_the_package_imports_no_scipy():
 
 
 def test_import_btrank_adds_neither_dataclasses_nor_json_to_numpy():
-    # numpy's own imports differ between versions, so compare against them
+    # numpy's own imports differ between versions, so compare against them;
+    # numpy.typing must not be loaded at all
     probe = (
         "import sys, numpy; before = set(sys.modules); import btrank; "
-        "print(*sorted(set(sys.modules) - before))"
+        "print(*sorted(set(sys.modules) - before)); print('numpy.typing' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     child = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    added = set(child.stdout.split())
-    assert "btrank.types" in added
-    assert added & {"dataclasses", "json"} == set()
+    added, typing_loaded = child.stdout.splitlines()
+    assert "btrank.types" in added.split()
+    assert set(added.split()) & {"dataclasses", "json"} == set()
+    assert typing_loaded == "False"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btrank import ranking
 from btrank.errors import ConfigError, ExistenceError, NoTiesError
 from btrank.ranking import (
     extract_ranking,
@@ -104,6 +105,37 @@ def test_kendall_distance_counts_swapped_pairs():
     other = score_ranking(venue_free_dataset(("X", "Y", "Z"), np.zeros((3, 3))))
     with pytest.raises(ConfigError):
         kendall_distance(forward, other)
+
+
+def _leader_groups(values, tol):
+    """The grouping rule walked one team at a time: teams in descending
+    order (index ascending on exact ties), each joining the current group
+    unless it lies more than ``tol`` from the group's first team."""
+    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
+    groups = []
+    for k in order:
+        if groups and not abs(values[k] - values[groups[-1][0]]) > tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return tuple(order), [tuple(group) for group in groups]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    values=st.lists(
+        st.sampled_from([0.0, 1e-10, 6e-10, 1.2e-9, 0.3, 0.6, 0.9])
+        | st.floats(-2.0, 2.0, allow_subnormal=False),
+        min_size=1,
+        max_size=30,
+    ),
+    tol=st.sampled_from([0.0, 1e-9, 0.5]),
+)
+def test_grouped_order_follows_the_group_leader_rule(values, tol):
+    # exact ties, and chains of gaps within tol whose ends lie beyond it
+    order, groups = ranking._grouped_order(np.array(values), tol)
+    assert (order, groups) == _leader_groups(values, tol)
+    assert {type(k) for group in groups for k in group} == {int}
 
 
 @st.composite

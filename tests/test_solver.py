@@ -807,6 +807,51 @@ def test_the_sparse_step_matches_the_dense_hessian_and_its_lu_step(t, seed, shif
             assert np.abs(step - lu).max() <= 1e-8 * np.abs(lu).max()
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_the_galerkin_matrix_of_a_coarse_plan_is_z_h_z(model):
+    # components of several teams and single teams, ties and home games, so
+    # that the tie and home borders and the pinned merit all enter Z' H Z
+    rng = np.random.default_rng(11)
+    t = 12
+    counts = np.zeros((3, t, t))  # a_home, a_away, t_home
+    counts[:, :5, :5] = rng.integers(1, 3, (3, 5, 5))
+    counts[:, 5:9, 5:9] = rng.integers(1, 3, (3, 4, 4))
+    counts *= 1 - np.eye(t)
+    # one-way links join the blocks, and the last three teams form a chain
+    counts[0, 0, 5] = counts[0, 5, 9] = counts[0, 9, 10] = counts[1, 11, 10] = 1.0
+    data = venue_dataset(names(t), *counts)
+    objective = Objective(model, perturb(data, Improved(1e-3)))
+    _, _, h = objective.value_gradient_hessian(random_point(objective, rng))
+    plan = solver._coarse_layout(raw_components(model, data), h)
+    z = np.zeros((len(plan.layout), plan.m))
+    z[np.arange(len(plan.layout)), plan.layout] = 1.0
+    expected = z.T @ np.asarray(h) @ z
+    assert plan.m > 1 + len(h.block)
+    np.testing.assert_allclose(h.galerkin(plan), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_the_raw_digraph_of_a_dataset_is_labelled_once_per_kind():
+    # 220 teams on about 660 met pairs take the sparse step in every fit
+    data = venue_dataset(names(220), *_sparse_league(np.random.default_rng(5), 220))
+    labelled = []
+    label = btrank.connectivity.strong_components
+
+    def counted(*args):
+        labelled.append(args[0])
+        return label(*args)
+
+    with mock.patch.object(btrank.connectivity, "strong_components", counted):
+        fit(spec(Model.BRADLEY_TERRY), data)
+        fit_map_em(data, MapPriorSpec(2.0))
+        fit(spec(Model.DAVIDSON), data)
+        assert labelled == [220]  # the venue-free models share the win digraph
+        fit(spec(Model.HOME_FIELD), data)
+        fit(spec(Model.DAVID), data)
+        fit(spec(Model.HOME_FIELD, Improved(1e-3)), data)
+        assert labelled == [220] * 3
+    assert set(data._raw_labels) == {Model.BRADLEY_TERRY, Model.HOME_FIELD, Model.DAVID}
+
+
 def _two_leagues(t):
     """Two sparse t-team leagues without ties, joined by a single win of
     team 0 over team t."""

@@ -156,6 +156,11 @@ def test_ranking_validation_and_describe():
         btrank.Ranking(teams=("1", "2"), order=(0, 0), groups=((0, 0),))
     with pytest.raises(ShapeError):
         btrank.Ranking(teams=("1", "2"), order=(0, 1), groups=((1, 0),))
+    numpy_ints = btrank.Ranking(
+        teams=("1", "2", "3"), order=np.array([2, 0, 1]), groups=(np.array([2, 0]), [np.int64(1)])
+    )
+    assert numpy_ints.groups == ((2, 0), (1,)) and numpy_ints.order == (2, 0, 1)
+    assert {type(k) for group in numpy_ints.groups for k in group} == {int}
 
 
 def test_partition_witness_validation():
@@ -289,6 +294,23 @@ def test_records_are_frozen_values_built_from_their_fields(name):
         assert positional == record and hash(positional) == hash(record)
     if name == "GameTable":  # tables compare by identity
         assert positional != record and record == record
+
+
+def test_records_that_hold_arrays_compare_them_by_value(four_teams, five_teams):
+    spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved(0.5))
+    result = btrank.fit(spec, four_teams)
+    assert result == btrank.fit(spec, four_teams)
+    assert result != btrank.fit(spec.replace(perturbation=btrank.Improved(0.4)), four_teams)
+    assert result != result.replace(scores=result.scores + 1.0)  # one array field differs
+    assert four_teams == btrank.datasets.load_four_teams()
+    assert four_teams != five_teams
+    counts = four_teams.counts
+    same = CountMatrices(counts.num_teams, counts.i.tolist(), counts.j.tolist(), counts.games)
+    assert counts == same and not counts != same
+    assert counts != CountMatrices(counts.num_teams, counts.i, counts.j, 2 * counts.games)
+    fewer = CountMatrices(counts.num_teams, counts.i[1:], counts.j[1:], counts.games[..., 1:])
+    assert counts != fewer  # arrays of another shape
+    assert four_teams != btrank.Dataset(four_teams.teams, fewer)
 
 
 def test_records_of_different_classes_differ():
