@@ -41,8 +41,10 @@ decided by Bradley-Terry with evenly spaced merits), drawn from a fixed
 seed and written to a temporary file by an interpreter of its own before
 the case's interpreter starts. It records the median time of
 ``btrank.parse_records`` on the file's text, the median time of
-``btrank.aggregate`` on the table, and the peak RSS of the interpreter,
-whose only large work is reading, parsing and aggregating.
+``btrank.aggregate`` on the table, the tracemalloc peak of one more
+``btrank.aggregate`` (what it allocates over the table it is given), and
+the peak RSS of the interpreter, whose only large work is reading, parsing
+and aggregating.
 
 Each case of ``PATH_TEAMS`` is a path league of t teams, each team
 beating the next one at home, perturbed under ``Improved("auto")`` so that
@@ -75,6 +77,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -302,11 +305,16 @@ def run_crowd(path: str) -> dict:
         clock = time.perf_counter()
         data = btrank.aggregate(table)
         aggregate.append(time.perf_counter() - clock)
+    tracemalloc.start()
+    btrank.aggregate(table)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
         "rows": len(table),
         "teams": data.num_teams,
         "parse_s": statistics.median(parse),
         "aggregate_s": statistics.median(aggregate),
+        "aggregate_peak_mb": peak / 2**20,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 

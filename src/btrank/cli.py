@@ -108,9 +108,11 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _emit(args, payload: dict, table: str) -> None:
+def _emit(args, payload: dict, table) -> None:
+    """Write ``payload`` as JSON, or ``table``, the text or a function that
+    renders it, for ``--out table``."""
     if args.out == "table":
-        sys.stdout.write(table)
+        sys.stdout.write(table() if callable(table) else table)
         return
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out == "json":
@@ -299,7 +301,7 @@ def cmd_fit(args) -> int:
     spec = _model_spec(args)
     result = fit(spec, dataset, SolverConfig(max_iters=args.max_iters)).ensure_converged()
     ranking = extract_ranking(result)
-    _emit(args, _fit_payload(result, ranking), _fit_table(result, ranking))
+    _emit(args, _fit_payload(result, ranking), lambda: _fit_table(result, ranking))
     return EXIT_OK
 
 
@@ -380,7 +382,7 @@ def cmd_map(args) -> int:
     payload = _fit_payload(result, ranking)
     payload["prior"] = {"shape": args.shape, "rate": prior.resolved_rate(dataset.num_teams)}
     del payload["epsilon"]
-    _emit(args, payload, _fit_table(result, ranking))
+    _emit(args, payload, lambda: _fit_table(result, ranking))
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from itertools import chain
 
 import numpy as np
 
@@ -237,9 +236,11 @@ def _split_plain_csv(text: str) -> GameTable | None:
     ``str.split``, each distinct cell stripped and converted once; a block
     with a bad row goes to ``_build_table``, which raises the row loop's error.
     """
-    crlf = text.count("\r")
     start = text.find("\n") + 1  # of the body
-    if '"' in text or "\0" in text or crlf != text.count("\r\n") or not 0 < start < len(text):
+    if '"' in text or "\0" in text or not 0 < start < len(text):
+        return None
+    crlf = "\r" in text
+    if crlf and text.count("\r") != text.count("\r\n"):  # a bare carriage return
         return None
     try:
         columns = _header_columns(next(csv.reader([text[:start]])))
@@ -263,9 +264,10 @@ def _split_plain_csv(text: str) -> GameTable | None:
             block += "\n"
         raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), np.uint8)
         ends = np.flatnonzero((raw == 44) | (raw == 10))  # of each cell, "," or "\n"
+        line_end = raw[ends] == 10
         if (
-            len(ends) != block.count("\n") * width
-            or not (raw[ends[width - 1 :: width]] == 10).all()
+            len(ends) != np.count_nonzero(line_end) * width
+            or not line_end[width - 1 :: width].all()
             or len(block) > limit and np.diff(ends, prepend=-1).max() > limit + 1  # bytes
         ):
             return None
@@ -301,7 +303,10 @@ def _intern(known: dict, convert, dtype, *columns: list[str]) -> list[np.ndarray
     try:
         return codes()
     except KeyError:
-        for cell in dict.fromkeys(chain.from_iterable(zip(*columns))):
+        cells = [None] * (len(columns) * len(columns[0]))  # the columns interleaved
+        for k, column in enumerate(columns):
+            cells[k :: len(columns)] = column
+        for cell in dict.fromkeys(cells):
             if cell not in known:
                 known[cell] = convert(cell.strip())
         return codes()
@@ -326,13 +331,28 @@ def _parse_json_records(text: str) -> GameTable:
     return _build_table(rows(), "element")
 
 
+#: ``aggregate`` flags the met pairs in an array of t² entries while t² is at
+#: most this many times the record count, and sorts the pair keys above it
+_FLAGS_PER_RECORD = 4
+
+
 def aggregate(table: GameTable) -> Dataset:
     """Accumulate a table of records into a venue-aware Dataset.
 
     Teams keep the table's order. Each record lands on the edge of its pair
     (lower team index first), in the orientation of its host and at its
-    outcome, as laid out in ``types``: one ``np.unique`` of the pair keys
-    and one ``np.bincount`` of the repeats, with no t x t array.
+    outcome, as laid out in ``types``, through one ``np.bincount`` of the
+    repeats. The edges are the distinct pair keys ``i * t + j`` in sorted
+    order. While t² is at most ``_FLAGS_PER_RECORD`` times the record
+    count, they are found by direct index: each key flags its entry of a
+    boolean array of length t², the edges are the flagged entries and a
+    record's edge is the running count of flags up to its key. Above that,
+    they are found by ``np.unique`` of the keys, a sort of the records.
+    Both give the same edges and the same edge per record. Finding them
+    alone, single-threaded on a 2-core x86-64 host, the direct index was
+    1.4 to 2.2 times as fast as the sort at t² = 4n (n from 100 to 10^6
+    records) and as fast or slower from t² = 6n to 8n on. At t² = n / 2 and
+    n = 150,000, the shape of a crowd CSV, it took 1.2 ms against 8.3 ms.
     """
     if not len(table):
         raise EmptyInputError("no game records to aggregate")
@@ -340,7 +360,15 @@ def aggregate(table: GameTable) -> Dataset:
     home, away = table.home, table.away
     flipped = home > away  # the higher index hosts: orientation 1
     keys = np.minimum(home, away) * t + np.maximum(home, away)
-    pairs, edge = np.unique(keys, return_inverse=True)
+    if t * t <= _FLAGS_PER_RECORD * len(keys):
+        met = np.zeros(t * t, bool)
+        met[keys] = True
+        pairs = np.flatnonzero(met)
+        rank = np.cumsum(met, dtype=np.int32 if t * t < 2**31 else np.intp)  # half the bytes
+        rank -= 1
+        edge = rank[keys]
+    else:
+        pairs, edge = np.unique(keys, return_inverse=True)
     e = len(pairs)
     cell = (table.outcome * 2 + flipped) * e + edge
     games = np.bincount(cell, table.repeat, 6 * e).reshape(3, 2, e)

@@ -12,12 +12,17 @@ are each rescaled to geometric mean one.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError
 from .perturbation import auto_epsilon
 from .solver import fit
-from .types import Array, CountMatrices, Dataset, Improved, Model, ModelSpec, Record, is_integer
+from .types import (
+    Array, CountMatrices, Dataset, Improved, Model, ModelSpec, Record, is_bool, is_integer,
+)
 
 
 class ConsistencyConfig(Record):
@@ -73,37 +78,39 @@ def _team_names(t: int) -> tuple[str, ...]:
     return tuple(f"T{k + 1}" for k in range(t))
 
 
-def _round_robin(t: int, forward: Array, backward: Array) -> Dataset:
+def _round_robin(t: int, pairs: tuple[Array, Array], forward: Array, backward: Array) -> Dataset:
     """Venueless t-team dataset of a round-robin: ``forward`` and
-    ``backward`` are the wins of i over j and of j over i on the pairs
-    i < j in row-major order, pairs without a game left out."""
-    i, j = np.triu_indices(t, k=1)
-    met = forward + backward > 0
-    games = np.zeros((3, 2, int(met.sum())))
-    games[0] = forward[met], backward[met]
-    counts = CountMatrices(t, i[met], j[met], games)
+    ``backward`` are the wins of i over j and of j over i on the
+    ``pairs`` i < j of ``np.triu_indices``, each pair with a game."""
+    games = np.zeros((3, 2, len(forward)))
+    games[0] = forward, backward
+    counts = CountMatrices(t, *pairs, games)
     return Dataset(_team_names(t), counts, venueless=True)
 
 
 def _sample_dataset(u: Array, n_per_pair: int, rng: np.random.Generator) -> Dataset:
-    rows, cols = np.triu_indices(len(u), k=1)
+    rows, cols = pairs = np.triu_indices(len(u), k=1)
     wins = rng.binomial(n_per_pair, u[rows] / (u[rows] + u[cols]))
-    return _round_robin(len(u), wins, n_per_pair - wins)
+    return _round_robin(len(u), pairs, wins, n_per_pair - wins)
 
 
-def expected_counts_dataset(merits, n_per_pair: int = 4) -> Dataset:
+def expected_counts_dataset(merits, n_per_pair: float = 4) -> Dataset:
     """Round-robin dataset with fractional expected win counts.
 
     Replaces sampling noise with exact expectations: a_ij = n * p_ij. Useful
     for checking that the fit-and-align pipeline recovers planted merits up
-    to the perturbation-induced bias alone.
+    to the perturbation-induced bias alone. ``n_per_pair`` is a positive
+    finite number of games, fractional allowed, not a bool.
     """
     u = np.asarray(merits, dtype=float)
-    if u.ndim != 1 or len(u) < 2 or np.any(u <= 0):
-        raise ConfigError("merits must be a vector of at least 2 positive values")
-    i, j = np.triu_indices(len(u), k=1)
+    if u.ndim != 1 or len(u) < 2 or not np.all(np.isfinite(u) & (u > 0)):
+        raise ConfigError("merits must be a vector of at least 2 positive finite values")
+    real = isinstance(n_per_pair, numbers.Real) and not is_bool(n_per_pair)
+    if not (real and math.isfinite(n_per_pair) and n_per_pair > 0):
+        raise ConfigError(f"n_per_pair must be a positive finite number, got {n_per_pair!r}")
+    i, j = pairs = np.triu_indices(len(u), k=1)
     forward, backward = n_per_pair * (u[i] / (u[i] + u[j])), n_per_pair * (u[j] / (u[j] + u[i]))
-    return _round_robin(len(u), forward, backward)
+    return _round_robin(len(u), pairs, forward, backward)
 
 
 def max_relative_error(fitted: Array, planted: Array) -> float:

@@ -265,8 +265,10 @@ def test_csv_parses_as_the_row_loop_does(text, limit, block):
         "home,away,outcome\nA\x00,B,tie\n",  # the csv module refuses it before Python 3.11
         'home,away,outcome\n"A",B,tie\n',
         "home,away,outcome\nA,B,tie\rB,A,tie\n",
+        "home,away,outcome\r\nA,B,tie\rB,A,tie\r\n",
+        "home,away,outcome\nA,B,tie,C,A\ntie\n",
     ],
-    ids=["nul", "quote", "bare-cr"],
+    ids=["nul", "quote", "bare-cr", "bare-cr-among-crlf", "uneven-lines"],
 )
 def test_a_body_that_is_not_plain_is_left_to_the_csv_module(text):
     assert ingestion._split_plain_csv(text) is None
@@ -450,9 +452,10 @@ def reference_aggregate(records) -> btrank.Dataset:
 
 
 def assert_same_dataset(got, want):
-    assert got.teams == want.teams
-    for name in ("num_teams", "i", "j", "games"):
-        assert np.array_equal(getattr(got.counts, name), getattr(want.counts, name))
+    assert (got.teams, got.venueless, got.num_teams) == (want.teams, want.venueless, want.num_teams)
+    for name in ("i", "j", "games"):
+        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 TEAM_IDS = ("A", "b", "Team 3", "x,y", 'say "hi"', "Ü")
@@ -469,6 +472,53 @@ records_strategy = st.lists(
 )
 SPELLINGS = (str.upper, str.title, lambda s: f"  {s} ", lambda s: s)
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def aggregated(table: GameTable, flags_per_record: float) -> btrank.Dataset:
+    """``aggregate(table)`` with the size rule's multiple patched: 0 sorts
+    the pair keys, infinity takes the direct index."""
+    with mock.patch.object(ingestion, "_FLAGS_PER_RECORD", flags_per_record):
+        return aggregate(table)
+
+
+@st.composite
+def game_tables(draw) -> GameTable:
+    """Records among some of up to 14 teams, so that a team of the list
+    may have no record."""
+    t = draw(st.integers(2, 14))
+    playing = draw(st.lists(st.integers(0, t - 1), min_size=2, max_size=t, unique=True))
+    game = st.tuples(
+        st.sampled_from(playing), st.sampled_from(playing), st.integers(0, 2), st.integers(1, 4)
+    ).filter(lambda g: g[0] != g[1])
+    columns = zip(*draw(st.lists(game, min_size=1, max_size=60)))
+    return GameTable([f"T{k}" for k in range(t)], *columns)
+
+
+@PROPERTY
+@given(table=game_tables())
+def test_both_ways_of_finding_met_pairs_give_one_dataset(table):
+    assert_same_dataset(aggregated(table, np.inf), aggregated(table, 0))
+
+
+def test_the_direct_index_holds_up_to_its_multiple_of_the_records():
+    # t² = k * n exactly takes the direct index, one record fewer the sort;
+    # the last team of the list has no record.
+    k = ingestion._FLAGS_PER_RECORD
+    t, n = 2 * k, 4 * k
+    rng = np.random.default_rng(3)
+    home = rng.integers(0, t - 1, n)
+    away = (home + rng.integers(1, t - 1, n)) % (t - 1)
+    columns = home, away, rng.integers(0, 3, n), rng.integers(1, 4, n)
+    at = GameTable([f"T{x}" for x in range(t)], *columns)
+    below = GameTable(at.teams, *(column[1:] for column in columns))
+    with mock.patch.object(np, "unique", wraps=np.unique) as sort:
+        at_data = aggregate(at)
+        assert sort.call_count == 0
+        below_data = aggregate(below)
+        assert sort.call_count == 1
+    assert_same_dataset(at_data, aggregated(at, 0))
+    assert_same_dataset(below_data, aggregated(below, np.inf))
+    assert at_data.num_teams == t and (t - 1) not in at_data.counts.j
 
 
 @PROPERTY

@@ -47,8 +47,9 @@ def test_the_crowd_case_parses_and_aggregates_its_csv(tmp_path):
     path = str(tmp_path / "crowd.csv")
     _bench("--write-csv", path)
     out = _bench("--case", "crowd-1e6", "--csv", path)
-    assert set(out) == {"rows", "teams", "parse_s", "aggregate_s", "peak_rss_mb"}
+    assert set(out) == {"rows", "teams", "parse_s", "aggregate_s", "aggregate_peak_mb", "peak_rss_mb"}
     assert out["rows"] == 10**6 and out["teams"] == 300
+    assert 0 < out["aggregate_peak_mb"] < out["peak_rss_mb"]
 
 
 def test_the_path_case_times_the_existence_check_on_one_component():

@@ -65,6 +65,16 @@ def test_expected_counts_validation():
         expected_counts_dataset([1.0, -2.0])
     with pytest.raises(ConfigError):
         expected_counts_dataset([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ConfigError):
+        expected_counts_dataset([1.0, np.inf])
+    # Every pair must hold games: no count of zero or less, no bool taken
+    # as one game, nothing non-finite.
+    for n_per_pair in (0, -1, -0.5, True, False, np.True_, np.nan, np.inf, "4", None):
+        with pytest.raises(ConfigError, match="n_per_pair"):
+            expected_counts_dataset([1.0, 2.0, 3.0], n_per_pair=n_per_pair)
+    for n_per_pair in (0.5, 3, np.int64(2), np.float32(1.5)):
+        data = expected_counts_dataset([1.0, 2.0, 3.0], n_per_pair=n_per_pair)
+        np.testing.assert_allclose(data.totals[:2].sum(axis=0), float(n_per_pair))
 
 
 def test_max_relative_error_is_scale_free():
