@@ -40,11 +40,14 @@ among ``CROWD_ITEMS`` items (uniformly random pairs of distinct items,
 decided by Bradley-Terry with evenly spaced merits), drawn from a fixed
 seed and written to a temporary file by an interpreter of its own before
 the case's interpreter starts. It records the median time of
-``btrank.parse_records`` on the file's text, the median time of
-``btrank.aggregate`` on the table, the tracemalloc peak of one more
+``btrank.parse_records`` on the file's text, the tracemalloc peak of one
+more parse (what it allocates over the text it is given), the median time
+of ``btrank.aggregate`` on the table, the tracemalloc peak of one more
 ``btrank.aggregate`` (what it allocates over the table it is given), and
 the peak RSS of the interpreter, whose only large work is reading, parsing
-and aggregating.
+and aggregating. The ``crowd-1e6-long`` case does the same on the same
+records with 24-byte item ids, longer than the 8 bytes a plain-CSV cell's
+key holds.
 
 Each case of ``PATH_TEAMS`` is a path league of t teams, each team
 beating the next one at home, perturbed under ``Improved("auto")`` so that
@@ -94,6 +97,8 @@ PROBE_TEAMS = 1000  # per league of the two-leagues case
 PROBE_EPS = (1e-1, 1e-5, 1e-9, 1e-12)
 OPPONENTS = 6
 CROWD_ROWS, CROWD_ITEMS, CROWD_SEED, CROWD_REPEATS = 10**6, 300, 6, 3
+#: the item id format of each crowd case
+CROWD_IDS = {"crowd-1e6": "I{:03d}", "crowd-1e6-long": "crowd-item-{:03d}-of-set-AB"}
 PATH_TEAMS = {"path-t400": 400, "path-t2000": 2000, "path-t5000": 5000}
 PATH_REPEATS = 5
 IMPORT_INTERPRETERS = 15
@@ -271,17 +276,17 @@ def run_path(t: int) -> dict:
     }
 
 
-def crowd_csv() -> str:
+def crowd_csv(ids: str) -> str:
     """A CSV of ``CROWD_ROWS`` crowd comparisons among ``CROWD_ITEMS`` items
-    ``I000 ..``: uniformly random pairs of distinct items, the first one
-    listed as home, decided by Bradley-Terry with evenly spaced merits in
-    [-2, 2]."""
+    ``ids.format(0) ..``: uniformly random pairs of distinct items, the
+    first one listed as home, decided by Bradley-Terry with evenly spaced
+    merits in [-2, 2]."""
     rng = np.random.default_rng(CROWD_SEED)
     beta = np.linspace(-2.0, 2.0, CROWD_ITEMS)
     first = rng.integers(0, CROWD_ITEMS, CROWD_ROWS)
     second = (first + rng.integers(1, CROWD_ITEMS, CROWD_ROWS)) % CROWD_ITEMS
     first_wins = rng.random(CROWD_ROWS) < 1.0 / (1.0 + np.exp(beta[second] - beta[first]))
-    names = [f"I{k:03d}" for k in range(CROWD_ITEMS)]
+    names = [ids.format(k) for k in range(CROWD_ITEMS)]
     lines = [
         f"{names[h]},{names[a]},{'home_win' if won else 'away_win'}"
         for h, a, won in zip(first.tolist(), second.tolist(), first_wins.tolist())
@@ -301,6 +306,11 @@ def run_crowd(path: str) -> dict:
         clock = time.perf_counter()
         table = btrank.parse_records(text, "csv")
         parse.append(time.perf_counter() - clock)
+    table = None
+    tracemalloc.start()
+    table = btrank.parse_records(text, "csv")
+    parse_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     for _ in range(CROWD_REPEATS):
         clock = time.perf_counter()
         data = btrank.aggregate(table)
@@ -313,6 +323,7 @@ def run_crowd(path: str) -> dict:
         "rows": len(table),
         "teams": data.num_teams,
         "parse_s": statistics.median(parse),
+        "parse_peak_mb": parse_peak / 2**20,
         "aggregate_s": statistics.median(aggregate),
         "aggregate_peak_mb": peak / 2**20,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -337,17 +348,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     parser.add_argument(
         "--case",
-        choices=[*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS, "import"],
+        choices=[*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, "import"],
         help=argparse.SUPPRESS,
     )
-    parser.add_argument("--csv", help=argparse.SUPPRESS)  # the crowd-1e6 input
-    parser.add_argument("--write-csv", help=argparse.SUPPRESS)
+    parser.add_argument("--csv", help=argparse.SUPPRESS)  # the input of a crowd case
+    parser.add_argument("--write-csv", help=argparse.SUPPRESS)  # the input of --case
     args = parser.parse_args(argv)
     if args.write_csv:
-        Path(args.write_csv).write_text(crowd_csv(), encoding="utf-8")
+        Path(args.write_csv).write_text(crowd_csv(CROWD_IDS[args.case]), encoding="utf-8")
         return 0
     if args.case:  # the child interpreter of one case
-        if args.case == "crowd-1e6":
+        if args.case in CROWD_IDS:
             out = run_crowd(args.csv)
         elif args.case == "two-leagues":
             out = run_probe()
@@ -362,13 +373,14 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=args.src, **{var: "1" for var in THREAD_VARS})
     column = {}
     with tempfile.TemporaryDirectory() as scratch:
-        crowd = Path(scratch) / "crowd.csv"
-        # Written by a child: a case's peak RSS starts at this process's own
-        # high-water mark, which a spawned interpreter inherits on Linux.
-        subprocess.run([sys.executable, __file__, "--write-csv", str(crowd)], check=True)
-        for name in [*CASES, "two-leagues", "crowd-1e6", *PATH_TEAMS, "import"]:
+        crowd = {name: str(Path(scratch) / f"{name}.csv") for name in CROWD_IDS}
+        for name, path in crowd.items():
+            # Written by a child: a case's peak RSS starts at this process's
+            # own high-water mark, which a spawned interpreter inherits on Linux.
+            subprocess.run([sys.executable, __file__, "--case", name, "--write-csv", path], check=True)
+        for name in [*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, "import"]:
             child = subprocess.run(
-                [sys.executable, __file__, "--case", name, "--csv", str(crowd)],
+                [sys.executable, __file__, "--case", name, "--csv", crowd.get(name, "")],
                 env=env, capture_output=True, text=True, check=True,
             )
             column[name] = json.loads(child.stdout.splitlines()[-1])

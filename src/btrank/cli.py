@@ -43,7 +43,7 @@ from .errors import (
     ThetaDomainError,
     VenuelessDataError,
 )
-from .ingestion import aggregate, parse_matrix, parse_records
+from .ingestion import _decode, aggregate, parse_matrix, parse_records
 from .ranking import (
     extract_ranking,
     merit_table,
@@ -147,10 +147,10 @@ def _list_of(cast, noun: str):
 
 
 def _read_text(path: str) -> str:
-    """A UTF-8 file's text without its byte-order mark, if it has one; an
-    error names the byte offset in the file."""
+    """A UTF-8 file's text, without a byte-order mark as the parsers read
+    it (``ingestion._decode``); an error names the byte offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        return _decode(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

@@ -163,7 +163,14 @@ def test_csv_dialect_cases_parse_as_before(text, expected):
 
 
 # Cells by the role of their column: valid ones, then ones the parser refuses.
-TEAM_CELLS = ("A", "b", "\u00dc", "Team 3", "x\u2028y", "c ")
+# The ids past "c " are over the 8 bytes that a cell's key holds: 9, 16, 17
+# and 40 bytes, two that share their first 8 bytes, two that differ only in
+# their last byte, and one with a 2-byte character across bytes 8 and 9.
+TEAM_CELLS = (
+    "A", "b", "\u00dc", "Team 3", "x\u2028y", "c ",
+    "Longname9", "Sixteen-byte-id!", "Seventeen-byte-id", "A forty-byte team id, give or take a few",
+    "Athletic Club", "Athletic Bilbao", "Real Sociedad B", "Real Sociedad C", "abcdefg\u00e9x",
+)
 CELLS = {
     "home": (TEAM_CELLS, ("", "  ")),
     "away": (TEAM_CELLS, ("", "  ")),
@@ -267,21 +274,21 @@ def test_csv_parses_as_the_row_loop_does(text, limit, block):
         "home,away,outcome\nA,B,tie\rB,A,tie\n",
         "home,away,outcome\r\nA,B,tie\rB,A,tie\r\n",
         "home,away,outcome\nA,B,tie,C,A\ntie\n",
+        "home,away,outcome\nA," + "B" * 513 + ",tie\n",
     ],
-    ids=["nul", "quote", "bare-cr", "bare-cr-among-crlf", "uneven-lines"],
+    ids=["nul", "quote", "bare-cr", "bare-cr-among-crlf", "uneven-lines", "a-513-byte-id"],
 )
 def test_a_body_that_is_not_plain_is_left_to_the_csv_module(text):
     assert ingestion._split_plain_csv(text) is None
 
 
-def crowd_csv(end: str, padded: bool, rows: int = 20_000, items: int = 300) -> str:
+def crowd_csv(end: str, cell: str = "I{:03d}", rows: int = 20_000, items: int = 300) -> str:
     """A seeded crowd CSV with a repeat column and no final line end: random
-    pairs of distinct items."""
+    pairs of distinct items, item k written as ``cell.format(k)``."""
     rng = np.random.default_rng(1)
     first = rng.integers(0, items, rows)
     second = (first + rng.integers(1, items, rows)) % items
     outcome, repeat = rng.integers(0, 3, rows), rng.integers(1, 4, rows)
-    cell = " I{:03d} " if padded else "I{:03d}"
     tokens = [member.value for member in Outcome]
     lines = [
         f"{cell.format(h)},{cell.format(a)},{tokens[o]},{r}"
@@ -290,11 +297,41 @@ def crowd_csv(end: str, padded: bool, rows: int = 20_000, items: int = 300) -> s
     return "home,away,outcome,repeat" + end + end.join(lines)
 
 
-@pytest.mark.parametrize("end, padded", [("\n", False), ("\r\n", True)])
-def test_a_plain_crowd_csv_never_reaches_the_row_loop(end, padded):
-    # Several blocks; a silent fallback to the row loop would lose the gain.
-    text = crowd_csv(end, padded)
+LONG_ID = "crowd-item-{:03d}-of-set-AB"  # 24 bytes: three words of a cell's key
+
+
+def with_blank_lines(text: str, end: str) -> str:
+    """``text`` with an empty line after its first line and then after
+    every 997th, two after the one hundredth."""
+    lines = text.split(end)
+    lines[100] += end
+    return end.join(line if k % 997 else line + end for k, line in enumerate(lines))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: crowd_csv("\n"),
+        lambda: crowd_csv("\r\n", " I{:03d} "),
+        lambda: crowd_csv("\n", LONG_ID),
+        lambda: crowd_csv("\r\n", LONG_ID),
+        lambda: crowd_csv("\n") + "\n\n",
+        lambda: crowd_csv("\r\n", " I{:03d} ") + "\r\n\r\n",
+        lambda: with_blank_lines(crowd_csv("\n"), "\n"),
+        lambda: with_blank_lines(crowd_csv("\r\n", LONG_ID), "\r\n"),
+        lambda: "home,away,outcome\nA," + "B" * 512 + ",tie\n" + "B" * 512 + ",A,away_win\n",
+    ],
+    ids=[
+        "lf", "crlf-padded", "long-ids", "long-ids-crlf", "trailing-blank-line",
+        "trailing-blank-line-crlf", "blank-lines-between-rows", "blank-lines-between-long-id-rows-crlf",
+        "a-512-byte-id",
+    ],
+)
+def test_a_plain_crowd_csv_never_reaches_the_row_loop(make):
+    # Most span several blocks; a silent fallback to the row loop would lose the gain.
+    text = make()
     want = parsed(ingestion._parse_csv, text)
+    assert len(want) == 5  # a table, not an error
     with mock.patch.object(ingestion, "_parse_csv", side_effect=AssertionError("row loop")):
         assert parsed(lambda text: parse_records(text, "csv"), text) == want
 
@@ -312,7 +349,7 @@ def test_a_plain_crowd_csv_never_reaches_the_row_loop(end, padded):
 def test_a_bad_plain_row_in_a_late_block_raises_without_the_row_loop(line, error):
     # The bulk split names the bad row itself, as the row loop would, and
     # does not parse the whole text a second time.
-    lines = crowd_csv("\n", False, rows=2_000).split("\n")
+    lines = crowd_csv("\n", rows=2_000).split("\n")
     lines[1501] = line
     text = "\n".join(lines)
     want = parsed(ingestion._parse_csv, text)
@@ -322,6 +359,63 @@ def test_a_bad_plain_row_in_a_late_block_raises_without_the_row_loop(line, error
         mock.patch.object(ingestion, "_parse_csv", side_effect=AssertionError("row loop")),
     ):
         assert parsed(lambda text: parse_records(text, "csv"), text) == want
+
+
+def rotation(*ids: str) -> str:
+    """A CSV of 300 records in which each id hosts the next one."""
+    lines = [f"{ids[k % len(ids)]},{ids[(k + 1) % len(ids)]},tie" for k in range(300)]
+    return "home,away,outcome\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, reaches_row_loop",
+    [
+        (rotation("Sixteen-byte-id!", "Seventeen-byte-id"), True),
+        (rotation("Athletic Club", "Athletic Bilbao", "Real Sociedad B", "Real Sociedad C"), True),
+        (rotation("Sixteen-byte-id!", "A", "Team 3"), False),
+        (rotation("Sixteen-byte-id!", "A", "Team 3") + "A,,tie\n", False),
+    ],
+    ids=["two-long-ids", "four-long-ids", "one-long-id", "one-long-id-and-an-empty-cell"],
+)
+def test_long_ids_whose_keys_collide_are_left_to_the_row_loop(text, reaches_row_loop):
+    # With a mixing multiplier of 0, every cell of over 8 bytes has one key,
+    # and every key hashes to slot 0, so all keys of a table but one are in
+    # its spill: two long ids are told apart by the word-by-word compare
+    # alone, which hands the text to the row loop; one long id among short
+    # ones keeps the bulk path, and its key is still not an empty cell's.
+    want = parsed(ingestion._parse_csv, text)
+    with (
+        mock.patch.object(ingestion, "_MIX", np.uint64(0)),
+        mock.patch.object(ingestion, "_BLOCK_CHARS", 512),
+        mock.patch.object(ingestion, "_parse_csv", wraps=ingestion._parse_csv) as row_loop,
+    ):
+        assert parsed(lambda text: parse_records(text, "csv"), text) == want
+    assert row_loop.called == reaches_row_loop
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    batches=st.lists(st.lists(st.integers(0, 2**64 - 2), max_size=40), max_size=8),
+    mix=st.sampled_from((0, 1, 0x9E3779B97F4A7C15)),
+)
+def test_the_key_table_finds_what_was_added(batches, mix):
+    # Against a dict, batch by batch, through growth and (with a poor or no
+    # mixing multiplier) with most keys in the spill.
+    table, known = ingestion._KeyTable(np.int64), {}
+    with mock.patch.object(ingestion, "_MIX", np.uint64(mix)):
+        for batch in batches:
+            keys = np.array(batch, np.uint64)
+            codes, new = table.find(keys)
+            assert new.tolist() == [k for k, key in enumerate(batch) if key not in known]
+            assert [codes[k] for k, key in enumerate(batch) if key in known] == [
+                known[key] for key in batch if key in known
+            ]
+            fresh = list(dict.fromkeys(batch[k] for k in new.tolist()))
+            table.add(np.array(fresh, np.uint64), np.arange(len(known), len(known) + len(fresh)))
+            known.update((key, len(known)) for key in fresh)
+        everything = np.array(list(known), np.uint64)
+        codes, new = table.find(everything)
+        assert len(new) == 0 and codes.tolist() == list(known.values())
 
 
 def test_the_row_loop_holds_a_quoted_csv_at_about_its_own_size():
@@ -360,8 +454,11 @@ BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Excel's "CSV UTF-8" export wr
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_record_bytes_with_a_bom_parse_as_without(fmt):
     records = rows(parse_records(CSV, "csv"))
-    data = render(records, fmt).encode()
+    text = render(records, fmt)
+    data = text.encode()
     assert rows(parse_records(BOM + data, fmt)) == rows(parse_records(data, fmt)) == records
+    # The mark is stripped from text as well as from bytes.
+    assert rows(parse_records("\ufeff" + text, fmt)) == records
 
 
 def test_errors_after_a_bom_keep_their_line_numbers_and_offsets():
@@ -374,10 +471,11 @@ def test_errors_after_a_bom_keep_their_line_numbers_and_offsets():
 
 def test_matrix_bytes_with_a_bom_parse_as_without():
     text = json.dumps({"teams": ["A", "B"], "a": [[0, 1], [2, 0]], "ties": [[0, 1], [1, 0]]})
-    plain, marked = parse_matrix(text.encode()), parse_matrix(BOM + text.encode())
-    assert marked.teams == plain.teams
-    assert np.array_equal(dense(marked).a, dense(plain).a)
-    assert np.array_equal(dense(marked).ties, dense(plain).ties)
+    plain = parse_matrix(text.encode())
+    for marked in (parse_matrix(BOM + text.encode()), parse_matrix("\ufeff" + text)):
+        assert marked.teams == plain.teams
+        assert np.array_equal(dense(marked).a, dense(plain).a)
+        assert np.array_equal(dense(marked).ties, dense(plain).ties)
 
 
 def test_unknown_record_format_is_refused():

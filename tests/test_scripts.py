@@ -44,12 +44,19 @@ def test_the_two_leagues_case_solves_its_steps_to_the_residual():
 
 
 def test_the_crowd_case_parses_and_aggregates_its_csv(tmp_path):
-    path = str(tmp_path / "crowd.csv")
-    _bench("--write-csv", path)
-    out = _bench("--case", "crowd-1e6", "--csv", path)
-    assert set(out) == {"rows", "teams", "parse_s", "aggregate_s", "aggregate_peak_mb", "peak_rss_mb"}
-    assert out["rows"] == 10**6 and out["teams"] == 300
-    assert 0 < out["aggregate_peak_mb"] < out["peak_rss_mb"]
+    for case, id_bytes in (("crowd-1e6", 4), ("crowd-1e6-long", 24)):
+        path = tmp_path / f"{case}.csv"
+        _bench("--case", case, "--write-csv", str(path))
+        with path.open(encoding="utf-8") as lines:
+            next(lines)
+            assert len(next(lines).split(",")[0]) == id_bytes
+        out = _bench("--case", case, "--csv", str(path))
+        assert set(out) == {
+            "rows", "teams", "parse_s", "parse_peak_mb", "aggregate_s", "aggregate_peak_mb", "peak_rss_mb",
+        }
+        assert out["rows"] == 10**6 and out["teams"] == 300
+        assert 0 < out["aggregate_peak_mb"] < out["peak_rss_mb"]
+        assert 0 < out["parse_peak_mb"] < out["peak_rss_mb"]
 
 
 def test_the_path_case_times_the_existence_check_on_one_component():
