@@ -1,4 +1,4 @@
-"""Time the Bradley-Terry kernel and Newton step on sparse leagues; write BENCH_kernel.json.
+"""Time the kernel and Newton step on sparse leagues and round-robins; write BENCH_kernel.json.
 
 Usage, from the root of a btrank checkout:
 
@@ -57,6 +57,17 @@ diameter t - 1. It records the median time of
 fit runs, a reachability search whose rounds grow with the diameter) and of
 ``connectivity.strong_components`` (Tarjan labelling) on the same arcs.
 
+Each case of ``DENSE_TEAMS`` is a full round-robin of t teams, four games
+per pair, with merits uniform on [1, 2] and the wins drawn from a fixed
+seed, as one replica of ``btrank.run_consistency`` draws them, and fitted
+with Bradley-Terry under ``Improved("auto")``. Such fits are small and
+solved by LU, so fixed per-call costs weigh on them. It records the number
+of met pairs, the fit's iterations, and the median time of one
+``Objective.value_gradient_hessian`` at the start point, of one
+``solver._newton_direction`` on the system it returns, of one
+``btrank.fit``, and of one consistency replica: a ``btrank.run_consistency``
+of ``DENSE_REPLICAS`` replicas at this t, divided by that number.
+
 The ``import`` case starts ``IMPORT_INTERPRETERS`` fresh interpreters,
 each of which imports ``numpy``, then ``btrank``, then ``btrank.cli``, and
 times each of the three imports on its own. It records the median of each:
@@ -101,6 +112,10 @@ CROWD_ROWS, CROWD_ITEMS, CROWD_SEED, CROWD_REPEATS = 10**6, 300, 6, 3
 CROWD_IDS = {"crowd-1e6": "I{:03d}", "crowd-1e6-long": "crowd-item-{:03d}-of-set-AB"}
 PATH_TEAMS = {"path-t400": 400, "path-t2000": 2000, "path-t5000": 5000}
 PATH_REPEATS = 5
+DENSE_TEAMS = {"dense-t20": 20, "dense-t100": 100}
+#: (kernel evaluations and steps, fits, consistency runs) per dense case
+DENSE_REPEATS = (300, 100, 15)
+DENSE_REPLICAS = 10
 IMPORT_INTERPRETERS = 15
 #: run by each interpreter of the import case: the seconds of each import
 IMPORT_PROBE = """
@@ -276,6 +291,51 @@ def run_path(t: int) -> dict:
     }
 
 
+def run_dense(t: int) -> dict:
+    import btrank
+    from btrank import solver
+    from btrank.likelihood import Objective
+    from btrank.perturbation import perturb
+
+    rng = np.random.default_rng(t)
+    u = rng.uniform(1.0, 2.0, t)
+    i, j = np.triu_indices(t, k=1)
+    wins = rng.binomial(4, u[i] / (u[i] + u[j]))
+    a = np.zeros((t, t))
+    a[i, j], a[j, i] = wins, 4 - wins
+    data = btrank.venue_free_dataset([f"T{k}" for k in range(t)], a)
+    spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
+    objective = Objective(spec.model, perturb(data, spec.perturbation))
+    x = objective.initial_point()
+    evaluations, fits, runs = DENSE_REPEATS
+    kernel, step, wall, replica = [], [], [], []
+    for _ in range(evaluations):
+        clock = time.perf_counter()
+        _, g, h = objective.value_gradient_hessian(x)
+        kernel.append(time.perf_counter() - clock)
+        clock = time.perf_counter()
+        solver._newton_direction(g, h, None, solver._CG_RTOL)  # a fit's first step, by LU
+        step.append(time.perf_counter() - clock)
+    for _ in range(fits):
+        clock = time.perf_counter()
+        result = btrank.fit(spec, data)
+        wall.append(time.perf_counter() - clock)
+    for seed in range(runs):
+        config = btrank.ConsistencyConfig(t_grid=(t,), replicas=DENSE_REPLICAS, seed=seed)
+        clock = time.perf_counter()
+        btrank.run_consistency(config)
+        replica.append((time.perf_counter() - clock) / DENSE_REPLICAS)
+    return {
+        "teams": t,
+        "met_pairs": len(i),
+        "iterations": result.iterations,
+        "kernel_median_s": statistics.median(kernel),
+        "step_median_s": statistics.median(step),
+        "fit_median_s": statistics.median(wall),
+        "replica_median_s": statistics.median(replica),
+    }
+
+
 def crowd_csv(ids: str) -> str:
     """A CSV of ``CROWD_ROWS`` crowd comparisons among ``CROWD_ITEMS`` items
     ``ids.format(0) ..``: uniformly random pairs of distinct items, the
@@ -348,7 +408,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     parser.add_argument(
         "--case",
-        choices=[*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, "import"],
+        choices=[*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"],
         help=argparse.SUPPRESS,
     )
     parser.add_argument("--csv", help=argparse.SUPPRESS)  # the input of a crowd case
@@ -364,6 +424,8 @@ def main(argv=None) -> int:
             out = run_probe()
         elif args.case in PATH_TEAMS:
             out = run_path(PATH_TEAMS[args.case])
+        elif args.case in DENSE_TEAMS:
+            out = run_dense(DENSE_TEAMS[args.case])
         elif args.case == "import":
             out = run_imports(IMPORT_INTERPRETERS)
         else:
@@ -378,7 +440,7 @@ def main(argv=None) -> int:
             # Written by a child: a case's peak RSS starts at this process's
             # own high-water mark, which a spawned interpreter inherits on Linux.
             subprocess.run([sys.executable, __file__, "--case", name, "--write-csv", path], check=True)
-        for name in [*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, "import"]:
+        for name in [*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"]:
             child = subprocess.run(
                 [sys.executable, __file__, "--case", name, "--csv", crowd.get(name, "")],
                 env=env, capture_output=True, text=True, check=True,

@@ -41,7 +41,11 @@ shifted counts, or the raw ones).
 A digraph is strongly connected exactly when every team is reachable from
 team 0 along its arcs and along its reversed arcs, so the test is two
 breadth-first searches in numpy over the arc arrays, a boolean frontier
-pushed across every arc per round. Only when it fails are the strongly
+pushed across every arc per round. Where every edge carries both arcs (as
+``arcs`` lays them out: the second half reverses the first), one search
+decides: the reversed digraph is the digraph itself. That is Condition B,
+every venue-free fit under Improved or ConnerGrant, and every venue fit
+whose every orientation was hosted. Only when the test fails are the strongly
 connected components labelled (``strong_components``, Tarjan's algorithm
 over the arcs), to name a witness. The solver labels those of the raw
 digraph a model reads (``raw_components``), for the coarse space of its
@@ -156,7 +160,9 @@ def strong_connectivity_witness(
     is strongly connected, else a witness split: q1 is a source component
     (q2 sends no arcs into it), the one holding the smallest vertex, which
     makes witnesses deterministic."""
-    if _reaches_all(n, src, dst) and _reaches_all(n, dst, src):
+    half, odd = divmod(len(src), 2)  # two-way: arc k + half reverses arc k
+    two_way = not odd and (src[:half] == dst[half:]).all() and (dst[:half] == src[half:]).all()
+    if _reaches_all(n, src, dst) and (two_way or _reaches_all(n, dst, src)):
         return None
     labels = strong_components(n, src, dst)
     has_incoming = np.zeros(labels.max() + 1, dtype=bool)

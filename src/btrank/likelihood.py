@@ -13,9 +13,10 @@ parameter, in that order.
 Every kernel runs over the edge list of ``PerturbedCounts`` (the layout of
 ``types.CountMatrices``: unordered pairs i < j, as sparse as the schedule
 under Improved, every pair under ConnerGrant) and forms no t x t array.
-Each kernel reads its counts as slices of the per-edge arrays
-(``_edge_data``), gathering nothing. With perturbed wins ``w`` and raw ties
-``tw``, one term per edge covers both orders for:
+Each kernel reads its counts as slices of the per-edge arrays, gathering
+nothing; an objective slices them, and sums each edge's total ``n``, once
+(``_edge_data``). With perturbed wins ``w`` and raw ties ``tw``, one term
+per edge covers both orders for:
 
 * Bradley-Terry: ``w_ij log s(beta_i - beta_j) + w_ji log s(beta_j - beta_i)``
   with s the logistic function; ties do not enter. The MAP posterior
@@ -45,8 +46,9 @@ beta_j``, so each model reduces to arrays of shape (orientations, edges): a
 residual (the gradient along ``e_host - e_visitor``), a curvature (the merit
 block of the Hessian is minus the graph Laplacian with edge weights the
 summed curvature), one border array per tie or home parameter, and a small
-block for those parameters. ``_assemble`` scatters the gradient and the
-border rows with ``np.bincount``. The Hessian is an ``EdgeHessian``
+block for those parameters, none at all where there are none (k = 0).
+``_assemble`` scatters the gradient and the border rows with
+``np.bincount``. The Hessian is an ``EdgeHessian``
 holding the per-edge weights, the diagonal beyond the Laplacian, the border
 rows and the parameter block: its products with a vector cost O(t + edges),
 and ``np.asarray`` scatters it to the dense array, each edge's weight
@@ -77,6 +79,7 @@ from .types import Array, CountMatrices, Model, ParameterPoint, PerturbedCounts,
 
 #: Smallest phi admitted for the Rao-Kupper model (theta must exceed 1).
 RK_PHI_MIN = 1e-10
+_NONE = np.zeros((0, 0))  # the border and block of a model with no tie or home parameter
 
 
 def _lse3(x, y, z):
@@ -174,7 +177,8 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         flat[a.flat[0]] = flat[a.flat[1]] = c
         flat[: t * (n + 1) : n + 1] = self.shift - (np.bincount(a.i, c, t) + np.bincount(a.j, c, t))
         hess = flat.reshape(n, n)
-        hess[:t, t:], hess[t:, :t], hess[t:, t:] = self.border.T, self.border, self.block
+        if n > t:
+            hess[:t, t:], hess[t:, :t], hess[t:, t:] = self.border.T, self.border, self.block
         return hess[self.pinned :, self.pinned :]
 
     def matvec(self, x: Array) -> Array:
@@ -214,34 +218,45 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         return out[: plan.m, : plan.m]
 
 
-def _assemble(arcs, host, visitor, value, resid, grads, curv, borders=(), block=()):
+def _fold(rows, join):
+    """Row 0 of a (1 or 2, edges) array, joined to its row 1 by ``join`` if it has one."""
+    return rows[0] if len(rows) == 1 else join(rows[0], rows[1])
+
+
+def _assemble(arcs, value, resid, curv, extras=()):
     """``(value, gradient, EdgeHessian)`` over ``[beta_1 .. beta_t, extras]``
     from the per-edge arrays of the module docstring: row 0 holds the edges
     (i, j), i < j, and a row 1 their reverses, whose residuals and borders
-    flip sign. ``arcs`` are the objective's ``Arcs``."""
-    i, j, k, t = host[0], visitor[0], len(grads), arcs.t
-    r = np.subtract.reduce(resid)
-    grad = np.concatenate([np.bincount(i, r, t) - np.bincount(j, r, t), grads])
-    rows = [np.bincount(i, b, t) - np.bincount(j, b, t) for b in map(np.subtract.reduce, borders)]
-    border, block = np.array(rows).reshape(k, t), np.array(block).reshape(k, k)
-    hess = EdgeHessian(arcs, np.add.reduce(curv), np.zeros(t), border, block)
+    flip sign. ``arcs`` are the objective's ``Arcs``; ``extras`` are the
+    ``(gradients, borders, block)`` of the k tie and home parameters."""
+    i, j, t = arcs.i, arcs.j, arcs.t
+    r = _fold(resid, np.subtract)
+    grad = np.subtract(np.bincount(i, r, t), np.bincount(j, r, t), dtype=float)  # int if no edges
+    hess = EdgeHessian(arcs, _fold(curv, np.add), np.zeros(t), _NONE, _NONE)
+    if extras:
+        grads, borders, block = extras
+        grad = np.concatenate([grad, grads])
+        folded = [_fold(b, np.subtract) for b in borders]
+        hess.border = np.array([np.bincount(i, b, t) - np.bincount(j, b, t) for b in folded])
+        hess.block = np.array(block)
     return value, grad, hess
 
 
-def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg, arcs):
+def _outcome_terms(beta, host, visitor, wh, wv, wt, n, phi, lg, arcs):
     """Kernel of the models whose outcome is a softmax of three scores per
     oriented edge (``host``, ``visitor``): host win ``lg + beta_host``,
     visitor win ``beta_visitor`` and, unless ``phi`` is None, tie ``phi +
-    (beta_host + beta_visitor)/2``, observed ``wh``, ``wv`` and ``wt`` times.
-    ``lg=None`` pins the home parameter at 0 and leaves it out of the
-    gradient. Returns ``(value, gradient, Hessian)``."""
+    (beta_host + beta_visitor)/2``, observed ``wh``, ``wv`` and ``wt`` times,
+    ``n`` in all. ``lg=None`` pins the home parameter at 0 and leaves it out
+    of the gradient. Returns ``(value, gradient, Hessian)``."""
     b_h, b_v = beta[host], beta[visitor]
-    h = b_h + (0.0 if lg is None else lg)
-    n = wh + wv + wt
+    h = b_h if lg is None else b_h + lg
     if phi is None:
         p_h, p_v, log_h, log_v = _logistic(h - b_v)
         value = float((wh * log_h + wv * log_v).sum())
         resid, curv = wh * p_v - wv * p_h, n * (p_h * p_v)
+        if lg is None:
+            return _assemble(arcs, value, resid, curv)
     else:
         tie = phi + (b_h + b_v) / 2.0
         d = _lse3(h, b_v, tie)
@@ -258,32 +273,34 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, phi, lg, arcs):
         extras.append((wt, p_t, n * p_t * (p_h - p_v) / 2.0, -n * p_t * (p_h + p_v)))
         if lg is not None:
             extras.append((wh, p_h, n * p_h * (p_h + p_t / 2.0 - 1.0), n * p_h * (p_h - 1.0)))
-    elif lg is not None:  # two outcomes: -curv is the lg-derivative of the residual
+    else:  # two outcomes: -curv is the lg-derivative of the residual
         extras.append((wh, p_h, -curv, -curv))
     grads = [float((w - n * p).sum()) for w, p, _, _ in extras]
-    borders = [border for _, _, border, _ in extras]
     block = [
         [float((own if a == b else n * p * q).sum()) for b, (_, q, _, _) in enumerate(extras)]
         for a, (_, p, _, own) in enumerate(extras)
     ]
-    return _assemble(arcs, host, visitor, value, resid, grads, curv, borders, block)
+    return _assemble(arcs, value, resid, curv, (grads, [e[2] for e in extras], block))
 
 
 def _edge_data(model: Model, perturbed: PerturbedCounts, pinned: int = 0):
     """``(host, visitor, counts, arcs)``: the oriented edges one model
     evaluates, the perturbed counts its kernel reads on them, sliced from
-    the per-edge arrays, and the ``Arcs`` of its Hessians."""
+    the per-edge arrays, with their totals ``n``, and the ``Arcs`` of its
+    Hessians."""
     i, j, games, wins = perturbed.i, perturbed.j, perturbed.games, perturbed.wins
     ties = games[2, 0] + games[2, 1]
     t, k = perturbed.num_teams, model.has_tie_parameter + model.has_home_parameter
     if not (model.has_home_parameter or model is Model.RAO_KUPPER):
-        wt = ties[None] if model is Model.DAVIDSON else 0.0
-        return i[None], j[None], (wins[:1], wins[1:], wt), Arcs(i, j, t, k, pinned)
-    h, v = np.stack([i, j]), np.stack([j, i])
-    if model is Model.RAO_KUPPER:  # the opponent hosts at phi; the host's ties are its wins
-        return v, h, (np.stack([ties, ties]), wins, 0.0), Arcs(j, i, t, k, pinned)
-    wt = games[2] if model is Model.DAVID else 0.0
-    return h, v, (games[0], games[1], wt), Arcs(i, j, t, k, pinned)
+        h, v, arcs = i[None], j[None], Arcs(i, j, t, k, pinned)
+        counts = wins[:1], wins[1:], ties[None] if model is Model.DAVIDSON else 0.0
+    elif model is Model.RAO_KUPPER:  # the opponent hosts at phi; the host's ties are its wins
+        h, v, arcs = np.stack([j, i]), np.stack([i, j]), Arcs(j, i, t, k, pinned)
+        counts = np.stack([ties, ties]), wins, 0.0
+    else:
+        h, v, arcs = np.stack([i, j]), np.stack([j, i]), Arcs(i, j, t, k, pinned)
+        counts = games[0], games[1], games[2] if model is Model.DAVID else 0.0
+    return h, v, (*counts, counts[0] + counts[1] + counts[2]), arcs
 
 
 def _terms(model: Model, beta, phi, log_gamma, edge_data):
@@ -342,15 +359,11 @@ class Objective:
                 f"free vector has length {len(x)}, expected {self.dimension}"
             )
         beta = np.concatenate([[0.0], x[: t - 1]])
-        phi = None
-        log_gamma = None
-        k = t - 1
-        if self.model.has_tie_parameter:
-            phi = float(x[k])
-            k += 1
-        if self.model.has_home_parameter:
-            log_gamma = float(x[k])
-        return beta, phi, log_gamma
+        if self.dimension < t:  # no tie or home parameter
+            return beta, None, None
+        rest = x[t - 1 :].tolist()
+        phi = rest.pop(0) if self.model.has_tie_parameter else None
+        return beta, phi, rest.pop(0) if self.model.has_home_parameter else None
 
     def unpack(self, x: Array) -> ParameterPoint:
         beta, phi, log_gamma = self._split(x)
@@ -398,8 +411,8 @@ class PosteriorObjective:
         wins = derive_totals(counts)[:2]
         won = (wins != 0).any(axis=0)
         self.edges = i, j = counts.i[won], counts.j[won]
-        arcs = Arcs(i, j, self.num_teams, 0)
-        self._data = i[None], j[None], wins[:1, won], wins[1:, won], 0.0, None, None, arcs
+        wh, wv, arcs = wins[:1, won], wins[1:, won], Arcs(i, j, self.num_teams, 0)
+        self._data = i[None], j[None], wh, wv, 0.0, wh + wv, None, None, arcs
 
     def initial_point(self) -> Array:
         """Uniform merits at the scale of every stationary point,

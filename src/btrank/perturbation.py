@@ -84,10 +84,10 @@ def perturb(dataset: Dataset, spec: PerturbationSpec) -> PerturbedCounts:
     else:
         if isinstance(spec, Improved):
             i, j, games, wins = counts.i, counts.j, counts.games, dataset.totals[:2]
-            hosted = games.sum(axis=0) > 0
+            hosted = games.any(axis=0)  # no count is negative
         else:  # ConnerGrant
             i, j, games, wins = _widen(dataset, np.ones((t, t), dtype=bool))
             hosted = True
-        wins = wins + eps
-        games = np.concatenate([games[:2] + eps * hosted, games[2:]])
+        wins, games = wins + eps, games.copy()
+        games[:2] += eps * hosted
     return PerturbedCounts(t, i, j, games, wins, dataset.venueless, eps)

@@ -4,7 +4,8 @@ Each replica plants merits drawn uniformly from a bounded interval, plays a
 full round-robin with a fixed number of games per pair sampled from the
 model, fits with the size-based default perturbation sqrt(log t / t), and
 records the worst relative merit error. Errors are summarized per team
-count; as t grows they should shrink.
+count; as t grows they should shrink. The team names, the pairs and the
+fit's spec are built once per t; each replica draws only its counts.
 
 Merits are scale-free, so before comparing, the fitted and planted vectors
 are each rescaled to geometric mean one.
@@ -74,24 +75,19 @@ class ConsistencyReport(Record):
         }
 
 
-def _team_names(t: int) -> tuple[str, ...]:
-    return tuple(f"T{k + 1}" for k in range(t))
+def _layout(t: int):
+    """``(teams, pairs)`` of a t-team round-robin: the names ``T1 ..`` and
+    the pairs i < j of ``np.triu_indices``."""
+    return tuple(f"T{k + 1}" for k in range(t)), np.triu_indices(t, k=1)
 
 
-def _round_robin(t: int, pairs: tuple[Array, Array], forward: Array, backward: Array) -> Dataset:
-    """Venueless t-team dataset of a round-robin: ``forward`` and
-    ``backward`` are the wins of i over j and of j over i on the
-    ``pairs`` i < j of ``np.triu_indices``, each pair with a game."""
-    games = np.zeros((3, 2, len(forward)))
+def _round_robin(layout, forward: Array, backward: Array) -> Dataset:
+    """Venueless dataset of a round-robin on a ``_layout``: ``forward`` and
+    ``backward`` are the wins of i over j and of j over i on its pairs,
+    each pair with a game."""
+    (teams, pairs), games = layout, np.zeros((3, 2, len(forward)))
     games[0] = forward, backward
-    counts = CountMatrices(t, *pairs, games)
-    return Dataset(_team_names(t), counts, venueless=True)
-
-
-def _sample_dataset(u: Array, n_per_pair: int, rng: np.random.Generator) -> Dataset:
-    rows, cols = pairs = np.triu_indices(len(u), k=1)
-    wins = rng.binomial(n_per_pair, u[rows] / (u[rows] + u[cols]))
-    return _round_robin(len(u), pairs, wins, n_per_pair - wins)
+    return Dataset(teams, CountMatrices(len(teams), *pairs, games), venueless=True)
 
 
 def expected_counts_dataset(merits, n_per_pair: float = 4) -> Dataset:
@@ -108,9 +104,9 @@ def expected_counts_dataset(merits, n_per_pair: float = 4) -> Dataset:
     real = isinstance(n_per_pair, numbers.Real) and not is_bool(n_per_pair)
     if not (real and math.isfinite(n_per_pair) and n_per_pair > 0):
         raise ConfigError(f"n_per_pair must be a positive finite number, got {n_per_pair!r}")
-    i, j = pairs = np.triu_indices(len(u), k=1)
+    _, (i, j) = layout = _layout(len(u))
     forward, backward = n_per_pair * (u[i] / (u[i] + u[j])), n_per_pair * (u[j] / (u[j] + u[i]))
-    return _round_robin(len(u), pairs, forward, backward)
+    return _round_robin(layout, forward, backward)
 
 
 def max_relative_error(fitted: Array, planted: Array) -> float:
@@ -122,12 +118,13 @@ def max_relative_error(fitted: Array, planted: Array) -> float:
     return float(np.max(np.abs(fitted / planted - 1.0)))
 
 
-def _one_replica(config: ConsistencyConfig, t: int, replica: int) -> float:
+def _one_replica(config: ConsistencyConfig, layout, spec: ModelSpec, replica: int) -> float:
+    """The error of one replica of ``spec`` fits on a t-team ``_layout``."""
+    t, (rows, cols) = len(layout[0]), layout[1]
     rng = np.random.default_rng([config.seed, t, replica])
     u = rng.uniform(1.0, 2.0, t)
-    dataset = _sample_dataset(u, config.n_per_pair, rng)
-    spec = ModelSpec(Model.BRADLEY_TERRY, Improved(auto_epsilon(t)))
-    result = fit(spec, dataset)
+    wins = rng.binomial(config.n_per_pair, u[rows] / (u[rows] + u[cols]))
+    result = fit(spec, _round_robin(layout, wins, config.n_per_pair - wins))
     return max_relative_error(result.merits_u, u)
 
 
@@ -138,10 +135,10 @@ def run_consistency(config: ConsistencyConfig) -> ConsistencyReport:
     condition for the perturbed fit, so fit errors are not expected; any
     that occur propagate.
     """
-    errors = [
-        tuple(_one_replica(config, t, r) for r in range(config.replicas))
-        for t in config.t_grid
-    ]
+    errors = []
+    for t in config.t_grid:  # one layout and spec per t, shared by its replicas
+        layout, spec = _layout(t), ModelSpec(Model.BRADLEY_TERRY, Improved(auto_epsilon(t)))
+        errors.append(tuple(_one_replica(config, layout, spec, r) for r in range(config.replicas)))
     medians = tuple(float(np.median(row)) for row in errors)
     p90 = tuple(float(np.percentile(row, 90)) for row in errors)
     return ConsistencyReport(

@@ -247,7 +247,6 @@ def _newton(objective, start: Array, config: SolverConfig, labels=None) -> _Solu
 
     trace = [float(f)]
     iterations = 0
-    grad_norm = float(np.abs(g).max())
     converged = False
     rtol = _CG_RTOL
     while True:
@@ -276,20 +275,19 @@ def _newton(objective, start: Array, config: SolverConfig, labels=None) -> _Solu
             if not (
                 at_rounding
                 and trial[1] is not None
-                and np.abs(trial[1]).max() < grad_norm
+                and np.abs(trial[1]).max() < np.abs(g).max()
             ):
                 break
         x = candidate
         f, g, h = trial
         trace.append(float(f))
-        grad_norm = float(np.abs(g).max())
 
     return _Solution(
         x=x,
         value=float(f),
         trace=tuple(trace),
         iterations=iterations,
-        gradient_sup_norm=grad_norm,
+        gradient_sup_norm=float(np.abs(g).max()),
         converged=converged,
     )
 

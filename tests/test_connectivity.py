@@ -11,10 +11,13 @@ from btrank.connectivity import (
     check_condition_c,
     strong_components,
     strong_connectivity_witness,
+    verify_existence,
     witness_is_valid,
 )
-from btrank.errors import VenuelessDataError
-from btrank.types import PartitionWitness, venue_dataset, venue_free_dataset
+from btrank.errors import ExistenceError, VenuelessDataError
+from btrank.types import (
+    Model, PartitionWitness, PerturbedCounts, pair_edges, venue_dataset, venue_free_dataset,
+)
 
 from conftest import names, random_strongly_connected_dataset, random_venue_dataset
 from oracles import condition_c_by_enumeration, first_source_component
@@ -145,6 +148,16 @@ def test_strong_connectivity_witness_on_raw_weights():
     assert strong_connectivity_witness(3, *np.nonzero(np.ones((3, 3))), "A", "x") is None
 
 
+def test_one_search_needs_the_second_half_of_the_arcs_to_reverse_the_first():
+    # arcs 2 and 3 end where arcs 0 and 1 start, yet 1 -> 0 twice is no
+    # reverse of 0 -> 2, and team 2 reaches no one
+    src, dst = np.array([0, 0, 1, 1]), np.array([1, 2, 0, 0])
+    witness = strong_connectivity_witness(3, src, dst, "A", "x")
+    assert witness is not None and witness.q1 == (0, 1)
+    ladder = np.array([0, 1, 1, 2]), np.array([1, 2, 0, 1])  # both arcs of 0-1 and 1-2
+    assert strong_connectivity_witness(3, *ladder, "A", "x") is None
+
+
 def test_arcs_read_both_directions_of_each_edge():
     i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
     weights = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.5]])
@@ -189,6 +202,59 @@ def test_strong_components_match_the_transitive_closure(n, density, seed):
         reach |= np.outer(reach[:, k], reach[k])
     assert labels.min() == 0 and set(labels) == set(range(labels.max() + 1))
     np.testing.assert_array_equal(labels[:, None] == labels[None, :], reach & reach.T)
+
+
+def _witness_by_components(t, src, dst):
+    """``(q1, q2)`` of the witness the existence checks must give, or None
+    if the digraph is strongly connected: read off ``strong_components`` as
+    the component of the smallest vertex among those no other component
+    sends an arc into."""
+    labels = strong_components(t, src, dst).tolist()
+    if len(set(labels)) == 1:
+        return None
+    entered = {labels[b] for a, b in zip(src.tolist(), dst.tolist()) if labels[a] != labels[b]}
+    first = next(v for v in range(t) if labels[v] not in entered)
+    q1 = tuple(v for v in range(t) if labels[v] == labels[first])
+    return q1, tuple(v for v in range(t) if v not in q1)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    t=st.integers(2, 12),
+    density=st.floats(0.0, 1.0),
+    arcs_kept=st.sampled_from(["both", "all but one", "as many each way", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_existence_verdicts_and_witnesses_match_the_strong_components(t, density, arcs_kept, seed):
+    # where every edge has both arcs one search decides; otherwise the reverse one runs too
+    rng = np.random.default_rng(seed)
+    met = np.triu(rng.random((t, t)) < density, 1)
+    met[0, 1] |= not met.any()  # at least one edge
+    i, j = pair_edges(met)
+    weights = np.ones((2, len(i)))
+    if arcs_kept == "all but one":
+        weights.flat[rng.integers(weights.size)] = 0.0
+    elif arcs_kept == "as many each way":  # as many arcs i -> j as j -> i, not the reverses
+        weights[0] = rng.random(len(i)) < 0.5
+        weights[1] = rng.permutation(weights[0])
+    elif arcs_kept == "random":
+        weights = (rng.random(weights.shape) < 0.5).astype(float)
+    src, dst = arcs(i, j, weights)
+    want = _witness_by_components(t, src, dst)
+    witness = strong_connectivity_witness(t, src, dst, "B", "detail")
+    assert (witness is None) == (want is None)
+    assert witness is None or (witness.q1, witness.q2) == want
+    teams = names(t)
+    games = np.zeros((3, 2, len(i)))
+    games[0] = weights  # the hosted games David reads are the same arcs
+    for model in (Model.BRADLEY_TERRY, Model.DAVID):
+        perturbed = PerturbedCounts(t, i, j, games, weights, False, 0.1)
+        if want is None:
+            verify_existence(model, perturbed, teams)
+            continue
+        with pytest.raises(ExistenceError) as refusal:
+            verify_existence(model, perturbed, teams)
+        assert (refusal.value.witness.q1, refusal.value.witness.q2) == want
 
 
 def test_strong_components_of_a_long_path_and_a_long_ladder():

@@ -16,7 +16,9 @@ from btrank.errors import (
 from btrank.likelihood import (
     RK_PHI_MIN,
     Objective,
+    _edge_data,
     _lse3,
+    _terms,
     gradient,
     log_likelihood,
 )
@@ -394,3 +396,38 @@ def test_one_evaluation_allocates_less_than_half_a_dense_array():
         tracemalloc.stop()
     assert math.isfinite(value) and hess.diagonal().shape == (t - 1,)
     assert peak < t * t * 8 / 2
+
+
+def _dense_by_add_at(h):
+    """The dense H of an ``EdgeHessian``, entry by entry with ``np.add.at``:
+    each edge's weight off the diagonal, the shift minus the weighted
+    degrees (summed over the i ends, then the j ends) on it, then the
+    border and the block of the k parameters, the pinned merits cut off."""
+    t, k, a = len(h.shift), len(h.block), h.arcs
+    dense = np.zeros((t + k, t + k))
+    np.add.at(dense, (a.i, a.j), h.weight)
+    np.add.at(dense, (a.j, a.i), h.weight)
+    degree_i, degree_j = np.zeros(t), np.zeros(t)
+    np.add.at(degree_i, a.i, h.weight)
+    np.add.at(degree_j, a.j, h.weight)
+    dense[np.arange(t), np.arange(t)] = h.shift - (degree_i + degree_j)
+    if k:
+        dense[:t, t:], dense[t:, :t], dense[t:, t:] = h.border.T, h.border, h.block
+    return dense[h.pinned :, h.pinned :]
+
+
+@pytest.mark.parametrize("pinned", [0, 1])
+@pytest.mark.parametrize("model", list(Model))  # k = 0, 1 (three models) and 2
+def test_the_dense_hessian_is_bit_for_bit_the_naive_scatter(model, pinned):
+    rng = np.random.default_rng([5, pinned])
+    for _ in range(5):
+        perturbed = perturb(random_venue_dataset(rng, t=6, with_ties=True), Improved(0.3))
+        x = random_point(Objective(model, perturbed), rng)
+        phi = x[5] if model.has_tie_parameter else None
+        log_gamma = x[-1] if model.has_home_parameter else None
+        beta = np.concatenate([[0.0], x[:5]])
+        h = _terms(model, beta, phi, log_gamma, _edge_data(model, perturbed, pinned))[2]
+        assert len(h.block) == model.has_tie_parameter + model.has_home_parameter
+        got = np.asarray(h)
+        assert got.shape == (6 - pinned + len(h.block),) * 2
+        assert got.tobytes() == _dense_by_add_at(h).tobytes()

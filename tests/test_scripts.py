@@ -1,6 +1,7 @@
 """``scripts/bench_kernel.py`` runs its cases in a child interpreter and
 reports the keys its docstring documents; the import case's function is
-called directly, with fewer interpreters."""
+called directly, with fewer interpreters. ``scripts/fit_digest.py`` prints
+one digest per seed, the same on every run."""
 
 import importlib.util
 import json
@@ -65,6 +66,16 @@ def test_the_path_case_times_the_existence_check_on_one_component():
     assert (out["teams"], out["arcs"], out["components"]) == (400, 798, 1)
 
 
+def test_the_dense_case_times_a_kernel_a_step_a_fit_and_a_replica():
+    out = _bench("--case", "dense-t20")
+    assert set(out) == {
+        "teams", "met_pairs", "iterations", "kernel_median_s", "step_median_s",
+        "fit_median_s", "replica_median_s",
+    }
+    assert (out["teams"], out["met_pairs"]) == (20, 190)
+    assert all(out[key] > 0 for key in ("kernel_median_s", "step_median_s", "fit_median_s"))
+
+
 def test_the_import_case_times_each_import_in_fresh_interpreters(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_kernel", REPO / "scripts" / "bench_kernel.py")
     bench = importlib.util.module_from_spec(spec)
@@ -74,3 +85,11 @@ def test_the_import_case_times_each_import_in_fresh_interpreters(monkeypatch):
     assert set(out) == {"interpreters", "numpy_s", "btrank_s", "cli_s"}
     assert out["interpreters"] == 3
     assert all(out[key] > 0 for key in ("numpy_s", "btrank_s", "cli_s"))
+
+
+def test_the_fit_digest_is_one_sha256_that_repeats():
+    script = [sys.executable, str(REPO / "scripts" / "fit_digest.py"), "--seed", "3"]
+    runs = [subprocess.run(script, capture_output=True, text=True, check=True) for _ in range(2)]
+    digest = runs[0].stdout.strip()
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert runs[1].stdout.strip() == digest

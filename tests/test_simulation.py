@@ -9,8 +9,11 @@ from btrank.simulation import (
     run_consistency,
 )
 from btrank.solver import SolverConfig
-from btrank.types import Improved, Model, ModelSpec
+from btrank.types import Improved, Model, ModelSpec, venue_free_dataset
+from btrank.perturbation import auto_epsilon
 from btrank.solver import fit
+
+from conftest import names
 
 
 SMALL = ConsistencyConfig(t_grid=(4, 6), replicas=3, n_per_pair=4, seed=7)
@@ -131,3 +134,23 @@ def test_replica_streams_do_not_depend_on_the_grid():
     wide = run_consistency(ConsistencyConfig(t_grid=(4, 5), replicas=2, seed=3))
     narrow = run_consistency(ConsistencyConfig(t_grid=(4,), replicas=2, seed=3))
     assert wide.errors[0] == narrow.errors[0]
+
+
+def _replica_drawn_alone(config: ConsistencyConfig, t: int, replica: int) -> float:
+    """One replica with nothing shared between replicas: its own pairs, team
+    names, win matrix and spec, built through the public API."""
+    rng = np.random.default_rng([config.seed, t, replica])
+    u = rng.uniform(1.0, 2.0, t)
+    rows, cols = np.triu_indices(t, k=1)
+    wins = rng.binomial(config.n_per_pair, u[rows] / (u[rows] + u[cols]))
+    a = np.zeros((t, t))
+    a[rows, cols], a[cols, rows] = wins, config.n_per_pair - wins
+    spec = ModelSpec(Model.BRADLEY_TERRY, Improved(auto_epsilon(t)))
+    return max_relative_error(fit(spec, venue_free_dataset(names(t), a)).merits_u, u)
+
+
+def test_replicas_sharing_one_layout_per_t_match_replicas_drawn_alone_bit_for_bit():
+    config = ConsistencyConfig(t_grid=(3, 7), replicas=4, seed=11)
+    want = [tuple(_replica_drawn_alone(config, t, r) for r in range(4)) for t in config.t_grid]
+    got = run_consistency(config).errors
+    assert [np.array(row).tobytes() for row in got] == [np.array(row).tobytes() for row in want]
