@@ -3,6 +3,10 @@
 Usage, from the root of a btrank checkout:
 
     python scripts/bench_kernel.py [--src DIR] [--label NAME] [--out PATH]
+    python scripts/bench_kernel.py --case two-leagues [--src DIR]
+
+The second form runs one league, ``two-leagues``, path or dense case alone
+and prints its JSON line, writing nothing.
 
 ``--src`` must name the ``src`` of a btrank checkout whose kernels return
 an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
@@ -23,17 +27,18 @@ the peak RSS is the case's own, aggregation included. Per case the column
 records the number of games and met pairs, the median time of one
 ``Objective.value_gradient_hessian`` at the start point, the median time of
 the solver's own Newton step on the system it returns
-(``solver._newton_direction``), the median wall time of one ``btrank.fit``
-and the peak RSS of the interpreter.
+(``solver._newton_direction``), the median wall time of one ``btrank.fit``,
+its Newton iterations and the conjugate-gradient iterations of all its steps
+(``cg_iterations``), and the peak RSS of the interpreter.
 
 The ``two-leagues`` case joins two 1000-team leagues by a single win, so the
 raw data fail strong connection, and fits them at each epsilon of
 ``PROBE_EPS``. Per epsilon it records the fit's time, iterations and
-convergence, the largest number of conjugate-gradient iterations a step of
-the fit took (0 where every step was solved by LU), and at the fitted point
-the relative residual ``|H d + g| / |g|`` of the solver's step, an
-iterative one solved to a relative residual of 1e-12, and of a dense LU
-step.
+convergence, the conjugate-gradient iterations of all its steps and the
+largest number a step took (0 where every step was solved by LU), and at
+the fitted point the relative residual ``|H d + g| / |g|`` of the solver's
+step, an iterative one solved to a relative residual of 1e-12, and of a
+dense LU step.
 
 The ``crowd-1e6`` case parses a CSV of ``CROWD_ROWS`` crowd comparisons
 among ``CROWD_ITEMS`` items (uniformly random pairs of distinct items,
@@ -172,6 +177,20 @@ def coarse_space(model, data, pairs: int, h):
     return labels if layout is None else layout(labels, h)
 
 
+def count_cg(solver) -> list:
+    """The list to which ``solver._pcg``, wrapped in place, appends the
+    conjugate-gradient iterations of each solve from now on."""
+    pcg, counts = solver._pcg, []
+
+    def counted(*args):
+        step, iterations = pcg(*args)
+        counts.append(iterations)
+        return step, iterations
+
+    solver._pcg = counted
+    return counts
+
+
 def run_case(name: str) -> dict:
     import resource
 
@@ -197,8 +216,9 @@ def run_case(name: str) -> dict:
         clock = time.perf_counter()
         solver._newton_direction(g, h, coarse, solver._CG_RTOL)  # a fit's first step
         step.append(time.perf_counter() - clock)
-    wall = []
+    wall, counts = [], count_cg(solver)
     for _ in range(fits):
+        counts.clear()
         clock = time.perf_counter()
         result = btrank.fit(spec, data)
         wall.append(time.perf_counter() - clock)
@@ -211,6 +231,7 @@ def run_case(name: str) -> dict:
         "step_median_s": statistics.median(step),
         "fit_median_s": statistics.median(wall),
         "iterations": result.iterations,
+        "cg_iterations": sum(counts),
         "converged": result.converged,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
@@ -229,15 +250,7 @@ def run_probe() -> dict:
     from btrank.perturbation import perturb
 
     data = dataset(btrank, 2 * PROBE_TEAMS, two_leagues(PROBE_TEAMS))
-    pcg = solver._pcg
-    counts = []
-
-    def counted(*args):
-        step, iterations = pcg(*args)
-        counts.append(iterations)
-        return step, iterations
-
-    solver._pcg = counted
+    counts = count_cg(solver)
     out = {}
     for eps in PROBE_EPS:
         spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved(eps))
@@ -245,7 +258,7 @@ def run_probe() -> dict:
         clock = time.perf_counter()
         result = btrank.fit(spec, data)
         wall = time.perf_counter() - clock
-        most = max(counts, default=0)
+        total, most = sum(counts), max(counts, default=0)
         perturbed = perturb(data, spec.perturbation)
         objective = likelihood.Objective(spec.model, perturbed)
         _, g, h = objective.value_gradient_hessian(result.beta[1:])
@@ -257,6 +270,7 @@ def run_probe() -> dict:
             "fit_s": wall,
             "iterations": result.iterations,
             "converged": result.converged,
+            "cg_iterations": total,
             "max_cg_iterations": most,
             "step_residual": float(np.linalg.norm(dense @ d + g) / norm),
             "lu_residual": float(np.linalg.norm(dense @ np.linalg.solve(dense, -g) + g) / norm),
@@ -418,6 +432,7 @@ def main(argv=None) -> int:
         Path(args.write_csv).write_text(crowd_csv(CROWD_IDS[args.case]), encoding="utf-8")
         return 0
     if args.case:  # the child interpreter of one case
+        sys.path.insert(0, args.src)
         if args.case in CROWD_IDS:
             out = run_crowd(args.csv)
         elif args.case == "two-leagues":
@@ -441,8 +456,9 @@ def main(argv=None) -> int:
             # own high-water mark, which a spawned interpreter inherits on Linux.
             subprocess.run([sys.executable, __file__, "--case", name, "--write-csv", path], check=True)
         for name in [*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"]:
+            case = ["--case", name, "--src", args.src, "--csv", crowd.get(name, "")]
             child = subprocess.run(
-                [sys.executable, __file__, "--case", name, "--csv", crowd.get(name, "")],
+                [sys.executable, __file__, *case],
                 env=env, capture_output=True, text=True, check=True,
             )
             column[name] = json.loads(child.stdout.splitlines()[-1])

@@ -39,7 +39,10 @@ leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level solves
 them exactly. The step is an inexact Newton step (Eisenstat and Walker
 1996): the first is solved to a residual of a tenth of ``|g|`` (2-norms),
 each later one to the sup-norm of the step before it (capped at a tenth),
-so the solves tighten as the steps shrink.
+so the solves tighten as the steps shrink, but never below ``_CG_FLOOR``
+(1e-11) over that sup-norm. The floor binds only after a step under about
+3e-6, whose successor is mostly a step of at most 1e-9: never taken, its
+solve only decides the stop (Dembo, Eisenstat and Steihaug 1982).
 
 A fit stops converged once the Newton step at the current point has
 sup-norm at most 1e-9, in log-merit units: near the maximizer that is its
@@ -94,6 +97,7 @@ _ARMIJO_C = 1e-4
 _HALVINGS = 60  # the smallest trial step is 2**-59
 _STEP_TOL = 1e-9  # a fit is converged once the Newton step is this short
 _CG_RTOL = 0.1  # the loosest relative residual of a sparse Newton step
+_CG_FLOOR = 0.01 * _STEP_TOL  # no sparse step is solved to a finer error
 
 
 class SolverConfig(Record):
@@ -255,7 +259,10 @@ def _newton(objective, start: Array, config: SolverConfig, labels=None) -> _Solu
         if newton and size <= _STEP_TOL or not g.any():
             converged = True
             break
-        rtol = min(_CG_RTOL, size)  # the next sparse step is solved this closely
+        # the next sparse step is solved as closely as this one was long, but no
+        # closer than _CG_FLOOR needs; size > 0 guards the division whatever stops above
+        floor = _CG_FLOOR / size if size > 0.0 else 0.0
+        rtol = min(_CG_RTOL, max(size, floor))
         if iterations >= config.max_iters:
             break
         iterations += 1

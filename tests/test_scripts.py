@@ -27,7 +27,7 @@ def test_the_league_case_reports_a_converged_fit():
     out = _bench("--case", "sparse-t400")
     assert set(out) == {
         "teams", "games", "met_pairs", "kernel_median_s", "step_median_s",
-        "fit_median_s", "iterations", "converged", "peak_rss_mb",
+        "fit_median_s", "iterations", "cg_iterations", "converged", "peak_rss_mb",
     }
     assert out["teams"] == 400 and out["converged"]
 
@@ -37,7 +37,7 @@ def test_the_two_leagues_case_solves_its_steps_to_the_residual():
     assert set(out) == {"0.1", "1e-05", "1e-09", "1e-12"}
     for probe in out.values():
         assert set(probe) == {
-            "fit_s", "iterations", "converged", "max_cg_iterations",
+            "fit_s", "iterations", "converged", "cg_iterations", "max_cg_iterations",
             "step_residual", "lu_residual",
         }
     assert out["0.1"]["converged"]

@@ -886,3 +886,33 @@ def test_the_two_league_step_takes_few_cg_iterations_and_matches_the_lu_fit(eps)
     if dense.converged:
         assert sparse.converged
         assert np.abs(sparse.beta - dense.beta).max() <= 1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-5])
+def test_only_the_confirming_sparse_solve_stops_early(eps):
+    # the floor on the forcing term loosens the solve of the last step, of at
+    # most _STEP_TOL, which the stop rule never takes, and no step that is taken
+    data = _two_leagues(150)
+    model = spec(Model.BRADLEY_TERRY, Improved(eps))
+    solves = []
+
+    def counted(h, g, coarse, rtol):
+        step, iterations = pcg(h, g, coarse, rtol)
+        solves.append((rtol, iterations))
+        return step, iterations
+
+    pcg = solver._pcg
+    with mock.patch.object(solver, "_pcg", counted):
+        floored = fit(model, data)
+        last = solves[-1]
+        # each step solved as closely as the one before it was long
+        with mock.patch.object(solver, "_CG_FLOOR", 0.0):
+            unfloored = fit(model, data)
+    assert floored.converged
+    objective = Objective(Model.BRADLEY_TERRY, perturb(data, Improved(eps)))
+    _, g, h = objective.value_gradient_hessian(floored.beta[1:])
+    assert np.abs(np.linalg.solve(np.asarray(h), -g)).max() <= solver._STEP_TOL
+    # the step before the last is 5.6e-7 at eps 0.1 and 1.1e-8 at 1e-5
+    assert last[0] >= 1e-5 and last[1] < solves[-1][1]
+    np.testing.assert_array_equal(floored.beta, unfloored.beta)
+    assert (floored.iterations, floored.converged) == (unfloored.iterations, unfloored.converged)
