@@ -10,11 +10,10 @@ and prints its JSON line, writing nothing.
 
 ``--src`` must name the ``src`` of a btrank checkout whose kernels return
 an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
-``_newton_direction`` and ``_pcg`` (and ``_coarse_layout``, which builds
-the coarse space those take from the raw labels, where it has one), and
-whose connectivity module labels the raw components with
-``raw_components`` and has ``arcs``, ``verify_existence`` and
-``strong_components``.
+``_newton_direction``, ``_pcg`` and ``_coarse_layout`` (which builds the
+coarse space those take from the raw labels), and whose connectivity
+module labels the raw components with ``raw_components`` and has
+``arcs``, ``verify_existence`` and ``strong_components``.
 
 Each league case is a home-and-away league drawn from a fixed seed: a ring
 plus random chords, so every team meets about 6 others, one game at each
@@ -51,8 +50,8 @@ of ``btrank.aggregate`` on the table, the tracemalloc peak of one more
 ``btrank.aggregate`` (what it allocates over the table it is given), and
 the peak RSS of the interpreter, whose only large work is reading, parsing
 and aggregating. The ``crowd-1e6-long`` case does the same on the same
-records with 24-byte item ids, longer than the 8 bytes a plain-CSV cell's
-key holds.
+records with 24-byte item ids: longer than the 8 bytes a plain-CSV cell's
+key holds, so it times the csv module's row loop.
 
 Each case of ``PATH_TEAMS`` is a path league of t teams, each team
 beating the next one at home, perturbed under ``Improved("auto")`` so that
@@ -166,15 +165,12 @@ def coarse_space(model, data, pairs: int, h):
     """The coarse space that ``solver._newton_direction`` takes for a fit's
     sparse step with Hessian ``h``, or None below ``solver.edge_form``,
     where the step is solved by LU: ``solver._coarse_layout`` of the raw
-    components of ``connectivity.raw_components``, or those labels
-    themselves for a solver without ``_coarse_layout``."""
+    components of ``connectivity.raw_components``."""
     from btrank import connectivity, solver
 
     if not solver.edge_form(data.num_teams, pairs):
         return None
-    labels = connectivity.raw_components(model, data)
-    layout = getattr(solver, "_coarse_layout", None)
-    return labels if layout is None else layout(labels, h)
+    return solver._coarse_layout(connectivity.raw_components(model, data), h)
 
 
 def count_cg(solver) -> list:

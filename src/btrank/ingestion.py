@@ -227,9 +227,6 @@ def _header_columns(header) -> tuple[int, int, int, int, int]:
 _BLOCK_CHARS = 1 << 17
 #: ``_MASKS[n]`` keeps the low n bytes of a word, n = 0 .. 8
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
-#: the longest team id, outcome or repeat cell of a plain CSV, in bytes: it
-#: bounds the words ``_LongCells`` pads each cell of a block out to
-_LONG_CELL_BYTES = 512
 #: no cell's key: it is 8 bytes 0xFF, which UTF-8 never holds
 _NO_KEY = np.uint64(2**64 - 1)
 #: an odd multiplier that mixes the bits of a key (2^64 over the golden ratio)
@@ -243,15 +240,14 @@ def _split_plain_csv(text: str) -> GameTable | None:
     holds no quote, NUL (a csv.Error before Python 3.11) or bare carriage
     return, and each body line that is not empty holds the header's number
     of cells, none over the csv field limit and no team, outcome or repeat
-    cell over ``_LONG_CELL_BYTES``. Empty lines are skipped, as the row loop
-    skips them. The body is read block by block as UTF-8 bytes,
-    and each cell is coded by a 64-bit key without a Python object of its
-    own. A cell of at most 8 bytes is its own key: its bytes as one
+    cell over 8 bytes. Empty lines are skipped, as the row loop skips them.
+    The body is read block by block as UTF-8 bytes, and each cell is coded
+    by a 64-bit key without a Python object of its own: its bytes as one
     zero-padded little-endian word, unique since the text holds no NUL. A
-    longer cell is keyed by a mix of its words (``_LongCells``) and then
-    compared word for word with the first cell of its key; a failed
-    compare leaves the text to the row loop. Each role's keys (teams, home
-    and away interleaved; outcomes; repeats) are looked up in bulk in a
+    block with a longer cell returns None before any key is formed, so
+    that no two cells share the key of their first 8 bytes, and the whole
+    text goes to the row loop. Each role's keys (teams, home and away
+    interleaved; outcomes; repeats) are looked up in bulk in a
     ``_KeyTable``; the missed ones go through one ``np.unique``, and each
     distinct new cell is decoded, stripped and converted once, in row-major
     order of first appearance (``_codes``). A block with a bad row goes to
@@ -279,7 +275,6 @@ def _split_plain_csv(text: str) -> GameTable | None:
             raise ParseError("home and away team ids are required")
         return teams.setdefault(name, len(teams))
 
-    long_cells = None
     team_of, outcome_of, repeat_of = (_KeyTable(dtype) for dtype in (np.int32, np.int8, np.int64))
     pairs, outcomes, repeats = [], [], []  # each block's codes; pairs of home and away
     while start < len(text):
@@ -303,18 +298,10 @@ def _split_plain_csv(text: str) -> GameTable | None:
         ):
             return None
         starts, sizes = (column.reshape(-1, width)[:, roles] for column in (starts, sizes))
-        words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))  # the word at each byte
-        keys = words.take(starts) & _MASKS.take(sizes, mode="clip")
-        longest = sizes.max(initial=0)
-        if longest > _LONG_CELL_BYTES:
+        if sizes.max(initial=0) > 8:  # a cell longer than its key
             return None
-        if longest > 8:
-            long = np.flatnonzero(sizes > 8)
-            long_cells = long_cells or _LongCells()
-            found = long_cells.keys_of(words, starts.take(long), sizes.take(long))
-            if found is None:
-                return None
-            keys.reshape(-1)[long] = found
+        words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))  # the word at each byte
+        keys = words.take(starts) & _MASKS.take(sizes, mode="clip")  # "clip" is cheaper than "raise"
         try:
             pair = _codes(team_of, team, data, np.ravel(keys[:, :2]), starts[:, :2], sizes[:, :2])
             if (pair[0::2] == pair[1::2]).any():
@@ -414,44 +401,6 @@ def _codes(table: _KeyTable, convert, data: bytes, keys, starts, sizes) -> np.nd
         table.add(distinct, converted)
         codes[new] = converted[back]
     return codes
-
-
-class _LongCells:
-    """Keys of cells of 9 to ``_LONG_CELL_BYTES`` bytes. A key is a mix of
-    the cell's words with its low byte clear and bit 8 set, so that it is
-    neither the key of a shorter cell (whose low byte is its first byte, or
-    0 when empty) nor ``_NO_KEY``. The first cell of each key is kept word
-    by word, and every cell of the key must equal it."""
-
-    def __init__(self):
-        self.index = _KeyTable(np.intp)  # of each key's first cell in ``sizes`` and ``words``
-        self.sizes = np.zeros(0, np.intp)  # of each key's first cell, in bytes
-        self.words = np.zeros((0, 0), np.uint64)  # word by cell, zero past a cell's end
-
-    def keys_of(self, words: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray | None:
-        """The keys of the cells at ``starts`` of ``sizes`` bytes, read
-        through ``words``; None if a cell differs from the first of its key.
-        Arrays of words are laid out word by cell, so that each operation
-        runs along the cells."""
-        offsets = np.arange(0, sizes.max(), 8)[:, None]  # of each word in a cell
-        cells = words.take(starts + offsets, mode="clip") & _MASKS.take(sizes - offsets, mode="clip")
-        mixed = cells * ((offsets.astype(np.uint64) << 1 | 1) * _MIX)  # an odd factor per word
-        mixed ^= mixed >> 29
-        keys = mixed.sum(axis=0) >> 8 << 8 | 256
-        index, new = self.index.find(keys)
-        if len(new):
-            kept = new[np.unique(keys[new], return_index=True)[1]]
-            self.index.add(keys[kept], len(self.sizes) + np.arange(len(kept)))
-            self.sizes = np.concatenate([self.sizes, sizes[kept]])
-            grown = np.zeros((max(len(self.words), len(offsets)), len(self.sizes)), np.uint64)
-            grown[: len(self.words), : self.words.shape[1]] = self.words
-            grown[: len(offsets), self.words.shape[1] :] = cells[:, kept]
-            self.words = grown
-            index = self.index.find(keys)[0]
-        same = (self.sizes[index] == sizes).all() and (
-            self.words[: len(offsets)].take(index, axis=1) == cells
-        ).all()
-        return keys if same else None
 
 
 def _parse_json_records(text: str) -> GameTable:

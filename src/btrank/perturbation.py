@@ -8,10 +8,15 @@ layout of ``types.CountMatrices``), in O(edges):
   that met at both venues gains one eps, not two), and to the host and the
   visitor win of every orientation that has a game.
 * ConnerGrant(eps) runs the same rule over every pair, met or not, and
-  lifts every orientation. It is dense by definition: t (t - 1) / 2 edges.
+  lifts every orientation. It is dense by definition: t (t - 1) / 2 edges,
+  so it is refused above ``_CONNER_GRANT_TEAMS`` teams.
 * MatrixShift(a0) widens the edge list to the pairs where ``a0`` is
   nonzero. The venue-free wins of x over y gain ``a0[x][y]``; the games by
   venue stay raw, since only the venue-free models take a shift.
+
+On venueless data both lift the venue-free wins alone: no model reads the
+games by venue there (the venue models refuse such data, and the tie
+models read the raw ties).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .types import (
     AUTO_EPSILON,
     ConnerGrant,
@@ -31,6 +36,10 @@ from .types import (
     PerturbedCounts,
     pair_edges,
 )
+
+#: the most teams ConnerGrant takes: its fits peak at about 100 bytes per
+#: ordered pair (431 MB at t = 2000), some 2.5 GB at this t
+_CONNER_GRANT_TEAMS = 5000
 
 
 def auto_epsilon(t: int) -> float:
@@ -74,6 +83,12 @@ def perturb(dataset: Dataset, spec: PerturbationSpec) -> PerturbedCounts:
     counts, t = dataset.counts, dataset.num_teams
     if not isinstance(spec, (Improved, ConnerGrant, MatrixShift)):
         raise TypeError(f"unknown perturbation spec {spec!r}")
+    if isinstance(spec, ConnerGrant) and t > _CONNER_GRANT_TEAMS:
+        raise ConfigError(
+            f"ConnerGrant on {t} teams makes all {t * (t - 1) // 2} pairs edges, "
+            f"about {100 * t * t / 1e9:.1f} GB to fit; it takes at most "
+            f"{_CONNER_GRANT_TEAMS} teams"
+        )
     eps = resolve_epsilon(spec, t)
     if isinstance(spec, MatrixShift):
         a0 = spec.a0
@@ -84,10 +99,11 @@ def perturb(dataset: Dataset, spec: PerturbationSpec) -> PerturbedCounts:
     else:
         if isinstance(spec, Improved):
             i, j, games, wins = counts.i, counts.j, counts.games, dataset.totals[:2]
-            hosted = games.any(axis=0)  # no count is negative
         else:  # ConnerGrant
             i, j, games, wins = _widen(dataset, np.ones((t, t), dtype=bool))
-            hosted = True
-        wins, games = wins + eps, games.copy()
-        games[:2] += eps * hosted
+        wins = wins + eps
+        if not dataset.venueless:
+            hosted = games.any(axis=0) if isinstance(spec, Improved) else True  # no count is negative
+            games = games.copy()
+            games[:2] += eps * hosted
     return PerturbedCounts(t, i, j, games, wins, dataset.venueless, eps)

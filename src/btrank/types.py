@@ -354,11 +354,12 @@ class PerturbedCounts(Record):
 
     ``i``, ``j`` and ``games`` are laid out as in ``CountMatrices``, with
     the perturbed host and visitor wins the venue models read and the raw
-    ties; a pair may carry only perturbation. ``wins`` (2, edges) holds the
-    perturbed venue-free wins of i over j and of j over i that the other
-    models read (under Improved, the raw wins plus eps, not the sum of the
-    perturbed venue wins, which would add eps twice to a pair that met at
-    both venues).
+    ties; a pair may carry only perturbation. On venueless data, which the
+    venue models refuse, an epsilon scheme leaves ``games`` raw. ``wins``
+    (2, edges) holds the perturbed venue-free wins of i over j and of j
+    over i that the other models read (under Improved, the raw wins plus
+    eps, not the sum of the perturbed venue wins, which would add eps twice
+    to a pair that met at both venues).
 
     ``epsilon`` records the resolved magnitude (None for MatrixShift).
     """

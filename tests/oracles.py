@@ -110,7 +110,7 @@ def dense_perturb(dataset: Dataset, spec) -> SimpleNamespace:
     ``dense_perturbed``: Improved adds eps to ``a`` where ``n > 0``, to
     ``a_home`` where ``n_host > 0`` and to ``a_away`` where ``n_host.T >
     0``; ConnerGrant adds eps off the diagonal; MatrixShift adds ``a0`` to
-    ``a`` alone."""
+    ``a`` alone. On venueless data ``a_home`` and ``a_away`` stay raw."""
     d = dense(dataset)
     t = dataset.num_teams
     if isinstance(spec, MatrixShift):
@@ -121,6 +121,8 @@ def dense_perturb(dataset: Dataset, spec) -> SimpleNamespace:
     else:
         assert isinstance(spec, ConnerGrant)
         free = home = away = resolve_epsilon(spec, t) * ~np.eye(t, dtype=bool)
+    if dataset.venueless:
+        home = away = 0.0
     a_home, a_away = d.a_home + home, d.a_away + away
     return SimpleNamespace(
         a_home=a_home,

@@ -266,22 +266,6 @@ def test_csv_parses_as_the_row_loop_does(text, limit, block):
         csv.field_size_limit(previous)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "home,away,outcome\nA\x00,B,tie\n",  # the csv module refuses it before Python 3.11
-        'home,away,outcome\n"A",B,tie\n',
-        "home,away,outcome\nA,B,tie\rB,A,tie\n",
-        "home,away,outcome\r\nA,B,tie\rB,A,tie\r\n",
-        "home,away,outcome\nA,B,tie,C,A\ntie\n",
-        "home,away,outcome\nA," + "B" * 513 + ",tie\n",
-    ],
-    ids=["nul", "quote", "bare-cr", "bare-cr-among-crlf", "uneven-lines", "a-513-byte-id"],
-)
-def test_a_body_that_is_not_plain_is_left_to_the_csv_module(text):
-    assert ingestion._split_plain_csv(text) is None
-
-
 def crowd_csv(end: str, cell: str = "I{:03d}", rows: int = 20_000, items: int = 300) -> str:
     """A seeded crowd CSV with a repeat column and no final line end: random
     pairs of distinct items, item k written as ``cell.format(k)``."""
@@ -297,7 +281,7 @@ def crowd_csv(end: str, cell: str = "I{:03d}", rows: int = 20_000, items: int = 
     return "home,away,outcome,repeat" + end + end.join(lines)
 
 
-LONG_ID = "crowd-item-{:03d}-of-set-AB"  # 24 bytes: three words of a cell's key
+LONG_ID = "crowd-item-{:03d}-of-set-AB"  # 24 bytes, over the 8 of a cell's key
 
 
 def with_blank_lines(text: str, end: str) -> str:
@@ -308,23 +292,65 @@ def with_blank_lines(text: str, end: str) -> str:
     return end.join(line if k % 997 else line + end for k, line in enumerate(lines))
 
 
+def rotation(*ids: str) -> str:
+    """A CSV of 300 records in which each id hosts the next one."""
+    lines = [f"{ids[k % len(ids)]},{ids[(k + 1) % len(ids)]},tie" for k in range(300)]
+    return "home,away,outcome\n" + "\n".join(lines) + "\n"
+
+
+def late_long_cell(cell: str) -> str:
+    """A crowd CSV whose only cell over 8 bytes, ``cell``, is in its last
+    line."""
+    return crowd_csv("\n", rows=2_000) + "\nI001," + cell + ",tie,1"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: "home,away,outcome\nA\x00,B,tie\n",  # the csv module refuses it before Python 3.11
+        lambda: 'home,away,outcome\n"A",B,tie\n',
+        lambda: "home,away,outcome\nA,B,tie\rB,A,tie\n",
+        lambda: "home,away,outcome\r\nA,B,tie\rB,A,tie\r\n",
+        lambda: "home,away,outcome\nA,B,tie,C,A\ntie\n",
+        lambda: "home,away,outcome\nA," + "B" * 513 + ",tie\n",
+        lambda: crowd_csv("\n", LONG_ID),
+        lambda: crowd_csv("\r\n", LONG_ID),
+        lambda: with_blank_lines(crowd_csv("\r\n", LONG_ID), "\r\n"),
+        lambda: "home,away,outcome\nA," + "B" * 512 + ",tie\n" + "B" * 512 + ",A,away_win\n",
+        lambda: rotation("Sixteen-byte-id!", "Seventeen-byte-id"),
+        lambda: rotation("Athletic Club", "Athletic Bilbao", "Real Sociedad B", "Real Sociedad C"),
+        lambda: rotation("Sixteen-byte-id!", "A", "Team 3"),
+        lambda: rotation("Sixteen-byte-id!", "A", "Team 3") + "A,,tie\n",
+        lambda: "home,away,outcome\nA,B, home_win\n",
+        lambda: late_long_cell("Longname9"),
+    ],
+    ids=[
+        "nul", "quote", "bare-cr", "bare-cr-among-crlf", "uneven-lines", "a-513-byte-id", "long-ids",
+        "long-ids-crlf", "blank-lines-between-long-id-rows-crlf", "a-512-byte-id", "two-long-ids",
+        "four-long-ids", "one-long-id", "one-long-id-and-an-empty-cell", "a-9-byte-padded-outcome",
+        "a-long-id-in-a-late-block",
+    ],
+)
+def test_a_body_that_is_not_plain_is_left_to_the_csv_module(make):
+    # The row loop's table or error, whole; in blocks of 256 characters, so
+    # that the late long id is some 150 blocks in.
+    text = make()
+    with mock.patch.object(ingestion, "_BLOCK_CHARS", 256):
+        assert ingestion._split_plain_csv(text) is None
+        assert parsed(lambda text: parse_records(text, "csv"), text) == parsed(ingestion._parse_csv, text)
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: crowd_csv("\n"),
         lambda: crowd_csv("\r\n", " I{:03d} "),
-        lambda: crowd_csv("\n", LONG_ID),
-        lambda: crowd_csv("\r\n", LONG_ID),
         lambda: crowd_csv("\n") + "\n\n",
         lambda: crowd_csv("\r\n", " I{:03d} ") + "\r\n\r\n",
         lambda: with_blank_lines(crowd_csv("\n"), "\n"),
-        lambda: with_blank_lines(crowd_csv("\r\n", LONG_ID), "\r\n"),
-        lambda: "home,away,outcome\nA," + "B" * 512 + ",tie\n" + "B" * 512 + ",A,away_win\n",
     ],
     ids=[
-        "lf", "crlf-padded", "long-ids", "long-ids-crlf", "trailing-blank-line",
-        "trailing-blank-line-crlf", "blank-lines-between-rows", "blank-lines-between-long-id-rows-crlf",
-        "a-512-byte-id",
+        "lf", "crlf-padded", "trailing-blank-line", "trailing-blank-line-crlf", "blank-lines-between-rows",
     ],
 )
 def test_a_plain_crowd_csv_never_reaches_the_row_loop(make):
@@ -359,38 +385,6 @@ def test_a_bad_plain_row_in_a_late_block_raises_without_the_row_loop(line, error
         mock.patch.object(ingestion, "_parse_csv", side_effect=AssertionError("row loop")),
     ):
         assert parsed(lambda text: parse_records(text, "csv"), text) == want
-
-
-def rotation(*ids: str) -> str:
-    """A CSV of 300 records in which each id hosts the next one."""
-    lines = [f"{ids[k % len(ids)]},{ids[(k + 1) % len(ids)]},tie" for k in range(300)]
-    return "home,away,outcome\n" + "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize(
-    "text, reaches_row_loop",
-    [
-        (rotation("Sixteen-byte-id!", "Seventeen-byte-id"), True),
-        (rotation("Athletic Club", "Athletic Bilbao", "Real Sociedad B", "Real Sociedad C"), True),
-        (rotation("Sixteen-byte-id!", "A", "Team 3"), False),
-        (rotation("Sixteen-byte-id!", "A", "Team 3") + "A,,tie\n", False),
-    ],
-    ids=["two-long-ids", "four-long-ids", "one-long-id", "one-long-id-and-an-empty-cell"],
-)
-def test_long_ids_whose_keys_collide_are_left_to_the_row_loop(text, reaches_row_loop):
-    # With a mixing multiplier of 0, every cell of over 8 bytes has one key,
-    # and every key hashes to slot 0, so all keys of a table but one are in
-    # its spill: two long ids are told apart by the word-by-word compare
-    # alone, which hands the text to the row loop; one long id among short
-    # ones keeps the bulk path, and its key is still not an empty cell's.
-    want = parsed(ingestion._parse_csv, text)
-    with (
-        mock.patch.object(ingestion, "_MIX", np.uint64(0)),
-        mock.patch.object(ingestion, "_BLOCK_CHARS", 512),
-        mock.patch.object(ingestion, "_parse_csv", wraps=ingestion._parse_csv) as row_loop,
-    ):
-        assert parsed(lambda text: parse_records(text, "csv"), text) == want
-    assert row_loop.called == reaches_row_loop
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

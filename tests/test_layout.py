@@ -15,7 +15,7 @@ from btrank.connectivity import (
     check_condition_c,
     verify_existence,
 )
-from btrank.errors import ConfigError, ExistenceError
+from btrank.errors import ConfigError, ExistenceError, VenuelessDataError
 from btrank.ingestion import GameTable, aggregate
 from btrank.likelihood import EdgeHessian, Objective
 from btrank.perturbation import perturb
@@ -123,6 +123,10 @@ def test_existence_verdicts_witnesses_and_refusals_match_the_dense_rule(case):
         if model.has_home_parameter and isinstance(spec, MatrixShift):
             with pytest.raises(ConfigError):
                 ModelSpec(model, spec)
+            continue
+        if model.has_home_parameter and data.venueless:  # refused before any existence check
+            with pytest.raises(VenuelessDataError):
+                Objective(model, perturbed)
             continue
         got = _refusal(ModelSpec(model, spec), data.teams, perturbed)
         assert got == dense_existence_refusal(model, spec, reference, data.teams)

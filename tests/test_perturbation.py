@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from btrank.errors import ShapeError
+from btrank.errors import ConfigError, ShapeError
+from btrank.ingestion import GameTable, aggregate
 from btrank.perturbation import auto_epsilon, perturb, resolve_epsilon
-from btrank.types import AUTO_EPSILON, ConnerGrant, Improved, MatrixShift, venue_dataset
+from btrank.types import AUTO_EPSILON, ConnerGrant, Improved, MatrixShift, venue_dataset, venue_free_dataset
 
 from conftest import names
 from oracles import dense, dense_perturbed
@@ -163,3 +166,35 @@ def test_each_scheme_keeps_its_own_edge_list(venue_data):
     # wins of 1 over 3, then of 3 over 1; the pair played no game
     assert shifted.wins[:, 3].tolist() == [0.0, -0.5]
     assert not shifted.games[:, :, 3].any()
+
+
+@pytest.mark.parametrize("spec", [Improved(0.3), ConnerGrant(0.3)], ids=["improved", "conner-grant"])
+def test_venueless_data_gain_eps_on_their_wins_alone(spec):
+    a = np.array([[0, 2, 0], [1, 0, 0], [0, 3, 0]])
+    ties = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    data = venue_free_dataset(names(3), a, ties)
+    out, raw = dense_perturbed(perturb(data, spec)), dense(data)
+    for name in ("a_home", "a_away", "t_home"):
+        assert np.array_equal(getattr(out, name), getattr(raw, name))
+    lifted = raw.n > 0 if isinstance(spec, Improved) else ~np.eye(3, dtype=bool)
+    assert np.array_equal(out.a_free, raw.a + 0.3 * lifted)
+
+
+def test_conner_grant_above_5000_teams_is_refused_before_any_dense_array():
+    # A path league, built from records so that no t x t array precedes
+    # the refusal either.
+    t = 5_001
+    home = np.arange(t - 1)
+    data = aggregate(GameTable(names(t), home, home + 1, np.zeros(t - 1), np.ones(t - 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            perturb(data, ConnerGrant(0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "ConnerGrant on 5001 teams makes all 12502500 pairs edges, about 2.5 GB to fit; "
+        "it takes at most 5000 teams"
+    )
+    assert peak < t * t // 100
