@@ -5,8 +5,8 @@ Usage, from the root of a btrank checkout:
     python scripts/bench_kernel.py [--src DIR] [--label NAME] [--out PATH]
     python scripts/bench_kernel.py --case two-leagues [--src DIR]
 
-The second form runs one league, ``two-leagues``, path or dense case alone
-and prints its JSON line, writing nothing.
+The second form runs one league, venue, ``two-leagues``, path or dense case
+alone and prints its JSON line, writing nothing.
 
 ``--src`` must name the ``src`` of a btrank checkout whose kernels return
 an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
@@ -29,6 +29,14 @@ the solver's own Newton step on the system it returns
 (``solver._newton_direction``), the median wall time of one ``btrank.fit``,
 its Newton iterations and the conjugate-gradient iterations of all its steps
 (``cg_iterations``), and the peak RSS of the interpreter.
+
+Each case of ``VENUE_CASES`` is a league drawn as above, with a seeded
+tenth of its games made ties so that Davidson has ties to read, fitted with
+Davidson and with home-field under ``Improved("auto")`` in its own
+single-threaded interpreter. Per model it
+records the median wall time of one ``btrank.fit``, its Newton iterations,
+the conjugate-gradient iterations of all its steps and ``converged``; per
+case the number of games and met pairs and the peak RSS of the interpreter.
 
 The ``two-leagues`` case joins two 1000-team leagues by a single win, so the
 raw data fail strong connection, and fits them at each epsilon of
@@ -108,6 +116,9 @@ CASES = {
     "sparse-t4000": (4000, 4000, 5, 2),
     "sparse-t20000": (20000, 20000, 3, 2),
 }
+#: (teams, seed, fits per model) per venue case
+VENUE_CASES = {"venue-t2000": (2000, 2000, 3), "venue-t20000": (20000, 20000, 1)}
+VENUE_MODELS = ("DAVIDSON", "HOME_FIELD")
 PROBE_TEAMS = 1000  # per league of the two-leagues case
 PROBE_EPS = (1e-1, 1e-5, 1e-9, 1e-12)
 OPPONENTS = 6
@@ -130,6 +141,7 @@ for name in ("numpy", "btrank", "btrank.cli"):
     marks.append(time.perf_counter())
 print(*(after - before for before, after in zip(marks, marks[1:])))
 """
+ALL_CASES = [*CASES, *VENUE_CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -229,6 +241,41 @@ def run_case(name: str) -> dict:
         "iterations": result.iterations,
         "cg_iterations": sum(counts),
         "converged": result.converged,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def run_venue(name: str) -> dict:
+    import resource
+
+    import btrank
+    from btrank import solver
+
+    t, seed, fits = VENUE_CASES[name]
+    home, away, outcome = league(t, seed)
+    rng = np.random.default_rng(seed)
+    outcome[rng.choice(len(outcome), len(outcome) // 10, replace=False)] = 2  # a tie
+    data = dataset(btrank, t, (home, away, outcome))
+    out, counts = {}, count_cg(solver)
+    for model in VENUE_MODELS:
+        spec = btrank.ModelSpec(btrank.Model[model], btrank.Improved("auto"))
+        wall = []
+        for _ in range(fits):
+            counts.clear()
+            clock = time.perf_counter()
+            result = btrank.fit(spec, data)
+            wall.append(time.perf_counter() - clock)
+        out[model.lower()] = {
+            "fit_median_s": statistics.median(wall),
+            "iterations": result.iterations,
+            "cg_iterations": sum(counts),
+            "converged": result.converged,
+        }
+    return {
+        "teams": t,
+        "games": len(home),
+        "met_pairs": len(np.unique(np.minimum(home, away) * t + np.maximum(home, away))),
+        **out,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -418,7 +465,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     parser.add_argument(
         "--case",
-        choices=[*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"],
+        choices=ALL_CASES,
         help=argparse.SUPPRESS,
     )
     parser.add_argument("--csv", help=argparse.SUPPRESS)  # the input of a crowd case
@@ -431,6 +478,8 @@ def main(argv=None) -> int:
         sys.path.insert(0, args.src)
         if args.case in CROWD_IDS:
             out = run_crowd(args.csv)
+        elif args.case in VENUE_CASES:
+            out = run_venue(args.case)
         elif args.case == "two-leagues":
             out = run_probe()
         elif args.case in PATH_TEAMS:
@@ -451,7 +500,7 @@ def main(argv=None) -> int:
             # Written by a child: a case's peak RSS starts at this process's
             # own high-water mark, which a spawned interpreter inherits on Linux.
             subprocess.run([sys.executable, __file__, "--case", name, "--write-csv", path], check=True)
-        for name in [*CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"]:
+        for name in ALL_CASES:
             case = ["--case", name, "--src", args.src, "--csv", crowd.get(name, "")]
             child = subprocess.run(
                 [sys.executable, __file__, *case],

@@ -22,6 +22,8 @@ digraph enters from the second set, as ``witness_is_valid`` re-checks.
 Every fit re-verifies existence before iterating (``verify_existence``),
 refusing with a witness rather than diverging; its Objective has already
 refused venue models on venueless data and tie models on data without ties.
+``verify_existence`` and ``check_condition_c`` refuse venueless data too,
+with the same VenuelessDataError (``require_venues``), before any search.
 One rule serves every scheme, Ford's condition on the perturbed data
 (Assumption 1 of Hunter 2004): no perturbed venue-free win count is
 negative (only a shift can make one so), and the perturbed ``digraph`` the
@@ -191,6 +193,13 @@ def _check(dataset: Dataset, wording: tuple[str, str]) -> PartitionWitness | Non
     return strong_connectivity_witness(dataset.num_teams, *condition_arcs, *wording)
 
 
+def require_venues(subject: str, venueless: bool) -> None:
+    """Refuse ``subject``, a venue model or Condition C, with
+    VenuelessDataError where it reads ``venueless`` data."""
+    if venueless:
+        raise VenuelessDataError(f"{subject} needs home/away structure and this dataset has none")
+
+
 def check_condition_a(dataset: Dataset) -> PartitionWitness | None:
     """Strong connectivity of the win digraph.
 
@@ -216,10 +225,7 @@ def check_condition_c(dataset: Dataset) -> PartitionWitness | None:
     On failure, q1 is a set of teams that never visit the rest: no team in
     q2 has ever hosted a team in q1.
     """
-    if dataset.venueless:
-        raise VenuelessDataError(
-            "condition C needs home/away structure and this dataset has none"
-        )
+    require_venues("condition C", dataset.venueless)
     return _check(dataset, CONDITION_C)
 
 
@@ -239,13 +245,15 @@ def witness_is_valid(dataset: Dataset, witness: PartitionWitness) -> bool:
 
 def verify_existence(model: Model, perturbed: PerturbedCounts, teams) -> None:
     """Refuse, with ExistenceError, unless the perturbed counts the model
-    reads meet Ford's condition (the module docstring gives the rule).
+    reads meet Ford's condition (the module docstring gives the rule); a
+    venue model on venueless counts first, with VenuelessDataError.
 
     A negative count rewards driving that pair's win probability to 0, so
     the objective is no longer concave and need not be bounded above. The
     first negative count in row order is named, as an entry of the t x t
     venue-free win matrix ``a_free``.
     """
+    require_venues(model.value, model.has_home_parameter and perturbed.venueless)
     i, j, t, wins = perturbed.i, perturbed.j, perturbed.num_teams, perturbed.wins
     if (wins < 0).any():  # row 0 the wins of i over j, row 1 those of j over i
         winner, loser = np.stack([i, j]), np.stack([j, i])

@@ -117,9 +117,12 @@ def _outcome_code(token) -> int:
 
 
 def _parse_repeat(value) -> int:
-    """A record's game count; a missing or blank value means 1."""
+    """A record's game count; a missing or blank value means 1. A JSON float
+    such as 3.0, as ``json.dumps`` writes a count, is read as its int."""
     if value is None or value == "":
         return 1
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     try:
         repeat = int(str(value).strip())
     except (TypeError, ValueError):

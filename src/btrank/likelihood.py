@@ -53,7 +53,8 @@ holding the per-edge weights, the diagonal beyond the Laplacian, the border
 rows and the parameter block: its products with a vector cost O(t + edges),
 and ``np.asarray`` scatters it to the dense array, each edge's weight
 written to its two off-diagonal entries, whose positions (``Arcs``) each
-objective computes once. For Bradley-Terry the curvature is
+objective computes once; the solver's coarse level sums its fields
+itself (``solver._galerkin``). For Bradley-Terry the curvature is
 ``n_ij p_ij (1 - p_ij)``. All five models and the MAP posterior share one
 kernel, ``_outcome_terms``, a softmax of the host, visitor and tie scores
 above: Bradley-Terry and Davidson are its venue-free cases, and Rao-Kupper
@@ -69,12 +70,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NoTiesError,
-    ThetaDomainError,
-    VenuelessDataError,
-)
+from .connectivity import require_venues
+from .errors import DimensionError, NoTiesError, ThetaDomainError
 from .types import Array, CountMatrices, Model, ParameterPoint, PerturbedCounts, derive_totals
 
 #: Smallest phi admitted for the Rao-Kupper model (theta must exceed 1).
@@ -104,10 +101,7 @@ def _check_point(model: Model, point: ParameterPoint, t: int) -> None:
 def _refuse_data(model: Model, perturbed: PerturbedCounts) -> None:
     """Refuse data the model cannot read: venue models need home/away
     structure, tie models need a tie."""
-    if model.has_home_parameter and perturbed.venueless:
-        raise VenuelessDataError(
-            f"{model.value} needs home/away structure and this dataset has none"
-        )
+    require_venues(model.value, model.has_home_parameter and perturbed.venueless)
     if model.has_tie_parameter and not perturbed.games[2].any():
         raise NoTiesError(
             f"{model.value} models tie probabilities and the data contain no tie"
@@ -159,9 +153,8 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     tie and home parameters over the merits, and ``block`` their k x k
     block. ``pinned`` merits at the front are left out of the layout, as the
     free layout leaves out ``beta_1``. The solver steps by ``H d = -g`` on H
-    as it is, with Newton decrement ``-g' H^-1 g``; ``galerkin`` gives the
-    ``Z' H Z`` of its coarse correction ``Z (Z' H Z)^-1 Z' r``. ``matvec``
-    costs O(t + edges), and ``np.asarray(h)`` is the dense array, O((t + k)^2).
+    as it is, with Newton decrement ``-g' H^-1 g``. ``matvec`` costs
+    O(t + edges), and ``np.asarray(h)`` is the dense array, O((t + k)^2).
     The edges and the pinned merits are the objective's ``arcs``.
     """
 
@@ -200,22 +193,6 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         t, a = len(self.shift), self.arcs
         degree = np.bincount(a.i, self.weight, t) + np.bincount(a.j, self.weight, t)
         return np.concatenate([(self.shift - degree)[self.pinned :], np.diagonal(self.block)])
-
-    def galerkin(self, plan) -> Array:
-        """``Z' H Z`` for the m indicator columns of a fit's coarse ``plan``
-        (``solver._coarse_layout``), in O(t + edges + m^2): the plan's
-        indices are fixed per fit, and only the weights are summed here."""
-        size, w = plan.m + 1, self.weight[plan.cross]  # column m is dropped
-        out = np.zeros(size * size)
-        out += np.bincount(plan.flat, np.concatenate([w, w, -w, -w]), size * size)
-        out[:: size + 1] += np.bincount(plan.merit, self.shift, size)  # the diagonal
-        out = out.reshape(size, size)
-        for row, k in zip(self.border, plan.extra):
-            column = np.bincount(plan.merit, row, size)
-            out[k, :] += column
-            out[:, k] += column
-        out[plan.corner] += self.block
-        return out[: plan.m, : plan.m]
 
 
 def _fold(rows, join):
@@ -402,15 +379,15 @@ class PosteriorObjective:
     """Unnormalized log-posterior of the Bradley-Terry log merits under
     independent Gamma(shape, rate) priors with shape > 1 and rate > 0: the
     log-likelihood of the venue-free wins of ``counts`` plus ``(shape - 1)
-    beta_i - rate exp(beta_i)`` per team, over all t log merits. Its
-    ``edges`` are the pairs with a raw win.
+    beta_i - rate exp(beta_i)`` per team, over all t log merits, whose
+    edges are the pairs with a raw win.
     """
 
     def __init__(self, counts: CountMatrices, shape: float, rate: float):
         self.num_teams, self.shape, self.rate = counts.num_teams, shape, rate
         wins = derive_totals(counts)[:2]
         won = (wins != 0).any(axis=0)
-        self.edges = i, j = counts.i[won], counts.j[won]
+        i, j = counts.i[won], counts.j[won]
         wh, wv, arcs = wins[:1, won], wins[1:, won], Arcs(i, j, self.num_teams, 0)
         self._data = i[None], j[None], wh, wv, 0.0, wh + wv, None, None, arcs
 

@@ -16,10 +16,11 @@ outside it (the Rao-Kupper tie parameter), which fails the Armijo test, so
 steps leaving the domain are halved like any other.
 
 The objectives return their Hessians in edge form (``EdgeHessian``), and
-the linear solve follows one size rule, ``edge_form``, applied once per fit:
-from 200 teams on, while fewer than ``t**2 / 16`` pairs have met, the step
-is solved in edge form; otherwise the Hessian is scattered to a dense array
-(``np.asarray(h)``) and solved by numpy's LU. Its constants are measured
+the linear solve follows one size rule, ``edge_form``, which ``_newton``
+applies once per fit, to its first Hessian: from 200 teams on, while fewer
+than ``t**2 / 16`` pairs have met, the step is solved in edge form;
+otherwise the Hessian is scattered to a dense array (``np.asarray(h)``) and
+solved by numpy's LU. Its constants are measured
 crossovers: on sparse leagues the LU fit is faster up to about 150 teams and
 the sparse one from about 200, and a dense league keeps the LU (a fully met
 300-team league runs at par). An edge-form step is solved by conjugate
@@ -30,13 +31,13 @@ plus the additive coarse correction ``Z (Z' H Z)^-1 Z' r`` (Tang et al.
 sign with H and rounding is symmetric in sign, so the iterates are bit for
 bit those of CG on ``-H d = g``. ``Z`` has one indicator column per
 strongly connected component of the raw digraph the existence rule reads
-(the counts before perturbation), and one per tie or home parameter. Its
-plan (``_coarse_layout``), the layout and every index of ``Z' H Z``, is
-built once per fit, and a step only sums and inverts ``Z' H Z``. When
-the raw data fail strong connection, only O(eps) curvature joins those
-components, so their indicators are the near-null directions of H that
-leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level solves
-them exactly. The step is an inexact Newton step (Eisenstat and Walker
+(the counts before perturbation), and one per tie or home parameter, last.
+Its plan (``_coarse_layout``), the layout and every index of ``Z' H Z``, is
+built once per fit, and a step only sums (``_galerkin``) and inverts
+``Z' H Z``. When the raw data fail strong connection, only O(eps) curvature
+joins those components, so their indicators are the near-null directions of
+H that leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level
+solves them exactly. The step is an inexact Newton step (Eisenstat and Walker
 1996): the first is solved to a residual of a tenth of ``|g|`` (2-norms),
 each later one to the sup-norm of the step before it (capped at a tenth),
 so the solves tighten as the steps shrink, but never below ``_CG_FLOOR``
@@ -64,7 +65,8 @@ Every fit re-verifies existence before iterating, by Ford's condition on the
 perturbed digraph the model reads (``connectivity.verify_existence``; that
 module's docstring states the rule). The coarse space of the sparse step
 reads the same digraph of the raw counts (``connectivity.raw_components``),
-labelled once per dataset and digraph, which all fits of the dataset share.
+labelled once per dataset and digraph, which all fits of the dataset share:
+each fit passes ``_newton`` its dataset and model.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ class MapPriorSpec(Record):
     """Independent Gamma(shape, rate) prior on every merit.
 
     ``rate=None`` resolves to ``shape * t - 1`` for a t-team dataset (see
-    ``resolved_rate``). ``shape == 1`` with ``rate == 0`` is the flat prior,
-    making the MAP coincide with the unpenalized maximum likelihood estimate.
+    ``resolved_rate``). A prior is refused unless its posterior has a mode:
+    shape > 1 with a rate that is not 0, or the flat prior, shape 1 with rate
+    0, whose MAP is the unpenalized maximum likelihood estimate.
     """
 
     shape: float
@@ -141,6 +144,16 @@ class MapPriorSpec(Record):
             raise ConfigError(f"prior shape must be a finite number >= 1, got {self.shape}")
         if self.rate is not None and (is_bool(self.rate) or not 0.0 <= self.rate < math.inf):
             raise ConfigError(f"prior rate must be a finite number >= 0, got {self.rate}")
+        if self.shape == 1.0 and self.rate != 0.0:
+            raise ConfigError(
+                "with shape 1 the posterior is scale-invariant in the likelihood "
+                "but decays with the rate, so no interior mode exists; use rate 0"
+            )
+        if self.shape > 1.0 and self.rate == 0.0:
+            raise ConfigError(
+                "with shape > 1 and rate 0 the log-posterior grows without bound "
+                "along uniform rescaling, so no mode exists"
+            )
 
     @property
     def ml_equivalent(self) -> bool:
@@ -173,11 +186,10 @@ def edge_form(t: int, pairs: int) -> bool:
 def _coarse_layout(labels: np.ndarray, h: EdgeHessian) -> SimpleNamespace:
     """The coarse plan of a fit laid out as ``h``: ``layout``, the column of
     Z of each unknown (of ``m``), one per component in ``labels`` with a free
-    merit, then one per tie or home parameter; ``merit`` and ``extra``, those
-    of the t merits (pinned ones on a dropped column m) and the parameters,
-    whose block of ``Z' H Z`` is at ``corner``; ``cross``, the edges between
-    columns, and ``flat``, the entries (a, b), (b, a), (a, a), (b, b) of
-    ``Z' H Z`` their weights go to."""
+    merit, then one per tie or home parameter, always the last k; ``merit``,
+    those of the t merits (pinned ones on a dropped column m); ``cross``, the
+    edges between columns, and ``flat``, the entries (a, b), (b, a), (a, a),
+    (b, b) of ``Z' H Z`` their weights go to."""
     t, p = len(labels), h.pinned
     extras = labels.max() + 1 + np.arange(len(h.block))
     present, layout = np.unique(np.concatenate([labels[p:], extras]), return_inverse=True)
@@ -186,11 +198,28 @@ def _coarse_layout(labels: np.ndarray, h: EdgeHessian) -> SimpleNamespace:
     a, b = merit[h.arcs.i], merit[h.arcs.j]
     cross = a != b
     a, b, size = a[cross], b[cross], m + 1
-    extra = layout[t - p :]
     return SimpleNamespace(
-        layout=layout, m=m, merit=merit, extra=extra, corner=np.ix_(extra, extra), cross=cross,
+        layout=layout, m=m, merit=merit, cross=cross,
         flat=np.concatenate([a * size + b, b * size + a, a * (size + 1), b * (size + 1)]),
     )
+
+
+def _galerkin(h: EdgeHessian, plan: SimpleNamespace) -> Array:
+    """``Z' H Z`` for the m indicator columns of a fit's coarse ``plan``
+    (``_coarse_layout``), in O(t + edges + m^2): the plan's indices are fixed
+    per fit, and only the weights are summed here."""
+    size, w = plan.m + 1, h.weight[plan.cross]  # column m is dropped
+    out = np.zeros(size * size)  # a float sum even where no edge crosses
+    out += np.bincount(plan.flat, np.concatenate([w, w, -w, -w]), size * size)
+    out[:: size + 1] += np.bincount(plan.merit, h.shift, size)  # the diagonal
+    out = out.reshape(size, size)
+    first = plan.m - len(h.block)  # the tie and home columns are the last k
+    for column, row in enumerate(h.border, first):
+        summed = np.bincount(plan.merit, row, size)
+        out[column, :] += summed
+        out[:, column] += summed
+    out[first : plan.m, first : plan.m] += h.block
+    return out[: plan.m, : plan.m]
 
 
 def _pcg(h: EdgeHessian, g: Array, plan: SimpleNamespace, rtol: float):
@@ -200,7 +229,7 @@ def _pcg(h: EdgeHessian, g: Array, plan: SimpleNamespace, rtol: float):
     run until the residual is at most ``rtol`` times ``|g|`` (2-norms) or
     for ``len(g)`` iterations. ``plan`` is the fit's coarse space."""
     layout, m = plan.layout, plan.m
-    inverse = np.linalg.inv(h.galerkin(plan))
+    inverse = np.linalg.inv(_galerkin(h, plan))
     jacobi = 1.0 / h.diagonal()
 
     def deflate(r):  # Z (Z' H Z)^-1 Z' r
@@ -240,14 +269,17 @@ def _newton_direction(g: Array, h, coarse, rtol: float) -> tuple[Array, float, b
     return g, float(g @ g), False
 
 
-def _newton(objective, start: Array, config: SolverConfig, labels=None) -> _Solution:
-    """Damped Newton ascent with the stop rules of the module docstring;
-    ``labels`` are the components of the coarse space of the sparse step."""
+def _newton(objective, start: Array, config: SolverConfig | None, dataset=None, model=None):
+    """Damped Newton ascent with the stop rules of the module docstring. A
+    fit of ``dataset`` by ``model`` applies ``edge_form`` to its first
+    Hessian; without a dataset every step is solved by LU."""
+    config = config or SolverConfig()
     x = np.array(start, dtype=float)
     f, g, h = objective.value_gradient_hessian(x)
     if not np.isfinite(f) or g is None:
         raise ConfigError("start point lies outside the objective's domain")
-    coarse = None if labels is None else _coarse_layout(labels, h)
+    sparse = dataset is not None and edge_form(len(h.shift), len(h.arcs.i))
+    coarse = _coarse_layout(raw_components(model, dataset), h) if sparse else None
 
     trace = [float(f)]
     iterations = 0
@@ -313,7 +345,6 @@ def maximize_concave(objective, start, config: SolverConfig | None = None):
     accepted iteration; it is non-decreasing, up to rounding on steps taken
     where the objective is flat to rounding.
     """
-    config = config or SolverConfig()
     result = _newton(objective, np.asarray(start, dtype=float), config)
     return result.x, result.trace
 
@@ -394,12 +425,9 @@ def _fit_counts(
     config: SolverConfig | None,
 ) -> FitResult:
     """``fit`` from its perturbed counts on."""
-    config = config or SolverConfig()
     objective = Objective(model, perturbed)  # venue and tie refusals
     verify_existence(model, perturbed, dataset.teams)
-    sparse = edge_form(dataset.num_teams, len(perturbed.i))
-    labels = raw_components(model, dataset) if sparse else None
-    solution = _newton(objective, objective.initial_point(), config, labels)
+    solution = _newton(objective, objective.initial_point(), config, dataset, model)
     point = objective.unpack(solution.x)
     return _fit_result(model, dataset, solution, point, normalization, perturbed.epsilon)
 
@@ -407,9 +435,7 @@ def _fit_counts(
 def _map_mode(dataset: Dataset, d: float, b: float, config: SolverConfig) -> _Solution:
     """The unnormalized posterior mode of a proper prior, over all t log merits."""
     posterior = PosteriorObjective(dataset.counts, d, b)
-    sparse = edge_form(dataset.num_teams, len(posterior.edges[0]))
-    labels = raw_components(Model.BRADLEY_TERRY, dataset) if sparse else None
-    return _newton(posterior, posterior.initial_point(), config, labels)
+    return _newton(posterior, posterior.initial_point(), config, dataset, Model.BRADLEY_TERRY)
 
 
 def fit_map_em(
@@ -420,9 +446,8 @@ def fit_map_em(
 ) -> FitResult:
     """Posterior mode of the Bradley-Terry merits under Gamma priors.
 
-    The mode exists in the interior only for shape > 1 with rate > 0, or
-    for the flat prior (shape 1, rate 0); any other prior is refused. The
-    flat prior adds nothing to the likelihood, so its mode is the
+    ``MapPriorSpec`` admits only priors whose mode exists. The flat prior
+    (shape 1, rate 0) adds nothing to the likelihood, so its mode is the
     Bradley-Terry fit of the raw counts (the fit under a zero
     ``MatrixShift``), refused as that fit is when the win digraph is not
     strongly connected. Merits are reported on the simplex by default.
@@ -437,19 +462,6 @@ def fit_map_em(
         c, venueless = dataset.counts, dataset.venueless
         raw = PerturbedCounts(c.num_teams, c.i, c.j, c.games, dataset.totals[:2], venueless, None)
         return _fit_counts(Model.BRADLEY_TERRY, dataset, raw, normalization, config)
-    config = config or SolverConfig()
-    d = float(prior.shape)
-    b = prior.resolved_rate(dataset.num_teams)
-    if d == 1.0:
-        raise ConfigError(
-            "with shape 1 the posterior is scale-invariant in the likelihood "
-            "but decays with the rate, so no interior mode exists; use rate 0"
-        )
-    if b == 0.0:
-        raise ConfigError(
-            "with shape > 1 and rate 0 the log-posterior grows without bound "
-            "along uniform rescaling, so no mode exists"
-        )
-    mode = _map_mode(dataset, d, b, config)
+    mode = _map_mode(dataset, float(prior.shape), prior.resolved_rate(dataset.num_teams), config)
     point = ParameterPoint(beta=mode.x - mode.x[0])
     return _fit_result(Model.BRADLEY_TERRY, dataset, mode, point, normalization, None)

@@ -15,8 +15,10 @@ from btrank.connectivity import (
     witness_is_valid,
 )
 from btrank.errors import ExistenceError, VenuelessDataError
+from btrank.perturbation import perturb
 from btrank.types import (
-    Model, PartitionWitness, PerturbedCounts, pair_edges, venue_dataset, venue_free_dataset,
+    ConnerGrant, Improved, Model, PartitionWitness, PerturbedCounts, pair_edges, venue_dataset,
+    venue_free_dataset,
 )
 
 from conftest import names, random_strongly_connected_dataset, random_venue_dataset
@@ -115,6 +117,15 @@ def test_condition_c_refuses_venueless_data(four_teams):
         check_condition_c(four_teams)
     with pytest.raises(VenuelessDataError):
         condition_c_by_enumeration(four_teams)
+
+
+@pytest.mark.parametrize("scheme", [Improved(0.5), ConnerGrant(0.5)])
+@pytest.mark.parametrize("model", [Model.HOME_FIELD, Model.DAVID])
+def test_existence_refuses_a_venue_model_on_venueless_data(four_teams, scheme, model):
+    # no hosting digraph to read, not a Condition C split, even where the
+    # scheme lifts every pair
+    with pytest.raises(VenuelessDataError, match="home/away structure"):
+        verify_existence(model, perturb(four_teams, scheme), four_teams.teams)
 
 
 def test_condition_c_passes_on_random_venue_data():

@@ -440,6 +440,12 @@ def test_json_records_parse_and_errors():
         parse_records(json.dumps([payload[0], {"home": "A", "away": "B"}]), "json")
     with pytest.raises(ParseError):
         parse_records("{", "json")
+    # json.dumps writes a float count as 3.0, as matrix JSON and GameTable accept
+    text = '[{"home": "A", "away": "B", "outcome": "tie", "repeat": 3.0}]'
+    assert parse_records(text, "json").repeat.tolist() == [3]
+    for bad in ("2.5", "NaN", "1e300", '"3.0"'):
+        with pytest.raises(ParseError, match="^element 1: repeat must be"):
+            parse_records(text.replace("3.0", bad), "json")
 
 
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Excel's "CSV UTF-8" export writes

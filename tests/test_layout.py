@@ -124,9 +124,11 @@ def test_existence_verdicts_witnesses_and_refusals_match_the_dense_rule(case):
             with pytest.raises(ConfigError):
                 ModelSpec(model, spec)
             continue
-        if model.has_home_parameter and data.venueless:  # refused before any existence check
+        if model.has_home_parameter and data.venueless:  # refused before any existence search
             with pytest.raises(VenuelessDataError):
                 Objective(model, perturbed)
+            with pytest.raises(VenuelessDataError):
+                verify_existence(model, perturbed, data.teams)
             continue
         got = _refusal(ModelSpec(model, spec), data.teams, perturbed)
         assert got == dense_existence_refusal(model, spec, reference, data.teams)

@@ -32,6 +32,15 @@ def test_the_league_case_reports_a_converged_fit():
     assert out["teams"] == 400 and out["converged"]
 
 
+def test_the_venue_case_fits_davidson_and_home_field_on_a_league_with_ties():
+    out = _bench("--case", "venue-t2000")
+    assert set(out) == {"teams", "games", "met_pairs", "davidson", "home_field", "peak_rss_mb"}
+    for model in ("davidson", "home_field"):
+        assert set(out[model]) == {"fit_median_s", "iterations", "cg_iterations", "converged"}
+        assert out[model]["converged"] and out[model]["cg_iterations"] > 0  # the sparse step
+    assert out["teams"] == 2000
+
+
 def test_the_two_leagues_case_solves_its_steps_to_the_residual():
     out = _bench("--case", "two-leagues")
     assert set(out) == {"0.1", "1e-05", "1e-09", "1e-12"}

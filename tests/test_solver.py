@@ -333,6 +333,9 @@ def test_prior_domain_refusals(four_teams):
         fit_map_em(four_teams, MapPriorSpec(shape=1.0, rate=7.0))
     with pytest.raises(ConfigError, match="grows without bound"):
         fit_map_em(four_teams, MapPriorSpec(shape=2.0, rate=0.0))
+    # refused when built, outside any fit: the default rate is never 0
+    with pytest.raises(ConfigError, match="no interior mode"):
+        MapPriorSpec(shape=1.0)
     with pytest.raises(ConfigError):
         MapPriorSpec(shape=0.5)
     with pytest.raises(ConfigError):
@@ -823,11 +826,13 @@ def test_the_galerkin_matrix_of_a_coarse_plan_is_z_h_z(model):
     objective = Objective(model, perturb(data, Improved(1e-3)))
     _, _, h = objective.value_gradient_hessian(random_point(objective, rng))
     plan = solver._coarse_layout(raw_components(model, data), h)
-    z = np.zeros((len(plan.layout), plan.m))
+    # column m is dropped, for any unknown the plan maps there as for pinned merits
+    z = np.zeros((len(plan.layout), plan.m + 1))
     z[np.arange(len(plan.layout)), plan.layout] = 1.0
+    z = z[:, : plan.m]
     expected = z.T @ np.asarray(h) @ z
     assert plan.m > 1 + len(h.block)
-    np.testing.assert_allclose(h.galerkin(plan), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(solver._galerkin(h, plan), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_the_raw_digraph_of_a_dataset_is_labelled_once_per_kind():
