@@ -6,7 +6,10 @@ Usage, from the root of a btrank checkout:
     python scripts/bench_kernel.py --case two-leagues [--src DIR]
 
 The second form runs one league, venue, ``two-leagues``, path or dense case
-alone and prints its JSON line, writing nothing.
+alone and prints its JSON line, writing nothing. Both forms run BLAS on one
+thread: the script sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 where they are unset, before numpy loads, so a
+case run by hand gives the full run's numbers.
 
 ``--src`` must name the ``src`` of a btrank checkout whose kernels return
 an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
@@ -106,6 +109,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":  # one BLAS thread unless asked otherwise, set before numpy loads
+    for var in THREAD_VARS:
+        os.environ.setdefault(var, "1")
+
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,7 +150,6 @@ for name in ("numpy", "btrank", "btrank.cli"):
 print(*(after - before for before, after in zip(marks, marks[1:])))
 """
 ALL_CASES = [*CASES, *VENUE_CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"]
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def league(t: int, seed: int, offset: int = 0):

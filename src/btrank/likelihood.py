@@ -161,6 +161,7 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
     def __init__(self, arcs: Arcs, weight: Array, shift: Array, border: Array, block: Array):
         self.arcs, self.weight, self.shift = arcs, weight, shift
         self.border, self.block, self.pinned = border, block, arcs.pinned
+        self._padded, self._shift = np.zeros(arcs.t), shift[arcs.pinned :]  # for matvec
 
     def __array__(self, dtype=None, copy=None) -> Array:
         """The dense H over this layout."""
@@ -175,14 +176,14 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         return hess[self.pinned :, self.pinned :]
 
     def matvec(self, x: Array) -> Array:
-        """``H @ x`` over this layout, the Laplacian applied as edge flows;
-        the pinned merits are 0 and their rows are left out."""
-        t, p, a = len(self.shift), self.pinned, self.arcs
-        beta = np.concatenate([np.zeros(p), x[: t - p]])
-        flow = self.weight * (beta[a.i] - beta[a.j])
-        laplacian = (np.bincount(a.i, flow, t) - np.bincount(a.j, flow, t))[p:]
-        beta = beta[p:]
-        merits = self.shift[p:] * beta - laplacian
+        """``H @ x`` over this layout, the Laplacian applied as edge flows of
+        x padded in a work vector: the pinned merits are 0, their rows left out."""
+        t, p, a, padded = len(self.shift), self.pinned, self.arcs, self._padded
+        padded[p:] = beta = x[: t - p]  # the pinned merits stay 0
+        flow = self.weight * (padded[a.i] - padded[a.j])
+        laplacian = np.bincount(a.i, flow, t)
+        laplacian -= np.bincount(a.j, flow, t)
+        merits = self._shift * beta - laplacian[p:]
         if not len(self.block):
             return merits
         extra, border = x[t - p :], self.border[:, p:]
@@ -192,7 +193,8 @@ class EdgeHessian:  # a plain class: a dataclass adds about 1 ms to the import
         """The diagonal of H over this layout."""
         t, a = len(self.shift), self.arcs
         degree = np.bincount(a.i, self.weight, t) + np.bincount(a.j, self.weight, t)
-        return np.concatenate([(self.shift - degree)[self.pinned :], np.diagonal(self.block)])
+        diagonal = (self.shift - degree)[self.pinned :]
+        return np.concatenate([diagonal, np.diagonal(self.block)]) if len(self.block) else diagonal
 
 
 def _fold(rows, join):

@@ -35,21 +35,21 @@ def _grouped_order(values: Array, tol: float) -> tuple[tuple[int, ...], list[tup
     """Sort indices by value descending (index ascending on exact ties) and
     split into groups whose values sit within ``tol`` of the group leader.
     A gap over ``tol`` between neighbours in that order always ends a group,
-    so the leader rule only walks the runs of smaller gaps between them."""
+    so the leader rule walks only runs of smaller gaps; groups slice the order."""
     values = np.asarray(values, dtype=float)
     index = np.lexsort((np.arange(len(values)), -values))
     ranked = values[index]
-    cuts = (np.flatnonzero(ranked[:-1] - ranked[1:] > tol) + 1).tolist()
-    order, ranked, bounds = index.tolist(), ranked.tolist(), [0, *cuts, len(values)]
-    groups = []
-    for start, end in zip(bounds, bounds[1:]):
-        if end - start > 1:  # gaps within tol: compare with the leader
+    bounds = [0, *(np.flatnonzero(ranked[:-1] - ranked[1:] > tol) + 1).tolist(), len(values)]
+    if len(bounds) <= len(values):  # some gaps within tol: compare with the leader
+        ranked, inner = ranked.tolist(), []
+        for start, end in zip(bounds, bounds[1:]):
             for k in range(start + 1, end):
                 if abs(ranked[k] - ranked[start]) > tol:
-                    groups.append(tuple(order[start:k]))
+                    inner.append(k)
                     start = k
-        groups.append(tuple(order[start:end]))
-    return tuple(order), groups if order else []
+        bounds = sorted(bounds + inner)
+    order = tuple(index.tolist())
+    return order, [order[a:b] for a, b in zip(bounds, bounds[1:])] if order else []
 
 
 def extract_ranking(result: FitResult, rank_tol: float = RANK_TOL) -> Ranking:

@@ -45,21 +45,22 @@ so the solves tighten as the steps shrink, but never below ``_CG_FLOOR``
 3e-6, whose successor is mostly a step of at most 1e-9: never taken, its
 solve only decides the stop (Dembo, Eisenstat and Steihaug 1982).
 
-A fit stops converged once the Newton step at the current point has
-sup-norm at most 1e-9, in log-merit units: near the maximizer that is its
-distance from it, whatever the curvature (where only O(eps) curvature joins
-the components, a small gradient does not make the point close). It also
-stops converged where the gradient is exactly 0. The last step is not
-taken. Half the Newton decrement ``-g' H^-1 g`` bounds the objective
-still to gain. Once it is at most ``rel_ll_tol * max(1, |objective|)``, the
-objective is flat at working precision and its quadratic model exact to
-rounding: only the full Newton step is tried, and it is kept if it passes
-the Armijo test or lowers the gradient sup-norm (the objective may then
-drop by rounding); otherwise float64 cannot resolve the step and the fit
-stops unconverged. Above that bound, a line search that finds no improving
-step stops the fit unconverged, as does using up ``max_iters`` iterations.
-Strict concavity makes the optimum unique, so each fit runs once, from the
-objective's deterministic start.
+A fit stops converged once the Newton step at the current point has sup-norm
+at most 1e-9, in log-merit units, or the gradient is exactly 0; the last
+step is not taken. While float64 resolves the step, its length is the
+distance from the maximizer, which a small gradient is not where only O(eps)
+curvature joins the components. Below eps 1e-9, on data that fail strong
+connection, the step along the component indicators is rounding: a 5-team
+fit then stops converged 2.9e-5 from its maximizer at eps 1e-12. Half the
+Newton decrement ``-g' H^-1 g`` bounds the objective still to gain; once it
+is at most ``rel_ll_tol * max(1, |objective|)``, the objective is flat at
+working precision and its quadratic model exact to rounding: only the full
+Newton step is tried, and kept if it passes the Armijo test or lowers the
+gradient sup-norm (the objective may then drop by rounding); otherwise
+float64 cannot resolve the step and the fit stops unconverged. Above that
+bound, a line search that finds no improving step, or using up ``max_iters``
+iterations, stops the fit unconverged. The optimum is unique (strict
+concavity), so each fit runs once, from the objective's deterministic start.
 
 Every fit re-verifies existence before iterating, by Ford's condition on the
 perturbed digraph the model reads (``connectivity.verify_existence``; that
@@ -209,8 +210,8 @@ def _galerkin(h: EdgeHessian, plan: SimpleNamespace) -> Array:
     (``_coarse_layout``), in O(t + edges + m^2): the plan's indices are fixed
     per fit, and only the weights are summed here."""
     size, w = plan.m + 1, h.weight[plan.cross]  # column m is dropped
-    out = np.zeros(size * size)  # a float sum even where no edge crosses
-    out += np.bincount(plan.flat, np.concatenate([w, w, -w, -w]), size * size)
+    out = np.bincount(plan.flat, np.concatenate([w, w, -w, -w]), size * size)
+    out = out.astype(float, copy=False)  # an int array where no edge crosses
     out[:: size + 1] += np.bincount(plan.merit, h.shift, size)  # the diagonal
     out = out.reshape(size, size)
     first = plan.m - len(h.block)  # the tie and home columns are the last k
@@ -229,26 +230,26 @@ def _pcg(h: EdgeHessian, g: Array, plan: SimpleNamespace, rtol: float):
     run until the residual is at most ``rtol`` times ``|g|`` (2-norms) or
     for ``len(g)`` iterations. ``plan`` is the fit's coarse space."""
     layout, m = plan.layout, plan.m
-    inverse = np.linalg.inv(_galerkin(h, plan))
-    jacobi = 1.0 / h.diagonal()
+    inverse, jacobi = np.linalg.inv(_galerkin(h, plan)), 1.0 / h.diagonal()
 
     def deflate(r):  # Z (Z' H Z)^-1 Z' r
         return (inverse @ np.bincount(layout, r, m))[layout]
 
-    d = deflate(-g)
-    r = -g - h.matvec(d)
-    goal = rtol * np.sqrt(g @ g)
+    r = -g
+    d = deflate(r)
+    r -= h.matvec(d)
+    goal = rtol * math.sqrt(g @ g)
     p = rho = None
     for iterations in range(len(g) + 1):
-        if not np.sqrt(r @ r) > goal:
+        if not math.sqrt(r @ r) > goal:
             break
         z = jacobi * r + deflate(r)
         rho, previous = r @ z, rho
-        p = z if p is None else z + (rho / previous) * p
+        p = z if p is None else np.add(z, np.multiply(p, rho / previous, out=p), out=p)
         q = h.matvec(p)
         alpha = rho / (p @ q)
-        d = d + alpha * p
-        r = r - alpha * q
+        d += alpha * p
+        r -= alpha * q
     return d, iterations
 
 

@@ -16,6 +16,11 @@ perturbation schemes applied to them, and the fit's existence rule read off
 the perturbed matrices, with ``first_source_component`` found by a
 transitive closure.
 
+``edge_flow_product`` is ``EdgeHessian.matvec`` written out with fresh
+arrays: the pinned merits padded with zeros, the edge flows gathered, and
+the Laplacian as one bincount minus another, so the package's product,
+which reuses a work vector, must match it bit for bit.
+
 ``home_field_has_unique_maximizer`` decides by linear programming whether
 the home-field likelihood of perturbed counts has a unique maximizer, to
 check the existence rule against.
@@ -239,6 +244,22 @@ def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, team
         message = f"the {model.value} estimate does not exist for these data: "
         return message + witness.describe(teams), witness
     return None
+
+
+def edge_flow_product(h, x) -> np.ndarray:
+    """``H @ x`` for an ``EdgeHessian`` h over its layout: pad the pinned
+    merits with zeros, gather the edge flows ``w_e (x_i - x_j)``, subtract
+    their bincount over j from their bincount over i, then add the shift,
+    border and block terms."""
+    t, p, a = len(h.shift), h.pinned, h.arcs
+    beta = np.concatenate([np.zeros(p), x[: t - p]])
+    flow = h.weight * (beta[a.i] - beta[a.j])
+    laplacian = np.bincount(a.i, flow, t) - np.bincount(a.j, flow, t)
+    merits = h.shift[p:] * beta[p:] - laplacian[p:]
+    if not len(h.block):
+        return merits
+    extra, border = x[t - p :], h.border[:, p:]
+    return np.concatenate([merits + extra @ border, border @ beta[p:] + h.block @ extra])
 
 
 def home_field_has_unique_maximizer(perturbed: PerturbedCounts) -> bool:

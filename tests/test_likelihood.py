@@ -34,7 +34,7 @@ from btrank.types import (
 )
 
 from conftest import names, random_connected_dataset, random_point, random_venue_dataset
-from oracles import dense_perturbed, probabilities
+from oracles import dense_perturbed, edge_flow_product, probabilities
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -431,3 +431,33 @@ def test_the_dense_hessian_is_bit_for_bit_the_naive_scatter(model, pinned):
         got = np.asarray(h)
         assert got.shape == (6 - pinned + len(h.block),) * 2
         assert got.tobytes() == _dense_by_add_at(h).tobytes()
+
+
+@pytest.mark.parametrize("pinned", [0, 1])
+@pytest.mark.parametrize("model", [Model.BRADLEY_TERRY, Model.DAVIDSON, Model.DAVID])  # k = 0, 1, 2
+def test_the_product_reuses_its_work_vector_and_keeps_the_edge_flow_sums(model, pinned):
+    rng = np.random.default_rng([7, pinned])
+    perturbed = perturb(random_venue_dataset(rng, t=7, with_ties=True), Improved(0.2))
+    objective = Objective(model, perturbed)
+    edge_data = _edge_data(model, perturbed, pinned)
+
+    def hessian():
+        x = random_point(objective, rng)
+        phi = x[6] if model.has_tie_parameter else None
+        log_gamma = x[-1] if model.has_home_parameter else None
+        return _terms(model, np.concatenate([[0.0], x[:6]]), phi, log_gamma, edge_data)[2]
+
+    h, other = hessian(), hessian()
+    assert len(h.block) == model.has_tie_parameter + model.has_home_parameter
+    n = 7 - pinned + len(h.block)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    kept = x.copy()
+    first = h.matvec(x)
+    assert np.array_equal(first, edge_flow_product(h, x)) and np.array_equal(x, kept)
+    saved = first.copy()
+    # a second product, on the same Hessian and on another of the same
+    # objective, leaves the first result as it was
+    assert np.array_equal(h.matvec(y), edge_flow_product(h, y))
+    assert np.array_equal(other.matvec(y), edge_flow_product(other, y))
+    assert np.array_equal(first, saved)
+    assert np.array_equal(h.matvec(x), saved)

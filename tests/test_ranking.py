@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btrank import ranking
@@ -131,6 +131,8 @@ def _leader_groups(values, tol):
     ),
     tol=st.sampled_from([0.0, 1e-9, 0.5]),
 )
+@example(values=[0.3, -1.2, 1.9, 0.6, -0.2, 1.1, -1.8, 0.0], tol=1e-9)  # all distinct
+@example(values=[0.3, -1.2, 1.9, 0.6, -0.2, 1.1, -1.8, 0.0], tol=0.5)  # the same, in groups
 def test_grouped_order_follows_the_group_leader_rule(values, tol):
     # exact ties, and chains of gaps within tol whose ends lie beyond it
     order, groups = ranking._grouped_order(np.array(values), tol)
