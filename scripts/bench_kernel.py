@@ -3,10 +3,11 @@
 Usage, from the root of a btrank checkout:
 
     python scripts/bench_kernel.py [--src DIR] [--label NAME] [--out PATH]
+    python scripts/bench_kernel.py --src DIR --label change --src BASE --label parent
     python scripts/bench_kernel.py --case two-leagues [--src DIR]
 
-The second form runs one league, venue, ``two-leagues``, path or dense case
-alone and prints its JSON line, writing nothing. Both forms run BLAS on one
+The last form runs one league, venue, ``two-leagues``, path or dense case
+alone and prints its JSON line, writing nothing. Every form runs BLAS on one
 thread: the script sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 where they are unset, before numpy loads, so a
 case run by hand gives the full run's numbers.
@@ -40,6 +41,15 @@ single-threaded interpreter. Per model it
 records the median wall time of one ``btrank.fit``, its Newton iterations,
 the conjugate-gradient iterations of all its steps and ``converged``; per
 case the number of games and met pairs and the peak RSS of the interpreter.
+
+The ``venue-t14`` case is the venue league drawn as above at the
+14 teams of perfbench's ``extended-models`` workload, where each step is
+solved by LU and numpy's per-call costs outweigh the arithmetic. For each
+of Rao-Kupper, Davidson, home-field and David (``SMALL_VENUE_MODELS``) it
+records the median time of one ``Objective.value_gradient_hessian`` at the
+model's start point (``kernel_median_s``) and of one
+``solver._newton_direction`` on the system it returns
+(``step_median_s``); per case the number of games and met pairs.
 
 The ``two-leagues`` case joins two 1000-team leagues by a single win, so the
 raw data fail strong connection, and fits them at each epsilon of
@@ -93,6 +103,12 @@ timed ones read compiled bytecode, as imports of an installed package do.
 
 The column is stored under ``--label`` in the JSON file, next to any columns
 already there, so that two checkouts can be compared on the same cases.
+``--src`` and ``--label`` may be given once per checkout. Each case runs
+in ``RUNS`` fresh interpreters per checkout, the checkouts taking turns and
+the first of them rotating from run to run, and each column holds per key
+the median of its runs (the lower median of integers; a value that is not
+a number is kept if every run agrees, listed otherwise): on a shared host
+one run per column cannot show a difference under 2x.
 """
 
 from __future__ import annotations
@@ -127,6 +143,10 @@ CASES = {
 #: (teams, seed, fits per model) per venue case
 VENUE_CASES = {"venue-t2000": (2000, 2000, 3), "venue-t20000": (20000, 20000, 1)}
 VENUE_MODELS = ("DAVIDSON", "HOME_FIELD")
+#: (teams, seed, kernel evaluations and steps per model) per small venue case
+SMALL_VENUE_CASES = {"venue-t14": (14, 14, 3000)}
+SMALL_VENUE_MODELS = ("RAO_KUPPER", "DAVIDSON", "HOME_FIELD", "DAVID")
+RUNS = 4  # interpreters per case and checkout of a full run; each column holds their medians
 PROBE_TEAMS = 1000  # per league of the two-leagues case
 PROBE_EPS = (1e-1, 1e-5, 1e-9, 1e-12)
 OPPONENTS = 6
@@ -149,7 +169,9 @@ for name in ("numpy", "btrank", "btrank.cli"):
     marks.append(time.perf_counter())
 print(*(after - before for before, after in zip(marks, marks[1:])))
 """
-ALL_CASES = [*CASES, *VENUE_CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import"]
+ALL_CASES = [
+    *CASES, *VENUE_CASES, *SMALL_VENUE_CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import",
+]
 
 
 def league(t: int, seed: int, offset: int = 0):
@@ -241,7 +263,7 @@ def run_case(name: str) -> dict:
     return {
         "teams": t,
         "games": len(home),
-        "met_pairs": len(np.unique(np.minimum(home, away) * t + np.maximum(home, away))),
+        "met_pairs": met_pairs(t, home, away),
         "kernel_median_s": statistics.median(kernel),
         "step_median_s": statistics.median(step),
         "fit_median_s": statistics.median(wall),
@@ -252,6 +274,18 @@ def run_case(name: str) -> dict:
     }
 
 
+def venue_league(t: int, seed: int):
+    """``league(t, seed)`` with a seeded tenth of its games made ties (2)."""
+    home, away, outcome = league(t, seed)
+    rng = np.random.default_rng(seed)
+    outcome[rng.choice(len(outcome), len(outcome) // 10, replace=False)] = 2
+    return home, away, outcome
+
+
+def met_pairs(t: int, home, away) -> int:
+    return len(np.unique(np.minimum(home, away) * t + np.maximum(home, away)))
+
+
 def run_venue(name: str) -> dict:
     import resource
 
@@ -259,9 +293,7 @@ def run_venue(name: str) -> dict:
     from btrank import solver
 
     t, seed, fits = VENUE_CASES[name]
-    home, away, outcome = league(t, seed)
-    rng = np.random.default_rng(seed)
-    outcome[rng.choice(len(outcome), len(outcome) // 10, replace=False)] = 2  # a tie
+    home, away, outcome = venue_league(t, seed)
     data = dataset(btrank, t, (home, away, outcome))
     out, counts = {}, count_cg(solver)
     for model in VENUE_MODELS:
@@ -281,10 +313,38 @@ def run_venue(name: str) -> dict:
     return {
         "teams": t,
         "games": len(home),
-        "met_pairs": len(np.unique(np.minimum(home, away) * t + np.maximum(home, away))),
+        "met_pairs": met_pairs(t, home, away),
         **out,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
+
+
+def run_small_venue(name: str) -> dict:
+    import btrank
+    from btrank import solver
+    from btrank.likelihood import Objective
+    from btrank.perturbation import perturb
+
+    t, seed, evaluations = SMALL_VENUE_CASES[name]
+    home, away, outcome = venue_league(t, seed)
+    data = dataset(btrank, t, (home, away, outcome))
+    out = {"teams": t, "games": len(home), "met_pairs": met_pairs(t, home, away)}
+    for model in SMALL_VENUE_MODELS:
+        objective = Objective(btrank.Model[model], perturb(data, btrank.Improved("auto")))
+        x = objective.initial_point()
+        kernel, step = [], []
+        for _ in range(evaluations):
+            clock = time.perf_counter()
+            _, g, h = objective.value_gradient_hessian(x)
+            kernel.append(time.perf_counter() - clock)
+            clock = time.perf_counter()
+            solver._newton_direction(g, h, None, solver._CG_RTOL)  # a fit's first step, by LU
+            step.append(time.perf_counter() - clock)
+        out[model.lower()] = {
+            "kernel_median_s": statistics.median(kernel),
+            "step_median_s": statistics.median(step),
+        }
+    return out
 
 
 def two_leagues(t: int):
@@ -465,10 +525,21 @@ def run_imports(count: int) -> dict:
     return {"interpreters": count, "numpy_s": numpy_s, "btrank_s": btrank_s, "cli_s": cli_s}
 
 
+def median_of(values: list):
+    """Per key, the median of the runs' values of a case: the lower median
+    of integers, and a value that is not a number kept where all agree."""
+    first = values[0]
+    if isinstance(first, dict):
+        return {key: median_of([value[key] for value in values]) for key in first}
+    if isinstance(first, bool) or not isinstance(first, (int, float)):
+        return first if all(value == first for value in values) else values
+    return statistics.median_low(values) if isinstance(first, int) else statistics.median(values)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding btrank")
-    parser.add_argument("--label", default="change", help="column name in the JSON file")
+    parser.add_argument("--src", action="append", help="directory holding btrank (repeatable)")
+    parser.add_argument("--label", action="append", help="column name of each --src in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     parser.add_argument(
         "--case",
@@ -478,15 +549,20 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", help=argparse.SUPPRESS)  # the input of a crowd case
     parser.add_argument("--write-csv", help=argparse.SUPPRESS)  # the input of --case
     args = parser.parse_args(argv)
+    sources, labels = args.src or [str(ROOT / "src")], args.label or ["change"]
+    if len(sources) != len(labels):
+        parser.error("give one --label per --src")
     if args.write_csv:
         Path(args.write_csv).write_text(crowd_csv(CROWD_IDS[args.case]), encoding="utf-8")
         return 0
     if args.case:  # the child interpreter of one case
-        sys.path.insert(0, args.src)
+        sys.path.insert(0, sources[0])
         if args.case in CROWD_IDS:
             out = run_crowd(args.csv)
         elif args.case in VENUE_CASES:
             out = run_venue(args.case)
+        elif args.case in SMALL_VENUE_CASES:
+            out = run_small_venue(args.case)
         elif args.case == "two-leagues":
             out = run_probe()
         elif args.case in PATH_TEAMS:
@@ -499,25 +575,32 @@ def main(argv=None) -> int:
             out = run_case(args.case)
         print(json.dumps(out))
         return 0
-    env = dict(os.environ, PYTHONPATH=args.src, **{var: "1" for var in THREAD_VARS})
-    column = {}
+    columns = {label: {} for label in labels}
     with tempfile.TemporaryDirectory() as scratch:
         crowd = {name: str(Path(scratch) / f"{name}.csv") for name in CROWD_IDS}
         for name, path in crowd.items():
             # Written by a child: a case's peak RSS starts at this process's
             # own high-water mark, which a spawned interpreter inherits on Linux.
             subprocess.run([sys.executable, __file__, "--case", name, "--write-csv", path], check=True)
+        checkouts = list(zip(sources, labels))
         for name in ALL_CASES:
-            case = ["--case", name, "--src", args.src, "--csv", crowd.get(name, "")]
-            child = subprocess.run(
-                [sys.executable, __file__, *case],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            column[name] = json.loads(child.stdout.splitlines()[-1])
-            print(name, column[name], flush=True)
+            runs = {label: [] for label in labels}
+            for run in range(RUNS):
+                turn = run % len(checkouts)  # each checkout goes first in turn
+                for src, label in checkouts[turn:] + checkouts[:turn]:
+                    case = ["--case", name, "--src", src, "--csv", crowd.get(name, "")]
+                    env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
+                    child = subprocess.run(
+                        [sys.executable, __file__, *case],
+                        env=env, capture_output=True, text=True, check=True,
+                    )
+                    runs[label].append(json.loads(child.stdout.splitlines()[-1]))
+            for label in labels:
+                columns[label][name] = median_of(runs[label])
+                print(label, name, columns[label][name], flush=True)
     out = Path(args.out)
     bench = json.loads(out.read_text()) if out.exists() else {}
-    bench.setdefault("columns", {})[args.label] = column
+    bench.setdefault("columns", {}).update(columns)
     bench["machine"] = {
         "platform": platform.platform(),
         "processor": platform.processor() or platform.machine(),

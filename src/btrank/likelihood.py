@@ -64,6 +64,12 @@ Every evaluator is a slice of one kernel call per model, ``_terms``, which
 returns the value, gradient and Hessian together: ``log_likelihood`` and
 ``gradient`` take its first and second parts, and ``Objective.value`` and
 ``Objective.value_and_gradient`` slice ``Objective.value_gradient_hessian``.
+
+The kernel forms each product once and keeps the order of every operation:
+the log-probabilities feed the value and the exp, ``n p`` of each outcome
+and the sum and difference of the decisive probabilities feed all the
+derivatives. A fit is then bit for bit what the formulas give written out
+(``tests/oracles.py``, ``outcome_terms``).
 """
 
 from __future__ import annotations
@@ -239,27 +245,31 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, n, phi, lg, arcs):
     else:
         tie = phi + (b_h + b_v) / 2.0
         d = _lse3(h, b_v, tie)
-        value = float((wh * (h - d) + wv * (b_v - d) + wt * (tie - d)).sum())
-        p_h, p_v, p_t = np.exp(h - d), np.exp(b_v - d), np.exp(tie - d)
+        l_h, l_v, l_t = h - d, b_v - d, tie - d
+        value = float((wh * l_h + wv * l_v + wt * l_t).sum())
+        p_h, p_v, p_t = np.exp(l_h), np.exp(l_v), np.exp(l_t)
+        del l_h, l_v, l_t  # at scale each is an array of the edges: free it here
+        diff, both = p_h - p_v, p_h + p_v
         # sums of products of the probabilities: where one outcome is nearly
         # certain, a difference of near-equal terms would lose the eps-sized parts
-        resid = (wh - wv) * p_t / 2.0 + wh * p_v - wv * p_h - wt * (p_h - p_v) / 2.0
-        curv = n * (p_h * p_v + p_t * (p_h + p_v) / 4.0)
-    # the tie and host-win outcomes carry phi and lg, with coefficient 1:
-    # (observed count, probability, border row, own block entry) of each
+        resid = (wh - wv) * p_t / 2.0 + wh * p_v - wv * p_h - wt * diff / 2.0
+        curv = n * (p_h * p_v + p_t * both / 4.0)
+    # the tie and host-win outcomes carry phi and lg, with coefficient 1: (observed
+    # count, expected count n p, probability p, border row, own block entry) of each
     extras = []
     if phi is not None:
-        extras.append((wt, p_t, n * p_t * (p_h - p_v) / 2.0, -n * p_t * (p_h + p_v)))
-        if lg is not None:
-            extras.append((wh, p_h, n * p_h * (p_h + p_t / 2.0 - 1.0), n * p_h * (p_h - 1.0)))
-    else:  # two outcomes: -curv is the lg-derivative of the residual
-        extras.append((wh, p_h, -curv, -curv))
-    grads = [float((w - n * p).sum()) for w, p, _, _ in extras]
+        n_t = n * p_t
+        extras.append((wt, n_t, p_t, n_t * diff / 2.0, -(n_t * both)))
+    if lg is not None:
+        n_h = n * p_h  # with two outcomes, -curv is the lg-derivative of the residual
+        border, own = (-curv,) * 2 if phi is None else (n_h * (p_h + p_t / 2.0 - 1.0), n_h * (p_h - 1.0))
+        extras.append((wh, n_h, p_h, border, own))
+    grads = [float((w - expected).sum()) for w, expected, _, _, _ in extras]
     block = [
-        [float((own if a == b else n * p * q).sum()) for b, (_, q, _, _) in enumerate(extras)]
-        for a, (_, p, _, own) in enumerate(extras)
+        [float((own if a == b else expected * q).sum()) for b, (_, _, q, _, _) in enumerate(extras)]
+        for a, (_, expected, _, _, own) in enumerate(extras)
     ]
-    return _assemble(arcs, value, resid, curv, (grads, [e[2] for e in extras], block))
+    return _assemble(arcs, value, resid, curv, (grads, [e[3] for e in extras], block))
 
 
 def _edge_data(model: Model, perturbed: PerturbedCounts, pinned: int = 0):

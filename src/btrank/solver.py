@@ -20,7 +20,9 @@ the linear solve follows one size rule, ``edge_form``, which ``_newton``
 applies once per fit, to its first Hessian: from 200 teams on, while fewer
 than ``t**2 / 16`` pairs have met, the step is solved in edge form;
 otherwise the Hessian is scattered to a dense array (``np.asarray(h)``) and
-solved by numpy's LU. Its constants are measured
+solved by LAPACK's LU, the gesv gufunc ``numpy.linalg._umath_linalg.solve1``
+that ``np.linalg.solve`` wraps, called under the same error state: the same
+step without the wrapper's cost. Its constants are measured
 crossovers: on sparse leagues the LU fit is faster up to about 150 teams and
 the sparse one from about 200, and a dense league keeps the LU (a fully met
 300-team league runs at par). An edge-form step is solved by conjugate
@@ -77,6 +79,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1 as _gesv  # np.linalg.solve's gufunc
 
 from .connectivity import raw_components, verify_existence
 from .errors import ConfigError
@@ -253,13 +256,23 @@ def _pcg(h: EdgeHessian, g: Array, plan: SimpleNamespace, rtol: float):
     return d, iterations
 
 
+def _singular(error, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# the error state of np.linalg.solve: a singular H raises through _singular
+_LU_ERRORS = {"call": _singular, "invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
 def _newton_direction(g: Array, h, coarse, rtol: float) -> tuple[Array, float, bool]:
     """``(direction, slope, newton)``: the Newton step if it ascends, else
     the gradient. The step is solved by LU on ``np.asarray(h)`` without a
-    ``coarse`` layout, by ``_pcg`` with one."""
+    ``coarse`` layout (raising ``LinAlgError`` where H is singular, as
+    ``np.linalg.solve`` does), by ``_pcg`` with one."""
     try:
         if coarse is None:
-            direction = np.linalg.solve(np.asarray(h), -g)
+            with np.errstate(**_LU_ERRORS):
+                direction = _gesv(np.asarray(h), -g, signature="dd->d")
         else:
             direction = _pcg(h, g, coarse, rtol)[0]
         slope = float(g @ direction)  # the Newton decrement on a Newton step

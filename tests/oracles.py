@@ -21,6 +21,12 @@ arrays: the pinned merits padded with zeros, the edge flows gathered, and
 the Laplacian as one bincount minus another, so the package's product,
 which reuses a work vector, must match it bit for bit.
 
+``outcome_terms`` is ``likelihood._outcome_terms`` as it was written before
+its shared subexpressions were formed once: ``logistic``, the kernel and its
+``assemble``, each border row scattered by its own pair of bincounts, so
+the package's kernel, which forms each product once, must match it bit for
+bit.
+
 ``home_field_has_unique_maximizer`` decides by linear programming whether
 the home-field likelihood of perturbed counts has a unique maximizer, to
 check the existence rule against.
@@ -40,7 +46,7 @@ from btrank.errors import (
     VenuelessDataError,
 )
 from btrank.connectivity import REFUSAL_WORDING
-from btrank.likelihood import _check_point, _logistic, _lse3
+from btrank.likelihood import EdgeHessian, _check_point, _fold, _logistic, _lse3
 from btrank.perturbation import resolve_epsilon
 from btrank.types import (
     ConnerGrant,
@@ -260,6 +266,72 @@ def edge_flow_product(h, x) -> np.ndarray:
         return merits
     extra, border = x[t - p :], h.border[:, p:]
     return np.concatenate([merits + extra @ border, border @ beta[p:] + h.block @ extra])
+
+
+def logistic(x):
+    """``(s(x), s(-x), log s(x), log s(-x))`` by the formulas the kernel's
+    ``_logistic`` must reproduce: the logs as ``-(max(-x, 0) + log1p(e))``
+    and ``-(max(x, 0) + log1p(e))`` with ``e = exp(-|x|)``."""
+    e = np.exp(-np.abs(x))
+    log1pe = np.log1p(e)
+    big = 1.0 / (1.0 + e)
+    small = e * big
+    positive = x >= 0.0
+    return (
+        np.where(positive, big, small),
+        np.where(positive, small, big),
+        -(np.maximum(-x, 0.0) + log1pe),
+        -(np.maximum(x, 0.0) + log1pe),
+    )
+
+
+def assemble(arcs, value, resid, curv, extras=()):
+    """``(value, gradient, EdgeHessian)`` of the kernel's per-edge arrays,
+    the gradient and each border row scattered by a pair of bincounts."""
+    i, j, t = arcs.i, arcs.j, arcs.t
+    r = _fold(resid, np.subtract)
+    grad = np.subtract(np.bincount(i, r, t), np.bincount(j, r, t), dtype=float)
+    hess = EdgeHessian(arcs, _fold(curv, np.add), np.zeros(t), np.zeros((0, 0)), np.zeros((0, 0)))
+    if extras:
+        grads, borders, block = extras
+        grad = np.concatenate([grad, grads])
+        folded = [_fold(b, np.subtract) for b in borders]
+        hess.border = np.array([np.bincount(i, b, t) - np.bincount(j, b, t) for b in folded])
+        hess.block = np.array(block)
+    return value, grad, hess
+
+
+def outcome_terms(beta, host, visitor, wh, wv, wt, n, phi, lg, arcs):
+    """``likelihood._outcome_terms`` with every product written out where
+    it is used, in the same order of operations."""
+    b_h, b_v = beta[host], beta[visitor]
+    h = b_h if lg is None else b_h + lg
+    if phi is None:
+        p_h, p_v, log_h, log_v = logistic(h - b_v)
+        value = float((wh * log_h + wv * log_v).sum())
+        resid, curv = wh * p_v - wv * p_h, n * (p_h * p_v)
+        if lg is None:
+            return assemble(arcs, value, resid, curv)
+    else:
+        tie = phi + (b_h + b_v) / 2.0
+        d = _lse3(h, b_v, tie)
+        value = float((wh * (h - d) + wv * (b_v - d) + wt * (tie - d)).sum())
+        p_h, p_v, p_t = np.exp(h - d), np.exp(b_v - d), np.exp(tie - d)
+        resid = (wh - wv) * p_t / 2.0 + wh * p_v - wv * p_h - wt * (p_h - p_v) / 2.0
+        curv = n * (p_h * p_v + p_t * (p_h + p_v) / 4.0)
+    extras = []
+    if phi is not None:
+        extras.append((wt, p_t, n * p_t * (p_h - p_v) / 2.0, -n * p_t * (p_h + p_v)))
+        if lg is not None:
+            extras.append((wh, p_h, n * p_h * (p_h + p_t / 2.0 - 1.0), n * p_h * (p_h - 1.0)))
+    else:
+        extras.append((wh, p_h, -curv, -curv))
+    grads = [float((w - n * p).sum()) for w, p, _, _ in extras]
+    block = [
+        [float((own if a == b else n * p * q).sum()) for b, (_, q, _, _) in enumerate(extras)]
+        for a, (_, p, _, own) in enumerate(extras)
+    ]
+    return assemble(arcs, value, resid, curv, (grads, [e[2] for e in extras], block))
 
 
 def home_field_has_unique_maximizer(perturbed: PerturbedCounts) -> bool:

@@ -16,8 +16,11 @@ from btrank.errors import (
 from btrank.likelihood import (
     RK_PHI_MIN,
     Objective,
+    PosteriorObjective,
     _edge_data,
+    _logistic,
     _lse3,
+    _outcome_terms,
     _terms,
     gradient,
     log_likelihood,
@@ -34,7 +37,7 @@ from btrank.types import (
 )
 
 from conftest import names, random_connected_dataset, random_point, random_venue_dataset
-from oracles import dense_perturbed, edge_flow_product, probabilities
+from oracles import dense_perturbed, edge_flow_product, logistic, outcome_terms, probabilities
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -461,3 +464,50 @@ def test_the_product_reuses_its_work_vector_and_keeps_the_edge_flow_sums(model, 
     assert np.array_equal(other.matvec(y), edge_flow_product(other, y))
     assert np.array_equal(first, saved)
     assert np.array_equal(h.matvec(x), saved)
+
+
+def _same_terms(got, want) -> bool:
+    """Value, gradient, edge weights, dense Hessian, border rows and block
+    of two kernel results, compared bit for bit."""
+    (value, grad, h), (value_w, grad_w, h_w) = got, want
+    return (
+        np.array_equal(value, value_w)
+        and np.array_equal(grad, grad_w)
+        and np.array_equal(h.weight, h_w.weight)
+        and np.array_equal(np.asarray(h), np.asarray(h_w))
+        and np.array_equal(h.border, h_w.border)
+        and np.array_equal(h.block, h_w.block)
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    t=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([1.0, 10.0, 40.0]),
+    pinned=st.sampled_from([0, 1]),
+    scheme=st.sampled_from([Improved(0.3), Improved(1e-6), ConnerGrant(0.3)]),
+    x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
+)
+def test_the_kernel_forms_each_product_once_bit_for_bit_as_written_out(t, seed, spread, pinned, scheme, x):
+    # every model and the posterior, merits up to +-spread with the pinned
+    # ones at 0, and the Rao-Kupper phi down to its bound
+    x = np.array([*x, -np.inf, np.inf, -800.0, 800.0, -0.0, 0.0])  # where exp(-|x|) underflows too
+    assert np.array(_logistic(x)).tobytes() == np.array(logistic(x)).tobytes()  # signed zeros included
+    rng = np.random.default_rng(seed)
+    data = random_venue_dataset(rng, t=t, with_ties=True)
+    perturbed = perturb(data, scheme)
+    beta = rng.uniform(-spread, spread, t)
+    beta[:pinned] = 0.0
+    for model in Model:
+        edge_data = _edge_data(model, perturbed, pinned)
+        h, v, counts, arcs = edge_data
+        phi = rng.uniform(-3.0, 3.0) if model.has_tie_parameter else None
+        lg = rng.uniform(-3.0, 3.0) if model.has_home_parameter else None
+        if model is Model.RAO_KUPPER:  # its phi enters the kernel as the home parameter
+            phi, lg = None, float(rng.choice([RK_PHI_MIN, 1e-6, rng.uniform(RK_PHI_MIN, 3.0)]))
+        args = (beta, h, v, *counts, phi, lg, arcs)
+        assert _same_terms(_outcome_terms(*args), outcome_terms(*args)), model
+    posterior = PosteriorObjective(data.counts, 2.0, 2.0 * t - 1.0)
+    args = (beta, *posterior._data)
+    assert _same_terms(_outcome_terms(*args), outcome_terms(*args))

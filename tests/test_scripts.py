@@ -41,6 +41,16 @@ def test_the_venue_case_fits_davidson_and_home_field_on_a_league_with_ties():
     assert out["teams"] == 2000
 
 
+def test_the_small_venue_case_times_a_kernel_and_a_step_per_model():
+    out = _bench("--case", "venue-t14")
+    models = ("rao_kupper", "davidson", "home_field", "david")
+    assert set(out) == {"teams", "games", "met_pairs", *models}
+    for model in models:
+        assert set(out[model]) == {"kernel_median_s", "step_median_s"}
+        assert out[model]["kernel_median_s"] > 0 and out[model]["step_median_s"] > 0
+    assert (out["teams"], out["games"], out["met_pairs"]) == (14, 68, 34)
+
+
 def test_the_two_leagues_case_solves_its_steps_to_the_residual():
     out = _bench("--case", "two-leagues")
     assert set(out) == {"0.1", "1e-05", "1e-09", "1e-12"}
@@ -94,6 +104,22 @@ def test_the_import_case_times_each_import_in_fresh_interpreters(monkeypatch):
     assert set(out) == {"interpreters", "numpy_s", "btrank_s", "cli_s"}
     assert out["interpreters"] == 3
     assert all(out[key] > 0 for key in ("numpy_s", "btrank_s", "cli_s"))
+
+
+def test_a_column_holds_the_median_of_its_runs():
+    spec = importlib.util.spec_from_file_location("bench_kernel", REPO / "scripts" / "bench_kernel.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    runs = [
+        {"fit_s": 3.0, "iterations": 8, "converged": True, "model": {"step_s": 1.0}},
+        {"fit_s": 1.0, "iterations": 9, "converged": True, "model": {"step_s": 4.0}},
+        {"fit_s": 2.0, "iterations": 7, "converged": True, "model": {"step_s": 2.0}},
+        {"fit_s": 9.0, "iterations": 8, "converged": False, "model": {"step_s": 3.0}},
+    ]
+    assert bench.median_of(runs) == {
+        "fit_s": 2.5, "iterations": 8, "converged": [True, True, True, False], "model": {"step_s": 2.5},
+    }
+    assert bench.median_of(runs[:3])["converged"] is True
 
 
 def test_the_fit_digest_is_one_sha256_that_repeats():

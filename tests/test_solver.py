@@ -153,6 +153,16 @@ def test_a_newton_direction_that_does_not_ascend_falls_back_to_the_gradient(h):
     assert trace == (-2.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 15, 19, 33, 64, 120])
+def test_the_lu_step_is_numpys_solve_bit_for_bit(n):
+    # the model Hessians are checked in the sparse-step property below
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    h, g = -(a @ a.T) - 0.1 * np.eye(n), rng.normal(size=n)
+    direction, slope, newton = solver._newton_direction(g, h, None, solver._CG_RTOL)
+    assert newton and np.array_equal(direction, np.linalg.solve(h, -g))
+
+
 class _Bowl:
     """Convex test function (x - c)' A (x - c), defined only for x >= 0."""
 
@@ -799,6 +809,13 @@ def test_the_sparse_step_matches_the_dense_hessian_and_its_lu_step(t, seed, shif
         _, g, h = objective.value_gradient_hessian(x)
         dense = np.asarray(h)
         assert isinstance(h, likelihood.EdgeHessian) and dense.shape == (len(g), len(g))
+        # the LU step is np.linalg.solve's, bit for bit, or both refuse H
+        try:
+            expected = np.linalg.solve(dense, -g)
+        except np.linalg.LinAlgError:
+            expected = None
+        direction, _, newton = solver._newton_direction(g, h, None, solver._CG_RTOL)
+        assert not newton if expected is None else newton and np.array_equal(direction, expected)
         v = rng.normal(size=len(g))
         scale = np.abs(dense) @ np.abs(v)
         assert np.all(np.abs(h.matvec(v) - dense @ v) <= 1e-12 * scale.max())
