@@ -26,8 +26,12 @@ built as records (``GameTable``) and aggregated by ``btrank.aggregate``, so
 no t x t array is built for the input. It is fitted with Bradley-Terry
 under ``Improved("auto")`` in its own single-threaded interpreter, which
 imports btrank from ``--src`` (default: this checkout's ``src``), so that
-the peak RSS is the case's own, aggregation included. Per case the column
-records the number of games and met pairs, the median time of one
+the peak RSS is the case's own, aggregation included. ``SCALE_CASES``
+(``sparse-t100000``, one fit: 1.2 to 1.5 s and a 203 MB peak on a 2-core
+x86-64 host since single-team components leave the coarse space at scale,
+against 204 s and 1.45 GB before) are run only by ``--case``: a full run
+runs every case in ``RUNS`` interpreters per checkout, and an older
+checkout would take minutes per run. Per case the column records the number of games and met pairs, the median time of one
 ``Objective.value_gradient_hessian`` at the start point, the median time of
 the solver's own Newton step on the system it returns
 (``solver._newton_direction``), the median wall time of one ``btrank.fit``,
@@ -139,7 +143,10 @@ CASES = {
     "sparse-t2000": (2000, 2000, 10, 3),
     "sparse-t4000": (4000, 4000, 5, 2),
     "sparse-t20000": (20000, 20000, 3, 2),
+    "sparse-t100000": (100000, 100000, 1, 1),
 }
+#: the league cases a full run leaves out, run by ``--case`` alone
+SCALE_CASES = ("sparse-t100000",)
 #: (teams, seed, fits per model) per venue case
 VENUE_CASES = {"venue-t2000": (2000, 2000, 3), "venue-t20000": (20000, 20000, 1)}
 VENUE_MODELS = ("DAVIDSON", "HOME_FIELD")
@@ -170,7 +177,8 @@ for name in ("numpy", "btrank", "btrank.cli"):
 print(*(after - before for before, after in zip(marks, marks[1:])))
 """
 ALL_CASES = [
-    *CASES, *VENUE_CASES, *SMALL_VENUE_CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import",
+    *(name for name in CASES if name not in SCALE_CASES),
+    *VENUE_CASES, *SMALL_VENUE_CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import",
 ]
 
 
@@ -543,7 +551,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     parser.add_argument(
         "--case",
-        choices=ALL_CASES,
+        choices=[*ALL_CASES, *SCALE_CASES],
         help=argparse.SUPPRESS,
     )
     parser.add_argument("--csv", help=argparse.SUPPRESS)  # the input of a crowd case

@@ -270,6 +270,7 @@ def _fit_payload(result: FitResult, ranking) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "gradient_sup_norm": result.gradient_sup_norm,
+        "last_step": result.last_step,
         "ranking": list(ranking.team_order()),
         "ranking_description": ranking.describe(),
     }

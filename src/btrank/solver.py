@@ -39,30 +39,39 @@ built once per fit, and a step only sums (``_galerkin``) and inverts
 ``Z' H Z``. When the raw data fail strong connection, only O(eps) curvature
 joins those components, so their indicators are the near-null directions of
 H that leave plain Jacobi-PCG stalling as eps goes to 0; the coarse level
-solves them exactly. The step is an inexact Newton step (Eisenstat and Walker
-1996): the first is solved to a residual of a tenth of ``|g|`` (2-norms),
-each later one to the sup-norm of the step before it (capped at a tenth),
-so the solves tighten as the steps shrink, but never below ``_CG_FLOOR``
-(1e-11) over that sup-norm. The floor binds only after a step under about
-3e-6, whose successor is mostly a step of at most 1e-9: never taken, its
-solve only decides the stop (Dembo, Eisenstat and Steihaug 1982).
+solves them exactly. From ``_COARSE_PRUNE`` raw components on, a single
+team's component gets no column: Jacobi scales its merit exactly, and the
+O(m^3) inverse of an m-column ``Z' H Z`` costs more than the CG iterations
+the column saves (the constant gives the measured crossover). The step is
+an inexact Newton step (Eisenstat and Walker 1996): the first is solved to
+a residual of a tenth of ``|g|`` (2-norms), each later one to the sup-norm
+of the step before it (capped at a tenth), so the solves tighten as the
+steps shrink, but never below ``_CG_FLOOR`` (1e-11) over that sup-norm. The
+floor binds only after a step under about 3e-6, whose successor is mostly
+the last step, of at most 1e-9, whose solve decides the stop (Dembo,
+Eisenstat and Steihaug 1982).
 
-A fit stops converged once the Newton step at the current point has sup-norm
-at most 1e-9, in log-merit units, or the gradient is exactly 0; the last
-step is not taken. While float64 resolves the step, its length is the
-distance from the maximizer, which a small gradient is not where only O(eps)
-curvature joins the components. Below eps 1e-9, on data that fail strong
-connection, the step along the component indicators is rounding: a 5-team
-fit then stops converged 2.9e-5 from its maximizer at eps 1e-12. Half the
-Newton decrement ``-g' H^-1 g`` bounds the objective still to gain; once it
-is at most ``rel_ll_tol * max(1, |objective|)``, the objective is flat at
-working precision and its quadratic model exact to rounding: only the full
-Newton step is tried, and kept if it passes the Armijo test or lowers the
-gradient sup-norm (the objective may then drop by rounding); otherwise
-float64 cannot resolve the step and the fit stops unconverged. Above that
-bound, a line search that finds no improving step, or using up ``max_iters``
-iterations, stops the fit unconverged. The optimum is unique (strict
-concavity), so each fit runs once, from the objective's deterministic start.
+A fit stops converged once the Newton step d at the current point x has
+sup-norm at most 1e-9, in log-merit units, or the gradient is exactly 0.
+On a Newton step the fit then evaluates x + d once and returns it if its
+gradient sup-norm is no larger than at x: near the maximizer a Newton step
+squares the error (Dennis and Schnabel 1983, ch. 5), so one evaluation buys
+several digits. It is no iteration and has no ``trace`` entry; the value
+and gradient returned are the returned point's. While float64 resolves the
+step, its length is the distance from the maximizer, which a small gradient
+is not where only O(eps) curvature joins the components. Below eps 1e-9, on
+data that fail strong connection, the step along the component indicators
+is rounding: a 5-team fit then stops converged 2.9e-5 from its maximizer at
+eps 1e-12. Half the Newton decrement ``-g' H^-1 g`` bounds the objective
+still to gain; once it is at most ``rel_ll_tol * max(1, |objective|)``, the
+objective is flat at working precision and its quadratic model exact to
+rounding: only the full Newton step is tried, and kept if it passes the
+Armijo test or lowers the gradient sup-norm (the objective may then drop by
+rounding); otherwise float64 cannot resolve the step and the fit stops
+unconverged. Above that bound, a line search that finds no improving step,
+or using up ``max_iters`` iterations, stops the fit unconverged. The
+optimum is unique (strict concavity), so each fit runs once, from the
+objective's deterministic start.
 
 Every fit re-verifies existence before iterating, by Ford's condition on the
 perturbed digraph the model reads (``connectivity.verify_existence``; that
@@ -104,18 +113,22 @@ _HALVINGS = 60  # the smallest trial step is 2**-59
 _STEP_TOL = 1e-9  # a fit is converged once the Newton step is this short
 _CG_RTOL = 0.1  # the loosest relative residual of a sparse Newton step
 _CG_FLOOR = 0.01 * _STEP_TOL  # no sparse step is solved to a finer error
+# single teams leave Z from this many raw components m on: on scripts/bench_kernel.py
+# leagues, pruning takes 1.2-6x the CG iterations at m = 23 to 162 (fits 7% slower to
+# 1.5x faster), and fits 2.5x faster at m = 274, 15x at m = 1,250 and 1,649
+_COARSE_PRUNE = 200
 
 
 class SolverConfig(Record):
     """Iteration controls shared by all fits.
 
-    A fit is converged when its Newton step is at most 1e-9 in sup-norm (see
-    the module docstring). Where half the Newton decrement, a bound on the
-    objective still to gain, is at most ``rel_ll_tol * max(1, |objective|)``,
-    only the full Newton step is tried. ``max_iters``, an integer >= 1,
-    bounds the Newton iterations. ``grad_tol`` is validated but unread: no
-    fit stops on the gradient. The final gradient sup-norm is recorded on
-    the FitResult.
+    A fit is converged when its Newton step is at most 1e-9 in sup-norm; it
+    then takes that step outside ``max_iters`` (see the module docstring).
+    Where half the Newton decrement, a bound on the objective still to gain,
+    is at most ``rel_ll_tol * max(1, |objective|)``, only the full Newton
+    step is tried. ``max_iters``, an integer >= 1, bounds the Newton
+    iterations. ``grad_tol`` is validated but unread: no fit stops on the
+    gradient. The final gradient sup-norm is recorded on the FitResult.
     """
 
     grad_tol: float = 1e-8
@@ -176,6 +189,7 @@ class _Solution(Record):
     trace: tuple[float, ...]
     iterations: int
     gradient_sup_norm: float
+    last_step: float
     converged: bool
 
 
@@ -194,10 +208,13 @@ def _coarse_layout(labels: np.ndarray, h: EdgeHessian) -> SimpleNamespace:
     those of the t merits (pinned ones on a dropped column m); ``cross``, the
     edges between columns, and ``flat``, the entries (a, b), (b, a), (a, a),
     (b, b) of ``Z' H Z`` their weights go to."""
-    t, p = len(labels), h.pinned
-    extras = labels.max() + 1 + np.arange(len(h.block))
+    t, p, count = len(labels), h.pinned, labels.max() + 1
+    extras = count + np.arange(len(h.block))
+    dropped = count + len(h.block)  # a label past the tie and home columns
+    if count >= _COARSE_PRUNE:
+        labels = np.where(np.bincount(labels)[labels] > 1, labels, dropped)
     present, layout = np.unique(np.concatenate([labels[p:], extras]), return_inverse=True)
-    m = len(present)
+    m = len(present) - bool(present[-1] == dropped)
     merit = np.concatenate([np.full(p, m), layout[: t - p]])
     a, b = merit[h.arcs.i], merit[h.arcs.j]
     cross = a != b
@@ -234,9 +251,11 @@ def _pcg(h: EdgeHessian, g: Array, plan: SimpleNamespace, rtol: float):
     for ``len(g)`` iterations. ``plan`` is the fit's coarse space."""
     layout, m = plan.layout, plan.m
     inverse, jacobi = np.linalg.inv(_galerkin(h, plan)), 1.0 / h.diagonal()
+    coarse = np.zeros(m + 1)  # entry m, of the dropped column, stays 0
 
     def deflate(r):  # Z (Z' H Z)^-1 Z' r
-        return (inverse @ np.bincount(layout, r, m))[layout]
+        np.matmul(inverse, np.bincount(layout, r, m + 1)[:m], out=coarse[:m])
+        return coarse[layout]
 
     r = -g
     d = deflate(r)
@@ -298,12 +317,17 @@ def _newton(objective, start: Array, config: SolverConfig | None, dataset=None, 
     trace = [float(f)]
     iterations = 0
     converged = False
-    rtol = _CG_RTOL
+    rtol, last_step = _CG_RTOL, math.inf
     while True:
         direction, slope, newton = _newton_direction(g, h, coarse, rtol)
         size = float(np.abs(direction).max())
+        last_step = size if newton or not g.any() else last_step  # 0 at a zero gradient
         if newton and size <= _STEP_TOL or not g.any():
             converged = True
+            if newton:  # the last step, kept unless it raises the gradient; no iteration
+                trial = objective.value_gradient_hessian(x + direction)
+                if trial[1] is not None and np.abs(trial[1]).max() <= np.abs(g).max():
+                    x, (f, g, h) = x + direction, trial
             break
         # the next sparse step is solved as closely as this one was long, but no
         # closer than _CG_FLOOR needs; size > 0 guards the division whatever stops above
@@ -341,6 +365,7 @@ def _newton(objective, start: Array, config: SolverConfig | None, dataset=None, 
         trace=tuple(trace),
         iterations=iterations,
         gradient_sup_norm=float(np.abs(g).max()),
+        last_step=last_step,
         converged=converged,
     )
 
@@ -411,6 +436,7 @@ def _fit_result(
         iterations=solution.iterations,
         converged=solution.converged,
         gradient_sup_norm=solution.gradient_sup_norm,
+        last_step=solution.last_step,
         trace=solution.trace,
         scores=dataset.scores,
         normalization=normalization,

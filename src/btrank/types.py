@@ -438,9 +438,11 @@ class ParameterPoint(Record):
 class FitResult(Record):
     """Outcome of one model fit.
 
-    ``log_likelihood`` is the final value of the maximized objective (the
-    perturbed log-likelihood, or the log-posterior for the MAP fit).
-    ``trace`` holds that objective per accepted iteration. ``scores`` carries
+    ``log_likelihood`` and ``gradient_sup_norm`` are the maximized objective
+    (the perturbed log-likelihood, or the log-posterior for the MAP fit) and
+    its gradient's sup-norm at the returned point; ``trace`` holds the
+    objective per accepted iteration. ``last_step`` is the sup-norm of the
+    last Newton step solved, taken or not (inf if none). ``scores`` carries
     the raw win scores ``a_i`` of the fitted dataset.
     """
 
@@ -454,6 +456,7 @@ class FitResult(Record):
     iterations: int
     converged: bool
     gradient_sup_norm: float
+    last_step: float
     trace: tuple[float, ...]
     scores: Array
     normalization: Normalization

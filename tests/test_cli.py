@@ -123,6 +123,7 @@ def test_fit_json_is_deterministic_and_carries_the_estimate(capsys, four_teams_f
     payload = json.loads(first)
     assert payload["model"] == "bt"
     assert payload["converged"] is True
+    assert 0.0 < payload["last_step"] <= 1e-9  # the Newton step that decided the stop
     assert payload["merits"][0] == 1.0
     assert payload["merits"][1] == pytest.approx(0.600, abs=2e-3)
     assert payload["merits"][3] == pytest.approx(1.0 / 3.0, abs=2e-3)

@@ -122,6 +122,30 @@ def test_maximizer_solves_a_quadratic():
     assert np.all(np.diff(trace) >= -1e-12)
 
 
+class _Exponential:
+    """Concave sum(x - exp(x)), maximized at 0; records every point it is
+    evaluated at."""
+
+    def __init__(self):
+        self.points = []
+
+    def value_gradient_hessian(self, x):
+        self.points.append(x.copy())
+        u = np.exp(x)
+        return float((x - u).sum()), 1.0 - u, -np.diag(u)
+
+
+def test_maximize_concave_takes_the_last_newton_step():
+    # the stop is decided about 1e-10 from the maximizer; the step then
+    # taken squares that error, and is no iteration with a trace entry
+    objective = _Exponential()
+    x, trace = maximize_concave(objective, np.array([1.0, -2.0, 0.5]))
+    decided = objective.points[-2]
+    assert np.abs(decided).max() > 1e-11 and np.abs(x).max() <= 1e-15
+    np.testing.assert_array_equal(x, objective.points[-1])
+    assert trace[-1] == float((decided - np.exp(decided)).sum())
+
+
 class _WrongCurvature:
     """Concave f(x) = -|x - c|^2 reporting a fixed, wrong Hessian ``h``."""
 
@@ -621,7 +645,8 @@ def test_reference_merits_past_float64_range_read_inf_not_nan(four_teams):
     # a beta spread of 1750 used to underflow u[0] in u / u[0], giving nan
     beta = np.array([0.0, 900.0, -850.0, 5.0])
     solution = solver._Solution(
-        x=beta[1:], value=0.0, trace=(0.0,), iterations=5, gradient_sup_norm=1.0, converged=False
+        x=beta[1:], value=0.0, trace=(0.0,), iterations=5, gradient_sup_norm=1.0, last_step=1.0,
+        converged=False,
     )
     point = ParameterPoint(beta=beta)
     reference = solver._fit_result(
@@ -830,7 +855,8 @@ def test_the_sparse_step_matches_the_dense_hessian_and_its_lu_step(t, seed, shif
 @pytest.mark.parametrize("model", list(Model))
 def test_the_galerkin_matrix_of_a_coarse_plan_is_z_h_z(model):
     # components of several teams and single teams, ties and home games, so
-    # that the tie and home borders and the pinned merit all enter Z' H Z
+    # that the tie and home borders and the pinned merit all enter Z' H Z;
+    # pruned, the single teams leave Z as if the data had _COARSE_PRUNE components
     rng = np.random.default_rng(11)
     t = 12
     counts = np.zeros((3, t, t))  # a_home, a_away, t_home
@@ -842,14 +868,21 @@ def test_the_galerkin_matrix_of_a_coarse_plan_is_z_h_z(model):
     data = venue_dataset(names(t), *counts)
     objective = Objective(model, perturb(data, Improved(1e-3)))
     _, _, h = objective.value_gradient_hessian(random_point(objective, rng))
-    plan = solver._coarse_layout(raw_components(model, data), h)
-    # column m is dropped, for any unknown the plan maps there as for pinned merits
-    z = np.zeros((len(plan.layout), plan.m + 1))
-    z[np.arange(len(plan.layout)), plan.layout] = 1.0
-    z = z[:, : plan.m]
-    expected = z.T @ np.asarray(h) @ z
-    assert plan.m > 1 + len(h.block)
-    np.testing.assert_allclose(solver._galerkin(h, plan), expected, rtol=1e-12, atol=1e-12)
+    labels = raw_components(model, data)
+    single = np.bincount(labels)[labels] == 1
+    assert single[9:].all() and not single[:9].any()
+    for pruned in (False, True):
+        with mock.patch.object(solver, "_COARSE_PRUNE", 1 if pruned else solver._COARSE_PRUNE):
+            plan = solver._coarse_layout(labels, h)
+        columns = plan.merit[np.flatnonzero(single)]
+        assert (columns == plan.m).all() if pruned else len(np.unique(columns)) == 3
+        # column m is dropped, for any unknown the plan maps there as for pinned merits
+        z = np.zeros((len(plan.layout), plan.m + 1))
+        z[np.arange(len(plan.layout)), plan.layout] = 1.0
+        z = z[:, : plan.m]
+        expected = z.T @ np.asarray(h) @ z
+        assert plan.m > 1 + len(h.block)
+        np.testing.assert_allclose(solver._galerkin(h, plan), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_the_raw_digraph_of_a_dataset_is_labelled_once_per_kind():
@@ -912,8 +945,9 @@ def test_the_two_league_step_takes_few_cg_iterations_and_matches_the_lu_fit(eps)
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-5])
 def test_only_the_confirming_sparse_solve_stops_early(eps):
-    # the floor on the forcing term loosens the solve of the last step, of at
-    # most _STEP_TOL, which the stop rule never takes, and no step that is taken
+    # the floor on the forcing term loosens only the solve of the last step, of
+    # at most _STEP_TOL, which decides the stop and is taken after it: every
+    # iteration is the same, and the returned points differ by that solve's error
     data = _two_leagues(150)
     model = spec(Model.BRADLEY_TERRY, Improved(eps))
     solves = []
@@ -936,5 +970,75 @@ def test_only_the_confirming_sparse_solve_stops_early(eps):
     assert np.abs(np.linalg.solve(np.asarray(h), -g)).max() <= solver._STEP_TOL
     # the step before the last is 5.6e-7 at eps 0.1 and 1.1e-8 at 1e-5
     assert last[0] >= 1e-5 and last[1] < solves[-1][1]
-    np.testing.assert_array_equal(floored.beta, unfloored.beta)
+    assert np.abs(floored.beta - unfloored.beta).max() <= 1e-12
+    assert floored.trace == unfloored.trace
     assert (floored.iterations, floored.converged) == (unfloored.iterations, unfloored.converged)
+
+
+@pytest.mark.parametrize(
+    "model", [Model.BRADLEY_TERRY, Model.RAO_KUPPER, Model.DAVIDSON, "map"], ids=str
+)
+def test_a_pruned_coarse_space_fits_the_same_point(model):
+    # single-team components leave Z from _COARSE_PRUNE raw components on;
+    # lowered to 1, the pruned fit of a 220-team league agrees with the full
+    # one. Every 11th team wins all its games, a single-team component of the
+    # win digraph (the venue models read the hosting one, strongly connected here)
+    a_home, a_away, t_home = _sparse_league(np.random.default_rng(5), 220)
+    for k in range(5, 220, 11):
+        a_home[k] += a_away[:, k] + t_home[k]
+        a_away[k] += a_home[:, k] + t_home[:, k]
+        a_home[:, k] = a_away[:, k] = t_home[k] = t_home[:, k] = 0.0
+    data = venue_dataset(names(220), a_home, a_away, t_home)
+    labels = raw_components(Model.BRADLEY_TERRY, data)
+    assert (np.bincount(labels) == 1).sum() >= 20
+    run = (lambda: fit_map_em(data, MapPriorSpec(2.0))) if model == "map" else (
+        lambda: fit(spec(model, Improved(1e-3)), data)
+    )
+    full = run()
+    with mock.patch.object(solver, "_COARSE_PRUNE", 1):
+        pruned = run()
+    assert full.converged and pruned.converged
+    assert np.abs(pruned.beta - full.beta).max() <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=sparse_datasets(), eps=st.integers(1, 12).map(lambda k: 10.0**-k))
+@example(data=TWO_CYCLES_IN_A_CHAIN, eps=1e-9)
+def test_the_last_step_never_raises_the_gradient_of_a_converged_fit(data, eps):
+    # the stop is decided at the last point whose Newton step is solved; the
+    # step is then taken only where the gradient does not grow
+    decided = []
+
+    def recorded(g, h, coarse, rtol):
+        decided.append(np.abs(g).max())
+        return newton_direction(g, h, coarse, rtol)
+
+    newton_direction = solver._newton_direction
+    runs = [lambda: fit_map_em(data, MapPriorSpec(2.0))]
+    runs += [lambda model=model: fit(spec(model, Improved(eps)), data) for model in Model]
+    with mock.patch.object(solver, "_newton_direction", recorded):
+        for run in runs:
+            decided.clear()
+            try:
+                result = run()
+            except (ExistenceError, NoTiesError, VenuelessDataError):
+                continue
+            if result.converged:
+                assert result.gradient_sup_norm <= decided[-1]
+                assert result.last_step <= solver._STEP_TOL
+
+
+@pytest.mark.parametrize("loader", ["load_four_teams", "load_five_teams", "load_ten_teams"])
+def test_every_sweep_fit_of_a_bundled_dataset_ends_at_a_rounding_level_gradient(loader):
+    # the epsilon sweep of the benchmark's small fits; the gradient is
+    # recomputed at the returned point, which the taken last step moved
+    data = getattr(btrank.datasets, loader)()
+    grid = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+    sweep = btrank.sweep_epsilon(spec(Model.BRADLEY_TERRY, Improved(1.0)), data, grid)
+    assert [entry.epsilon for entry in sweep.entries] == list(grid)
+    for entry in sweep.entries:
+        perturbed = perturb(data, Improved(entry.epsilon))
+        point = ParameterPoint(beta=entry.fit.beta)
+        gradient = np.abs(btrank.gradient(Model.BRADLEY_TERRY, point, perturbed))
+        assert entry.fit.converged and gradient.max() <= 1e-13, entry.epsilon
+        assert entry.fit.gradient_sup_norm == gradient[1:].max()  # beta_1 is pinned

@@ -212,7 +212,7 @@ def _records() -> dict[str, tuple[type, dict]]:
         "model": btrank.Model.BRADLEY_TERRY, "teams": ("A", "B"), "merits_u": [1.0, 2.0],
         "beta": [0.0, np.log(2.0)], "theta_hat": None, "gamma_hat": None,
         "log_likelihood": -1.5, "iterations": 3, "converged": True,
-        "gradient_sup_norm": 1e-12, "trace": (-2.0, -1.5), "scores": [1.0, 1.0],
+        "gradient_sup_norm": 1e-12, "last_step": 1e-10, "trace": (-2.0, -1.5), "scores": [1.0, 1.0],
         "normalization": btrank.Normalization.REFERENCE, "epsilon": 0.1,
     }
     ranking = {"teams": ("A", "B"), "order": (1, 0), "groups": ((1,), (0,))}
