@@ -78,6 +78,17 @@ and aggregating. The ``crowd-1e6-long`` case does the same on the same
 records with 24-byte item ids: longer than the 8 bytes a plain-CSV cell's
 key holds, so it times the csv module's row loop.
 
+The ``crowd-1e6-cli`` case fits the ``crowd-1e6`` CSV the way a user does:
+it starts ``CLI_PROCESSES`` fresh ``python -m btrank.cli fit --data <csv>
+--model bt --out <tmp>.json`` processes, one after another, from the case's
+own interpreter, which holds no CSV, so that the RSS high-water mark a
+spawned process inherits from its spawner stays small. One untimed process
+runs first, with ``PYTHONDONTWRITEBYTECODE`` unset, so that the timed ones
+read compiled bytecode, as the ``import`` case does. It records the median
+wall time of a process (interpreter start, imports, parse, aggregate, fit,
+report and exit), its exit code (0 only if every process exited 0) and the
+largest peak RSS of the processes (``RUSAGE_CHILDREN``).
+
 Each case of ``PATH_TEAMS`` is a path league of t teams, each team
 beating the next one at home, perturbed under ``Improved("auto")`` so that
 its win digraph is the path in both directions, strongly connected with
@@ -167,6 +178,7 @@ DENSE_TEAMS = {"dense-t20": 20, "dense-t100": 100}
 DENSE_REPEATS = (300, 100, 15)
 DENSE_REPLICAS = 10
 IMPORT_INTERPRETERS = 15
+CROWD_CLI, CLI_PROCESSES = "crowd-1e6-cli", 5  # it fits the crowd-1e6 CSV
 #: run by each interpreter of the import case: the seconds of each import
 IMPORT_PROBE = """
 import time
@@ -178,7 +190,8 @@ print(*(after - before for before, after in zip(marks, marks[1:])))
 """
 ALL_CASES = [
     *(name for name in CASES if name not in SCALE_CASES),
-    *VENUE_CASES, *SMALL_VENUE_CASES, "two-leagues", *CROWD_IDS, *PATH_TEAMS, *DENSE_TEAMS, "import",
+    *VENUE_CASES, *SMALL_VENUE_CASES, "two-leagues", *CROWD_IDS, CROWD_CLI, *PATH_TEAMS, *DENSE_TEAMS,
+    "import",
 ]
 
 
@@ -522,6 +535,27 @@ def run_crowd(path: str) -> dict:
     }
 
 
+def run_cli(path: str, src: str) -> dict:
+    import resource
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = src
+    seconds, codes = [], []
+    with tempfile.TemporaryDirectory() as scratch:
+        report = str(Path(scratch) / "fit.json")
+        argv = [sys.executable, "-m", "btrank.cli", "fit", "--data", path, "--model", "bt", "--out", report]
+        for _ in range(CLI_PROCESSES + 1):  # the first writes the bytecode cache
+            clock = time.perf_counter()
+            codes.append(subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode)
+            seconds.append(time.perf_counter() - clock)
+    return {
+        "processes": CLI_PROCESSES,
+        "wall_median_s": statistics.median(seconds[1:]),
+        "exit_code": next((code for code in codes if code), 0),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+    }
+
+
 def run_imports(count: int) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     seconds = []
@@ -567,6 +601,8 @@ def main(argv=None) -> int:
         sys.path.insert(0, sources[0])
         if args.case in CROWD_IDS:
             out = run_crowd(args.csv)
+        elif args.case == CROWD_CLI:
+            out = run_cli(args.csv, sources[0])
         elif args.case in VENUE_CASES:
             out = run_venue(args.case)
         elif args.case in SMALL_VENUE_CASES:
@@ -590,6 +626,7 @@ def main(argv=None) -> int:
             # Written by a child: a case's peak RSS starts at this process's
             # own high-water mark, which a spawned interpreter inherits on Linux.
             subprocess.run([sys.executable, __file__, "--case", name, "--write-csv", path], check=True)
+        crowd[CROWD_CLI] = crowd["crowd-1e6"]
         checkouts = list(zip(sources, labels))
         for name in ALL_CASES:
             runs = {label: [] for label in labels}

@@ -20,6 +20,7 @@ to write the JSON report to a file.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -558,5 +559,20 @@ def main(argv=None) -> int:
         return code
 
 
+def run() -> int:
+    """The process entry of ``btrank`` and ``python -m btrank.cli``:
+    ``main()``'s exit code, after ``gc.freeze()`` has moved every object
+    still tracked (mostly numpy's and btrank's module objects) to the
+    permanent generation, which the collections at interpreter exit skip.
+    Nothing reads their result. Every output is complete by then: reports
+    go through ``Path.write_text`` or ``sys.stdout``, whose flush, like
+    module finalization and atexit handlers, still runs at exit; only
+    cyclic garbage is left unfinalized. ``main()`` itself freezes nothing,
+    so an in-process caller keeps its heap as it was."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

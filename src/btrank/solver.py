@@ -22,7 +22,8 @@ than ``t**2 / 16`` pairs have met, the step is solved in edge form;
 otherwise the Hessian is scattered to a dense array (``np.asarray(h)``) and
 solved by LAPACK's LU, the gesv gufunc ``numpy.linalg._umath_linalg.solve1``
 that ``np.linalg.solve`` wraps, called under the same error state: the same
-step without the wrapper's cost. Its constants are measured
+step without the wrapper's cost (the sparse step's coarse level calls the
+``inv`` gufunc of ``np.linalg.inv`` the same way). Its constants are measured
 crossovers: on sparse leagues the LU fit is faster up to about 150 teams and
 the sparse one from about 200, and a dense league keeps the LU (a fully met
 300-team league runs at par). An edge-form step is solved by conjugate
@@ -88,6 +89,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import inv as _inv  # np.linalg.inv's gufunc
 from numpy.linalg._umath_linalg import solve1 as _gesv  # np.linalg.solve's gufunc
 
 from .connectivity import raw_components, verify_existence
@@ -250,7 +252,9 @@ def _pcg(h: EdgeHessian, g: Array, plan: SimpleNamespace, rtol: float):
     run until the residual is at most ``rtol`` times ``|g|`` (2-norms) or
     for ``len(g)`` iterations. ``plan`` is the fit's coarse space."""
     layout, m = plan.layout, plan.m
-    inverse, jacobi = np.linalg.inv(_galerkin(h, plan)), 1.0 / h.diagonal()
+    with np.errstate(**_LU_ERRORS):
+        inverse = _inv(_galerkin(h, plan), signature="d->d")
+    jacobi = 1.0 / h.diagonal()
     coarse = np.zeros(m + 1)  # entry m, of the dropped column, stays 0
 
     def deflate(r):  # Z (Z' H Z)^-1 Z' r
@@ -279,7 +283,7 @@ def _singular(error, flag):
     raise LinAlgError("Singular matrix")
 
 
-# the error state of np.linalg.solve: a singular H raises through _singular
+# the error state of np.linalg.solve and .inv: a singular matrix raises through _singular
 _LU_ERRORS = {"call": _singular, "invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 

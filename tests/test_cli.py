@@ -1,11 +1,19 @@
 import argparse
 import csv
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from btrank.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
+THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 FOUR_TEAMS = {
     "teams": ["1", "2", "3", "4"],
@@ -200,6 +208,45 @@ def test_fit_exit_codes_for_each_failure_family(capsys, islands_file, tmp_path):
     code, _, err = run(capsys, "fit", "--data", islands_file, "--max-iters", "0")
     assert code == 4
     assert "must be at least 1" in err
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh single-threaded interpreter that imports
+    btrank from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **{var: "1" for var in THREADS})
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+def test_the_process_entry_prints_what_main_prints(capsys, four_teams_file, islands_file):
+    argv = ("fit", "--data", four_teams_file, "--epsilon", "0.5", "--out", "json")
+    child = python("-m", "btrank.cli", *argv)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == run(capsys, *argv)[1].encode()
+
+    child = python("-m", "btrank.cli", "fit", "--data", islands_file)
+    code, out, err = run(capsys, "fit", "--data", islands_file)
+    assert (child.returncode, child.stdout, child.stderr) == (1, b"", err.encode())
+    assert code == 1 and out == "" and err.count("\n") == 1
+
+    child = python("-m", "btrank.cli", "fit", "--data", islands_file, "--no-such-flag")
+    assert child.returncode == 4 and child.stderr.startswith(b"btrank: ")
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys, four_teams_file):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "fit", "--data", four_teams_file, "--out", "json")[0] == 0
+    assert gc.get_freeze_count() == frozen  # main leaves a caller's heap alone
+    # the __main__ block that python -m btrank.cli runs
+    probe = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['btrank', 'fit', '--data', {four_teams_file!r}, '--out', 'json']\n"
+        "try:\n    runpy.run_module('btrank.cli', run_name='__main__')\n"
+        "except SystemExit as exit:\n    print(exit.code, gc.get_freeze_count() > 0, file=sys.stderr)"
+    )
+    child = python("-c", probe)
+    assert child.returncode == 0 and child.stderr == b"0 True\n"
+    # read as text: Python 3.10 has no tomllib
+    assert 'btrank = "btrank.cli:run"' in (REPO / "pyproject.toml").read_text().splitlines()
 
 
 def test_fit_exit_3_when_iterations_run_out(capsys, tmp_path):

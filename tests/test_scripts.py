@@ -79,6 +79,15 @@ def test_the_crowd_case_parses_and_aggregates_its_csv(tmp_path):
         assert 0 < out["parse_peak_mb"] < out["peak_rss_mb"]
 
 
+def test_the_crowd_cli_case_fits_the_crowd_csv_in_fresh_processes(tmp_path):
+    path = tmp_path / "crowd-1e6.csv"
+    _bench("--case", "crowd-1e6", "--write-csv", str(path))
+    out = _bench("--case", "crowd-1e6-cli", "--csv", str(path))
+    assert set(out) == {"processes", "wall_median_s", "exit_code", "peak_rss_mb"}
+    assert (out["processes"], out["exit_code"]) == (5, 0)
+    assert out["wall_median_s"] > 0 and out["peak_rss_mb"] > 0
+
+
 def test_the_path_case_times_the_existence_check_on_one_component():
     out = _bench("--case", "path-t400")
     assert set(out) == {"teams", "arcs", "components", "verify_existence_s", "strong_components_s"}

@@ -885,6 +885,21 @@ def test_the_galerkin_matrix_of_a_coarse_plan_is_z_h_z(model):
         np.testing.assert_allclose(solver._galerkin(h, plan), expected, rtol=1e-12, atol=1e-12)
 
 
+def test_a_singular_galerkin_matrix_sends_the_sparse_step_along_the_gradient():
+    # the coarse inverse raises LinAlgError as np.linalg.inv does, and the
+    # step falls back to the gradient as a singular LU step does
+    data = venue_dataset(names(220), *_sparse_league(np.random.default_rng(3), 220))
+    objective = Objective(Model.DAVIDSON, perturb(data, Improved(1e-3)))
+    _, g, h = objective.value_gradient_hessian(objective.initial_point())
+    plan = solver._coarse_layout(raw_components(Model.DAVIDSON, data), h)
+    assert plan.m >= 1
+    direction, slope, newton = solver._newton_direction(g, h, plan, solver._CG_RTOL)
+    assert newton
+    with mock.patch.object(solver, "_galerkin", lambda h, plan: np.zeros((plan.m, plan.m))):
+        direction, slope, newton = solver._newton_direction(g, h, plan, solver._CG_RTOL)
+    assert not newton and direction is g and slope == float(g @ g)
+
+
 def test_the_raw_digraph_of_a_dataset_is_labelled_once_per_kind():
     # 220 teams on about 660 met pairs take the sparse step in every fit
     data = venue_dataset(names(220), *_sparse_league(np.random.default_rng(5), 220))
