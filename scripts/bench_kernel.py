@@ -93,9 +93,12 @@ Each case of ``PATH_TEAMS`` is a path league of t teams, each team
 beating the next one at home, perturbed under ``Improved("auto")`` so that
 its win digraph is the path in both directions, strongly connected with
 diameter t - 1. It records the median time of
-``connectivity.verify_existence`` on the perturbed counts (the check every
-fit runs, a reachability search whose rounds grow with the diameter) and of
-``connectivity.strong_components`` (Tarjan labelling) on the same arcs.
+``connectivity.verify_existence`` (the check every fit runs) on a copy of
+the dataset that has labelled nothing yet, so that each call labels the
+comparison graph, and of ``connectivity.strong_components`` on the
+perturbed arcs. A checkout whose ``verify_existence`` takes the teams
+instead of the dataset searches the perturbed counts on every call, and is
+timed that way.
 
 Each case of ``DENSE_TEAMS`` is a full round-robin of t teams, four games
 per pair, with merits uniform on [1, 2] and the wins drawn from a fixed
@@ -410,19 +413,27 @@ def run_probe() -> dict:
 
 
 def run_path(t: int) -> dict:
+    import inspect
+
     import btrank
     from btrank import connectivity
     from btrank.perturbation import perturb
 
     first = np.arange(t - 1)
     data = dataset(btrank, t, (first, first + 1, np.zeros(t - 1, dtype=int)))
-    model = btrank.Model.BRADLEY_TERRY
-    perturbed = perturb(data, btrank.Improved("auto"))
+    model, scheme = btrank.Model.BRADLEY_TERRY, btrank.Improved("auto")
+    perturbed = perturb(data, scheme)
     arcs = connectivity.arcs(perturbed.i, perturbed.j, perturbed.wins)
+    # checkouts that search the perturbed counts on every call take the teams
+    per_call = "teams" in inspect.signature(connectivity.verify_existence).parameters
     check, label = [], []
     for _ in range(PATH_REPEATS):
+        fresh = btrank.Dataset(data.teams, data.counts, data.venueless)  # nothing labelled yet
         clock = time.perf_counter()
-        connectivity.verify_existence(model, perturbed, data.teams)
+        if per_call:
+            connectivity.verify_existence(model, perturbed, data.teams)
+        else:
+            connectivity.verify_existence(model, fresh, perturbed, scheme)
         check.append(time.perf_counter() - clock)
         clock = time.perf_counter()
         labels = connectivity.strong_components(t, *arcs)

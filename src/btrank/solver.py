@@ -74,12 +74,12 @@ or using up ``max_iters`` iterations, stops the fit unconverged. The
 optimum is unique (strict concavity), so each fit runs once, from the
 objective's deterministic start.
 
-Every fit re-verifies existence before iterating, by Ford's condition on the
-perturbed digraph the model reads (``connectivity.verify_existence``; that
-module's docstring states the rule). The coarse space of the sparse step
-reads the same digraph of the raw counts (``connectivity.raw_components``),
-labelled once per dataset and digraph, which all fits of the dataset share:
-each fit passes ``_newton`` its dataset and model.
+Every fit verifies existence before iterating, by Ford's condition
+(``connectivity.verify_existence``, whose module docstring states the rule;
+under Improved, the raw Condition B or C). The coarse space of the sparse
+step reads the components of the raw digraph the model reads
+(``connectivity.raw_components``). Both are labelled once per dataset and
+digraph, for all its fits: each fit passes ``_newton`` its dataset and model.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ from .types import (
     ModelSpec,
     Normalization,
     ParameterPoint,
+    PerturbationSpec,
     PerturbedCounts,
     Record,
     is_bool,
@@ -457,20 +458,23 @@ def fit(model_spec: ModelSpec, dataset: Dataset, config: SolverConfig | None = N
     iteration budget is still returned, with ``converged=False``; use
     ``FitResult.ensure_converged`` to turn that into an error.
     """
-    perturbed = perturb(dataset, model_spec.perturbation)
-    return _fit_counts(model_spec.model, dataset, perturbed, model_spec.normalization, config)
+    scheme = model_spec.perturbation
+    perturbed = perturb(dataset, scheme)
+    return _fit_counts(model_spec.model, dataset, perturbed, scheme, model_spec.normalization, config)
 
 
 def _fit_counts(
     model: Model,
     dataset: Dataset,
     perturbed: PerturbedCounts,
+    scheme: PerturbationSpec | None,
     normalization: Normalization,
     config: SolverConfig | None,
 ) -> FitResult:
-    """``fit`` from its perturbed counts on."""
+    """``fit`` from the counts ``perturbed`` that ``scheme`` (None for the
+    flat prior's raw counts) makes of ``dataset`` on."""
     objective = Objective(model, perturbed)  # venue and tie refusals
-    verify_existence(model, perturbed, dataset.teams)
+    verify_existence(model, dataset, perturbed, scheme)
     solution = _newton(objective, objective.initial_point(), config, dataset, model)
     point = objective.unpack(solution.x)
     return _fit_result(model, dataset, solution, point, normalization, perturbed.epsilon)
@@ -505,7 +509,7 @@ def fit_map_em(
     if prior.ml_equivalent:
         c, venueless = dataset.counts, dataset.venueless
         raw = PerturbedCounts(c.num_teams, c.i, c.j, c.games, dataset.totals[:2], venueless, None)
-        return _fit_counts(Model.BRADLEY_TERRY, dataset, raw, normalization, config)
+        return _fit_counts(Model.BRADLEY_TERRY, dataset, raw, None, normalization, config)
     mode = _map_mode(dataset, float(prior.shape), prior.resolved_rate(dataset.num_teams), config)
     point = ParameterPoint(beta=mode.x - mode.x[0])
     return _fit_result(Model.BRADLEY_TERRY, dataset, mode, point, normalization, None)

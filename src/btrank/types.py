@@ -225,7 +225,7 @@ class Dataset(Record):
         if len(teams) != self.counts.num_teams:
             raise ShapeError(f"{len(teams)} teams but counts for {self.counts.num_teams}")
         object.__setattr__(self, "teams", teams)
-        object.__setattr__(self, "_raw_labels", {})  # filled by connectivity.raw_components
+        object.__setattr__(self, "_connectivity", {})  # raw labels and witnesses, by connectivity
 
     @property
     def num_teams(self) -> int:

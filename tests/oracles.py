@@ -45,7 +45,7 @@ from btrank.errors import (
     ThetaDomainError,
     VenuelessDataError,
 )
-from btrank.connectivity import REFUSAL_WORDING
+from btrank.connectivity import CONDITION_B, CONDITION_C, FITTED_A
 from btrank.likelihood import EdgeHessian, _check_point, _fold, _logistic, _lse3
 from btrank.perturbation import resolve_epsilon
 from btrank.types import (
@@ -244,7 +244,10 @@ def dense_existence_refusal(model: Model, spec, perturbed: SimpleNamespace, team
         weights = perturbed.a_home + perturbed.a_away.T
     q1 = first_source_component(weights > 0)
     if len(q1) < len(teams):
-        condition, detail = REFUSAL_WORDING[isinstance(spec, Improved), model.has_home_parameter]
+        if isinstance(spec, Improved):  # ConnerGrant lifts every pair: never here
+            condition, detail = CONDITION_C if model.has_home_parameter else CONDITION_B
+        else:
+            condition, detail = FITTED_A
         q2 = sorted(set(range(len(teams))) - set(q1))
         witness = PartitionWitness(condition, q1, q2, detail)
         message = f"the {model.value} estimate does not exist for these data: "

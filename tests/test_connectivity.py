@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btrank import connectivity
 from btrank.connectivity import (
     CONDITION_C,
     arcs,
@@ -17,8 +20,8 @@ from btrank.connectivity import (
 from btrank.errors import ExistenceError, VenuelessDataError
 from btrank.perturbation import perturb
 from btrank.types import (
-    ConnerGrant, Improved, Model, PartitionWitness, PerturbedCounts, pair_edges, venue_dataset,
-    venue_free_dataset,
+    ConnerGrant, CountMatrices, Dataset, Improved, Model, PartitionWitness, PerturbedCounts,
+    pair_edges, venue_dataset, venue_free_dataset,
 )
 
 from conftest import names, random_strongly_connected_dataset, random_venue_dataset
@@ -125,7 +128,7 @@ def test_existence_refuses_a_venue_model_on_venueless_data(four_teams, scheme, m
     # no hosting digraph to read, not a Condition C split, even where the
     # scheme lifts every pair
     with pytest.raises(VenuelessDataError, match="home/away structure"):
-        verify_existence(model, perturb(four_teams, scheme), four_teams.teams)
+        verify_existence(model, four_teams, perturb(four_teams, scheme), scheme)
 
 
 def test_condition_c_passes_on_random_venue_data():
@@ -151,22 +154,27 @@ def test_source_component_prefers_lowest_index():
     assert seen == {(0,)}
 
 
+def _witness(n, src, dst, condition, detail):
+    """The witness of the digraph on ``n`` vertices with arcs ``src -> dst``."""
+    return strong_connectivity_witness(strong_components(n, src, dst), src, dst, condition, detail)
+
+
 def test_strong_connectivity_witness_on_raw_weights():
     weights = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # arcs 0 -> 1 -> 2
-    witness = strong_connectivity_witness(3, *np.nonzero(weights), condition="A", detail="x")
+    witness = _witness(3, *np.nonzero(weights), condition="A", detail="x")
     assert witness is not None
     assert witness.q1 == (0,)
-    assert strong_connectivity_witness(3, *np.nonzero(np.ones((3, 3))), "A", "x") is None
+    assert _witness(3, *np.nonzero(np.ones((3, 3))), "A", "x") is None
 
 
 def test_one_search_needs_the_second_half_of_the_arcs_to_reverse_the_first():
     # arcs 2 and 3 end where arcs 0 and 1 start, yet 1 -> 0 twice is no
     # reverse of 0 -> 2, and team 2 reaches no one
     src, dst = np.array([0, 0, 1, 1]), np.array([1, 2, 0, 0])
-    witness = strong_connectivity_witness(3, src, dst, "A", "x")
+    witness = _witness(3, src, dst, "A", "x")
     assert witness is not None and witness.q1 == (0, 1)
     ladder = np.array([0, 1, 1, 2]), np.array([1, 2, 0, 1])  # both arcs of 0-1 and 1-2
-    assert strong_connectivity_witness(3, *ladder, "A", "x") is None
+    assert _witness(3, *ladder, "A", "x") is None
 
 
 def test_arcs_read_both_directions_of_each_edge():
@@ -187,7 +195,7 @@ def test_the_reachability_verdict_and_witness_match_the_oracles(t, density, seed
     np.fill_diagonal(adjacency, False)
     w = adjacency.astype(float)
     data = venue_dataset(names(t), w, np.zeros((t, t)))  # n_host == w
-    witness = strong_connectivity_witness(t, *np.nonzero(adjacency), *CONDITION_C)
+    witness = _witness(t, *np.nonzero(adjacency), *CONDITION_C)
     if t <= 7:
         assert (witness is None) == condition_c_by_enumeration(data)
     source = first_source_component(adjacency)
@@ -237,7 +245,9 @@ def _witness_by_components(t, src, dst):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_existence_verdicts_and_witnesses_match_the_strong_components(t, density, arcs_kept, seed):
-    # where every edge has both arcs one search decides; otherwise the reverse one runs too
+    # where every edge has both arcs one search decides; otherwise the reverse
+    # one runs too. The arcs are a shift's fitted wins for Bradley-Terry, and
+    # the raw hosting digraph David reads under Improved
     rng = np.random.default_rng(seed)
     met = np.triu(rng.random((t, t)) < density, 1)
     met[0, 1] |= not met.any()  # at least one edge
@@ -252,19 +262,23 @@ def test_existence_verdicts_and_witnesses_match_the_strong_components(t, density
         weights = (rng.random(weights.shape) < 0.5).astype(float)
     src, dst = arcs(i, j, weights)
     want = _witness_by_components(t, src, dst)
-    witness = strong_connectivity_witness(t, src, dst, "B", "detail")
+    witness = _witness(t, src, dst, "B", "detail")
     assert (witness is None) == (want is None)
     assert witness is None or (witness.q1, witness.q2) == want
-    teams = names(t)
     games = np.zeros((3, 2, len(i)))
     games[0] = weights  # the hosted games David reads are the same arcs
-    for model in (Model.BRADLEY_TERRY, Model.DAVID):
-        perturbed = PerturbedCounts(t, i, j, games, weights, False, 0.1)
+    hosted = games.any(axis=(0, 1))  # a raw edge needs a game
+    data = Dataset(names(t), CountMatrices(t, i[hosted], j[hosted], games[..., hosted]))
+    shifted = PerturbedCounts(t, i, j, games, weights, False, None)
+    for model, perturbed, scheme in [
+        (Model.BRADLEY_TERRY, shifted, None),
+        (Model.DAVID, perturb(data, Improved(0.1)), Improved(0.1)),
+    ]:
         if want is None:
-            verify_existence(model, perturbed, teams)
+            verify_existence(model, data, perturbed, scheme)
             continue
         with pytest.raises(ExistenceError) as refusal:
-            verify_existence(model, perturbed, teams)
+            verify_existence(model, data, perturbed, scheme)
         assert (refusal.value.witness.q1, refusal.value.witness.q2) == want
 
 
@@ -276,6 +290,43 @@ def test_strong_components_of_a_long_path_and_a_long_ladder():
     assert len(set(strong_components(n, head, tail))) == n
     ladder = strong_components(n, np.concatenate([head, tail]), np.concatenate([tail, head]))
     assert set(ladder) == {0}
+
+
+class _CountingNumpy:
+    """numpy for the connectivity module, counting the rounds of its
+    reachability searches: each sizes its reached set by ``count_nonzero``."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, a):
+        self.rounds += 1
+        return np.count_nonzero(a)
+
+
+def test_a_long_two_way_path_costs_a_bounded_number_of_frontier_pushes():
+    # 20,000 teams, each beating the next one at home: the comparison graph
+    # is a path of diameter 19,999, which a reachability search would cross
+    # one frontier push per step. The search gives up within a bounded
+    # number of rounds and Tarjan labels the path; the fit-time rule under
+    # Improved reads the check's labels and pushes nothing more.
+    t = 20_000
+    first = np.arange(t - 1)
+    games = np.zeros((3, 2, t - 1))
+    games[0, 0] = 1.0
+    data = Dataset(names(t), CountMatrices(t, first, first + 1, games))
+    scheme = Improved("auto")
+    perturbed = perturb(data, scheme)
+    counting = _CountingNumpy()
+    with mock.patch.object(connectivity, "np", counting):
+        assert check_condition_b(data) is None
+        checked = counting.rounds
+        assert 0 < checked <= 64
+        verify_existence(Model.BRADLEY_TERRY, data, perturbed, scheme)
+    assert counting.rounds == checked
 
 
 def test_witness_validation_rejects_wrong_claims(four_teams):

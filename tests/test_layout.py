@@ -106,9 +106,11 @@ def test_the_edge_record_scatters_to_the_dense_reference(case):
     assert np.array_equal(perturbed.i, i) and np.array_equal(perturbed.j, j)
 
 
-def _refusal(spec, teams, perturbed):
+def _refusal(model, data, perturbed, scheme):
+    """``(message, witness)`` of the refusal ``fit`` makes, or None: the
+    rule as ``fit`` calls it, on the counts the scheme makes of the data."""
     try:
-        verify_existence(spec.model, perturbed, teams)
+        verify_existence(model, data, perturbed, scheme)
     except ExistenceError as err:
         return str(err), err.witness
     return None
@@ -117,6 +119,9 @@ def _refusal(spec, teams, perturbed):
 @LAYOUT
 @given(case=data_and_schemes())
 def test_existence_verdicts_witnesses_and_refusals_match_the_dense_rule(case):
+    # Ford's condition on the dense perturbed counts is the reference: the
+    # rule reads raw Condition B or C under Improved, and nothing under
+    # ConnerGrant
     data, _, spec = case
     perturbed, reference = perturb(data, spec), dense_perturb(data, spec)
     for model in Model:
@@ -128,10 +133,12 @@ def test_existence_verdicts_witnesses_and_refusals_match_the_dense_rule(case):
             with pytest.raises(VenuelessDataError):
                 Objective(model, perturbed)
             with pytest.raises(VenuelessDataError):
-                verify_existence(model, perturbed, data.teams)
+                verify_existence(model, data, perturbed, spec)
             continue
-        got = _refusal(ModelSpec(model, spec), data.teams, perturbed)
+        got = _refusal(model, data, perturbed, spec)
         assert got == dense_existence_refusal(model, spec, reference, data.teams)
+        if isinstance(spec, ConnerGrant):
+            assert got is None
     raw = dense(data)
     checks = [(check_condition_a, raw.a), (check_condition_b, raw.n)]
     if not data.venueless:

@@ -499,7 +499,7 @@ def test_every_home_field_fit_the_rule_accepts_has_a_unique_maximizer(t, seed, d
     data = venue_dataset(names(t), *counts)
     perturbed = perturb(data, scheme)
     try:
-        verify_existence(Model.HOME_FIELD, perturbed, data.teams)
+        verify_existence(Model.HOME_FIELD, data, perturbed, scheme)
     except ExistenceError:
         return
     assert home_field_has_unique_maximizer(perturbed)
@@ -901,25 +901,33 @@ def test_a_singular_galerkin_matrix_sends_the_sparse_step_along_the_gradient():
 
 
 def test_the_raw_digraph_of_a_dataset_is_labelled_once_per_kind():
-    # 220 teams on about 660 met pairs take the sparse step in every fit
+    # Four raw digraphs: the wins, every met pair, all hosted games and the
+    # decisive ones. Each is labelled once per dataset, whatever reads it:
+    # the A/B/C checks, the existence rule and the coarse space of fits of
+    # every model (220 teams on about 660 met pairs take the sparse step),
+    # and a 7-epsilon sweep.
     data = venue_dataset(names(220), *_sparse_league(np.random.default_rng(5), 220))
+    checks = (check_condition_a, check_condition_b, check_condition_c)
     labelled = []
     label = btrank.connectivity.strong_components
 
-    def counted(*args):
-        labelled.append(args[0])
-        return label(*args)
+    def counted(n, src, dst):
+        labelled.append(len(src))
+        return label(n, src, dst)
 
     with mock.patch.object(btrank.connectivity, "strong_components", counted):
-        fit(spec(Model.BRADLEY_TERRY), data)
-        fit_map_em(data, MapPriorSpec(2.0))
-        fit(spec(Model.DAVIDSON), data)
-        assert labelled == [220]  # the venue-free models share the win digraph
-        fit(spec(Model.HOME_FIELD), data)
-        fit(spec(Model.DAVID), data)
+        witnesses = [check(data) for check in checks]
+        assert len(labelled) == 3
+        for model in Model:
+            fit(spec(model), data)
         fit(spec(Model.HOME_FIELD, Improved(1e-3)), data)
-        assert labelled == [220] * 3
-    assert set(data._raw_labels) == {Model.BRADLEY_TERRY, Model.HOME_FIELD, Model.DAVID}
+        fit_map_em(data, MapPriorSpec(2.0))
+        btrank.sweep_epsilon(spec(Model.DAVID), data, [10.0**-k for k in range(7)])
+        assert [check(data) for check in checks] == witnesses
+    assert len(labelled) == 4  # home-field's decisive games, first read by its fit
+    assert set(data._connectivity) == {
+        Model.BRADLEY_TERRY, None, Model.DAVID, Model.HOME_FIELD, "A", "B", "C"
+    }
 
 
 def _two_leagues(t):
