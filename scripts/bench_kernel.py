@@ -100,7 +100,8 @@ perturbed arcs. A checkout whose ``verify_existence`` takes the teams
 instead of the dataset searches the perturbed counts on every call, and is
 timed that way.
 
-Each case of ``DENSE_TEAMS`` is a full round-robin of t teams, four games
+Each case of ``DENSE_TEAMS`` is a full round-robin of t teams (20, 50 and
+100, the consistency grid of perfbench's ``small-fits``), four games
 per pair, with merits uniform on [1, 2] and the wins drawn from a fixed
 seed, as one replica of ``btrank.run_consistency`` draws them, and fitted
 with Bradley-Terry under ``Improved("auto")``. Such fits are small and
@@ -176,7 +177,7 @@ CROWD_ROWS, CROWD_ITEMS, CROWD_SEED, CROWD_REPEATS = 10**6, 300, 6, 3
 CROWD_IDS = {"crowd-1e6": "I{:03d}", "crowd-1e6-long": "crowd-item-{:03d}-of-set-AB"}
 PATH_TEAMS = {"path-t400": 400, "path-t2000": 2000, "path-t5000": 5000}
 PATH_REPEATS = 5
-DENSE_TEAMS = {"dense-t20": 20, "dense-t100": 100}
+DENSE_TEAMS = {"dense-t20": 20, "dense-t50": 50, "dense-t100": 100}
 #: (kernel evaluations and steps, fits, consistency runs) per dense case
 DENSE_REPEATS = (300, 100, 15)
 DENSE_REPLICAS = 10

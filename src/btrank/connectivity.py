@@ -34,8 +34,9 @@ arcs of every edge). A pass labels every vertex 0; a failure, or a search
 still growing after ``_ROUNDS`` rounds, leaves the labels to Tarjan's
 algorithm. Each raw digraph (the wins, every met pair, all hosted games,
 decisive hosted games) is labelled at most once per dataset and kept on it
-with each condition's witness, for the checks, the rule under Improved and
-the solver's coarse space (``raw_components``).
+with each condition's witness, for the checks, the rule under Improved, the
+flat prior's rule (it fits the raw counts) and the solver's coarse space
+(``raw_components``).
 """
 
 from __future__ import annotations
@@ -267,7 +268,11 @@ def verify_existence(
                 f"the {model.value} estimate is not guaranteed to exist"
             )
         src, dst = arcs(i, j, wins)
-        witness = strong_connectivity_witness(strong_components(t, src, dst), src, dst, *FITTED_A)
+        if scheme is None:  # the raw wins: the dataset's Bradley-Terry labels
+            labels = _labels(dataset, Model.BRADLEY_TERRY, (src, dst))
+        else:
+            labels = strong_components(t, src, dst)
+        witness = strong_connectivity_witness(labels, src, dst, *FITTED_A)
     if witness is not None:
         raise ExistenceError(
             f"the {model.value} estimate does not exist for these data: "

@@ -15,8 +15,9 @@ Every kernel runs over the edge list of ``PerturbedCounts`` (the layout of
 under Improved, every pair under ConnerGrant) and forms no t x t array.
 Each kernel reads its counts as slices of the per-edge arrays, gathering
 nothing; an objective slices them, and sums each edge's total ``n``, once
-(``_edge_data``). With perturbed wins ``w`` and raw ties ``tw``, one term
-per edge covers both orders for:
+(``_edge_data``). Bradley-Terry's edge data carry no tie totals: its ``n``
+is the sum of the two perturbed wins. With perturbed wins ``w`` and raw
+ties ``tw``, one term per edge covers both orders for:
 
 * Bradley-Terry: ``w_ij log s(beta_i - beta_j) + w_ji log s(beta_j - beta_i)``
   with s the logistic function; ties do not enter. The MAP posterior
@@ -69,7 +70,11 @@ The kernel forms each product once and keeps the order of every operation:
 the log-probabilities feed the value and the exp, ``n p`` of each outcome
 and the sum and difference of the decisive probabilities feed all the
 derivatives. A fit is then bit for bit what the formulas give written out
-(``tests/oracles.py``, ``outcome_terms``).
+(``tests/oracles.py``, ``outcome_terms``). The two-outcome branch of
+Bradley-Terry, the posterior, home-field and Rao-Kupper works in place:
+``_logistic`` writes its four arrays into buffers it owns, and the value,
+residual and curvature accumulate into those, each edge array passed over
+once in the order the formulas give.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from .types import Array, CountMatrices, Model, ParameterPoint, PerturbedCounts,
 #: Smallest phi admitted for the Rao-Kupper model (theta must exceed 1).
 RK_PHI_MIN = 1e-10
 _NONE = np.zeros((0, 0))  # the border and block of a model with no tie or home parameter
+_ZERO = np.zeros(1)  # the pinned beta_1
 
 
 def _lse3(x, y, z):
@@ -125,18 +131,29 @@ def _validate(model: Model, point: ParameterPoint, perturbed: PerturbedCounts) -
 
 def _logistic(x):
     """``(s(x), s(-x), log s(x), log s(-x))`` for the logistic function s,
-    stable for any x, from one exp and one log."""
-    e = np.exp(-np.abs(x))
-    log1pe = np.log1p(e)
-    big = 1.0 / (1.0 + e)
-    small = e * big
+    stable for any x, from one exp and one log: with ``e = exp(-|x|)``,
+    ``1 / (1 + e)`` and ``e / (1 + e)`` ordered by the sign of x, and the
+    logs ``-(max(-x, 0) + log1p(e))`` and ``-(max(x, 0) + log1p(e))``.
+
+    Each step writes into a buffer shaped as x that this call owns (``out=``),
+    and the two ``np.where`` pick the probabilities; x is taken as an array
+    first, so a scalar gives 0-d arrays (a ufunc on a 0-d array returns a
+    scalar unless given ``out``)."""
+    x = np.asarray(x, dtype=np.float64)
+    e, log1pe, big = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    np.negative(np.abs(x, out=e), out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=log1pe)
+    np.divide(1.0, np.add(e, 1.0, out=big), out=big)
+    small = np.multiply(e, big, out=e)
     positive = x >= 0.0
-    return (
-        np.where(positive, big, small),
-        np.where(positive, small, big),
-        -(np.maximum(-x, 0.0) + log1pe),
-        -(np.maximum(x, 0.0) + log1pe),
-    )
+    p, q = np.where(positive, big, small), np.where(positive, small, big)
+    log_p = np.negative(x, out=small)  # small and big are free from here on
+    np.maximum(log_p, 0.0, out=log_p)
+    np.negative(np.add(log_p, log1pe, out=log_p), out=log_p)
+    log_q = np.maximum(x, 0.0, out=big)
+    np.negative(np.add(log_q, log1pe, out=log_q), out=log_q)
+    return p, q, log_p, log_q
 
 
 class Arcs:  # a plain class, as EdgeHessian
@@ -238,8 +255,15 @@ def _outcome_terms(beta, host, visitor, wh, wv, wt, n, phi, lg, arcs):
     h = b_h if lg is None else b_h + lg
     if phi is None:
         p_h, p_v, log_h, log_v = _logistic(h - b_v)
-        value = float((wh * log_h + wv * log_v).sum())
-        resid, curv = wh * p_v - wv * p_h, n * (p_h * p_v)
+        # in _logistic's buffers, in the order of wh log_h + wv log_v,
+        # wh p_v - wv p_h and n (p_h p_v): a product commutes exactly
+        log_h *= wh
+        log_h += np.multiply(wv, log_v, out=log_v)
+        value = float(log_h.sum())
+        resid = np.multiply(wh, p_v)
+        resid -= np.multiply(wv, p_h, out=log_v)
+        curv = np.multiply(p_h, p_v, out=log_h)
+        curv *= n
         if lg is None:
             return _assemble(arcs, value, resid, curv)
     else:
@@ -278,11 +302,14 @@ def _edge_data(model: Model, perturbed: PerturbedCounts, pinned: int = 0):
     the per-edge arrays, with their totals ``n``, and the ``Arcs`` of its
     Hessians."""
     i, j, games, wins = perturbed.i, perturbed.j, perturbed.games, perturbed.wins
-    ties = games[2, 0] + games[2, 1]
     t, k = perturbed.num_teams, model.has_tie_parameter + model.has_home_parameter
-    if not (model.has_home_parameter or model is Model.RAO_KUPPER):
+    if model is Model.BRADLEY_TERRY:  # no ties to read: n is the sum of the two wins
+        counts = wins[:1], wins[1:], 0.0, wins[:1] + wins[1:]
+        return i[None], j[None], counts, Arcs(i, j, t, k, pinned)
+    ties = games[2, 0] + games[2, 1]
+    if model is Model.DAVIDSON:
         h, v, arcs = i[None], j[None], Arcs(i, j, t, k, pinned)
-        counts = wins[:1], wins[1:], ties[None] if model is Model.DAVIDSON else 0.0
+        counts = wins[:1], wins[1:], ties[None]
     elif model is Model.RAO_KUPPER:  # the opponent hosts at phi; the host's ties are its wins
         h, v, arcs = np.stack([j, i]), np.stack([i, j]), Arcs(j, i, t, k, pinned)
         counts = np.stack([ties, ties]), wins, 0.0
@@ -338,7 +365,8 @@ class Objective:
         _refuse_data(model, perturbed)
         self.model, self.perturbed, self.num_teams = model, perturbed, perturbed.num_teams
         self._edge_data = _edge_data(model, perturbed, pinned=1)  # beta_1 is pinned at 0
-        self.dimension = self.num_teams - 1 + model.has_tie_parameter + model.has_home_parameter
+        self._tie, self._home = model.has_tie_parameter, model.has_home_parameter
+        self.dimension = self.num_teams - 1 + self._tie + self._home
 
     def _split(self, x: Array):
         """``(beta, phi, log_gamma)`` of a free vector."""
@@ -347,12 +375,12 @@ class Objective:
             raise DimensionError(
                 f"free vector has length {len(x)}, expected {self.dimension}"
             )
-        beta = np.concatenate([[0.0], x[: t - 1]])
+        beta = np.concatenate((_ZERO, x[: t - 1]))
         if self.dimension < t:  # no tie or home parameter
             return beta, None, None
         rest = x[t - 1 :].tolist()
-        phi = rest.pop(0) if self.model.has_tie_parameter else None
-        return beta, phi, rest.pop(0) if self.model.has_home_parameter else None
+        phi = rest.pop(0) if self._tie else None
+        return beta, phi, rest.pop(0) if self._home else None
 
     def unpack(self, x: Array) -> ParameterPoint:
         beta, phi, log_gamma = self._split(x)

@@ -123,7 +123,8 @@ def _one_replica(config: ConsistencyConfig, layout, spec: ModelSpec, replica: in
     t, (rows, cols) = len(layout[0]), layout[1]
     rng = np.random.default_rng([config.seed, t, replica])
     u = rng.uniform(1.0, 2.0, t)
-    wins = rng.binomial(config.n_per_pair, u[rows] / (u[rows] + u[cols]))
+    u_i = u[rows]
+    wins = rng.binomial(config.n_per_pair, u_i / (u_i + u[cols]))
     result = fit(spec, _round_robin(layout, wins, config.n_per_pair - wins))
     return max_relative_error(result.merits_u, u)
 

@@ -158,12 +158,14 @@ class CountMatrices(Record):
         keys = i * t + j  # strictly increasing: distinct pairs in row-major order
         if len(i) and (i.min() < 0 or np.any(i >= j) or j.max() >= t or np.any(np.diff(keys) <= 0)):
             raise ShapeError("edges must be distinct pairs i < j of teams, in row-major order")
-        if not np.all(np.isfinite(games)):
-            raise ShapeError("games contains non-finite entries")
-        if np.any(games < 0):
-            raise NegativeCountError("games contains a negative count")
-        if not np.all(games.sum(axis=(0, 1)) > 0):
-            raise ShapeError("every edge needs at least one game")
+        if len(i):  # by reductions: NaN and +-inf reach the min or the max
+            low, high = games.min(), games.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ShapeError("games contains non-finite entries")
+            if low < 0:
+                raise NegativeCountError("games contains a negative count")
+            if not games.reshape(6, -1).any(axis=0).all():  # finite, nonnegative: a game is nonzero
+                raise ShapeError("every edge needs at least one game")
         for name, arr in (("i", i), ("j", j), ("games", games)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -466,6 +466,29 @@ def test_the_product_reuses_its_work_vector_and_keeps_the_edge_flow_sums(model, 
     assert np.array_equal(h.matvec(x), saved)
 
 
+EDGE_XS = [1000.0, -1000.0, 745.0, -745.0, 1e-300, -1e-300, 0.0, -0.0]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        *EDGE_XS,  # Python floats
+        *map(np.array, EDGE_XS),  # 0-d arrays
+        np.array(EDGE_XS),
+        np.random.default_rng(3).normal(0.0, 40.0, (2, 257)),
+    ],
+    ids=lambda x: repr(x) if np.size(x) == 1 else f"array{np.shape(x)}",
+)
+def test_the_logistic_kernel_matches_the_written_out_formulas_byte_for_byte(x):
+    # where exp(-|x|) underflows or is 1, and signed zeros in and out
+    got, want = _logistic(x), logistic(x)
+    assert len(got) == 4
+    for array, expected in zip(got, want):
+        expected = np.asarray(expected)
+        assert isinstance(array, np.ndarray) and array.dtype == np.float64
+        assert array.shape == expected.shape and array.tobytes() == expected.tobytes()
+
+
 def _same_terms(got, want) -> bool:
     """Value, gradient, edge weights, dense Hessian, border rows and block
     of two kernel results, compared bit for bit."""

@@ -357,6 +357,38 @@ def test_flat_prior_requires_win_cycles(four_teams):
     assert (info.value.witness.q1, info.value.witness.q2) == (expected.q1, expected.q2)
 
 
+def test_the_flat_prior_reads_the_labels_of_the_raw_wins(ten_teams):
+    # the flat prior fits the raw counts, so its rule reads the labels
+    # Condition A keeps on the dataset; a shift's counts are labelled afresh
+    labelled = []
+    label = btrank.connectivity.strong_components
+
+    def counted(n, src, dst):
+        labelled.append(len(src))
+        return label(n, src, dst)
+
+    message = (
+        "the bt estimate does not exist for these data: condition A fails for the split "
+        "{B1, B2, B3} | {B4, B5, B6, B7, B8, B9, B10}: no team in the second set has any "
+        "win over the first set"
+    )
+    with mock.patch.object(btrank.connectivity, "strong_components", counted):
+        assert check_condition_a(ten_teams).q1 == (0, 1, 2)
+        for _ in range(3):
+            with pytest.raises(ExistenceError) as info:
+                fit_map_em(ten_teams, MapPriorSpec(shape=1.0, rate=0.0))
+            assert str(info.value) == message
+            assert info.value.witness == btrank.PartitionWitness(
+                condition="A", q1=(0, 1, 2), q2=(3, 4, 5, 6, 7, 8, 9),
+                detail="no team in the second set has any win over the first set",
+            )
+        assert labelled == [26]  # the 26 win arcs, once
+        with pytest.raises(ExistenceError) as info:
+            fit(spec(Model.BRADLEY_TERRY, MatrixShift(np.zeros((10, 10)))), ten_teams)
+        assert str(info.value) == message
+    assert labelled == [26, 26]
+
+
 def test_default_prior_rate_resolves_against_the_team_count():
     assert MapPriorSpec(shape=2.0).resolved_rate(4) == 7.0
     assert MapPriorSpec(shape=2.0, rate=0.5).resolved_rate(4) == 0.5

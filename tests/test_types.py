@@ -48,6 +48,8 @@ def test_count_matrices_reject_bad_input():
             CountMatrices(3, *edges, games)
     with pytest.raises(ShapeError):  # an edge without a game
         CountMatrices(3, i, j, np.concatenate([games[..., :1], np.zeros((3, 2, 1))], axis=2))
+    empty = CountMatrices(3, [], [], np.zeros((3, 2, 0)))  # no edges, nothing to check
+    assert empty.games.shape == (3, 2, 0)
     good = np.zeros((3, 3))
     with pytest.raises(NegativeCountError, match="a_away contains a negative count"):
         bad = good.copy()
@@ -59,6 +61,37 @@ def test_count_matrices_reject_bad_input():
         diag = good.copy()
         diag[1, 1] = 2
         btrank.venue_free_dataset(names(3), diag)
+
+
+NON_FINITE = (ShapeError, "games contains non-finite entries")
+NEGATIVE = (NegativeCountError, "games contains a negative count")
+NO_GAME = (ShapeError, "every edge needs at least one game")
+
+
+@pytest.mark.parametrize(
+    "defects, refusal",
+    [
+        ({(0, 0, 1): np.nan}, NON_FINITE),
+        ({(1, 1, 0): np.inf}, NON_FINITE),
+        ({(2, 0, 2): -np.inf}, NON_FINITE),
+        ({(1, 0, 1): -1.0}, NEGATIVE),
+        ({(..., 2): 0.0}, NO_GAME),
+        ({(..., 2): -0.0}, NO_GAME),  # signed zeros are no game and no negative count
+        # each check in turn: non-finite, then negative, then an edge without a game
+        ({(0, 0, 0): -1.0, (2, 1, 1): np.nan, (..., 2): 0.0}, NON_FINITE),
+        ({(0, 0, 0): np.inf, (2, 1, 1): -2.0}, NON_FINITE),
+        ({(0, 0, 0): -np.inf, (..., 2): 0.0}, NON_FINITE),
+        ({(..., 1): 0.0, (2, 1, 2): -3.0}, NEGATIVE),
+    ],
+)
+def test_count_checks_keep_their_verdicts_and_their_order(defects, refusal):
+    games = np.ones((3, 2, 3))
+    for index, value in defects.items():
+        games[index] = value
+    kind, message = refusal
+    with pytest.raises(kind) as info:
+        CountMatrices(3, [0, 0, 1], [1, 2, 2], games)
+    assert type(info.value) is kind and str(info.value) == message
 
 
 def test_dataset_validation():
