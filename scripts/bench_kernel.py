@@ -6,9 +6,9 @@ Usage, from the root of a btrank checkout:
     python scripts/bench_kernel.py --src DIR --label change --src BASE --label parent
     python scripts/bench_kernel.py --case two-leagues [--src DIR]
 
-The last form runs one league, venue, ``two-leagues``, path or dense case
-alone and prints its JSON line, writing nothing. Every form runs BLAS on one
-thread: the script sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+The last form runs one case, any key of ``RUNNERS``, alone and prints its
+JSON line, writing nothing. Every form runs BLAS on one thread: the
+script sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 where they are unset, before numpy loads, so a
 case run by hand gives the full run's numbers.
 
@@ -17,7 +17,20 @@ an ``EdgeHessian`` with ``__array__``, whose solver has ``edge_form``,
 ``_newton_direction``, ``_pcg`` and ``_coarse_layout`` (which builds the
 coarse space those take from the raw labels), and whose connectivity
 module labels the raw components with ``raw_components`` and has
-``arcs``, ``verify_existence`` and ``strong_components``.
+``arcs``, ``strong_components`` and ``verify_existence(model, data,
+perturbed, scheme)``.
+
+``RUNNERS`` maps each case name to the function that runs it, and every
+case is timed by the same helpers. ``median_s`` is the median wall time of
+repeated calls, each call's result let go before the next one starts.
+``kernel_and_step`` records the median time of one
+``Objective.value_gradient_hessian`` at the start point
+(``kernel_median_s``) and of one ``solver._newton_direction`` on the system
+it returns (``step_median_s``), a fit's first step, timed in turn.
+``fits`` records the median wall time of one ``btrank.fit``
+(``fit_median_s``) and the last fit's Newton iterations, the
+conjugate-gradient iterations of all its steps (``cg_iterations``) and
+``converged``.
 
 Each league case is a home-and-away league drawn from a fixed seed: a ring
 plus random chords, so every team meets about 6 others, one game at each
@@ -31,29 +44,22 @@ the peak RSS is the case's own, aggregation included. ``SCALE_CASES``
 x86-64 host since single-team components leave the coarse space at scale,
 against 204 s and 1.45 GB before) are run only by ``--case``: a full run
 runs every case in ``RUNS`` interpreters per checkout, and an older
-checkout would take minutes per run. Per case the column records the number of games and met pairs, the median time of one
-``Objective.value_gradient_hessian`` at the start point, the median time of
-the solver's own Newton step on the system it returns
-(``solver._newton_direction``), the median wall time of one ``btrank.fit``,
-its Newton iterations and the conjugate-gradient iterations of all its steps
-(``cg_iterations``), and the peak RSS of the interpreter.
+checkout would take minutes per run. Per case the column records the
+number of games and met pairs, ``kernel_and_step``, ``fits`` and the peak
+RSS of the interpreter.
 
 Each case of ``VENUE_CASES`` is a league drawn as above, with a seeded
 tenth of its games made ties so that Davidson has ties to read, fitted with
 Davidson and with home-field under ``Improved("auto")`` in its own
-single-threaded interpreter. Per model it
-records the median wall time of one ``btrank.fit``, its Newton iterations,
-the conjugate-gradient iterations of all its steps and ``converged``; per
-case the number of games and met pairs and the peak RSS of the interpreter.
+single-threaded interpreter. Per model it records ``fits``; per case, as a
+league case does, its games, met pairs and peak RSS.
 
 The ``venue-t14`` case is the venue league drawn as above at the
 14 teams of perfbench's ``extended-models`` workload, where each step is
 solved by LU and numpy's per-call costs outweigh the arithmetic. For each
 of Rao-Kupper, Davidson, home-field and David (``SMALL_VENUE_MODELS``) it
-records the median time of one ``Objective.value_gradient_hessian`` at the
-model's start point (``kernel_median_s``) and of one
-``solver._newton_direction`` on the system it returns
-(``step_median_s``); per case the number of games and met pairs.
+records ``kernel_and_step`` at the model's start point; per case the number
+of games and met pairs.
 
 The ``two-leagues`` case joins two 1000-team leagues by a single win, so the
 raw data fail strong connection, and fits them at each epsilon of
@@ -68,15 +74,13 @@ The ``crowd-1e6`` case parses a CSV of ``CROWD_ROWS`` crowd comparisons
 among ``CROWD_ITEMS`` items (uniformly random pairs of distinct items,
 decided by Bradley-Terry with evenly spaced merits), drawn from a fixed
 seed and written to a temporary file by an interpreter of its own before
-the case's interpreter starts. It records the median time of
-``btrank.parse_records`` on the file's text, the tracemalloc peak of one
-more parse (what it allocates over the text it is given), the median time
-of ``btrank.aggregate`` on the table, the tracemalloc peak of one more
-``btrank.aggregate`` (what it allocates over the table it is given), and
-the peak RSS of the interpreter, whose only large work is reading, parsing
-and aggregating. The ``crowd-1e6-long`` case does the same on the same
-records with 24-byte item ids: longer than the 8 bytes a plain-CSV cell's
-key holds, so it times the csv module's row loop.
+the case's interpreter starts. For ``btrank.parse_records`` on the file's
+text, then ``btrank.aggregate`` on the table, it records the median time of
+a call and the tracemalloc peak of one more call (what it allocates over
+its input); and the peak RSS of the interpreter, whose only large work is
+reading, parsing and aggregating. The ``crowd-1e6-long`` case does the
+same on the same records with 24-byte item ids: longer than the 8 bytes a
+plain-CSV cell's key holds, so it times the csv module's row loop.
 
 The ``crowd-1e6-cli`` case fits the ``crowd-1e6`` CSV the way a user does:
 it starts ``CLI_PROCESSES`` fresh ``python -m btrank.cli fit --data <csv>
@@ -96,9 +100,7 @@ diameter t - 1. It records the median time of
 ``connectivity.verify_existence`` (the check every fit runs) on a copy of
 the dataset that has labelled nothing yet, so that each call labels the
 comparison graph, and of ``connectivity.strong_components`` on the
-perturbed arcs. A checkout whose ``verify_existence`` takes the teams
-instead of the dataset searches the perturbed counts on every call, and is
-timed that way.
+perturbed arcs.
 
 Each case of ``DENSE_TEAMS`` is a full round-robin of t teams (20, 50 and
 100, the consistency grid of perfbench's ``small-fits``), four games
@@ -106,11 +108,9 @@ per pair, with merits uniform on [1, 2] and the wins drawn from a fixed
 seed, as one replica of ``btrank.run_consistency`` draws them, and fitted
 with Bradley-Terry under ``Improved("auto")``. Such fits are small and
 solved by LU, so fixed per-call costs weigh on them. It records the number
-of met pairs, the fit's iterations, and the median time of one
-``Objective.value_gradient_hessian`` at the start point, of one
-``solver._newton_direction`` on the system it returns, of one
-``btrank.fit``, and of one consistency replica: a ``btrank.run_consistency``
-of ``DENSE_REPLICAS`` replicas at this t, divided by that number.
+of met pairs, ``kernel_and_step``, the time and iterations of ``fits``, and
+the median time of one consistency replica: a ``btrank.run_consistency`` of
+``DENSE_REPLICAS`` replicas at this t, divided by that number.
 
 The ``import`` case starts ``IMPORT_INTERPRETERS`` fresh interpreters,
 each of which imports ``numpy``, then ``btrank``, then ``btrank.cli``, and
@@ -192,11 +192,67 @@ for name in ("numpy", "btrank", "btrank.cli"):
     marks.append(time.perf_counter())
 print(*(after - before for before, after in zip(marks, marks[1:])))
 """
-ALL_CASES = [
-    *(name for name in CASES if name not in SCALE_CASES),
-    *VENUE_CASES, *SMALL_VENUE_CASES, "two-leagues", *CROWD_IDS, CROWD_CLI, *PATH_TEAMS, *DENSE_TEAMS,
-    "import",
-]
+
+
+def median_s(call, repeats: int) -> float:
+    """The median wall time of ``repeats`` calls of ``call``, each call's
+    result let go after its clock stops and before the next call starts."""
+    seconds = []
+    for _ in range(repeats):
+        clock = time.perf_counter()
+        result = call()
+        seconds.append(time.perf_counter() - clock)
+        del result
+    return statistics.median(seconds)
+
+
+def kernel_and_step(objective, coarse, repeats: int) -> dict:
+    """The median time of one ``objective.value_gradient_hessian`` at its start
+    point and of one ``solver._newton_direction`` on the system it returns with
+    the coarse space ``coarse``, a fit's first step, timed in turn ``repeats`` times."""
+    from btrank import solver
+
+    x = objective.initial_point()
+    kernel, step = [], []
+    for _ in range(repeats):
+        clock = time.perf_counter()
+        _, g, h = objective.value_gradient_hessian(x)
+        kernel.append(time.perf_counter() - clock)
+        clock = time.perf_counter()
+        solver._newton_direction(g, h, coarse, solver._CG_RTOL)
+        step.append(time.perf_counter() - clock)
+    return {"kernel_median_s": statistics.median(kernel), "step_median_s": statistics.median(step)}
+
+
+def fits(btrank, spec, data, repeats: int, counts: list) -> dict:
+    """The median wall time of ``repeats`` calls of ``btrank.fit(spec, data)``
+    and the last fit's iterations, conjugate-gradient iterations (``counts``,
+    filled by ``count_cg``, is cleared before each fit) and ``converged``."""
+    wall = []
+    for _ in range(repeats):
+        counts.clear()
+        clock = time.perf_counter()
+        result = btrank.fit(spec, data)
+        wall.append(time.perf_counter() - clock)
+    return {
+        "fit_median_s": statistics.median(wall),
+        "iterations": result.iterations,
+        "cg_iterations": sum(counts),
+        "converged": result.converged,
+    }
+
+
+def peak_rss_mb(who: str = "RUSAGE_SELF") -> float:
+    """The peak RSS in MB of this interpreter, or of its largest waited-for child."""
+    import resource
+
+    return resource.getrusage(getattr(resource, who)).ru_maxrss / 1024.0
+
+
+def bytecode_env() -> dict:
+    """This environment without ``PYTHONDONTWRITEBYTECODE``, so that a child
+    interpreter writes and reads compiled bytecode as an installed package does."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 
 
 def league(t: int, seed: int, offset: int = 0):
@@ -219,12 +275,27 @@ def league(t: int, seed: int, offset: int = 0):
     return tuple(np.concatenate(column) for column in (home, away, outcome))
 
 
+def venue_league(t: int, seed: int):
+    """``league(t, seed)`` with a seeded tenth of its games made ties (2)."""
+    home, away, outcome = league(t, seed)
+    rng = np.random.default_rng(seed)
+    outcome[rng.choice(len(outcome), len(outcome) // 10, replace=False)] = 2
+    return home, away, outcome
+
+
 def dataset(btrank, t: int, games):
     """The Dataset of t teams ``T0 ..`` that ``btrank.aggregate`` builds
     from the ``(home, away, outcome)`` records of ``games``."""
     home, away, outcome = games
     table = btrank.GameTable([f"T{k}" for k in range(t)], home, away, outcome, np.ones(len(home)))
     return btrank.aggregate(table)
+
+
+def league_size(t: int, games) -> dict:
+    """The teams, games and met pairs of the ``(home, away, outcome)`` records ``games``."""
+    home, away, _ = games
+    met = np.unique(np.minimum(home, away) * t + np.maximum(home, away))
+    return {"teams": t, "games": len(home), "met_pairs": len(met)}
 
 
 def coarse_space(model, data, pairs: int, h):
@@ -254,121 +325,50 @@ def count_cg(solver) -> list:
 
 
 def run_case(name: str) -> dict:
-    import resource
-
     import btrank
     from btrank import solver
     from btrank.likelihood import Objective
     from btrank.perturbation import perturb
 
-    t, seed, evaluations, fits = CASES[name]
+    t, seed, evaluations, repeats = CASES[name]
     games = league(t, seed)
     data = dataset(btrank, t, games)
     spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
     perturbed = perturb(data, spec.perturbation)
     objective = Objective(spec.model, perturbed)
-    x = objective.initial_point()
-    start_hessian = objective.value_gradient_hessian(x)[2]
+    start_hessian = objective.value_gradient_hessian(objective.initial_point())[2]
     coarse = coarse_space(spec.model, data, len(perturbed.i), start_hessian)
-    kernel, step = [], []
-    for _ in range(evaluations):
-        clock = time.perf_counter()
-        _, g, h = objective.value_gradient_hessian(x)
-        kernel.append(time.perf_counter() - clock)
-        clock = time.perf_counter()
-        solver._newton_direction(g, h, coarse, solver._CG_RTOL)  # a fit's first step
-        step.append(time.perf_counter() - clock)
-    wall, counts = [], count_cg(solver)
-    for _ in range(fits):
-        counts.clear()
-        clock = time.perf_counter()
-        result = btrank.fit(spec, data)
-        wall.append(time.perf_counter() - clock)
-    home, away, _ = games
-    return {
-        "teams": t,
-        "games": len(home),
-        "met_pairs": met_pairs(t, home, away),
-        "kernel_median_s": statistics.median(kernel),
-        "step_median_s": statistics.median(step),
-        "fit_median_s": statistics.median(wall),
-        "iterations": result.iterations,
-        "cg_iterations": sum(counts),
-        "converged": result.converged,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
-
-
-def venue_league(t: int, seed: int):
-    """``league(t, seed)`` with a seeded tenth of its games made ties (2)."""
-    home, away, outcome = league(t, seed)
-    rng = np.random.default_rng(seed)
-    outcome[rng.choice(len(outcome), len(outcome) // 10, replace=False)] = 2
-    return home, away, outcome
-
-
-def met_pairs(t: int, home, away) -> int:
-    return len(np.unique(np.minimum(home, away) * t + np.maximum(home, away)))
+    timed = kernel_and_step(objective, coarse, evaluations)
+    timed.update(fits(btrank, spec, data, repeats, count_cg(solver)))  # wrapped after the steps are timed
+    return {**league_size(t, games), **timed, "peak_rss_mb": peak_rss_mb()}
 
 
 def run_venue(name: str) -> dict:
-    import resource
-
     import btrank
     from btrank import solver
 
-    t, seed, fits = VENUE_CASES[name]
-    home, away, outcome = venue_league(t, seed)
-    data = dataset(btrank, t, (home, away, outcome))
-    out, counts = {}, count_cg(solver)
+    t, seed, repeats = VENUE_CASES[name]
+    games = venue_league(t, seed)
+    data = dataset(btrank, t, games)
+    out, counts = league_size(t, games), count_cg(solver)
     for model in VENUE_MODELS:
         spec = btrank.ModelSpec(btrank.Model[model], btrank.Improved("auto"))
-        wall = []
-        for _ in range(fits):
-            counts.clear()
-            clock = time.perf_counter()
-            result = btrank.fit(spec, data)
-            wall.append(time.perf_counter() - clock)
-        out[model.lower()] = {
-            "fit_median_s": statistics.median(wall),
-            "iterations": result.iterations,
-            "cg_iterations": sum(counts),
-            "converged": result.converged,
-        }
-    return {
-        "teams": t,
-        "games": len(home),
-        "met_pairs": met_pairs(t, home, away),
-        **out,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
+        out[model.lower()] = fits(btrank, spec, data, repeats, counts)
+    return {**out, "peak_rss_mb": peak_rss_mb()}
 
 
 def run_small_venue(name: str) -> dict:
     import btrank
-    from btrank import solver
     from btrank.likelihood import Objective
     from btrank.perturbation import perturb
 
     t, seed, evaluations = SMALL_VENUE_CASES[name]
-    home, away, outcome = venue_league(t, seed)
-    data = dataset(btrank, t, (home, away, outcome))
-    out = {"teams": t, "games": len(home), "met_pairs": met_pairs(t, home, away)}
+    games = venue_league(t, seed)
+    data = dataset(btrank, t, games)
+    out = league_size(t, games)
     for model in SMALL_VENUE_MODELS:
         objective = Objective(btrank.Model[model], perturb(data, btrank.Improved("auto")))
-        x = objective.initial_point()
-        kernel, step = [], []
-        for _ in range(evaluations):
-            clock = time.perf_counter()
-            _, g, h = objective.value_gradient_hessian(x)
-            kernel.append(time.perf_counter() - clock)
-            clock = time.perf_counter()
-            solver._newton_direction(g, h, None, solver._CG_RTOL)  # a fit's first step, by LU
-            step.append(time.perf_counter() - clock)
-        out[model.lower()] = {
-            "kernel_median_s": statistics.median(kernel),
-            "step_median_s": statistics.median(step),
-        }
+        out[model.lower()] = kernel_and_step(objective, None, evaluations)  # steps by LU
     return out
 
 
@@ -414,43 +414,30 @@ def run_probe() -> dict:
 
 
 def run_path(t: int) -> dict:
-    import inspect
-
     import btrank
-    from btrank import connectivity
+    from btrank.connectivity import arcs, strong_components, verify_existence
     from btrank.perturbation import perturb
 
     first = np.arange(t - 1)
     data = dataset(btrank, t, (first, first + 1, np.zeros(t - 1, dtype=int)))
     model, scheme = btrank.Model.BRADLEY_TERRY, btrank.Improved("auto")
     perturbed = perturb(data, scheme)
-    arcs = connectivity.arcs(perturbed.i, perturbed.j, perturbed.wins)
-    # checkouts that search the perturbed counts on every call take the teams
-    per_call = "teams" in inspect.signature(connectivity.verify_existence).parameters
-    check, label = [], []
-    for _ in range(PATH_REPEATS):
-        fresh = btrank.Dataset(data.teams, data.counts, data.venueless)  # nothing labelled yet
-        clock = time.perf_counter()
-        if per_call:
-            connectivity.verify_existence(model, perturbed, data.teams)
-        else:
-            connectivity.verify_existence(model, fresh, perturbed, scheme)
-        check.append(time.perf_counter() - clock)
-        clock = time.perf_counter()
-        labels = connectivity.strong_components(t, *arcs)
-        label.append(time.perf_counter() - clock)
+    edges = arcs(perturbed.i, perturbed.j, perturbed.wins)
+    # copies that have labelled nothing yet, built before the clock starts
+    fresh = iter([btrank.Dataset(data.teams, data.counts, data.venueless) for _ in range(PATH_REPEATS)])
+    check = median_s(lambda: verify_existence(model, next(fresh), perturbed, scheme), PATH_REPEATS)
+    label = median_s(lambda: strong_components(t, *edges), PATH_REPEATS)
     return {
         "teams": t,
-        "arcs": len(arcs[0]),
-        "components": len(np.unique(labels)),
-        "verify_existence_s": statistics.median(check),
-        "strong_components_s": statistics.median(label),
+        "arcs": len(edges[0]),
+        "components": len(np.unique(strong_components(t, *edges))),
+        "verify_existence_s": check,
+        "strong_components_s": label,
     }
 
 
 def run_dense(t: int) -> dict:
     import btrank
-    from btrank import solver
     from btrank.likelihood import Objective
     from btrank.perturbation import perturb
 
@@ -462,34 +449,17 @@ def run_dense(t: int) -> dict:
     a[i, j], a[j, i] = wins, 4 - wins
     data = btrank.venue_free_dataset([f"T{k}" for k in range(t)], a)
     spec = btrank.ModelSpec(btrank.Model.BRADLEY_TERRY, btrank.Improved("auto"))
-    objective = Objective(spec.model, perturb(data, spec.perturbation))
-    x = objective.initial_point()
-    evaluations, fits, runs = DENSE_REPEATS
-    kernel, step, wall, replica = [], [], [], []
-    for _ in range(evaluations):
-        clock = time.perf_counter()
-        _, g, h = objective.value_gradient_hessian(x)
-        kernel.append(time.perf_counter() - clock)
-        clock = time.perf_counter()
-        solver._newton_direction(g, h, None, solver._CG_RTOL)  # a fit's first step, by LU
-        step.append(time.perf_counter() - clock)
-    for _ in range(fits):
-        clock = time.perf_counter()
-        result = btrank.fit(spec, data)
-        wall.append(time.perf_counter() - clock)
-    for seed in range(runs):
-        config = btrank.ConsistencyConfig(t_grid=(t,), replicas=DENSE_REPLICAS, seed=seed)
-        clock = time.perf_counter()
-        btrank.run_consistency(config)
-        replica.append((time.perf_counter() - clock) / DENSE_REPLICAS)
+    evaluations, repeats, runs = DENSE_REPEATS
+    timed = kernel_and_step(Objective(spec.model, perturb(data, spec.perturbation)), None, evaluations)
+    fit = fits(btrank, spec, data, repeats, [])  # every step by LU: no CG to count
+    configs = iter([btrank.ConsistencyConfig((t,), DENSE_REPLICAS, seed=seed) for seed in range(runs)])
     return {
         "teams": t,
         "met_pairs": len(i),
-        "iterations": result.iterations,
-        "kernel_median_s": statistics.median(kernel),
-        "step_median_s": statistics.median(step),
-        "fit_median_s": statistics.median(wall),
-        "replica_median_s": statistics.median(replica),
+        "iterations": fit["iterations"],
+        **timed,
+        "fit_median_s": fit["fit_median_s"],
+        "replica_median_s": median_s(lambda: btrank.run_consistency(next(configs)), runs) / DENSE_REPLICAS,
     }
 
 
@@ -512,68 +482,51 @@ def crowd_csv(ids: str) -> str:
 
 
 def run_crowd(path: str) -> dict:
-    import resource
-
     import btrank
 
     text = Path(path).read_text(encoding="utf-8")  # as ``btrank fit --data`` reads it
-    parse, aggregate = [], []
-    for _ in range(CROWD_REPEATS):
-        table = None  # let the last table go before the next parse
-        clock = time.perf_counter()
-        table = btrank.parse_records(text, "csv")
-        parse.append(time.perf_counter() - clock)
-    table = None
+    parse_s = median_s(lambda: btrank.parse_records(text, "csv"), CROWD_REPEATS)
     tracemalloc.start()
     table = btrank.parse_records(text, "csv")
     parse_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    for _ in range(CROWD_REPEATS):
-        clock = time.perf_counter()
-        data = btrank.aggregate(table)
-        aggregate.append(time.perf_counter() - clock)
+    aggregate_s = median_s(lambda: btrank.aggregate(table), CROWD_REPEATS)
     tracemalloc.start()
-    btrank.aggregate(table)
+    data = btrank.aggregate(table)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {
         "rows": len(table),
         "teams": data.num_teams,
-        "parse_s": statistics.median(parse),
+        "parse_s": parse_s,
         "parse_peak_mb": parse_peak / 2**20,
-        "aggregate_s": statistics.median(aggregate),
+        "aggregate_s": aggregate_s,
         "aggregate_peak_mb": peak / 2**20,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 
 def run_cli(path: str, src: str) -> dict:
-    import resource
-
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPATH"] = src
-    seconds, codes = [], []
+    env, codes = dict(bytecode_env(), PYTHONPATH=src), []
     with tempfile.TemporaryDirectory() as scratch:
         report = str(Path(scratch) / "fit.json")
         argv = [sys.executable, "-m", "btrank.cli", "fit", "--data", path, "--model", "bt", "--out", report]
-        for _ in range(CLI_PROCESSES + 1):  # the first writes the bytecode cache
-            clock = time.perf_counter()
+        def process():
             codes.append(subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode)
-            seconds.append(time.perf_counter() - clock)
+        process()  # untimed: it writes the bytecode cache
+        wall = median_s(process, CLI_PROCESSES)
     return {
         "processes": CLI_PROCESSES,
-        "wall_median_s": statistics.median(seconds[1:]),
+        "wall_median_s": wall,
         "exit_code": next((code for code in codes if code), 0),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb("RUSAGE_CHILDREN"),
     }
 
 
 def run_imports(count: int) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    seconds = []
+    seconds, probe = [], [sys.executable, "-c", IMPORT_PROBE]
     for _ in range(count + 1):  # the first writes the bytecode cache
-        probe = [sys.executable, "-c", IMPORT_PROBE]
-        child = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+        child = subprocess.run(probe, env=bytecode_env(), capture_output=True, text=True, check=True)
         seconds.append([float(value) for value in child.stdout.split()])
     numpy_s, btrank_s, cli_s = map(statistics.median, zip(*seconds[1:]))
     return {"interpreters": count, "numpy_s": numpy_s, "btrank_s": btrank_s, "cli_s": cli_s}
@@ -590,16 +543,27 @@ def median_of(values: list):
     return statistics.median_low(values) if isinstance(first, int) else statistics.median(values)
 
 
+#: per case, in the order a full run runs them, its runner: f(case name, --csv, src of btrank)
+RUNNERS = {
+    **dict.fromkeys(CASES, lambda name, csv, src: run_case(name)),
+    **dict.fromkeys(VENUE_CASES, lambda name, csv, src: run_venue(name)),
+    **dict.fromkeys(SMALL_VENUE_CASES, lambda name, csv, src: run_small_venue(name)),
+    "two-leagues": lambda name, csv, src: run_probe(),
+    **dict.fromkeys(CROWD_IDS, lambda name, csv, src: run_crowd(csv)),
+    CROWD_CLI: lambda name, csv, src: run_cli(csv, src),
+    **dict.fromkeys(PATH_TEAMS, lambda name, csv, src: run_path(PATH_TEAMS[name])),
+    **dict.fromkeys(DENSE_TEAMS, lambda name, csv, src: run_dense(DENSE_TEAMS[name])),
+    "import": lambda name, csv, src: run_imports(IMPORT_INTERPRETERS),
+}
+ALL_CASES = [name for name in RUNNERS if name not in SCALE_CASES]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", help="directory holding btrank (repeatable)")
     parser.add_argument("--label", action="append", help="column name of each --src in the JSON file")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
-    parser.add_argument(
-        "--case",
-        choices=[*ALL_CASES, *SCALE_CASES],
-        help=argparse.SUPPRESS,
-    )
+    parser.add_argument("--case", choices=RUNNERS, help=argparse.SUPPRESS)
     parser.add_argument("--csv", help=argparse.SUPPRESS)  # the input of a crowd case
     parser.add_argument("--write-csv", help=argparse.SUPPRESS)  # the input of --case
     args = parser.parse_args(argv)
@@ -611,25 +575,7 @@ def main(argv=None) -> int:
         return 0
     if args.case:  # the child interpreter of one case
         sys.path.insert(0, sources[0])
-        if args.case in CROWD_IDS:
-            out = run_crowd(args.csv)
-        elif args.case == CROWD_CLI:
-            out = run_cli(args.csv, sources[0])
-        elif args.case in VENUE_CASES:
-            out = run_venue(args.case)
-        elif args.case in SMALL_VENUE_CASES:
-            out = run_small_venue(args.case)
-        elif args.case == "two-leagues":
-            out = run_probe()
-        elif args.case in PATH_TEAMS:
-            out = run_path(PATH_TEAMS[args.case])
-        elif args.case in DENSE_TEAMS:
-            out = run_dense(DENSE_TEAMS[args.case])
-        elif args.case == "import":
-            out = run_imports(IMPORT_INTERPRETERS)
-        else:
-            out = run_case(args.case)
-        print(json.dumps(out))
+        print(json.dumps(RUNNERS[args.case](args.case, args.csv, sources[0])))
         return 0
     columns = {label: {} for label in labels}
     with tempfile.TemporaryDirectory() as scratch:

@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, NegativeCountError, NonPositiveEpsilonError, ShapeError
+from .errors import ConfigError, NegativeCountError, NonConvergenceError, NonPositiveEpsilonError, ShapeError
 
 Array = np.ndarray  # of float64; every module reads it in annotations only
 
@@ -476,8 +476,6 @@ class FitResult(Record):
 
     def ensure_converged(self) -> "FitResult":
         """Return self, or raise NonConvergenceError if the fit gave up."""
-        from .errors import NonConvergenceError
-
         if not self.converged:
             raise NonConvergenceError(
                 f"no convergence after {self.iterations} iterations "

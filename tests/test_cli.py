@@ -118,6 +118,22 @@ def test_tables_render_these_exact_bytes(capsys, four_teams_file, argv, expected
     assert (code, out, err) == (0, expected, "")
 
 
+def test_a_home_field_fit_table_reports_gamma_after_the_header(capsys, tmp_path):
+    games = tmp_path / "games.csv"
+    games.write_text(CSV_GAMES.replace("A,B,tie\n", "B,A,home_win\nC,B,home_win\nA,C,away_win\n"))
+    code, out, err = run(capsys, "fit", "--data", str(games), "--model", "home-field")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:7] == [
+        "model            home-field",
+        "epsilon          0.605",
+        "log-likelihood   -8.078",
+        "iterations       4",
+        "converged        yes",
+        "gamma            1.425",
+        "",
+    ]
+
+
 def test_fit_json_is_deterministic_and_carries_the_estimate(capsys, four_teams_file):
     code, first, _ = run(
         capsys, "fit", "--data", four_teams_file, "--epsilon", "0.5", "--out", "json"
@@ -196,6 +212,11 @@ def test_fit_exit_codes_for_each_failure_family(capsys, islands_file, tmp_path):
         assert (code, out) == (2, "")
         assert err.startswith(f"btrank: {shift}: a0 is not a numeric matrix (")
         assert err.count("\n") == 1
+
+    # 2: a shift file that is neither a list of rows nor an object holding a0
+    shift.write_text(json.dumps({"b0": [[0, 1], [1, 0]]}))
+    code, out, err = run(capsys, "fit", "--data", islands_file, "--perturbation", f"matrix:{shift}")
+    assert (code, out, err) == (2, "", f"btrank: {shift}: expected an a0 matrix (list of rows)\n")
 
     # 4: flag errors, both argparse-level and value-level; the data file
     # must be valid here or the parse error would win (data loads first)
@@ -534,6 +555,16 @@ def test_seeds_structure_errors(capsys, four_teams_file, tmp_path):
     assert code == 2
     assert "conferences" in err
 
+    for text, message in (
+        ('{"conferences": ', "invalid JSON: Expecting value: line 1 column 17 (char 16)"),
+        ('{"conferences": []}', f'{divisions}: "conferences" must map names to divisions'),
+        ('{"conferences": {"C": []}}', f"{divisions}: conference 'C' must map divisions to teams"),
+        ('{"conferences": {"C": {"D": "1"}}}', f"{divisions}: division 'D' must list teams"),
+    ):
+        divisions.write_text(text)
+        code, out, err = run(capsys, "seeds", "--data", four_teams_file, "--divisions", str(divisions))
+        assert (code, out, err) == (2, "", f"btrank: {message}\n")
+
     reused = {
         "conferences": {
             "X": {"D1": ["1", "2"]},
@@ -653,6 +684,12 @@ def test_simulate_seed_defaults_to_zero_and_ignores_the_environment(capsys, monk
 
     code, _, err = run(capsys, "simulate", "--t-grid", "4", "--seed", "-1")
     assert (code, err) == (4, "btrank: seed must be an integer >= 0, got -1\n")
+
+
+def test_simulate_refuses_a_grid_entry_that_is_not_an_integer(capsys):
+    code, out, err = run(capsys, "simulate", "--t-grid", "3,x")
+    assert (code, out) == (4, "")
+    assert err == "btrank: argument --t-grid: expected comma-separated integers, got '3,x'\n"
 
 
 # Every subcommand flag; a new option shows up as an edit to this table.

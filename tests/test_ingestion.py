@@ -440,6 +440,10 @@ def test_json_records_parse_and_errors():
         parse_records(json.dumps([payload[0], {"home": "A", "away": "B"}]), "json")
     with pytest.raises(ParseError):
         parse_records("{", "json")
+    with pytest.raises(ParseError, match="^record JSON must be an array of objects$"):
+        parse_records(json.dumps(payload[0]), "json")
+    with pytest.raises(ParseError, match="^element 2: expected an object$"):
+        parse_records(json.dumps([payload[0], ["A", "B", "tie"]]), "json")
     # json.dumps writes a float count as 3.0, as matrix JSON and GameTable accept
     text = '[{"home": "A", "away": "B", "outcome": "tie", "repeat": 3.0}]'
     assert parse_records(text, "json").repeat.tolist() == [3]
@@ -695,6 +699,12 @@ def test_matrix_json_venue_form():
 def test_matrix_json_errors():
     with pytest.raises(ParseError):
         parse_matrix("[1, 2]")
+    with pytest.raises(ParseError, match="^invalid JSON: Expecting ',' delimiter"):
+        parse_matrix('{"teams": ["A", "B"] "a": []}')
+    with pytest.raises(ParseError, match='^matrix JSON needs a "teams" array of strings$'):
+        parse_matrix('{"teams": ["A", 2], "a": [[0, 1], [1, 0]]}')
+    with pytest.raises(ParseError, match=r"^a: not a numeric matrix \("):
+        parse_matrix('{"teams": ["A", "B"], "a": [[0, "x"], [1, 0]]}')
     with pytest.raises(ParseError):
         parse_matrix('{"teams": ["A", "B"]}')
     with pytest.raises(ParseError):

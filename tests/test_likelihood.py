@@ -217,6 +217,11 @@ def test_point_shape_validation():
     missing_phi = ParameterPoint(beta=np.zeros(6))
     with pytest.raises(DimensionError):
         log_likelihood(Model.DAVIDSON, missing_phi, perturbed)
+    with pytest.raises(DimensionError, match="^bt takes no home parameter$"):
+        log_likelihood(Model.BRADLEY_TERRY, ParameterPoint(beta=np.zeros(6), log_gamma=0.1), perturbed)
+    venue = _perturbed_for(Model.HOME_FIELD, rng)
+    with pytest.raises(DimensionError, match=r"^home-field needs a home parameter \(log_gamma\)$"):
+        log_likelihood(Model.HOME_FIELD, ParameterPoint(beta=np.zeros(5)), venue)
 
 
 def test_objective_refuses_impossible_model_data_pairs(four_teams):

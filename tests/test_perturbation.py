@@ -180,6 +180,11 @@ def test_venueless_data_gain_eps_on_their_wins_alone(spec):
     assert np.array_equal(out.a_free, raw.a + 0.3 * lifted)
 
 
+def test_an_unknown_scheme_is_refused(venue_data):
+    with pytest.raises(TypeError, match="^unknown perturbation spec 0.5$"):
+        perturb(venue_data, 0.5)
+
+
 def test_conner_grant_above_5000_teams_is_refused_before_any_dense_array():
     # A path league, built from records so that no t x t array precedes
     # the refusal either.

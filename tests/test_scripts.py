@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -129,6 +131,23 @@ def test_a_column_holds_the_median_of_its_runs():
         "fit_s": 2.5, "iterations": 8, "converged": [True, True, True, False], "model": {"step_s": 2.5},
     }
     assert bench.median_of(runs[:3])["converged"] is True
+
+
+def test_each_case_runs_by_its_runner_and_no_other_name_is_a_case(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("bench_kernel", REPO / "scripts" / "bench_kernel.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert sorted(bench.RUNNERS) == sorted([*bench.ALL_CASES, *bench.SCALE_CASES])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # --case puts its --src first on the path
+    for name in bench.RUNNERS:
+        monkeypatch.setitem(bench.RUNNERS, name, lambda case, csv, src: {"case": case, "csv": csv})
+        assert bench.main(["--case", name, "--csv", "games.csv"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"case": name, "csv": "games.csv"}
+    for other in ("sparse-t100", "venue", "crowd-1e6-cli-2", "dense", "imports", ""):
+        with pytest.raises(SystemExit) as refused:
+            bench.main(["--case", other])
+        assert refused.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_the_fit_digest_is_one_sha256_that_repeats():

@@ -212,6 +212,18 @@ def test_minimizer_solves_a_convex_quadratic():
     assert np.all(np.diff(trace) <= 1e-12)
 
 
+def test_a_start_outside_the_domain_is_refused_and_trials_outside_it_are_halved():
+    nowhere = mock.Mock(value_gradient_hessian=lambda x: (-math.inf, None, None))
+    with pytest.raises(ConfigError, match="^start point lies outside the objective's domain$"):
+        maximize_concave(nowhere, np.zeros(3))
+    # the Newton step from the start lands on the center, outside the domain
+    matrix = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]])
+    bowl, start = _Bowl(np.array([-1.0, 2.0, 0.25]), matrix), np.full(3, 4.0)
+    x, trace = minimize(bowl, start)
+    assert np.all(x >= 0) and np.isfinite(bowl.value_gradient_hessian(x)[0])
+    assert trace[-1] < trace[0] and np.all(np.diff(trace) <= 1e-12)
+
+
 def test_rao_kupper_steps_below_the_phi_bound_are_halved(monkeypatch):
     # Evenly matched teams with a single tie put the Rao-Kupper phi optimum
     # near 0, so full Newton steps overshoot below RK_PHI_MIN. The objective

@@ -57,6 +57,12 @@ def test_count_matrices_reject_bad_input():
         btrank.venue_dataset(names(3), good, bad)
     with pytest.raises(ShapeError, match="a_home must be a square matrix"):
         btrank.venue_dataset(names(3), np.zeros((2, 3)), good)
+    with pytest.raises(ShapeError, match="^a_away must be 3x3, got 2x2$"):
+        btrank.venue_dataset(names(3), good, np.zeros((2, 2)))
+    with pytest.raises(ShapeError, match="^a_away contains non-finite entries$"):
+        bad = good.copy()
+        bad[0, 1] = np.inf
+        btrank.venue_dataset(names(3), good, bad)
     with pytest.raises(ShapeError, match="a must have a zero diagonal"):
         diag = good.copy()
         diag[1, 1] = 2
@@ -162,6 +168,8 @@ def test_model_spec_refuses_fields_of_the_wrong_type(fields):
 def test_parameter_point_contract():
     with pytest.raises(ShapeError):
         ParameterPoint(beta=np.array([0.1, 0.2]))
+    with pytest.raises(ShapeError, match="^beta must be a vector of length >= 2$"):
+        ParameterPoint(beta=[0.0])
     point = ParameterPoint(beta=np.array([0.0, -1.0]), phi=np.log(2.0))
     assert point.theta == pytest.approx(2.0)
     assert point.gamma is None
@@ -216,6 +224,8 @@ def test_fit_result_ensure_converged(four_teams):
     assert not capped.converged
     with pytest.raises(NonConvergenceError):
         capped.ensure_converged()
+    with pytest.raises(ShapeError, match="^result vectors must match the team count$"):
+        good.replace(scores=good.scores[:-1])
 
 
 def test_normalizations_are_scalar_multiples(four_teams):
